@@ -109,9 +109,19 @@ class SyncMultiphaseController:
             self._sync[f"zc{k}"] = TwoFlopSynchronizer(
                 sim, f"sync_zc{k}", sensors.zc[k].output, sck, trace=trace)
 
+        # Synchronized FSM inputs, bound once: the per-edge sweep reads
+        # their values directly instead of looking them up by name.
+        self._syncs = list(self._sync.values())
+        self._hl = self._sync["hl"].output
+        self._uv = self._sync["uv"].output
+        self._ov = self._sync["ov"].output
+        self._oc = [self._sync[f"oc{k}"].output for k in range(n_phases)]
+        self._zc = [self._sync[f"zc{k}"].output for k in range(n_phases)]
+        self._act = self.activator.act
+
         self._state = [_PhaseState() for _ in range(n_phases)]
         self._uv_fresh = False
-        self._sync["uv"].output.subscribe(self._on_uv_rise, RISE)
+        self._uv.subscribe(self._on_uv_rise, RISE)
         self.fsm_clk.signal.subscribe(self._on_clk, RISE)
         #: count of charging cycles started, per phase (observability)
         self.cycles_started = [0] * n_phases
@@ -147,11 +157,8 @@ class SyncMultiphaseController:
     def _on_uv_rise(self, _sig: Signal, _value: bool) -> None:
         self._uv_fresh = True  # next charging cycle gets the PEXT extension
 
-    def _sval(self, name: str) -> bool:
-        return self._sync[name].output.value
-
     def _activated(self, k: int) -> bool:
-        return self.activator.act[k].value or self._sval("hl")
+        return self._act[k]._value or self._hl._value
 
     def _on_clk(self, _sig: Signal, _value: bool) -> None:
         self._acted = False
@@ -159,7 +166,7 @@ class SyncMultiphaseController:
             self._step_phase(k)
         if not self._gating:
             return
-        for sync in self._sync.values():
+        for sync in self._syncs:
             if not sync.settled:
                 return
         if not self._acted:
@@ -179,8 +186,8 @@ class SyncMultiphaseController:
     def _step_phase(self, k: int) -> None:
         st = self._state[k]
         now = self.sim.now
-        uv, ov = self._sval("uv"), self._sval("ov")
-        oc, zc = self._sval(f"oc{k}"), self._sval(f"zc{k}")
+        uv, ov = self._uv._value, self._ov._value
+        oc, zc = self._oc[k]._value, self._zc[k]._value
         gates = self.gates
 
         if st.phase == IDLE:
@@ -276,13 +283,13 @@ class SyncMultiphaseController:
             if phase == GN_OFF or phase == GP_OFF:
                 return  # ack handshakes resolve within a couple of periods
             if phase == CHARGE:
-                if self._sval(f"oc{k}") and now < st.pmin_deadline:
+                if self._oc[k]._value and now < st.pmin_deadline:
                     wake_at = min(wake_at, st.pmin_deadline)
             elif phase == DISCHARGE and now < st.nmin_deadline:
-                uv, ov = self._sval("uv"), self._sval("ov")
-                if self._sval(f"zc{k}") or (
+                uv, ov = self._uv._value, self._ov._value
+                if self._zc[k]._value or (
                         self._activated(k) and (uv or (st.ov_mode and ov))
-                        and not self._sval(f"oc{k}")):
+                        and not self._oc[k]._value):
                     wake_at = min(wake_at, st.nmin_deadline)
         horizon = wake_at - now
         if self.crossing_bound is not None:
@@ -291,7 +298,7 @@ class SyncMultiphaseController:
             return
         self._gated = True
         self.gate_count += 1
-        self._act_wakes = self._sval("uv") or self._sval("ov")
+        self._act_wakes = self._uv._value or self._ov._value
         self.fsm_clk.suspend()
         self.sync_clk.suspend()
         if wake_at < math.inf:
@@ -334,7 +341,7 @@ class SyncMultiphaseController:
     # ------------------------------------------------------------------
     def metastable_events(self) -> int:
         """Total synchronizer first-flop setup violations observed."""
-        return sum(s.metastable_events for s in self._sync.values())
+        return sum(s.metastable_events for s in self._syncs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SyncMultiphaseController(n={self.n_phases}, "

@@ -94,7 +94,15 @@ class DFlipFlop:
             resolution = self.sim.rng.expovariate(1.0 / self.tau) if self.tau > 0 else 0.0
             delay = self.t_clk_q + resolution
         else:
-            captured = self.d.value
+            captured = self.d._value
+            if captured == self.q._value and not self.inflight:
+                # the settle would re-apply Q's own value: no edge, no
+                # history, no RNG draw.  Only exact with nothing in flight
+                # (a pending metastable settle may still move Q).  It also
+                # leaves `inflight` at 0 for the t_clk_q a clean settle used
+                # to be in flight; see `TwoFlopSynchronizer.settled` for
+                # why gating does not notice.
+                return
             delay = self.t_clk_q
         self.inflight += 1
         self.sim.schedule(delay, lambda v=captured: self._settle(v))

@@ -50,10 +50,18 @@ class TwoFlopSynchronizer:
         """True when clocking this synchronizer is provably a no-op: the
         whole pipeline already equals the (stable) input and no captured
         sample is still propagating to a Q output.  Clock gating only
-        suspends the clock when every synchronizer reports settled."""
-        return (self._ff1.inflight == 0 and self._ff2.inflight == 0
-                and self._ff1.q.value == self._ff2.q.value
-                == self._ff1.d.value)
+        suspends the clock when every synchronizer reports settled.
+
+        A flop whose clean sample equals Q schedules no settle, so
+        `inflight` stays 0 where a no-op settle used to be pending for
+        t_clk_q after the sync edge.  The FSM edge that reads this comes
+        half a period after the sync edge, so gating decisions are the
+        same only while the sync flops' t_clk_q < period / 2 (about
+        5 GHz at the default 0.1 ns).  A faster FSM clock would see
+        True here where it used to see False."""
+        ff1, ff2 = self._ff1, self._ff2
+        return (ff1.inflight == 0 and ff2.inflight == 0
+                and ff1.q._value == ff2.q._value == ff1.d._value)
 
 
 class SynchronizerBank:

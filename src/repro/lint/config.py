@@ -66,13 +66,7 @@ DEFAULT_PARITY_PAIRS: Tuple[Tuple[str, Tuple[str, str], Tuple[str, str]],
      ("scenarios/vector_solver.py", "VectorizedSolver.note_commutation")),
     ("fixed-tick",
      ("analog/solver.py", "AnalogSolver._tick"),
-     ("scenarios/fastpath.py", "_make_numpy_tick")),
-    ("fused-kernel",
-     ("scenarios/fastpath.py", "_make_numpy_tick"),
-     ("scenarios/fastpath.py", "_get_kernel")),
-    ("comparator-sample",
-     ("scenarios/vector_solver.py", "VectorComparatorBank.sample"),
-     ("scenarios/fastpath.py", "_get_kernel")),
+     ("scenarios/vector_solver.py", "VectorizedSolver._make_fixed_tick")),
     ("gating-entry",
      ("control/sync_controller.py", "SyncMultiphaseController._step_phase"),
      ("control/sync_controller.py", "SyncMultiphaseController._maybe_gate")),

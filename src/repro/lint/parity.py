@@ -2,7 +2,7 @@
 
 The repo keeps paired implementations bit-identical op-for-op (scalar
 ``AnalogSolver.crossing_bound`` vs. vector ``lane_crossing_bound``, the
-RK2 power-stage steps, the fused numba kernel vs. the numpy reference,
+RK2 power-stage steps, the scalar solver tick vs. the fused vector tick,
 the gating entry conditions vs. the FSM action conditions, the clock
 edge functions vs. the fast-forward replay).  The pair registry lives
 in :data:`repro.lint.config.DEFAULT_PARITY_PAIRS`; this module hashes

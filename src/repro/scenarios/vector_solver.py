@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -353,7 +353,7 @@ class VectorizedSolver:
         self.now = 0.0
         self._started = False
         #: fused fixed-grid tick (built on first advance_to; see
-        #: :mod:`repro.scenarios.fastpath`)
+        #: :meth:`_make_fixed_tick`)
         self._tick_fixed = None
         if self.policy.adaptive:
             pol = self.policy
@@ -397,24 +397,32 @@ class VectorizedSolver:
         dt = self.dt
         bank = self.bank
         if self._tick_fixed is None:
-            from .fastpath import make_fixed_tick
-            self._tick_fixed = make_fixed_tick(self)
+            self._tick_fixed = self._make_fixed_tick()
         tick = self._tick_fixed
         sims = self.sims
         queues = [sim._queue for sim in sims]
 
-        # Lazy min-heap of (next event time, lane): one comparison per tick
-        # instead of a scan over every lane.  Entries may be stale (events
-        # fire or get cancelled); each pop re-checks the lane's real queue.
-        # Lanes only gain events while their own handlers run or when the
-        # comparator bank schedules an edge — the on_schedule hook covers
-        # the latter, the post-run re-push the former.
-        heads = [(q[0][0], i) for i, q in enumerate(queues) if q]
+        # Min-heap of (next event time, lane): one comparison per tick
+        # instead of a scan over every lane.  ``due[lane]`` is the time of
+        # the lane's one live entry (inf when its queue is empty); an entry
+        # whose time no longer equals it was superseded and is skipped on
+        # pop.  Lanes only gain events while their own handlers run (the
+        # post-drain re-key covers those) or when the comparator bank
+        # schedules an edge (on_schedule pushes only when the edge is
+        # earlier than the lane's live entry).  ``due`` never exceeds the
+        # lane's real queue head, so no event is ever late.
+        inf = math.inf
+        due = [q[0][0] if q else inf for q in queues]
+        heads = [(d, i) for i, d in enumerate(due) if d < inf]
         heapq.heapify(heads)
         push = heapq.heappush
         pop = heapq.heappop
         if bank is not None:
-            bank.on_schedule = lambda lane, when: push(heads, (when, lane))
+            def on_schedule(lane: int, when: float) -> None:
+                if when < due[lane]:
+                    due[lane] = when
+                    push(heads, (when, lane))
+            bank.on_schedule = on_schedule
         ticks = 0
         try:
             while True:
@@ -422,12 +430,17 @@ class VectorizedSolver:
                 if t_next > t_end:
                     break
                 while heads and heads[0][0] <= t_next:
-                    _, lane = pop(heads)
+                    when, lane = pop(heads)
+                    if when != due[lane]:
+                        continue
                     q = queues[lane]
                     if q and q[0][0] <= t_next:
                         sims[lane].run_until(t_next)
                     if q:
-                        push(heads, (q[0][0], lane))
+                        when = due[lane] = q[0][0]
+                        push(heads, (when, lane))
+                    else:
+                        due[lane] = inf
                 tick(t, t_next)
                 ticks += 1
                 t = t_next
@@ -438,6 +451,32 @@ class VectorizedSolver:
             self.tick_counts += ticks
             if bank is not None:
                 bank.on_schedule = None
+
+    def _make_fixed_tick(self) -> Callable[[float, float], None]:
+        """Build the per-tick callable for fixed stepping.
+
+        ``tick(t, t_next)`` advances the stage by ``dt`` from ``t``,
+        updates the waveform statistics at ``t_next``, and evaluates the
+        comparator bank at ``t_next``, with every attribute lookup
+        hoisted to closure locals.  The caller owns the tick counter and
+        the event pump.
+        """
+        stage = self.stage
+        step = stage.step
+        record = self._record
+        dt = self.dt
+        if self.bank is None:
+            def tick(t: float, t_next: float) -> None:
+                step(t, dt)
+                record(t_next)
+            return tick
+        sample = self.bank.sample
+
+        def tick(t: float, t_next: float) -> None:
+            step(t, dt)
+            record(t_next)
+            sample(t_next, stage.v_out, stage.current)
+        return tick
 
     # ------------------------------------------------------------------
     # Adaptive stepping (per-lane error-controlled grids)

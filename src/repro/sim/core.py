@@ -76,8 +76,6 @@ class Simulator:
         self.rng = random.Random(seed)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._running = False
-        self._finished_processes = 0
         #: events actually fired through the loop (cancelled pops excluded)
         self.events_delivered: int = 0
         #: hook invoked before each event fires, used by the tracer
@@ -116,7 +114,6 @@ class Simulator:
         """Run all events with timestamp <= ``t_end``, then set now = t_end."""
         if t_end < self.now:
             raise SimulationError(f"t_end={t_end} is before current time {self.now}")
-        self._running = True
         queue = self._queue
         pop = heapq.heappop
         delivered = 0
@@ -133,7 +130,6 @@ class Simulator:
             self.now = t_end
         finally:
             self.events_delivered += delivered
-            self._running = False
 
     def run_one_before(self, t_limit: float) -> bool:
         """Fire the single earliest event strictly before ``t_limit``.
@@ -167,7 +163,6 @@ class Simulator:
 
     def run_all(self, max_events: int = 10_000_000) -> None:
         """Run until the event queue drains (guarded by ``max_events``)."""
-        self._running = True
         count = 0
         try:
             while self._queue:
@@ -185,7 +180,6 @@ class Simulator:
                 event.fn()
         finally:
             self.events_delivered += count
-            self._running = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -211,10 +205,6 @@ class Simulator:
                 continue
             return entry[0]
         return None
-
-    def peek_next_time(self) -> Optional[float]:
-        """Deprecated alias of :meth:`next_event_time`."""
-        return self.next_event_time()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Simulator(now={self.now!r}, pending={self.pending_events()})"

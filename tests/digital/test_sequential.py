@@ -80,6 +80,52 @@ class TestDFlipFlop:
         assert ff.metastable_events == 0
         assert ff.q.value
 
+    def test_clocking_equal_d_schedules_nothing(self, sim):
+        d, clk = Signal(sim, "d"), Signal(sim, "clk")
+        ff = DFlipFlop(sim, "q", d, clk)
+        clk.set(True, 5 * NS)
+        sim.run_until(5 * NS)          # delivers only the clock edge
+        assert sim.pending_events() == 0
+        assert sim.events_delivered == 1
+        assert ff.inflight == 0
+        sim.run(10 * NS)
+        assert sim.events_delivered == 1
+        assert not ff.q.value
+        assert ff.q.history == [(0.0, False)]
+
+    def test_d_change_reaches_q_after_clk_to_q(self, sim):
+        d, clk = Signal(sim, "d"), Signal(sim, "clk")
+        ff = DFlipFlop(sim, "q", d, clk, t_clk_q=0.5 * NS)
+        d.set(True, 1 * NS)
+        clk.set(True, 5 * NS)
+        sim.run_until(5.4 * NS)
+        assert not ff.q.value and ff.inflight == 1
+        sim.run_until(5.6 * NS)
+        assert ff.q.value and ff.inflight == 0
+        assert ff.q.edges("rise") == [pytest.approx(5.5 * NS)]
+
+    def test_equal_sample_still_schedules_behind_metastable_settle(self):
+        # A metastable capture resolves late, possibly to the wrong value;
+        # a later clean sample equal to the *current* Q must still be
+        # scheduled, or Q would keep the random capture.
+        for seed in range(10):
+            sim = Simulator(seed=seed)
+            d, clk = Signal(sim, "d"), Signal(sim, "clk")
+            ff = DFlipFlop(sim, "q", d, clk, t_clk_q=10 * NS,
+                           t_setup=1 * NS)
+            d.set(True, 4.5 * NS)          # inside the setup window
+            clk.set(True, 5 * NS)
+            d.set(False, 6 * NS)
+            clk.set(False, 7 * NS)
+            clk.set(True, 8 * NS)          # clean sample: D == Q == False
+            sim.run_until(8 * NS)
+            assert ff.metastable_events == 1
+            assert not ff.q.value
+            assert ff.inflight == 2
+            sim.run(30 * NS)
+            assert ff.inflight == 0
+            assert not ff.q.value
+
 
 class TestMutex:
     def test_single_request_granted(self, sim):

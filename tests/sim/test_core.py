@@ -106,19 +106,6 @@ def test_pending_events_counts_live_only():
     assert sim.pending_events() == 1
 
 
-def test_peek_next_time_skips_cancelled():
-    sim = Simulator()
-    e1 = sim.schedule(1 * NS, lambda: None)
-    sim.schedule(2 * NS, lambda: None)
-    e1.cancel()
-    assert sim.peek_next_time() == pytest.approx(2 * NS)
-
-
-def test_peek_next_time_empty_queue():
-    sim = Simulator()
-    assert sim.peek_next_time() is None
-
-
 def test_run_all_drains_queue():
     sim = Simulator()
     fired = []
