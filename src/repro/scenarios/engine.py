@@ -157,7 +157,13 @@ class VectorBatch:
                 "the vector batch delivers them before the array step)",
                 RuntimeWarning, stacklevel=3)
 
-        self.sims = [Simulator(seed=cfg.seed) for cfg in configs]
+        # Fixed-step lanes share one event heap, drained once per tick.
+        # Adaptive lanes stop at their own step ends, where a shared heap
+        # would pop and re-push every other lane's pending events.
+        lead = Simulator(seed=first.seed)
+        share = None if policy.adaptive else lead
+        self.sims = [lead] + [Simulator(seed=cfg.seed, share_heap=share)
+                              for cfg in configs[1:]]
         self.stage = VectorizedPowerStage(configs, track_energy=track_energy)
         self.bank = VectorComparatorBank(self.sims, configs, n_phases)
         self.solver = VectorizedSolver(

@@ -183,10 +183,6 @@ class VectorComparatorBank:
         self._cmp_abv = self._cmp[:, 2:V_COLS + p]
         self._cmp_zc = self._cmp[:, V_COLS + p:]
 
-        #: callback(lane_index, fire_time) invoked on every scheduled edge
-        #: (the lock-step solver uses it to keep its event heap current)
-        self.on_schedule = None
-
         names = (["hl", "uv", "ov"]
                  + [f"oc{k}" for k in range(n_phases)]
                  + [f"zc{k}" for k in range(n_phases)])
@@ -298,8 +294,6 @@ class VectorComparatorBank:
             out = self.outputs[i][c]
             value = bool(new_state[i, c])
             self.sims[i].schedule_at(fire_at, lambda o=out, v=value: o._apply(v))
-            if self.on_schedule is not None:
-                self.on_schedule(int(i), fire_at)
 
 
 class VectorizedSolver:
@@ -309,7 +303,9 @@ class VectorizedSolver:
     ----------
     sims:
         One :class:`Simulator` per lane (each owns that lane's controller
-        and gate-driver events).
+        and gate-driver events).  With fixed stepping the lanes must
+        share one event heap (``Simulator(share_heap=sims[0])``); with
+        adaptive stepping each lane keeps its own.
     stage:
         The shared :class:`VectorizedPowerStage`.
     bank:
@@ -395,62 +391,28 @@ class VectorizedSolver:
             return
         t = self.now
         dt = self.dt
-        bank = self.bank
         if self._tick_fixed is None:
             self._tick_fixed = self._make_fixed_tick()
         tick = self._tick_fixed
-        sims = self.sims
-        queues = [sim._queue for sim in sims]
-
-        # Min-heap of (next event time, lane): one comparison per tick
-        # instead of a scan over every lane.  ``due[lane]`` is the time of
-        # the lane's one live entry (inf when its queue is empty); an entry
-        # whose time no longer equals it was superseded and is skipped on
-        # pop.  Lanes only gain events while their own handlers run (the
-        # post-drain re-key covers those) or when the comparator bank
-        # schedules an edge (on_schedule pushes only when the edge is
-        # earlier than the lane's live entry).  ``due`` never exceeds the
-        # lane's real queue head, so no event is ever late.
-        inf = math.inf
-        due = [q[0][0] if q else inf for q in queues]
-        heads = [(d, i) for i, d in enumerate(due) if d < inf]
-        heapq.heapify(heads)
-        push = heapq.heappush
-        pop = heapq.heappop
-        if bank is not None:
-            def on_schedule(lane: int, when: float) -> None:
-                if when < due[lane]:
-                    due[lane] = when
-                    push(heads, (when, lane))
-            bank.on_schedule = on_schedule
+        # the lanes share one event heap: one drain delivers every lane's
+        # events up to the tick end, in global time order
+        drain = self.sims[0].run_until
         ticks = 0
         try:
             while True:
                 t_next = t + dt
                 if t_next > t_end:
                     break
-                while heads and heads[0][0] <= t_next:
-                    when, lane = pop(heads)
-                    if when != due[lane]:
-                        continue
-                    q = queues[lane]
-                    if q and q[0][0] <= t_next:
-                        sims[lane].run_until(t_next)
-                    if q:
-                        when = due[lane] = q[0][0]
-                        push(heads, (when, lane))
-                    else:
-                        due[lane] = inf
+                drain(t_next)
                 tick(t, t_next)
                 ticks += 1
                 t = t_next
             self.now = t
-            for sim in sims:
-                sim.run_until(t_end)
+            drain(t_end)
+            for sim in self.sims:
+                sim.now = t_end
         finally:
             self.tick_counts += ticks
-            if bank is not None:
-                bank.on_schedule = None
 
     def _make_fixed_tick(self) -> Callable[[float, float], None]:
         """Build the per-tick callable for fixed stepping.

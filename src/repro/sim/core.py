@@ -12,6 +12,13 @@ then in scheduling order (FIFO), so a simulation is a pure function of its
 inputs and the RNG seed.  All stochastic elements (metastability resolution,
 sensor jitter) draw from ``Simulator.rng`` which is seeded at construction.
 
+Simulators built with ``share_heap`` push into one heap with one sequence
+counter (the lanes of a fixed-step vector batch do this).  Each heap entry
+carries the simulator that scheduled it, so delivery sets *that*
+simulator's ``now`` and counts the event on it.  Each simulator keeps its
+own FIFO order; same-instant events of different simulators tie-break by
+the shared sequence counter.
+
 Almost everything schedules at the default priority 0 and sees pure FIFO
 ordering.  The one consumer of the priority lane is the adaptive analog
 solver: its micro-step commits run at priority -1, so a step that was
@@ -22,6 +29,7 @@ pre-event state before the event (a gate commutation, say) takes effect.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from typing import Callable, List, Optional, Tuple
 
@@ -60,6 +68,11 @@ class Simulator:
     seed:
         Seed for the simulation-owned RNG.  Two simulators built with the
         same seed and fed the same schedule produce identical histories.
+    share_heap:
+        Push into this simulator's event heap and sequence counter
+        instead of owning new ones.  Draining any member of the group
+        (:meth:`run_until`, :meth:`run_one_before`) then delivers every
+        member's events in global time order.
 
     Examples
     --------
@@ -71,15 +84,18 @@ class Simulator:
     [5e-09]
     """
 
-    def __init__(self, seed: Optional[int] = 0):
+    def __init__(self, seed: Optional[int] = 0,
+                 share_heap: Optional["Simulator"] = None):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._queue: List[Tuple[float, int, int, Event]] = []
-        self._seq = 0
+        if share_heap is None:
+            self._queue: List[Tuple[float, int, int, Event, Simulator]] = []
+            self._seq = itertools.count(1)
+        else:
+            self._queue = share_heap._queue
+            self._seq = share_heap._seq
         #: events actually fired through the loop (cancelled pops excluded)
         self.events_delivered: int = 0
-        #: hook invoked before each event fires, used by the tracer
-        self.on_step: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -91,8 +107,8 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         # hot path: inlined schedule_at (same semantics, one call less)
         event = Event(self.now + delay, fn)
-        self._seq += 1
-        heapq.heappush(self._queue, (event.time, priority, self._seq, event))
+        heapq.heappush(self._queue,
+                       (event.time, priority, next(self._seq), event, self))
         return event
 
     def schedule_at(self, time: float, fn: Callable[[], None],
@@ -103,33 +119,32 @@ class Simulator:
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
         event = Event(time, fn)
-        self._seq += 1
-        heapq.heappush(self._queue, (time, priority, self._seq, event))
+        heapq.heappush(self._queue,
+                       (time, priority, next(self._seq), event, self))
         return event
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run_until(self, t_end: float) -> None:
-        """Run all events with timestamp <= ``t_end``, then set now = t_end."""
+        """Run all events with timestamp <= ``t_end``, then set now = t_end.
+
+        Each event sets its owner's ``now`` and counts on its owner's
+        ``events_delivered``; on a shared heap only this simulator's
+        ``now`` moves to ``t_end`` afterwards.
+        """
         if t_end < self.now:
             raise SimulationError(f"t_end={t_end} is before current time {self.now}")
         queue = self._queue
         pop = heapq.heappop
-        delivered = 0
-        try:
-            while queue and queue[0][0] <= t_end:
-                time, _prio, _seq, event = pop(queue)
-                if event.cancelled:
-                    continue
-                delivered += 1
-                self.now = time
-                if self.on_step is not None:
-                    self.on_step(time)
-                event.fn()
-            self.now = t_end
-        finally:
-            self.events_delivered += delivered
+        while queue and queue[0][0] <= t_end:
+            time, _prio, _seq, event, sim = pop(queue)
+            if event.cancelled:
+                continue
+            sim.now = time
+            sim.events_delivered += 1
+            event.fn()
+        self.now = t_end
 
     def run_one_before(self, t_limit: float) -> bool:
         """Fire the single earliest event strictly before ``t_limit``.
@@ -142,17 +157,15 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            time, _prio, _seq, event = queue[0]
+            time, _prio, _seq, event, sim = queue[0]
             if event.cancelled:
                 heapq.heappop(queue)
                 continue
             if time >= t_limit:
                 return False
             heapq.heappop(queue)
-            self.events_delivered += 1
-            self.now = time
-            if self.on_step is not None:
-                self.on_step(time)
+            sim.now = time
+            sim.events_delivered += 1
             event.fn()
             return True
         return False
@@ -161,50 +174,5 @@ class Simulator:
         """Run for ``duration`` seconds of simulated time from now."""
         self.run_until(self.now + duration)
 
-    def run_all(self, max_events: int = 10_000_000) -> None:
-        """Run until the event queue drains (guarded by ``max_events``)."""
-        count = 0
-        try:
-            while self._queue:
-                time, _prio, _seq, event = heapq.heappop(self._queue)
-                if event.cancelled:
-                    continue
-                count += 1
-                if count > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; livelock suspected"
-                    )
-                self.now = time
-                if self.on_step is not None:
-                    self.on_step(time)
-                event.fn()
-        finally:
-            self.events_delivered += count
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def pending_events(self) -> int:
-        """Number of scheduled, not-yet-cancelled events."""
-        return sum(1 for _, _, _, e in self._queue if not e.cancelled)
-
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or None if the queue is empty.
-
-        Cancelled heads are popped lazily, so the amortized cost is O(1)
-        (plus O(log n) per cancelled event, paid once).  Equal-time events
-        are fine: the heap root is ordered by ``(time, priority, seq)``,
-        and every tied entry carries the same timestamp, so whichever tie
-        sits at the root yields the correct answer.
-        """
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if entry[3].cancelled:
-                heapq.heappop(queue)
-                continue
-            return entry[0]
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Simulator(now={self.now!r}, pending={self.pending_events()})"
+        return f"Simulator(now={self.now!r})"

@@ -20,6 +20,7 @@ True
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
@@ -75,8 +76,19 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.controller not in ("async", "sync"):
             raise ValueError("controller must be 'async' or 'sync'")
+        try:
+            operator.index(self.n_phases)   # what range() will need
+        except TypeError:
+            raise ValueError(
+                f"n_phases must be an integer (got {self.n_phases!r})"
+            ) from None
         if self.n_phases < 1:
             raise ValueError("need at least one phase")
+        for name in ("sensor_delay", "sensor_noise", "t_gate"):
+            value = getattr(self, name)
+            if not value >= 0:   # also rejects NaN
+                raise ValueError(
+                    f"{name} must be non-negative (got {value!r})")
         if self.stepping not in STEPPING_MODES:
             raise ValueError(
                 f"stepping must be one of {STEPPING_MODES}, "

@@ -64,7 +64,7 @@ def differential_specs(count, master_seed, sim_time):
             .random(count,
                     n_phases=choice([2, 4]),
                     controller=choice(["async", "sync"]),
-                    fsm_frequency=choice([100e6, 333e6, 1000e6]),
+                    fsm_frequency=choice([100e6, 333e6, 1000e6, 4000e6]),
                     l_uh=log_uniform(1.0, 10.0),
                     r_load=uniform(3.0, 15.0),
                     pmin=choice([2 * NS, 20 * NS]))).specs()

@@ -57,26 +57,28 @@ class TestBatching:
         with pytest.raises(ValueError, match="backend"):
             run_sweep([_spec()], backend="gpu")
 
-    def test_lane_heads_heap_pops_about_once_per_event(self, monkeypatch):
-        """The fixed-step driver keeps one live heads-heap entry per lane,
-        so its pops track the events it delivers instead of re-popping
-        piled-up duplicates (about 7 pops per event on the Fig. 7a grid
-        before the dedupe)."""
-        from repro.scenarios import vector_solver
+    @pytest.mark.parametrize("stepping", ["fixed", "adaptive"])
+    def test_event_heap_layout_follows_stepping(self, monkeypatch, stepping):
+        """Fixed-step lanes share one event heap (one drain per tick);
+        adaptive lanes keep their own.  Either way the kernel pops about
+        once per delivered event."""
+        from repro.sim import core
         pops = [0]
 
         def counting_pop(heap):
             pops[0] += 1
             return heapq.heappop(heap)
 
-        monkeypatch.setattr(vector_solver, "heapq", types.SimpleNamespace(
-            heapify=heapq.heapify, heappush=heapq.heappush,
-            heappop=counting_pop))
-        specs = [_spec(f"{ctrl}-{l_uh}", l_uh=l_uh, sim_time=2 * US, **ctrl)
+        monkeypatch.setattr(core, "heapq", types.SimpleNamespace(
+            heappush=heapq.heappush, heappop=counting_pop))
+        specs = [_spec(f"{ctrl}-{l_uh}", l_uh=l_uh, sim_time=2 * US,
+                       stepping=stepping, **ctrl)
                  for ctrl in ({"controller": "async"},
                               {"controller": "sync", "fsm_frequency": 1e9})
                  for l_uh in (1.0, 4.7)]
         batch = VectorBatch(specs, [s.to_config() for s in specs])
+        heaps = {id(sim._queue) for sim in batch.sims}
+        assert len(heaps) == (1 if stepping == "fixed" else len(specs))
         batch.run()
         delivered = sum(sim.events_delivered for sim in batch.sims)
         assert delivered > 0

@@ -97,36 +97,6 @@ def test_zero_delay_event_from_within_event_fires_at_same_time():
     assert times == [pytest.approx(2 * NS)]
 
 
-def test_pending_events_counts_live_only():
-    sim = Simulator()
-    e1 = sim.schedule(1 * NS, lambda: None)
-    sim.schedule(2 * NS, lambda: None)
-    assert sim.pending_events() == 2
-    e1.cancel()
-    assert sim.pending_events() == 1
-
-
-def test_run_all_drains_queue():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1 * NS, lambda: fired.append(1))
-    sim.schedule(9 * NS, lambda: fired.append(2))
-    sim.run_all()
-    assert fired == [1, 2]
-    assert sim.pending_events() == 0
-
-
-def test_run_all_livelock_guard():
-    sim = Simulator()
-
-    def respawn():
-        sim.schedule(1 * NS, respawn)
-
-    sim.schedule(1 * NS, respawn)
-    with pytest.raises(SimulationError):
-        sim.run_all(max_events=100)
-
-
 def test_rng_determinism():
     a = Simulator(seed=42)
     b = Simulator(seed=42)
@@ -140,42 +110,9 @@ def test_rng_seed_variation():
 
 
 # ---------------------------------------------------------------------------
-# next_event_time / run_one_before edge cases (the gating fast-forward
-# machinery leans on these: equal-time ties, cancelled heads, empty heap)
+# run_one_before edge cases (adaptive delivery leans on these: equal-time
+# ties, cancelled heads, empty heap)
 # ---------------------------------------------------------------------------
-def test_next_event_time_equal_time_ties():
-    sim = Simulator()
-    events = [sim.schedule(5 * NS, lambda: None) for _ in range(3)]
-    assert sim.next_event_time() == pytest.approx(5 * NS)
-    # cancelling ties one by one never changes the answer until the
-    # last one goes — every tied entry carries the same timestamp
-    events[0].cancel()
-    assert sim.next_event_time() == pytest.approx(5 * NS)
-    events[2].cancel()
-    assert sim.next_event_time() == pytest.approx(5 * NS)
-    events[1].cancel()
-    assert sim.next_event_time() is None
-
-
-def test_next_event_time_pops_cancelled_heads_lazily():
-    sim = Simulator()
-    head = sim.schedule(1 * NS, lambda: None)
-    sim.schedule(2 * NS, lambda: None)
-    head.cancel()
-    assert len(sim._queue) == 2
-    assert sim.next_event_time() == pytest.approx(2 * NS)
-    # the cancelled head was evicted, not just skipped over
-    assert len(sim._queue) == 1
-
-
-def test_next_event_time_all_cancelled_is_empty():
-    sim = Simulator()
-    for ev in [sim.schedule(k * NS, lambda: None) for k in (1, 2, 3)]:
-        ev.cancel()
-    assert sim.next_event_time() is None
-    assert sim._queue == []
-
-
 def test_run_one_before_fires_ties_fifo_one_at_a_time():
     sim = Simulator()
     fired = []
@@ -224,3 +161,45 @@ def test_events_delivered_counts_only_live_events():
     assert sim.events_delivered == 1
     assert sim.run_one_before(1 * US) is True
     assert sim.events_delivered == 2
+
+
+def test_shared_heap_delivers_in_global_time_order_to_owners():
+    a = Simulator(seed=1)
+    b = Simulator(seed=2, share_heap=a)
+    fired = []
+
+    def mark(sim, tag):
+        return lambda: fired.append((tag, sim.now, a.now, b.now))
+
+    b.schedule(3 * NS, mark(b, "b3"))
+    a.schedule(5 * NS, mark(a, "a5"))
+    b.schedule(1 * NS, mark(b, "b1"))
+    # same-instant ties: each simulator keeps its FIFO order, and the
+    # two interleave by the shared sequence counter
+    for tag in ("a7x", "b7x", "a7y", "b7y"):
+        owner = a if tag[0] == "a" else b
+        owner.schedule(7 * NS, mark(owner, tag))
+
+    a.run_until(10 * NS)
+    assert [f[0] for f in fired] == ["b1", "b3", "a5",
+                                     "a7x", "b7x", "a7y", "b7y"]
+    # each handler sees its own simulator's now; the other one's now is
+    # left at that simulator's last delivered event
+    assert fired[0][1:] == (pytest.approx(1 * NS), 0.0, pytest.approx(1 * NS))
+    assert fired[2][1:] == (pytest.approx(5 * NS), pytest.approx(5 * NS),
+                            pytest.approx(3 * NS))
+    assert a.events_delivered == 3
+    assert b.events_delivered == 4
+    assert a.now == pytest.approx(10 * NS)
+    assert b.now == pytest.approx(7 * NS)
+
+
+def test_shared_heap_run_one_before_fires_for_owner():
+    a = Simulator()
+    b = Simulator(share_heap=a)
+    seen = []
+    b.schedule(2 * NS, lambda: seen.append(b.now))
+    assert a.run_one_before(5 * NS) is True
+    assert seen == [pytest.approx(2 * NS)]
+    assert (a.events_delivered, b.events_delivered) == (0, 1)
+    assert a.now == 0.0

@@ -1,5 +1,6 @@
 """Integration tests for the assembled BuckSystem (closed loop)."""
 
+import numpy as np
 import pytest
 
 from repro import BuckSystem, RunResult, SystemConfig
@@ -22,6 +23,26 @@ class TestConfigValidation:
     def test_bad_phase_count(self):
         with pytest.raises(ValueError):
             SystemConfig(n_phases=0)
+
+    @pytest.mark.parametrize("n_phases", [2.5, 4.0, "4"])
+    def test_non_integral_phase_count(self, n_phases):
+        with pytest.raises(ValueError, match="n_phases"):
+            SystemConfig(n_phases=n_phases)
+
+    def test_numpy_integer_phase_count_is_legal(self):
+        assert SystemConfig(n_phases=np.int64(2)).n_phases == 2
+
+    @pytest.mark.parametrize("field", ["sensor_delay", "sensor_noise",
+                                       "t_gate"])
+    @pytest.mark.parametrize("value", [-1 * NS, float("nan")])
+    def test_negative_delay_or_noise(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["sensor_delay", "sensor_noise",
+                                       "t_gate"])
+    def test_zero_delay_or_noise_is_legal(self, field):
+        assert getattr(SystemConfig(**{field: 0.0}), field) == 0.0
 
 
 class TestClosedLoopRegulation:
