@@ -5,8 +5,10 @@
 #
 # The server binds 0.0.0.0 inside the container — publish the port to
 # choose the outside exposure — and keeps its result cache under
-# /cache so a named volume survives image upgrades.  Extra flags (API
-# keys, sweep workers, cache cap) go after the image name:
+# /cache so a named volume survives image upgrades.  The volume also
+# keeps the code-fingerprint memo (/cache/fingerprint.json), so a
+# restarted container skips parsing the simulation modules.  Extra
+# flags (API keys, sweep workers, cache cap) go after the image name:
 #
 #   docker run --rm -p 8732:8732 repro-serve --workers 4 --api-key s3cret
 FROM python:3.12-slim

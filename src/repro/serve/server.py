@@ -63,6 +63,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # _json writes headers and body separately; with Nagle on, a
+    # kept-alive client waits out a delayed ACK on every response
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing

@@ -27,6 +27,11 @@ per-lane results are written back individually, so a re-run of an
 identical sweep at *any* worker count is served entirely from cache,
 bit-identical to the cold run (``tests/session/test_session.py``).
 
+The root also keeps :data:`FINGERPRINT_MEMO`, each fingerprinted
+module's AST digest keyed by the hash of its raw bytes, so a fresh
+process over a warm cache computes :func:`code_fingerprint` without
+parsing the tree.
+
 Concurrency contract (the sweep server shares one cache directory
 between many worker threads and processes):
 
@@ -57,12 +62,13 @@ import ast
 import contextlib
 import hashlib
 import json
+import math
 import os
+import sys
 import tempfile
 import threading
 import zipfile
 from dataclasses import fields
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -143,8 +149,17 @@ def module_fingerprint(source: str) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-@lru_cache(maxsize=1)
-def code_fingerprint() -> str:
+#: per-module digest memo under a cache root, outside the ``*/*.json``
+#: entry glob: the sha256 of each module's raw bytes -> its
+#: :func:`module_fingerprint`, so a fresh process over a warm cache
+#: hashes files instead of parsing them
+FINGERPRINT_MEMO = "fingerprint.json"
+
+_fingerprint_lock = threading.Lock()
+_fingerprint: Optional[str] = None
+
+
+def code_fingerprint(cache: Optional["ResultCache"] = None) -> str:
     """Hash the source of every simulation module (16 hex chars).
 
     Computed once per process from the installed ``repro`` package's
@@ -153,20 +168,84 @@ def code_fingerprint() -> str:
     therefore all-new cache keys.  Each module contributes its
     :func:`module_fingerprint` — the docstring-stripped AST digest — so
     comment-only and docstring-only edits do *not* invalidate the cache.
+
+    Only the call that computes the value uses ``cache``: a readable
+    cache's :data:`FINGERPRINT_MEMO` supplies the digest of every module
+    whose raw bytes it has seen, and a writable one is rewritten when
+    the tree moved.  The memo never changes the value, only its cost.
     """
-    package_root = Path(__file__).resolve().parent.parent
+    global _fingerprint
+    with _fingerprint_lock:
+        if _fingerprint is None:
+            _fingerprint = _compute_fingerprint(cache)
+        return _fingerprint
+
+
+def _forget_fingerprint() -> None:
+    global _fingerprint
+    with _fingerprint_lock:
+        _fingerprint = None
+
+
+code_fingerprint.cache_clear = _forget_fingerprint  # type: ignore[attr-defined]
+
+
+def _compute_fingerprint(cache: Optional["ResultCache"]) -> str:
+    this_module = Path(__file__).resolve()
+    package_root = this_module.parent.parent
+    use_memo = cache is not None and cache.readable
+    known: Dict[str, str] = {}
+    if use_memo:
+        header = {
+            # AST dumps differ across Python versions, and an edit to
+            # this module may change the stripping rules
+            "cache_tag": sys.implementation.cache_tag,
+            "rules": hashlib.sha256(this_module.read_bytes()).hexdigest(),
+        }
+        known = _read_memo(cache.root / FINGERPRINT_MEMO, header)
+    seen: Dict[str, str] = {}
     digest = hashlib.sha256()
     for entry in FINGERPRINT_PATHS:
         path = package_root / entry
         files = [path] if path.is_file() else sorted(path.rglob("*.py"))
         for source in files:
+            raw = source.read_bytes()
+            raw_hash = hashlib.sha256(raw).hexdigest()
+            module = known.get(raw_hash)
+            if module is None:
+                module = module_fingerprint(raw.decode("utf-8"))
+            seen[raw_hash] = module
             digest.update(str(source.relative_to(package_root)).encode())
             digest.update(b"\0")
-            digest.update(
-                module_fingerprint(source.read_text(encoding="utf-8"))
-                .encode())
+            digest.update(module.encode())
             digest.update(b"\0")
+    if use_memo and cache.writable and seen != known:
+        memo = json.dumps(dict(header, modules=seen), sort_keys=True)
+        try:
+            cache.root.mkdir(parents=True, exist_ok=True)
+            ResultCache._atomic_write(cache.root / FINGERPRINT_MEMO,
+                                      lambda fh: fh.write(memo.encode()))
+        except OSError:
+            pass   # the memo only spares the next process a parse
     return digest.hexdigest()[:16]
+
+
+def _read_memo(path: Path, header: Mapping[str, str]) -> Dict[str, str]:
+    """The memo's raw-hash -> digest map, or ``{}`` when the file is
+    missing, unreadable, malformed, or written under another header."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except (OSError, ValueError):
+        return {}
+    if not isinstance(stored, dict) or any(
+            stored.get(name) != value for name, value in header.items()):
+        return {}
+    modules = stored.get("modules")
+    if not isinstance(modules, dict) or not all(
+            isinstance(v, str) for v in modules.values()):
+        return {}
+    return modules
 
 
 def cache_key(config: SystemConfig, *, settle: Optional[float] = None,
@@ -319,12 +398,15 @@ class ResultCache:
     def store(self, key: str, result: RunResult,
               meta: Optional[Mapping[str, Any]] = None) -> bool:
         """Write ``result`` under ``key``; returns False in read-only
-        (or off) mode.  Writes are atomic (tmp file + ``os.replace``),
-        so a concurrent reader sees either no entry or a whole one.
+        (or off) mode, and for a result with a NaN or infinite number —
+        a diverged run is reported to its caller but never served from
+        cache.  Writes are atomic (tmp file + ``os.replace``), so a
+        concurrent reader sees either no entry or a whole one.
         A traced result embeds its :class:`~repro.trace.TraceSet` arrays
         in the npz (manifest in the json sidecar), so traced sweeps can
         be served from cache without re-simulating."""
-        if not self.writable:
+        if not self.writable or not all(
+                math.isfinite(getattr(result, f)) for f in _FLOAT_FIELDS):
             return False
         with obs.span("cache.store", key=key[:12],
                       traced=result.trace is not None,

@@ -353,6 +353,9 @@ class Session:
                 on_result=on_result), None, 0
 
         points: List[Optional[SweepPoint]] = [None] * len(spec_list)
+        # the process's first keyed sweep computes the fingerprint with
+        # this cache's memo; cache_key reads the value back
+        code_fingerprint(cache)
         keys: List[str] = [
             cache_key(cfg, settle=settle, backend=self.backend,
                       track_energy=track_energy) for cfg in configs]

@@ -20,6 +20,7 @@ True
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
@@ -84,6 +85,17 @@ class SystemConfig:
             ) from None
         if self.n_phases < 1:
             raise ValueError("need at least one phase")
+        positive = ("v_in", "c_out", "dt", "sim_time")
+        if self.coil is None:
+            positive += ("inductance",)
+        for name in positive:
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):   # NaN fails too
+                raise ValueError(
+                    f"{name} must be finite and positive (got {value!r})")
+        if self.dt > self.sim_time:
+            raise ValueError(f"dt ({self.dt!r}) must not exceed "
+                             f"sim_time ({self.sim_time!r})")
         for name in ("sensor_delay", "sensor_noise", "t_gate"):
             value = getattr(self, name)
             if not value >= 0:   # also rejects NaN

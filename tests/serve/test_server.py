@@ -8,7 +8,10 @@ shared-cache contract: every unique config is simulated exactly once
 lane in completion order.
 """
 
+import http.client
+import json
 import threading
+import time
 
 import pytest
 
@@ -116,6 +119,24 @@ class TestRoutes:
         fetched = client.result(lane["key"])
         assert fetched.to_dict() == lane["run"].to_dict()
         assert server.session.cache_misses == misses_before
+
+    def test_kept_alive_connection_does_not_stall(self, server):
+        """Headers and body go out in two writes; with Nagle on, each
+        response on a reused connection waits out a delayed ACK
+        (~40 ms), so 20 requests would take most of a second."""
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 kept-alive GETs took {elapsed:.3f} s"
 
     def test_missing_result_is_404(self, server):
         client = ServeClient(server.url)

@@ -9,8 +9,8 @@ import pytest
 
 from repro.scenarios import ScenarioSpec
 from repro.session import cache as cache_mod
-from repro.session import (ResultCache, cache_key, code_fingerprint,
-                           module_fingerprint)
+from repro.session import (ResultCache, Session, cache_key,
+                           code_fingerprint, module_fingerprint)
 from repro.sim import NS, US
 from repro.system import RunResult, SystemConfig
 from repro.trace import TraceSet
@@ -33,6 +33,24 @@ def _trace(n=16, seed=0):
     ts.add_channel("i_coil0", rng.standard_normal(n), grid="t")
     ts.add_signal("hl", [(0.0, False), (3e-7, True), (5e-7, False)])
     return ts
+
+
+#: a cheap scenario for sweeps through a Session
+_SPEC = {"controller": "async", "l_uh": 4.7, "r_load": 6.0,
+         "sim_time": 1 * US, "dt": 1 * NS}
+
+
+@pytest.fixture()
+def fresh_fingerprint():
+    """Forget the process's fingerprint so the next call computes it
+    (and so reads and writes a memo); forgotten again afterwards."""
+
+    def forget():
+        code_fingerprint.cache_clear()
+
+    forget()
+    yield forget
+    forget()
 
 
 def _config(**overrides):
@@ -120,9 +138,26 @@ class TestResultCacheStore:
         meta_path.write_text(json.dumps(payload))
         assert cache.load(key) is None
 
-    def test_readonly_never_writes(self, tmp_path):
+    def test_readonly_never_writes(self, tmp_path, fresh_fingerprint):
         cache = ResultCache(root=tmp_path, mode="readonly")
         assert not cache.store(cache_key(_config()), _result())
+        assert list(tmp_path.iterdir()) == []
+        # nor does a sweep whose plan computes the fingerprint (and so
+        # reads, but must not write, the memo)
+        fresh_fingerprint()
+        Session(cache="readonly", cache_dir=str(tmp_path)).sweep(
+            [ScenarioSpec("ro", overrides=_SPEC)])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field", ["v_final", "peak_coil_current",
+                                       "efficiency"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_result_is_never_stored(self, tmp_path, field,
+                                               value):
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        assert not cache.store(key, _result(**{field: value}))
+        assert cache.load(key) is None
         assert list(tmp_path.iterdir()) == []
 
     def test_off_never_reads(self, tmp_path):
@@ -598,3 +633,144 @@ class TestModuleFingerprint:
         mod.write_text(self.BASE.replace("2 * x", "5 * x"))
         assert fingerprint() != base
         cache_mod.code_fingerprint.cache_clear()
+
+
+class TestFingerprintMemo:
+    """``<cache root>/fingerprint.json`` maps each module's raw-bytes
+    hash to its AST digest: it saves a fresh process the parse, never
+    changes the value, and is only written by ``readwrite`` caches."""
+
+    BASE = TestModuleFingerprint.BASE
+
+    @pytest.fixture()
+    def tree(self, tmp_path, monkeypatch, fresh_fingerprint):
+        """A two-module fingerprinted tree; returns a counter of
+        :func:`module_fingerprint` calls (i.e. parses)."""
+        pkg = tmp_path / "pkg"
+        (pkg / "analog").mkdir(parents=True)
+        (pkg / "session").mkdir()
+        (pkg / "analog" / "solver.py").write_text(self.BASE)
+        (pkg / "analog" / "other.py").write_text("def g():\n    return 1\n")
+        (pkg / "session" / "cache.py").write_text("RULES = 1\n")
+        monkeypatch.setattr(cache_mod, "FINGERPRINT_PATHS", ("analog",))
+        monkeypatch.setattr(cache_mod, "__file__",
+                            str(pkg / "session" / "cache.py"))
+        parses = []
+        real = cache_mod.module_fingerprint
+        monkeypatch.setattr(cache_mod, "module_fingerprint",
+                            lambda src: parses.append(src) or real(src))
+        self.pkg = pkg
+        self.root = tmp_path / "cache"
+        self.memo = self.root / cache_mod.FINGERPRINT_MEMO
+        return parses
+
+    def fingerprint(self, mode="readwrite"):
+        code_fingerprint.cache_clear()
+        if mode is None:
+            return code_fingerprint()
+        return code_fingerprint(ResultCache(self.root, mode=mode))
+
+    def test_cold_then_warm_memo_gives_the_memo_free_value(self, tree):
+        plain = self.fingerprint(None)
+        assert len(tree) == 2 and not self.root.exists()
+        assert self.fingerprint() == plain          # cold: writes
+        assert self.memo.is_file()
+        written = self.memo.stat().st_mtime_ns
+        del tree[:]
+        assert self.fingerprint() == plain          # warm: no parse
+        assert tree == []
+        assert self.memo.stat().st_mtime_ns == written   # unchanged: kept
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "not json", "list", "modules list", "int digests",
+        "foreign cache_tag", "rules edited"])
+    def test_bad_memo_is_a_miss(self, tree, damage):
+        plain = self.fingerprint(None)
+        self.fingerprint()
+        good = json.loads(self.memo.read_text())
+        if damage == "rules edited":    # cache.py may strip differently
+            (self.pkg / "session" / "cache.py").write_text("RULES = 2\n")
+        else:
+            self.memo.write_text({
+                "truncated": self.memo.read_text()[:40],
+                "not json": "{ not json",
+                "list": json.dumps([good]),
+                "modules list": json.dumps(dict(good, modules=[])),
+                "int digests": json.dumps(dict(good, modules={
+                    k: 7 for k in good["modules"]})),
+                "foreign cache_tag": json.dumps(dict(good,
+                                                     cache_tag="pypy-0")),
+            }[damage])
+        del tree[:]
+        assert self.fingerprint() == plain
+        assert len(tree) == 2                       # everything reparsed
+        repaired = json.loads(self.memo.read_text())
+        assert sorted(repaired["modules"]) == sorted(good["modules"])
+        del tree[:]
+        assert self.fingerprint() == plain and tree == []
+
+    def test_only_edited_modules_are_reparsed(self, tree):
+        self.fingerprint()
+        base = self.fingerprint()
+        solver = self.pkg / "analog" / "solver.py"
+        del tree[:]
+        solver.write_text("# comment\n" + self.BASE)
+        assert self.fingerprint() == base           # comment: same value
+        assert len(tree) == 1
+        del tree[:]
+        solver.write_text(self.BASE.replace("2 * x", "5 * x"))
+        edited = self.fingerprint()
+        assert edited != base and len(tree) == 1
+        assert edited == self.fingerprint(None)
+
+    def test_readonly_reads_but_never_writes(self, tree):
+        self.fingerprint("readonly")
+        assert not self.root.exists()
+        self.fingerprint()                          # warm it
+        del tree[:]
+        memo = self.memo.read_text()
+        (self.pkg / "analog" / "other.py").write_text("def g():\n    pass\n")
+        self.fingerprint("readonly")
+        assert len(tree) == 1                       # solver.py from memo
+        assert self.memo.read_text() == memo
+
+    def test_off_cache_never_touches_the_memo(self, tree):
+        self.fingerprint("off")
+        assert not self.root.exists()
+        self.fingerprint()
+        del tree[:]
+        self.fingerprint("off")
+        assert len(tree) == 2
+
+    def test_computed_once_per_process(self, tree):
+        """Only the computing call consults a memo; later calls, with
+        any cache, return the process value and touch no file."""
+        code_fingerprint.cache_clear()
+        value = code_fingerprint()
+        assert code_fingerprint(ResultCache(self.root)) == value
+        assert not self.root.exists() and len(tree) == 2
+
+
+class TestFingerprintMemoInSessions:
+    def test_readwrite_sweep_writes_a_memo_entries_ignore(
+            self, tmp_path, fresh_fingerprint):
+        plain = code_fingerprint()
+        fresh_fingerprint()
+        session = Session(cache="readwrite", cache_dir=str(tmp_path))
+        session.sweep([ScenarioSpec("rw", overrides=_SPEC)])
+        assert code_fingerprint() == plain
+        cache = session.cache
+        memo = tmp_path / cache_mod.FINGERPRINT_MEMO
+        assert memo.is_file()
+        [key] = cache.keys()
+        assert len(cache) == 1
+        assert cache.size_bytes() == sum(
+            path.stat().st_size for path in cache._paths(key))
+        assert cache.prune(max_bytes=0) == 1
+        assert len(cache) == 0 and cache.size_bytes() == 0
+        assert memo.is_file()
+
+    def test_off_session_writes_nothing(self, tmp_path, fresh_fingerprint):
+        Session(cache="off", cache_dir=str(tmp_path / "c")).sweep(
+            [ScenarioSpec("off", overrides=_SPEC)])
+        assert not (tmp_path / "c").exists()

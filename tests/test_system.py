@@ -44,6 +44,25 @@ class TestConfigValidation:
     def test_zero_delay_or_noise_is_legal(self, field):
         assert getattr(SystemConfig(**{field: 0.0}), field) == 0.0
 
+    @pytest.mark.parametrize("field", ["v_in", "c_out", "dt", "sim_time",
+                                       "inductance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_non_positive_or_non_finite_physics(self, field, value):
+        """Fail at construction, not as a NaN result (``c_out=0``,
+        ``v_in=nan``) or deep inside assembly (``inductance=0``)."""
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{field: value})
+
+    def test_coil_overrides_the_inductance_check(self):
+        coil = make_coil(4.7 * UH)
+        assert SystemConfig(inductance=0.0, coil=coil).coil is coil
+
+    def test_step_longer_than_the_run(self):
+        with pytest.raises(ValueError, match="sim_time"):
+            SystemConfig(dt=2 * US, sim_time=1 * US)
+        assert SystemConfig(dt=1 * US, sim_time=1 * US).dt == 1 * US
+
 
 class TestClosedLoopRegulation:
     @pytest.mark.parametrize("controller", ["async", "sync"])
