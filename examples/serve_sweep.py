@@ -10,14 +10,18 @@ protected), builds the Fig. 7a quick-grid job payload (5 controllers x
   per scenario as it lands;
 - the **hot** job must be served entirely from the server's shared
   result cache — every lane ``cached: true``, every number
-  bit-identical to the cold pass, zero recompute.
+  bit-identical to the cold pass, zero recompute;
+- every hot lane is then fetched by content key through the client's
+  ``result`` command (``GET /v1/results/<key>``), and each fetched
+  result must equal the job's bit for bit.
 
 The obs smoke rides along: ``GET /v1/metrics`` must answer with a
 parseable Prometheus text exposition carrying >= 10 named series, and
 the hot job's ``done`` event must embed its sweep receipt.
 
 Doubles as the CI serve-smoke step: ``--require-hot`` exits non-zero
-unless the hot job is 100% cache-hot and bit-identical, and
+unless the hot job is 100% cache-hot and bit-identical, and every
+fetch returns the job's result exactly, and
 ``--bench-json`` writes the timing/counter summary the CI job uploads
 as ``BENCH_serve.json``.
 
@@ -125,6 +129,22 @@ def submit(url: str, job_path: str, label: str):
     return lanes, elapsed
 
 
+def _canonical(payload: dict) -> str:
+    """Exact text form: float ``repr`` round-trips, so equal text means
+    bit-identical numbers (``-0.0`` included)."""
+    return json.dumps(payload, sort_keys=True)
+
+
+def fetch_lanes(url: str, lanes: dict) -> int:
+    """Fetch every lane by key; returns how many equal the job's result
+    bit for bit."""
+    exact = 0
+    for lane in lanes.values():
+        fetched = json.loads(client(url, "result", lane["key"]).stdout)
+        exact += _canonical(fetched["result"]) == _canonical(lane["result"])
+    return exact
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cache-dir", default=None,
@@ -159,12 +179,16 @@ def main() -> int:
 
         stats = json.loads(client(url, "stats").stdout)
         identical = (sorted(cold) == sorted(hot) and all(
-            cold[i]["result"] == hot[i]["result"] for i in cold))
+            _canonical(cold[i]["result"]) == _canonical(hot[i]["result"])
+            for i in cold))
         hot_cached = sum(1 for e in hot.values() if e["cached"])
         print(f"hot job: {hot_cached}/{len(hot)} lanes cache-hot; "
               f"bit-identical: {identical}; "
               f"server counters: {stats['hits']} hits / "
               f"{stats['misses']} misses")
+        fetched = fetch_lanes(url, hot)
+        print(f"fetch by key: {fetched}/{len(hot)} lanes bit-identical "
+              "to the hot job")
 
         # obs smoke: the metrics exposition must parse with a healthy
         # series catalogue, and stats must carry the SSE drop totals
@@ -181,16 +205,18 @@ def main() -> int:
                 "hot_s": round(hot_s, 3),
                 "speedup": round(cold_s / hot_s, 2) if hot_s else None,
                 "hot_cached_lanes": hot_cached,
-                "bit_identical": identical, "server_stats": stats,
+                "bit_identical": identical, "fetched_exact": fetched,
+                "server_stats": stats,
                 "metric_series": len(samples),
             }
             with open(args.bench_json, "w", encoding="utf-8") as out:
                 json.dump(summary, out, indent=2, sort_keys=True)
             print(f"wrote {args.bench_json}")
 
-        if args.require_hot and (hot_cached != len(hot) or not identical):
-            print("FAIL: hot job must be fully cache-hot and identical",
-                  file=sys.stderr)
+        if args.require_hot and (hot_cached != len(hot) or not identical
+                                 or fetched != len(hot)):
+            print("FAIL: hot job must be fully cache-hot and identical, "
+                  "and every fetch by key exact", file=sys.stderr)
             return 1
         return 0
     finally:

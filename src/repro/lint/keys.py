@@ -10,8 +10,8 @@ makes each bump an explicit ack (``python -m repro.lint --update-locks``).
 The other cache-soundness invariants are structural, so no rule guards
 them: ``cache_key`` bulk-encodes every ``SystemConfig`` field (only
 ``trace`` is normalised out), ``lockstep_key`` keys every field outside
-``PER_LANE_FIELDS``, and the cache's npz columns are derived from
-``RunResult``'s annotations.
+``PER_LANE_FIELDS``, and the cache sidecar's ``result`` members are
+derived from ``RunResult``'s annotations.
 """
 
 from __future__ import annotations

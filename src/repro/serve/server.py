@@ -6,7 +6,9 @@ when keys are configured — see :mod:`repro.serve.auth`):
 ========================  ===================================================
 ``GET  /v1/health``       liveness probe (unauthenticated)
 ``POST /v1/jobs``         submit a sweep (:mod:`repro.serve.protocol` forms);
-                          ``202`` with the job snapshot
+                          ``202`` with the job snapshot; ``400`` for a
+                          missing or malformed ``Content-Length``,
+                          ``413`` above :data:`MAX_BODY_BYTES`
 ``GET  /v1/jobs``         list job snapshots
 ``GET  /v1/jobs/<id>``    one job snapshot
 ``GET  /v1/jobs/<id>/events``  SSE stream: event replay (prefixed by an
@@ -16,6 +18,7 @@ when keys are configured — see :mod:`repro.serve.auth`):
                           ``failed`` frame
 ``GET  /v1/results/<key>``     any cached result by content key, zero
                           recompute (``?trace=1`` to require waveforms);
+                          ``400`` unless the key is 64 lowercase hex,
                           ``404`` when absent
 ``GET  /v1/stats``        session cache/sweep aggregates + job totals
 ``GET  /v1/metrics``      Prometheus text exposition of the obs registry
@@ -39,10 +42,16 @@ from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
 from ..session import Session
+from ..session.cache import is_cache_key
 from .auth import ApiKeyAuth
 from .jobs import TERMINAL_EVENTS, JobManager
 from .protocol import ProtocolError, decode_job
 from .sse import format_event
+
+#: largest ``POST /v1/jobs`` body accepted; a longer one is answered
+#: ``413`` without being read.  A job costs ~330 bytes per lane: the
+#: 20-lane Fig. 7a quick grid is 6.4 KB, the 65-lane full grid 21 KB.
+MAX_BODY_BYTES = 1 << 20
 
 
 def _route_family(path: str) -> str:
@@ -79,11 +88,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _error(self, code: int, message: str) -> None:
         self._json(code, {"error": message})
+
+    def _reject(self, code: int, reason: str, message: str) -> None:
+        """Refuse client input before acting on it; the connection is
+        closed, since a body may be left unread."""
+        obs.counter("repro_serve_rejected_total", reason=reason).inc()
+        self.close_connection = True
+        self._error(code, message)
 
     def _authorized(self) -> bool:
         if self.server.auth.authorize(self.headers):  # type: ignore
@@ -159,9 +177,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"no such route {path!r}")
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(self.headers["Content-Length"])
+        except (TypeError, ValueError):
+            length = -1
+        if length < 0:
+            self._reject(400, "bad_length", "Content-Length must be a "
+                         "non-negative integer")
+            return
+        if length > MAX_BODY_BYTES:
+            self._reject(413, "too_large",
+                         f"request body over {MAX_BODY_BYTES} bytes")
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, json.JSONDecodeError):
+        except ValueError:
             self._error(400, "request body is not valid JSON")
             return
         try:
@@ -175,6 +204,10 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _fetch_result(self, key: str, query: dict) -> None:
         session: Session = self.server.manager.session  # type: ignore
+        if not is_cache_key(key):
+            self._reject(400, "bad_key", "result keys are 64 lowercase "
+                         "hex digits")
+            return
         if session.cache is None:
             self._error(404, "server is running without a cache")
             return

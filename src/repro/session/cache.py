@@ -17,10 +17,22 @@ headline measurements are a pure function of
 
 :func:`cache_key` hashes that tuple into a stable hex digest;
 :class:`ResultCache` stores one entry per key under a cache root
-(default ``.repro_cache/``) as an ``.npz`` (numeric payload, exact
-float64 round-trip) plus a ``.json`` sidecar (controller label, spec
-name, fingerprint — human-greppable provenance).  Corrupt or
-half-written entries read as misses, never as wrong results.
+(default ``.repro_cache/``, shard ``<key[:2]>/``) as two files:
+
+* ``<key>.json`` — the sidecar: the run's numbers under ``"result"``
+  (every numeric :class:`RunResult` field by name, plus ``cycles``;
+  JSON float text round-trips float64 exactly), the controller label,
+  spec name and code fingerprint (human-greppable provenance), the
+  trace manifest of a traced entry, and ``"sha256"`` over the whole
+  entry: the canonical JSON of the sidecar without that field, then
+  the npz bytes;
+* ``<key>.npz`` — only the embedded ``trace_*`` waveform arrays (an
+  empty archive for an untraced entry).
+
+An untraced hit is therefore one small JSON read plus a hash of the
+npz bytes; the zip is parsed only for ``want_trace=True``.  Corrupt,
+torn, or half-written entries fail the digest and read as misses,
+never as wrong results.
 
 The cache is shared by value, not by process: the parallel sharder's
 per-lane results are written back individually, so a re-run of an
@@ -40,13 +52,13 @@ between many worker threads and processes):
   ``os.replace`` renames, so a reader sees either no entry, the previous
   whole entry, or the new whole entry — never a torn file.  A reader
   that catches an entry between its npz and json halves (they are
-  replaced npz-first) can at worst observe a *miss* (e.g. a sidecar
-  advertising a trace the rewritten npz no longer carries raises inside
-  ``np.load`` and is swallowed), never a wrong result — both halves are
-  derived from the same content-addressed key, so any whole-file
-  combination serves identical numbers.
+  replaced npz-first) sees a digest mismatch and a *miss*, never a
+  wrong result.
 * **Stores never lock either.**  Two processes storing the same key
-  race benignly: last rename wins, and both wrote the same content.
+  race benignly: last rename wins, and both wrote the same numbers.
+  If a traced and an untraced store of one key interleave so that
+  their halves end up mixed, the entry reads as a miss until the next
+  store of that key rewrites both halves.
 * **Compaction is single-writer.**  :meth:`prune` / :meth:`clear` (and
   the trace-strip pass inside prune) serialize on an advisory lockfile
   (``<root>/.writer.lock``) so two pruners cannot interleave their
@@ -61,9 +73,11 @@ from __future__ import annotations
 import ast
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -87,8 +101,10 @@ from ..system import RunResult, SystemConfig
 #: (2: RunResult gained solver_ticks; keys cover the stepping knobs.
 #: 3: entries may embed the traced TraceSet; fingerprint covers trace/.
 #: 4: RunResult gained the kernel counters events_delivered /
-#: clock_edges_simulated / clock_edges_skipped; keys cover ``gating``)
-FORMAT_VERSION = 4
+#: clock_edges_simulated / clock_edges_skipped; keys cover ``gating``.
+#: 5: the numbers move from the npz into the sidecar's ``result``, and
+#: the sidecar's ``sha256`` covers the whole entry)
+FORMAT_VERSION = 5
 
 #: cache operating modes (Session's ``cache=`` argument)
 MODES = ("readwrite", "readonly", "off")
@@ -107,9 +123,10 @@ FINGERPRINT_PATHS = ("system.py", "sim", "analog", "digital", "a2a",
 def _fields_typed(kind: type) -> Tuple[str, ...]:
     """``RunResult``'s fields annotated ``kind``, in declaration order.
 
-    They name the npz payload columns, so every numeric field is stored
-    by construction; a field added to ``RunResult`` still needs a
-    ``FORMAT_VERSION`` bump (``format_lock.json`` enforces that)."""
+    They name the sidecar's ``result`` members, so every numeric field
+    is stored by construction; a field added to ``RunResult`` still
+    needs a ``FORMAT_VERSION`` bump (``format_lock.json`` enforces
+    that)."""
     return tuple(f.name for f in fields(RunResult)
                  if f.type in (kind, kind.__name__))
 
@@ -117,9 +134,39 @@ def _fields_typed(kind: type) -> Tuple[str, ...]:
 _FLOAT_FIELDS = _fields_typed(float)
 _INT_FIELDS = _fields_typed(int)
 
-#: npz member-name prefix for embedded TraceSet arrays (keeps them clear
-#: of the scalar payload names above)
+#: npz member-name prefix for embedded TraceSet arrays
 _TRACE_PREFIX = "trace_"
+
+#: what :func:`cache_key` returns: 64 lowercase hex digits
+_KEY_RE = re.compile(r"[0-9a-f]{64}")
+
+
+def is_cache_key(key: str) -> bool:
+    """Whether ``key`` has the shape of a :func:`cache_key` digest — so
+    it names a file inside the cache root, never a path outside it."""
+    return isinstance(key, str) and _KEY_RE.fullmatch(key) is not None
+
+
+def _npz_bytes(arrays: Mapping[str, Any]) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+#: the npz half of an untraced entry
+_EMPTY_NPZ = _npz_bytes({})
+
+
+def _entry_digest(sidecar: Mapping[str, Any], blob: bytes) -> str:
+    """sha256 over the canonical JSON of ``sidecar`` (without its
+    ``sha256`` member) and the npz bytes ``blob``."""
+    body = {name: value for name, value in sidecar.items()
+            if name != "sha256"}
+    digest = hashlib.sha256(json.dumps(
+        body, sort_keys=True, separators=(",", ":")).encode())
+    digest.update(b"\0")
+    digest.update(blob)
+    return digest.hexdigest()
 
 
 def module_fingerprint(source: str) -> str:
@@ -340,7 +387,9 @@ class ResultCache:
         """The cached result for ``key``, or ``None`` on a miss.
 
         Missing, truncated, or otherwise unreadable entries are misses —
-        the caller recomputes and (in ``readwrite`` mode) overwrites.
+        the caller recomputes and (in ``readwrite`` mode) overwrites.  So
+        is a ``key`` that is not 64 lowercase hex digits: it never names
+        a path, inside the root or outside it.
 
         ``want_trace=True`` additionally requires the entry to carry the
         run's waveforms: an entry written by an untraced run reads as a
@@ -349,7 +398,7 @@ class ResultCache:
         identical either way).  ``want_trace=False`` never attaches a
         stored trace, so a hit is bit-identical to a fresh untraced run.
         """
-        if not self.readable:
+        if not self.readable or not is_cache_key(key):
             return None
         with obs.span("cache.load", key=key[:12],
                       metric="repro_cache_load_seconds") as sp:
@@ -364,35 +413,34 @@ class ResultCache:
                     want_trace: bool = False) -> Optional[RunResult]:
         meta_path, npz_path = self._paths(key)
         try:
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-            if meta.get("format") != FORMAT_VERSION:
+            with open(meta_path, "rb") as fh:
+                meta = json.loads(fh.read())
+            if not isinstance(meta, dict) \
+                    or meta.get("format") != FORMAT_VERSION:
                 return None
             trace_manifest = meta.get("trace")
             if want_trace and trace_manifest is None:
                 return None
+            with open(npz_path, "rb") as fh:
+                blob = fh.read()
+            if meta.get("sha256") != _entry_digest(meta, blob):
+                return None
             trace = None
-            with np.load(npz_path) as data:
-                scalars = data["scalars"]
-                counts = data["counts"]
-                cycles = data["cycles"]
-                if want_trace:
-                    from ..trace import TraceSet
+            if want_trace:
+                from ..trace import TraceSet
+                with np.load(io.BytesIO(blob)) as data:
                     trace = TraceSet.from_arrays(trace_manifest, data,
                                                  prefix=_TRACE_PREFIX)
+            numbers = meta["result"]
             kwargs: Dict[str, Any] = {
-                name: float(scalars[i]) for i, name in enumerate(_FLOAT_FIELDS)
-            }
-            kwargs.update({
-                name: int(counts[i]) for i, name in enumerate(_INT_FIELDS)
-            })
+                name: float(numbers[name]) for name in _FLOAT_FIELDS}
+            kwargs.update({name: int(numbers[name]) for name in _INT_FIELDS})
             return RunResult(controller=meta["controller"],
-                             cycles=[int(c) for c in cycles],
+                             cycles=[int(c) for c in numbers["cycles"]],
                              trace=trace, **kwargs)
-        except (OSError, ValueError, KeyError, EOFError, IndexError,
+        except (OSError, ValueError, KeyError, TypeError, EOFError,
                 zipfile.BadZipFile):
-            # includes truncated npz archives (BadZipFile is not an
-            # OSError) and short reads inside np.load
+            # unreadable files, or a sidecar of the wrong shape
             return None
 
     def store(self, key: str, result: RunResult,
@@ -402,9 +450,10 @@ class ResultCache:
         a diverged run is reported to its caller but never served from
         cache.  Writes are atomic (tmp file + ``os.replace``), so a
         concurrent reader sees either no entry or a whole one.
-        A traced result embeds its :class:`~repro.trace.TraceSet` arrays
-        in the npz (manifest in the json sidecar), so traced sweeps can
-        be served from cache without re-simulating."""
+        The numbers go to the json sidecar; a traced result also embeds
+        its :class:`~repro.trace.TraceSet` arrays in the npz (manifest in
+        the sidecar), so traced sweeps can be served from cache without
+        re-simulating."""
         if not self.writable or not all(
                 math.isfinite(getattr(result, f)) for f in _FLOAT_FIELDS):
             return False
@@ -419,30 +468,24 @@ class ResultCache:
                      meta: Optional[Mapping[str, Any]]) -> None:
         meta_path, npz_path = self._paths(key)
         meta_path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+        numbers: Dict[str, Any] = {
+            name: float(getattr(result, name)) for name in _FLOAT_FIELDS}
+        numbers.update(
+            {name: int(getattr(result, name)) for name in _INT_FIELDS})
+        numbers["cycles"] = [int(c) for c in result.cycles]
+        payload: Dict[str, Any] = {
             "format": FORMAT_VERSION,
             "controller": result.controller,
             "code": code_fingerprint(),
             "meta": dict(meta or {}),
+            "result": numbers,
         }
-        trace_arrays: Dict[str, Any] = {}
+        blob = _EMPTY_NPZ
         if result.trace is not None:
             payload["trace"], trace_arrays = result.trace.to_arrays(
                 prefix=_TRACE_PREFIX)
-        self._atomic_write(
-            npz_path,
-            lambda fh: np.savez(
-                fh,
-                scalars=np.array([getattr(result, f) for f in _FLOAT_FIELDS],
-                                 dtype=np.float64),
-                counts=np.array([getattr(result, f) for f in _INT_FIELDS],
-                                dtype=np.int64),
-                cycles=np.asarray(result.cycles, dtype=np.int64),
-                **trace_arrays))
-        self._atomic_write(
-            meta_path,
-            lambda fh: fh.write(
-                json.dumps(payload, sort_keys=True, indent=1).encode()))
+            blob = _npz_bytes(trace_arrays)
+        self._write_pair(meta_path, npz_path, payload, blob)
         if self.max_bytes is not None:
             with self._approx_lock:
                 if self._approx_bytes is None:
@@ -485,6 +528,15 @@ class ResultCache:
                     fcntl.flock(fd, fcntl.LOCK_UN)
             finally:
                 os.close(fd)
+
+    def _write_pair(self, meta_path: Path, npz_path: Path,
+                    sidecar: Dict[str, Any], blob: bytes) -> None:
+        """Publish one entry: the npz first, then the sidecar carrying
+        the digest over both, each an atomic replace."""
+        sidecar["sha256"] = _entry_digest(sidecar, blob)
+        text = json.dumps(sidecar, sort_keys=True, indent=1).encode()
+        self._atomic_write(npz_path, lambda fh: fh.write(blob))
+        self._atomic_write(meta_path, lambda fh: fh.write(text))
 
     @staticmethod
     def _atomic_write(path: Path, write) -> None:
@@ -539,39 +591,36 @@ class ResultCache:
         """Drop the embedded trace payload from one entry, keeping the
         scalar numbers (the entry reads exactly like an untraced write:
         plain loads hit, ``want_trace=True`` loads miss, and a traced
-        re-run upgrades it again).  The entry's mtime is preserved — a
-        strip is reclamation, not a user write, so it must not make the
-        entry look recently used.  Returns the bytes reclaimed (0 for
-        untraced, missing, or unreadable entries).  Only called from
+        re-run upgrades it again): the npz becomes an empty archive, the
+        manifest goes, and the digest is recomputed — only for an entry
+        whose digest held, so a damaged entry is never re-signed.  The
+        entry's mtime is preserved — a strip is reclamation, not a user
+        write, so it must not make the entry look recently used.
+        Returns the bytes reclaimed (0 for untraced, missing, damaged,
+        or unreadable entries).  Only called from
         :meth:`prune`, i.e. under the single-writer lockfile; the
         rewrite itself stays atomic-replace so lock-free readers are
         unaffected."""
         meta_path, npz_path = self._paths(key)
         try:
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-            if meta.get("format") != FORMAT_VERSION \
+            with open(meta_path, "rb") as fh:
+                meta = json.loads(fh.read())
+            if not isinstance(meta, dict) \
+                    or meta.get("format") != FORMAT_VERSION \
                     or meta.get("trace") is None:
                 return 0
             meta_stat = meta_path.stat()
             npz_stat = npz_path.stat()
-            old_size = meta_stat.st_size + npz_stat.st_size
-            with np.load(npz_path) as data:
-                arrays = {name: data[name] for name in data.files
-                          if not name.startswith(_TRACE_PREFIX)}
+            with open(npz_path, "rb") as fh:
+                if meta.get("sha256") != _entry_digest(meta, fh.read()):
+                    return 0
             del meta["trace"]
-            self._atomic_write(
-                npz_path, lambda fh: np.savez(fh, **arrays))
-            self._atomic_write(
-                meta_path,
-                lambda fh: fh.write(
-                    json.dumps(meta, sort_keys=True, indent=1).encode()))
+            self._write_pair(meta_path, npz_path, meta, _EMPTY_NPZ)
             os.utime(npz_path, (npz_stat.st_atime, npz_stat.st_mtime))
             os.utime(meta_path, (meta_stat.st_atime, meta_stat.st_mtime))
-            return max(0, old_size - meta_path.stat().st_size
-                       - npz_path.stat().st_size)
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile):
+            return max(0, meta_stat.st_size + npz_stat.st_size
+                       - meta_path.stat().st_size - npz_path.stat().st_size)
+        except (OSError, ValueError):
             return 0   # unreadable entries are pass two's problem
 
     def prune(self, max_bytes: Optional[int] = None,

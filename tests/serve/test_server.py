@@ -10,15 +10,21 @@ lane in completion order.
 
 import http.client
 import json
+import shutil
+import socket
 import threading
 import time
+import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.scenarios import ScenarioSpec, Sweep
 from repro.serve import ApiKeyAuth, ServeClient, ServeError, SweepServer
+from repro.serve.server import MAX_BODY_BYTES
 from repro.session import Session
 from repro.sim import NS, US
+from repro.system import RunResult
 
 BASE = {"n_phases": 2, "r_load": 6.0, "sim_time": 2 * US, "dt": 1 * NS,
         "seed": 0}
@@ -304,3 +310,107 @@ class TestObservability:
                       if series.startswith("repro_serve_requests_total")
                       and 'route="/v1/stats"' in series]
         assert stats_hits and stats_hits[0] >= 1
+
+
+def _rejected(server) -> dict:
+    """``repro_serve_rejected_total`` by reason, scraped from
+    ``/v1/metrics``."""
+    with urllib.request.urlopen(server.url + "/v1/metrics") as resp:
+        samples = obs.parse_prometheus_text(resp.read().decode("utf-8"))
+    prefix = 'repro_serve_rejected_total{reason="'
+    return {series[len(prefix):-2]: value
+            for series, value in samples.items()
+            if series.startswith(prefix)}
+
+
+def _raw_post(server, length=None, body=b""):
+    """POST /v1/jobs over a raw socket that stays open after the
+    headers: returns (status, decoded JSON body).  The 10 s timeout
+    turns a server blocked on a read into a failure, not a hang."""
+    head = ("POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n")
+    if length is not None:
+        head += f"Content-Length: {length}\r\n"
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10) as sock:
+        sock.sendall(head.encode() + b"\r\n" + body)
+        response = b""
+        while b"\r\n\r\n" not in response:
+            chunk = sock.recv(4096)
+            assert chunk, "server closed without answering"
+            response += chunk
+        header, _, rest = response.partition(b"\r\n\r\n")
+        size = int([line.split(b":", 1)[1] for line in header.split(b"\r\n")
+                    if line.lower().startswith(b"content-length:")][0])
+        while len(rest) < size:
+            chunk = sock.recv(4096)
+            assert chunk, "response body cut short"
+            rest += chunk
+    return int(header.split(b" ", 2)[1]), json.loads(rest)
+
+
+class TestRequestBounds:
+    """Fail closed: every client-controlled size or path is checked
+    before the server acts on it, answered 4xx, and counted."""
+
+    @pytest.mark.parametrize("length,reason", [
+        ("-1", "bad_length"), ("-4096", "bad_length"),
+        ("twelve", "bad_length"), ("", "bad_length"), (None, "bad_length"),
+        (str(MAX_BODY_BYTES + 1), "too_large"), (str(1 << 40), "too_large"),
+    ])
+    def test_bad_content_length_is_refused_unread(self, server, length,
+                                                  reason):
+        before = _rejected(server).get(reason, 0)
+        status, body = _raw_post(server, length)
+        assert status == (413 if reason == "too_large" else 400)
+        assert "error" in body
+        assert _rejected(server)[reason] == before + 1
+        assert server.manager.jobs() == []
+
+    def test_body_at_the_cap_is_read(self, server):
+        before = _rejected(server)
+        payload = json.dumps({"specs": []}).encode()
+        payload += b" " * (MAX_BODY_BYTES - len(payload))
+        status, body = _raw_post(server, str(len(payload)), payload)
+        assert status == 400                       # read, then decoded
+        assert "spec" in body["error"]
+        assert _rejected(server) == before
+
+    def test_largest_example_job_is_far_below_the_cap(self):
+        """The cap sits well above what the repo's own clients send:
+        the 65-lane full Fig. 7a grid, explicit specs included."""
+        from repro.analog.coil import make_coil
+        from repro.experiments.fig7 import controller_axis, default_l_values
+        from repro.serve import job_request
+        sweep = Sweep(base={"n_phases": 4, "r_load": 6.0,
+                            "sim_time": 10 * US, "dt": 1 * NS, "seed": 0})
+        sweep.grid(ctrl=controller_axis(),
+                   pt=[(f"{l}", {"coil": make_coil(l)})
+                       for l in default_l_values(quick=False)])
+        size = len(json.dumps(job_request(specs=sweep.specs())).encode())
+        assert 20 * size < MAX_BODY_BYTES
+
+    def test_path_escape_key_is_400_and_never_served(self, tmp_path):
+        session = Session(cache="readwrite",
+                          cache_dir=str(tmp_path / "a" / "cache"))
+        cache = session.cache
+        key = "ab" * 32
+        planted_result = RunResult(
+            controller="async", v_final=1.0, peak_coil_current=0.5,
+            ripple=0.01, coil_loss_w=1e-3, efficiency=0.9, ov_events=0)
+        cache.store(key, planted_result)
+        planted = tmp_path / "top"
+        planted.mkdir()
+        for path in cache._paths(key):
+            shutil.copyfile(path, planted / f"planted{path.suffix}")
+        escape = "../top/planted"
+        assert cache._load_entry(escape) == planted_result
+        with SweepServer(session=session, job_workers=1) as srv:
+            client = ServeClient(srv.url)
+            assert client.result(key) == planted_result
+            for bad in (escape, "..%2Ftop%2Fplanted", key.upper(),
+                        key[:-1], key + "0"):
+                with pytest.raises(ServeError) as err:
+                    client.result(bad)
+                assert err.value.code == 400, bad
+            assert _rejected(srv)["bad_key"] >= 5

@@ -2,10 +2,15 @@
 
 import json
 import os
+import shutil
+import warnings
+import zipfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios import ScenarioSpec
 from repro.session import cache as cache_mod
@@ -494,10 +499,11 @@ class TestPruneEdgeCases:
 
 
 class TestPayloadLayout:
-    def test_derived_columns_match_the_format_4_layout(self):
-        """The npz columns are derived from RunResult's annotations; they
-        must equal the FORMAT_VERSION 4 layout, or old entries misread."""
-        assert cache_mod.FORMAT_VERSION == 4
+    def test_derived_members_match_the_format_5_layout(self, tmp_path):
+        """The sidecar's ``result`` members are derived from RunResult's
+        annotations; they must equal the FORMAT_VERSION 5 layout, or old
+        entries misread.  The npz holds only the trace arrays."""
+        assert cache_mod.FORMAT_VERSION == 5
         assert cache_mod._FLOAT_FIELDS == (
             "v_final", "peak_coil_current", "ripple", "coil_loss_w",
             "efficiency")
@@ -505,6 +511,224 @@ class TestPayloadLayout:
             "ov_events", "metastable_events", "solver_ticks",
             "events_delivered", "clock_edges_simulated",
             "clock_edges_skipped")
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        cache.store(key, _result(trace=_trace()), meta={"spec": "k"})
+        meta_path, npz_path = cache._paths(key)
+        sidecar = json.loads(meta_path.read_text())
+        assert sorted(sidecar) == ["code", "controller", "format", "meta",
+                                   "result", "sha256", "trace"]
+        assert list(sidecar["result"]) == sorted(
+            cache_mod._FLOAT_FIELDS + cache_mod._INT_FIELDS + ("cycles",))
+        with zipfile.ZipFile(npz_path) as archive:
+            members = archive.namelist()
+        assert members and all(name.startswith("trace_")
+                               for name in members)
+        cache.store(key, _result())
+        with zipfile.ZipFile(npz_path) as archive:
+            assert archive.namelist() == []
+        assert "trace" not in json.loads(meta_path.read_text())
+
+
+def _flip_byte(path, offset):
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+class TestEntryIntegrity:
+    """Format 5: the numbers live in the sidecar, and its sha256 covers
+    the sidecar and the npz bytes, so every damaged half is a miss."""
+
+    def test_untraced_hit_never_parses_the_npz(self, tmp_path,
+                                               monkeypatch):
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        cache.store(key, _result(trace=_trace()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an untraced hit parsed the npz")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "load", refuse)
+            loaded = cache.load(key)
+        assert loaded == _result()
+        assert loaded.to_dict() == _result().to_dict()
+        traced = cache.load(key, want_trace=True)
+        assert traced.trace == _trace()
+        assert traced == _result(trace=_trace())
+
+    @pytest.mark.parametrize("field,value", [("v_final", 3.3),
+                                             ("ov_events", 3),
+                                             ("cycles", [3, 4, 5, 7])])
+    def test_changed_sidecar_number_misses(self, tmp_path, field, value):
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        cache.store(key, _result())
+        meta_path, _ = cache._paths(key)
+        sidecar = json.loads(meta_path.read_text())
+        assert sidecar["result"][field] != value
+        sidecar["result"][field] = value
+        meta_path.write_text(json.dumps(sidecar))
+        assert cache.load(key) is None
+
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+    def test_npz_bit_flip_misses(self, tmp_path, traced, where):
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        cache.store(key, _result(trace=_trace() if traced else None))
+        _, npz_path = cache._paths(key)
+        size = npz_path.stat().st_size
+        _flip_byte(npz_path, min(size - 1, int(size * where)))
+        assert npz_path.stat().st_size == size
+        assert cache.load(key) is None
+        assert cache.load(key, want_trace=True) is None
+
+    def test_swapped_npz_half_misses(self, tmp_path):
+        """Two entries with the same numbers but different waveforms:
+        one's npz beside the other's sidecar is a miss either way."""
+        cache = ResultCache(root=tmp_path)
+        key_a, key_b = cache_key(_config()), cache_key(_config(seed=1))
+        cache.store(key_a, _result(trace=_trace(seed=0)))
+        cache.store(key_b, _result(trace=_trace(seed=1)))
+        npz_a, npz_b = cache._paths(key_a)[1], cache._paths(key_b)[1]
+        assert npz_a.stat().st_size == npz_b.stat().st_size
+        shutil.copyfile(npz_b, npz_a)
+        assert cache.load(key_a) is None
+        assert cache.load(key_a, want_trace=True) is None
+
+    def test_format_4_sidecar_misses(self, tmp_path):
+        """A sidecar claiming the previous format is a miss even with a
+        valid digest: format-4 entries get no fallback reader."""
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        cache.store(key, _result())
+        meta_path, npz_path = cache._paths(key)
+        sidecar = json.loads(meta_path.read_text())
+        sidecar["format"] = 4
+        sidecar["sha256"] = cache_mod._entry_digest(
+            sidecar, npz_path.read_bytes())
+        meta_path.write_text(json.dumps(sidecar))
+        assert cache.load(key) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(floats=st.lists(
+               st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([-0.0, 5e-324, 2.2250738585072e-308,
+                                  1e308, -1e308]),
+               min_size=5, max_size=5),
+           ints=st.lists(st.integers(-2**63, 2**63 - 1), min_size=6,
+                         max_size=6),
+           cycles=st.lists(st.integers(0, 2**62), max_size=8))
+    def test_numbers_round_trip_bit_identically(self, tmp_path_factory,
+                                                floats, ints, cycles):
+        cache = ResultCache(root=tmp_path_factory.mktemp("rt"))
+        values = dict(zip(cache_mod._FLOAT_FIELDS, floats))
+        values.update(zip(cache_mod._INT_FIELDS, ints))
+        result = RunResult(controller="sync", cycles=cycles, **values)
+        key = cache_key(_config())
+        assert cache.store(key, result)
+        loaded = cache.load(key)
+        for name in cache_mod._FLOAT_FIELDS:
+            got = getattr(loaded, name)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == \
+                np.float64(getattr(result, name)).tobytes()
+        for name in cache_mod._INT_FIELDS:
+            assert type(getattr(loaded, name)) is int
+            assert getattr(loaded, name) == getattr(result, name)
+        assert loaded.cycles == cycles
+
+    def test_numpy_scalars_are_stored_as_plain_numbers(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        result = _result(v_final=np.float64(3.25), ov_events=np.int64(7),
+                         cycles=list(np.arange(3, dtype=np.int64)))
+        assert cache.store(key, result)
+        assert cache.load(key) == _result(v_final=3.25, ov_events=7,
+                                          cycles=[0, 1, 2])
+
+    def test_strip_keeps_numbers_mtimes_and_a_valid_digest(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        cache.store(key, _result(trace=_trace(n=512)))
+        meta_path, npz_path = cache._paths(key)
+        for i, path in enumerate((meta_path, npz_path)):
+            os.utime(path, (1_000_000.0 + i, 1_000_000.0 + i))
+        assert cache._strip_trace(key) > 0
+        assert meta_path.stat().st_mtime == 1_000_000.0
+        assert npz_path.stat().st_mtime == 1_000_001.0
+        sidecar = json.loads(meta_path.read_text())
+        assert "trace" not in sidecar
+        assert sidecar["sha256"] == cache_mod._entry_digest(
+            sidecar, npz_path.read_bytes())
+        assert cache.load(key) == _result()
+        assert cache.load(key, want_trace=True) is None
+
+    def test_strip_never_re_signs_a_damaged_entry(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        cache.store(key, _result(trace=_trace()))
+        meta_path, _ = cache._paths(key)
+        sidecar = json.loads(meta_path.read_text())
+        sidecar["result"]["v_final"] = 0.5
+        meta_path.write_text(json.dumps(sidecar))
+        assert cache._strip_trace(key) == 0
+        assert cache.load(key) is None
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_truncated_entry_leaks_no_file_handle(self, tmp_path):
+        """A failed read closes what it opened: no fd outlives the load
+        and no ``ResourceWarning`` fires, traced or untraced."""
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        cache.store(key, _result(trace=_trace()))
+        _, npz_path = cache._paths(key)
+        whole = npz_path.read_bytes()
+        npz_path.write_bytes(whole[:len(whole) // 2])
+        for want_trace in (False, True):
+            before = len(os.listdir("/proc/self/fd"))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                assert cache.load(key, want_trace=want_trace) is None
+                assert cache._strip_trace(key) == 0
+            assert len(os.listdir("/proc/self/fd")) == before
+            assert not [w for w in caught
+                        if issubclass(w.category, ResourceWarning)]
+
+
+class TestKeyShape:
+    """A key that is not 64 lowercase hex digits names no entry: it is a
+    miss before any path is built, so ``../`` cannot leave the root."""
+
+    def test_planted_entry_outside_the_root_is_never_served(self,
+                                                            tmp_path):
+        cache = ResultCache(root=tmp_path / "a" / "cache")
+        key = cache_key(_config())
+        cache.store(key, _result())
+        planted = tmp_path / "top"
+        planted.mkdir()
+        for path in cache._paths(key):
+            shutil.copyfile(path, planted / f"planted{path.suffix}")
+        escape = "../top/planted"
+        # the guard is what stops it: the entry itself reads fine
+        assert cache._load_entry(escape) == _result()
+        assert cache.load(escape) is None
+        assert cache.load(escape, want_trace=True) is None
+
+    @pytest.mark.parametrize("bad", ["", "0" * 63, "0" * 65, "A" * 64,
+                                     "g" * 64, "../" + "0" * 61,
+                                     "0" * 63 + "\n"])
+    def test_malformed_keys_are_misses(self, tmp_path, bad):
+        cache = ResultCache(root=tmp_path)
+        assert not cache_mod.is_cache_key(bad)
+        assert cache.load(bad) is None
+
+    def test_real_keys_have_the_shape(self):
+        assert cache_mod.is_cache_key(cache_key(_config()))
 
 
 class TestCacheKey:

@@ -8,6 +8,8 @@ contract (see the module docstring of :mod:`repro.session.cache`):
   content for that key, never a mangled result;
 * **no lost entries** — with an uncapped pruner, every key written is
   loadable afterwards;
+* **upgrades never leak** — a plain read racing a traced upgrade of the
+  same key sees a miss or the exact untraced result;
 * **prune never deletes mid-store** — entries re-stored during a prune
   scan survive, and the end state contains no half-entries (json
   without npz or vice versa).
@@ -198,3 +200,50 @@ def test_store_during_prune_survives(tmp_path):
     for i in range(N_KEYS):
         result = cache.load(_key(i))
         assert result is None or _matches(result, i)
+
+
+def _upgrader(root: str, i: int, started, stop, errors) -> None:
+    """Store key ``i`` untraced, then upgrade it traced, until the
+    reader is done (bounded, so a dead reader cannot hang the test)."""
+    cache = ResultCache(root=root)
+    for _ in range(20 * READS):
+        for traced in (False, True):
+            if not cache.store(_key(i), _result(i, traced)):
+                errors.put(f"upgrader: store refused for key {i}")
+                return
+        started.set()
+        if stop.is_set():
+            return
+
+
+def _plain_reader(root: str, i: int, started, stop, errors) -> None:
+    cache = ResultCache(root=root, mode="readonly")
+    try:
+        if not started.wait(timeout=120):
+            errors.put("plain reader: the upgrader never started")
+            return
+        for _ in range(5 * READS):
+            result = cache.load(_key(i))
+            if result is not None and (
+                    result.trace is not None
+                    or result != _result(i, traced=False)):
+                errors.put(f"plain reader: wrong content for key {i}")
+                return
+    finally:
+        stop.set()
+
+
+def test_untraced_reader_racing_a_traced_upgrade(tmp_path):
+    """Between the npz and json halves of an upgrade, the entry pairs
+    one store's npz with another's sidecar; a plain load of it must be a
+    miss or the exact untraced result, never anything else."""
+    root = str(tmp_path / "cache")
+    ResultCache(root=root).store(_key(0), _result(0, traced=False))
+    ctx = multiprocessing.get_context("spawn")
+    started, stop = ctx.Event(), ctx.Event()
+    errors = _run_processes([(_upgrader, (root, 0, started, stop)),
+                             (_plain_reader, (root, 0, started, stop))])
+    assert not errors, errors
+    _assert_no_half_entries(root)
+    final = ResultCache(root=root).load(_key(0), want_trace=True)
+    assert final == _result(0, traced=True)
