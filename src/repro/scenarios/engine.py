@@ -33,7 +33,6 @@ equivalence tests keep these within documented tolerances.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import (Any, Callable, List, Mapping, Optional, Sequence,
                     Union)
@@ -148,16 +147,7 @@ class VectorBatch:
                 "adaptive stepping needs positive sensor_delay and t_gate "
                 "(the guard window that keeps comparator edges exact is "
                 "derived from them)")
-        if any(cfg.sensor_delay == 0 or cfg.t_gate == 0 for cfg in configs):
-            warnings.warn(
-                "zero sensor/gate delay with backend='vector': events "
-                "landing on the exact same timestamp as a solver micro-step "
-                "may be ordered differently than on the scalar backend "
-                "(scalar orders same-time events by scheduling sequence; "
-                "the vector batch delivers them before the array step)",
-                RuntimeWarning, stacklevel=3)
-
-        # Fixed-step lanes share one event heap, drained once per tick.
+        # Fixed-step lanes share one event heap with the solver's tick.
         # Adaptive lanes stop at their own step ends, where a shared heap
         # would pop and re-push every other lane's pending events.
         lead = Simulator(seed=first.seed)

@@ -20,11 +20,10 @@ Vectorized-vs-scalar caveats
   NumPy generator instead of each lane's ``Simulator.rng``: runs remain
   deterministic and per-lane reproducible, but the noise *realization*
   differs from the scalar path's.
-- Events that land on the exact same timestamp as a solver micro-step
-  are delivered before the array step, while the scalar kernel orders
-  same-time events by scheduling sequence.  With the default sub-step
-  sensor/gate delays the orderings coincide; pathological zero-delay
-  configurations may reorder same-instant events between backends.
+- With fixed stepping the array step is itself a kernel event on the
+  lanes' shared heap, so events landing on the exact timestamp of a
+  micro-step order around it by scheduling sequence, as around the
+  scalar solver's tick event.
 """
 
 from __future__ import annotations
@@ -348,9 +347,11 @@ class VectorizedSolver:
         self._buffers = BatchTraceRecorder(n, p) if trace else None
         self.now = 0.0
         self._started = False
-        #: fused fixed-grid tick (built on first advance_to; see
-        #: :meth:`_make_fixed_tick`)
-        self._tick_fixed = None
+        #: fixed stepping: the tick is a kernel event on the lanes'
+        #: shared heap, owned by this non-lane simulator (see :meth:`start`)
+        self._ticker: Optional[Simulator] = None
+        self._tick_t = 0.0
+        self._ticks = 0
         if self.policy.adaptive:
             pol = self.policy
             self._prop = np.full(n, min(max(dt, pol.dt_min), pol.dt_max))
@@ -371,7 +372,8 @@ class VectorizedSolver:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Record the initial state and take the t=0 comparator sample."""
+        """Record the initial state, take the t=0 comparator sample and,
+        in fixed mode, schedule the first tick event."""
         if self._started:
             raise RuntimeError("solver already started")
         self._started = True
@@ -380,6 +382,25 @@ class VectorizedSolver:
             self.bank.sample(self.now, self.stage.v_out, self.stage.current)
         if self.policy.adaptive:
             self._lane_t.fill(self.now)
+            return
+        # The tick shares the lanes' heap and sequence counter, so
+        # same-instant lane events order around it by scheduling
+        # sequence, exactly as around the scalar solver's tick event.
+        # It counts on its own simulator, never on a lane's.
+        self._ticker = Simulator(share_heap=self.sims[0])
+        self._tick_t = self.now
+        tick = self._make_fixed_tick()
+        ticker = self._ticker
+        dt = self.dt
+
+        def on_tick() -> None:
+            t_next = ticker.now
+            tick(self._tick_t, t_next)
+            self._tick_t = t_next
+            self._ticks += 1
+            ticker.schedule(dt, on_tick)
+
+        ticker.schedule(dt, on_tick)
 
     def advance_to(self, t_end: float) -> None:
         """Run all lanes until ``t_end`` (lock-step fixed grid, or each
@@ -389,30 +410,16 @@ class VectorizedSolver:
         if self.policy.adaptive:
             self._advance_adaptive(t_end)
             return
-        t = self.now
-        dt = self.dt
-        if self._tick_fixed is None:
-            self._tick_fixed = self._make_fixed_tick()
-        tick = self._tick_fixed
-        # the lanes share one event heap: one drain delivers every lane's
-        # events up to the tick end, in global time order
-        drain = self.sims[0].run_until
-        ticks = 0
+        # one drain of the shared heap delivers every lane's events and
+        # the tick events up to t_end, in global (time, sequence) order
         try:
-            while True:
-                t_next = t + dt
-                if t_next > t_end:
-                    break
-                drain(t_next)
-                tick(t, t_next)
-                ticks += 1
-                t = t_next
-            self.now = t
-            drain(t_end)
-            for sim in self.sims:
-                sim.now = t_end
+            self.sims[0].run_until(t_end)
         finally:
-            self.tick_counts += ticks
+            self.tick_counts += self._ticks
+            self._ticks = 0
+        self.now = t_end
+        for sim in self.sims:
+            sim.now = t_end
 
     def _make_fixed_tick(self) -> Callable[[float, float], None]:
         """Build the per-tick callable for fixed stepping.
@@ -420,8 +427,8 @@ class VectorizedSolver:
         ``tick(t, t_next)`` advances the stage by ``dt`` from ``t``,
         updates the waveform statistics at ``t_next``, and evaluates the
         comparator bank at ``t_next``, with every attribute lookup
-        hoisted to closure locals.  The caller owns the tick counter and
-        the event pump.
+        hoisted to closure locals.  The tick event built in
+        :meth:`start` owns the tick counter and the rescheduling.
         """
         stage = self.stage
         step = stage.step

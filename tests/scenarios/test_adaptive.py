@@ -27,8 +27,6 @@ to gate-response behaviour — is bounded here through the cycle/OV
 agreement of the drift specs.
 """
 
-import warnings
-
 import pytest
 
 from repro import Session
@@ -204,24 +202,12 @@ def test_vector_batch_rejects_mixed_stepping():
         VectorBatch(specs, [s.to_config() for s in specs])
 
 
-def test_zero_delay_vector_batch_warns():
-    """Documented caveat locked: zero sensor/gate delay can reorder
-    same-instant events between the scalar and vector backends."""
-    spec = ScenarioSpec("zd", overrides={
-        "controller": "async", "sensor_delay": 0.0,
-        "sim_time": 2 * US, "dt": 1 * NS})
-    with pytest.warns(RuntimeWarning, match="zero sensor/gate delay"):
-        VectorBatch([spec], [spec.to_config()])
-
-
 def test_adaptive_rejects_zero_delays():
     spec = ScenarioSpec("zda", overrides={
         "controller": "async", "t_gate": 0.0, "stepping": "adaptive",
         "sim_time": 2 * US, "dt": 1 * NS})
     with pytest.raises(ValueError, match="adaptive stepping"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            VectorBatch([spec], [spec.to_config()])
+        VectorBatch([spec], [spec.to_config()])
 
 
 def test_config_validates_stepping_mode():

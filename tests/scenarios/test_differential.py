@@ -30,6 +30,8 @@ re-running the batch.  The quick batch below is tier-1; a larger batch
 rides in the CI bench job (``-m bench``).
 """
 
+import warnings
+
 import pytest
 
 from repro import Session
@@ -148,6 +150,14 @@ def _check_backends_agree(spec, stepping, gating, s, v):
         f"meta={s.metastable_events} ticks={s.solver_ticks}\n"
         f"  vector: cycles={v.cycles} ov={v.ov_events} "
         f"meta={v.metastable_events} ticks={v.solver_ticks}\n  {line}")
+    if stepping == "fixed":
+        # the same lane events fire on both backends: the scalar run
+        # delivers them plus one solver tick event per micro-step (the
+        # vector batch's tick counts on a non-lane simulator)
+        assert s.events_delivered == v.events_delivered + s.solver_ticks, (
+            f"{where}: delivered lane events diverged across backends "
+            f"(scalar {s.events_delivered} = vector {v.events_delivered}"
+            f" + {s.solver_ticks} ticks expected)\n  {line}")
     # gating decisions must coincide: the vector lane crossing bound
     # replicates the scalar float arithmetic op for op
     assert (v.clock_edges_simulated, v.clock_edges_skipped) == \
@@ -230,6 +240,24 @@ def test_gating_engages_somewhere(matrix):
     skipped = sum(r.clock_edges_skipped
                   for r in matrix["scalar", "fixed", "auto"])
     assert skipped > 0, "no lane ever gated; widen the spec generator"
+
+
+@pytest.mark.parametrize("gating", ["off", "auto"])
+def test_zero_delay_backends_agree(gating):
+    """Zero sensor and gate delays put comparator and gate edges on the
+    exact instants of solver micro-steps; the tick event orders them by
+    scheduling sequence on both backends, so they still agree (and the
+    vector batch raises no warning)."""
+    specs = [ScenarioSpec(s.name, overrides=dict(
+                 s.overrides, sensor_delay=0.0, t_gate=0.0,
+                 stepping="fixed", gating=gating), seed=s.seed)
+             for s in QUICK_SPECS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = Session(backend="scalar", cache="off").sweep(specs)
+        vector = Session(backend="vector", cache="off").sweep(specs)
+    for spec, s, v in zip(specs, scalar, vector):
+        _check_backends_agree(spec, "fixed", gating, s.result, v.result)
 
 
 # ---------------------------------------------------------------------------
