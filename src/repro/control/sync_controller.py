@@ -4,9 +4,10 @@ Architecture:
 
 - ``fsm_clk`` — the fast clock (100 MHz … 1 GHz in Table I) clocking the
   per-phase FSMs;
-- 2-flop synchronizers on every sensor input, clocked on the *opposite*
-  clock phase so the FSM reads freshly-settled values — this is the
-  paper's footnote trick that caps the reaction latency at 2.5 clock
+- 2-flop synchronizers on every sensor input (one
+  :class:`~repro.digital.synchronizer.SynchronizerBank`), clocked on
+  the *opposite* clock phase so the FSM reads freshly-settled values —
+  this is the paper's footnote trick that caps the reaction latency at 2.5 clock
   periods (2 for synchronisation + 0.5 for the FSM);
 - a slow round-robin :class:`~repro.digital.clock.PhaseActivator`
   producing the non-overlapping phase activation pulses;
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 from ..digital.clock import Clock, PhaseActivator
-from ..digital.synchronizer import TwoFlopSynchronizer
+from ..digital.synchronizer import SynchronizerBank
 from ..sim.core import Simulator
 from ..sim.signal import ANY, RISE, Signal
 from ..sim.units import NS, period_of
@@ -94,29 +95,20 @@ class SyncMultiphaseController:
         self.activator = PhaseActivator(sim, "activator", n_phases,
                                         self.params.phase_dwell, trace=trace)
 
-        sck = self.sync_clk.signal
-        self._sync: Dict[str, TwoFlopSynchronizer] = {
-            "hl": TwoFlopSynchronizer(sim, "sync_hl", sensors.hl.output, sck,
-                                      trace=trace),
-            "uv": TwoFlopSynchronizer(sim, "sync_uv", sensors.uv.output, sck,
-                                      trace=trace),
-            "ov": TwoFlopSynchronizer(sim, "sync_ov", sensors.ov.output, sck,
-                                      trace=trace),
-        }
+        # One bank clocks all 3 + 2P synchronizers from one sync-edge
+        # handler; the FSM reads their outputs, bound once.
+        self._bank = bank = SynchronizerBank(sim, "sync",
+                                             self.sync_clk.signal,
+                                             trace=trace)
+        self._hl = bank.add("sync_hl", sensors.hl.output).output
+        self._uv = bank.add("sync_uv", sensors.uv.output).output
+        self._ov = bank.add("sync_ov", sensors.ov.output).output
+        self._oc, self._zc = [], []
         for k in range(n_phases):
-            self._sync[f"oc{k}"] = TwoFlopSynchronizer(
-                sim, f"sync_oc{k}", sensors.oc[k].output, sck, trace=trace)
-            self._sync[f"zc{k}"] = TwoFlopSynchronizer(
-                sim, f"sync_zc{k}", sensors.zc[k].output, sck, trace=trace)
-
-        # Synchronized FSM inputs, bound once: the per-edge sweep reads
-        # their values directly instead of looking them up by name.
-        self._syncs = list(self._sync.values())
-        self._hl = self._sync["hl"].output
-        self._uv = self._sync["uv"].output
-        self._ov = self._sync["ov"].output
-        self._oc = [self._sync[f"oc{k}"].output for k in range(n_phases)]
-        self._zc = [self._sync[f"zc{k}"].output for k in range(n_phases)]
+            self._oc.append(bank.add(f"sync_oc{k}",
+                                     sensors.oc[k].output).output)
+            self._zc.append(bank.add(f"sync_zc{k}",
+                                     sensors.zc[k].output).output)
         self._act = self.activator.act
 
         self._state = [_PhaseState() for _ in range(n_phases)]
@@ -164,11 +156,8 @@ class SyncMultiphaseController:
         self._acted = False
         for k in range(self.n_phases):
             self._step_phase(k)
-        if not self._gating:
+        if not self._gating or not self._bank.settled():
             return
-        for sync in self._syncs:
-            if not sync.settled:
-                return
         if not self._acted:
             self._maybe_gate()
         # Even while the FSM itself stays busy (deadline holds, ack
@@ -341,7 +330,7 @@ class SyncMultiphaseController:
     # ------------------------------------------------------------------
     def metastable_events(self) -> int:
         """Total synchronizer first-flop setup violations observed."""
-        return sum(s.metastable_events for s in self._syncs)
+        return self._bank.total_metastable_events()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SyncMultiphaseController(n={self.n_phases}, "

@@ -52,6 +52,12 @@ class DFlipFlop:
 
     Parameters
     ----------
+    clk:
+        The sampling clock.  ``None`` leaves the flop unsubscribed from
+        both D and the clock: its owner calls :meth:`_on_clk` on each
+        rising edge and keeps ``_last_d_change`` current (a
+        :class:`~repro.digital.synchronizer.SynchronizerBank` clocks its
+        flops this way).
     t_setup:
         If D last changed less than ``t_setup`` before the clock edge, the
         sample is unreliable: the captured value is random and the
@@ -61,7 +67,8 @@ class DFlipFlop:
         Metastability resolution time constant.
     """
 
-    def __init__(self, sim: Simulator, name: str, d: Signal, clk: Signal,
+    def __init__(self, sim: Simulator, name: str, d: Signal,
+                 clk: Optional[Signal],
                  init: bool = False, t_clk_q: float = DEFAULT_GATE_DELAY,
                  t_setup: float = 0.05 * NS, tau: float = 0.02 * NS,
                  trace: bool = True):
@@ -79,8 +86,9 @@ class DFlipFlop:
         #: captured samples whose clk->Q propagation has not applied yet
         #: (clock gating refuses to freeze a flop mid-propagation)
         self.inflight = 0
-        d.subscribe(self._on_d)
-        clk.subscribe(self._on_clk, RISE)
+        if clk is not None:
+            d.subscribe(self._on_d)
+            clk.subscribe(self._on_clk, RISE)
 
     def _on_d(self, _sig: Signal, _value: bool) -> None:
         self._last_d_change = self.sim.now
@@ -98,10 +106,10 @@ class DFlipFlop:
             if captured == self.q._value and not self.inflight:
                 # the settle would re-apply Q's own value: no edge, no
                 # history, no RNG draw.  Only exact with nothing in flight
-                # (a pending metastable settle may still move Q).  It also
-                # leaves `inflight` at 0 for the t_clk_q a clean settle used
-                # to be in flight; see `TwoFlopSynchronizer.settled` for
-                # why gating does not notice.
+                # (a pending metastable settle may still move Q).  No
+                # settle means `inflight` stays 0 where a no-op settle used
+                # to be in flight for t_clk_q; `SynchronizerBank.settled`
+                # says why clock gating decides the same either way.
                 return
             delay = self.t_clk_q
         self.inflight += 1

@@ -263,10 +263,9 @@ class VectorComparatorBank:
         if changed.any():
             self._schedule_edges(t, x, new_state, changed)
             if not self._noise_lanes:
-                adj_on, th_ = self._adj_on, self.threshold
-                lvl = self._level
-                for i, c in np.argwhere(changed):
-                    lvl[i, c] = adj_on[i, c] if new_state[i, c] else th_[i, c]
+                np.copyto(self._level,
+                          np.where(new_state, self._adj_on, self.threshold),
+                          where=changed)
             np.copyto(state, new_state, where=changed)
         self._prev_x = x
         self._cur = 1 - cur
@@ -274,24 +273,29 @@ class VectorComparatorBank:
 
     def _schedule_edges(self, t, x: np.ndarray, new_state: np.ndarray,
                         changed: np.ndarray) -> None:
+        # Python scalars throughout: list rows for the per-lane times,
+        # .item() for the few changed entries
         prev_t = self._prev_t
-        t_arr = np.ndim(t) != 0
-        for i, c in np.argwhere(changed):
-            t_i = float(t[i]) if t_arr else t
-            xv = float(x[i, c])
+        t_list = t.tolist() if np.ndim(t) else None
+        prev_list = (prev_t.tolist() if prev_t is not None and np.ndim(prev_t)
+                     else None)
+        prev_x, threshold, delay = self._prev_x, self.threshold, self.delay
+        for i, c in np.argwhere(changed).tolist():
+            t_i = t if t_list is None else t_list[i]
+            xv = x.item(i, c)
             cross_t = t_i
             if prev_t is not None:
-                prev_ti = (float(prev_t[i]) if np.ndim(prev_t) else prev_t)
-                prev_x = float(self._prev_x[i, c])
-                if prev_x != xv:
+                prev_ti = prev_t if prev_list is None else prev_list[i]
+                px = prev_x.item(i, c)
+                if px != xv:
                     # interpolate against the clean threshold, like the
                     # scalar comparator
-                    frac = (float(self.threshold[i, c]) - prev_x) / (xv - prev_x)
+                    frac = (threshold.item(i, c) - px) / (xv - px)
                     if 0.0 <= frac <= 1.0:
                         cross_t = prev_ti + frac * (t_i - prev_ti)
-            fire_at = max(t_i, cross_t + float(self.delay[i]))
+            fire_at = max(t_i, cross_t + delay.item(i))
             out = self.outputs[i][c]
-            value = bool(new_state[i, c])
+            value = new_state.item(i, c)
             self.sims[i].schedule_at(fire_at, lambda o=out, v=value: o._apply(v))
 
 
@@ -580,40 +584,49 @@ class VectorizedSolver:
             return math.inf
         stage = self.stage
         p = stage.n_phases
-        cur = stage.current
-        pmos, nmos = stage.pmos_on, stage.nmos_on
-        v = float(stage.v_out[lane])
+        # one list per lane row: Python floats, read once
+        cur = stage.current[lane].tolist()
+        pmos = stage.pmos_on[lane].tolist()
+        nmos = stage.nmos_on[lane].tolist()
+        vin = stage._vin_col[lane].tolist()
+        n_dcr_rp = stage._n_dcr_rp[lane].tolist()
+        n_dcr_rn = stage._n_dcr_rn[lane].tolist()
+        vin_pvd = stage._vin_pvd[lane].tolist()
+        nvd = stage._nvd[lane].tolist()
+        n_dcr = stage._n_dcr[lane].tolist()
+        inductance = stage.inductance[lane].tolist()
+        v = stage.v_out.item(lane)
         total_i = 0.0
         didt = []
         for k in range(p):
-            i = float(cur[lane, k])
+            i = cur[k]
             total_i += i
-            if pmos[lane, k]:
-                drive = (float(stage._vin_col[lane, k])
-                         + i * float(stage._n_dcr_rp[lane, k]))
-            elif nmos[lane, k]:
-                drive = i * float(stage._n_dcr_rn[lane, k])
+            if pmos[k]:
+                drive = vin[k] + i * n_dcr_rp[k]
+            elif nmos[k]:
+                drive = i * n_dcr_rn[k]
             elif i != 0.0:
-                diode = (float(stage._vin_pvd[lane, k]) if i < 0.0
-                         else float(stage._nvd[lane, k]))
-                drive = diode + i * float(stage._n_dcr[lane, k])
+                diode = vin_pvd[k] if i < 0.0 else nvd[k]
+                drive = diode + i * n_dcr[k]
             else:
                 didt.append(0.0)
                 continue
-            didt.append((drive - v) / float(stage.inductance[lane, k]))
+            didt.append((drive - v) / inductance[k])
         r = float(stage.loads[lane].resistance(self.sims[lane].now))
-        dvdt = (total_i - v / r) / float(stage.c_out[lane])
+        dvdt = (total_i - v / r) / stage.c_out.item(lane)
 
-        threshold, state, hyst = bank.threshold, bank.state, bank._hyst_eff
+        threshold = bank.threshold[lane].tolist()
+        state = bank.state[lane].tolist()
+        hyst = bank._hyst_eff[lane].tolist()
         cap = math.inf
         for c in range(bank.n_cols):
-            level = float(threshold[lane, c])
-            if state[lane, c]:
-                level += float(hyst[lane, c])
+            level = threshold[c]
+            if state[c]:
+                level += hyst[c]
             if c < V_COLS:
                 x, slope = v, dvdt
             else:
-                x = float(cur[lane, (c - V_COLS) % p])
+                x = cur[(c - V_COLS) % p]
                 slope = didt[(c - V_COLS) % p]
             if slope != 0.0:
                 t_hit = (level - x) / slope

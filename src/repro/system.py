@@ -39,6 +39,7 @@ from .analog.stepping import (DEFAULT_ATOL_I, DEFAULT_ATOL_V, DEFAULT_RTOL,
 from .control.async_controller import AsyncMultiphaseController, AsyncTimings
 from .control.params import BuckControlParams
 from .control.sync_controller import SyncMultiphaseController
+from .digital.synchronizer import T_CLK_Q as SYNC_T_CLK_Q
 from .sim.core import Simulator
 from .sim.units import MHZ, NS, UH, US
 
@@ -93,6 +94,17 @@ class SystemConfig:
             if not (value > 0 and math.isfinite(value)):   # NaN fails too
                 raise ValueError(
                     f"{name} must be finite and positive (got {value!r})")
+        f = self.fsm_frequency
+        if not (f > 0 and math.isfinite(f)):
+            raise ValueError(
+                f"fsm_frequency must be finite and positive (got {f!r})")
+        if self.controller == "sync" and not 0.5 / f > SYNC_T_CLK_Q:
+            # SynchronizerBank.settled is exact only while a sync-edge
+            # settle applies before the FSM edge half a period later
+            raise ValueError(
+                f"fsm_frequency must keep half the clock period above the "
+                f"synchronizer flops' clock-to-Q delay ({SYNC_T_CLK_Q!r} s),"
+                f" i.e. below {0.5 / SYNC_T_CLK_Q:.4g} Hz (got {f!r})")
         if self.dt > self.sim_time:
             raise ValueError(f"dt ({self.dt!r}) must not exceed "
                              f"sim_time ({self.sim_time!r})")

@@ -14,7 +14,6 @@ from repro.digital import (
     RestartableTimer,
     SRLatch,
     SynchronizerBank,
-    TwoFlopSynchronizer,
 )
 from repro.sim import NS, US, Signal, Simulator
 
@@ -203,7 +202,7 @@ class TestSynchronizer:
     def test_latency_is_one_to_two_cycles(self, sim):
         data = Signal(sim, "d")
         clk_gen = Clock(sim, "clk", period=10 * NS)
-        sync = TwoFlopSynchronizer(sim, "sync", data, clk_gen.signal)
+        sync = SynchronizerBank(sim, "bank", clk_gen.signal).add("sync", data)
         data.set(True, 12 * NS)  # just after the edge at 10 ns
         sim.run(60 * NS)
         rises = sync.output.edges("rise")

@@ -54,6 +54,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             SystemConfig(**{field: value})
 
+    @pytest.mark.parametrize("controller", ["async", "sync"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_non_positive_or_non_finite_fsm_frequency(self, controller,
+                                                      value):
+        """A NaN clock would schedule every edge at NaN."""
+        with pytest.raises(ValueError, match="fsm_frequency"):
+            SystemConfig(controller=controller, fsm_frequency=value)
+
+    @pytest.mark.parametrize("value", [5e9, 5.01e9, 20e9])
+    def test_sync_clock_too_fast_for_the_synchronizers(self, value):
+        """Half the FSM period must stay above the sync flops' 0.1 ns
+        clock-to-Q delay, i.e. the FSM clock below 5 GHz."""
+        with pytest.raises(ValueError, match="fsm_frequency"):
+            SystemConfig(controller="sync", fsm_frequency=value)
+
+    def test_fsm_clock_bound_applies_to_sync_only(self):
+        assert SystemConfig(controller="sync",
+                            fsm_frequency=4.99e9).fsm_frequency == 4.99e9
+        assert SystemConfig(controller="async",
+                            fsm_frequency=5e9).fsm_frequency == 5e9
+
     def test_coil_overrides_the_inductance_check(self):
         coil = make_coil(4.7 * UH)
         assert SystemConfig(inductance=0.0, coil=coil).coil is coil
