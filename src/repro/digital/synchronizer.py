@@ -92,7 +92,6 @@ class SynchronizerBank:
     def __init__(self, sim: Simulator, name: str, clk: Signal,
                  inputs: Iterable[Signal] = (), trace: bool = True):
         self.sim = sim
-        self.name = name
         self.trace = trace
         self._pairs: List[TwoFlopSynchronizer] = []
         #: indices of the pairs that are not provably settled, ascending

@@ -351,10 +351,7 @@ class VectorizedSolver:
         self._buffers = BatchTraceRecorder(n, p) if trace else None
         self.now = 0.0
         self._started = False
-        #: fixed stepping: the tick is a kernel event on the lanes'
-        #: shared heap, owned by this non-lane simulator (see :meth:`start`)
-        self._ticker: Optional[Simulator] = None
-        self._tick_t = 0.0
+        #: fixed-step ticks not yet added to ``tick_counts``
         self._ticks = 0
         if self.policy.adaptive:
             pol = self.policy
@@ -390,17 +387,17 @@ class VectorizedSolver:
         # The tick shares the lanes' heap and sequence counter, so
         # same-instant lane events order around it by scheduling
         # sequence, exactly as around the scalar solver's tick event.
-        # It counts on its own simulator, never on a lane's.
-        self._ticker = Simulator(share_heap=self.sims[0])
-        self._tick_t = self.now
+        # It counts on its own non-lane simulator, never on a lane's.
+        ticker = Simulator(share_heap=self.sims[0])
         tick = self._make_fixed_tick()
-        ticker = self._ticker
         dt = self.dt
+        t = self.now
 
         def on_tick() -> None:
+            nonlocal t
             t_next = ticker.now
-            tick(self._tick_t, t_next)
-            self._tick_t = t_next
+            tick(t, t_next)
+            t = t_next
             self._ticks += 1
             ticker.schedule(dt, on_tick)
 

@@ -27,7 +27,7 @@ asserting exactly the equivalences the implementation promises:
 Every assertion message embeds a one-line repro (constructor call with
 the fully expanded overrides) so a failing seed can be replayed without
 re-running the batch.  The quick batch below is tier-1; a larger batch
-rides in the CI bench job (``-m bench``).
+carries the ``bench`` marker and runs in its own blocking CI job.
 """
 
 import warnings
@@ -242,16 +242,27 @@ def test_gating_engages_somewhere(matrix):
     assert skipped > 0, "no lane ever gated; widen the spec generator"
 
 
+#: the two draws of the full batch whose gating decisions split across
+#: backends at t_gate = 0 while the vector tick drained same-instant
+#: events before stepping
+ZERO_DELAY_SPECS = [s for s in differential_specs(16, master_seed=303,
+                                                  sim_time=5 * US)
+                    if s.name in ("diff[rand4]", "diff[rand7]")]
+ZERO_DELAYS = {"sensor": {"sensor_delay": 0.0}, "gate": {"t_gate": 0.0},
+               "both": {"sensor_delay": 0.0, "t_gate": 0.0}}
+
+
+@pytest.mark.parametrize("zero", sorted(ZERO_DELAYS))
 @pytest.mark.parametrize("gating", ["off", "auto"])
-def test_zero_delay_backends_agree(gating):
-    """Zero sensor and gate delays put comparator and gate edges on the
+def test_zero_delay_backends_agree(zero, gating):
+    """Zero sensor or gate delay puts comparator and gate edges on the
     exact instants of solver micro-steps; the tick event orders them by
     scheduling sequence on both backends, so they still agree (and the
     vector batch raises no warning)."""
     specs = [ScenarioSpec(s.name, overrides=dict(
-                 s.overrides, sensor_delay=0.0, t_gate=0.0,
-                 stepping="fixed", gating=gating), seed=s.seed)
-             for s in QUICK_SPECS]
+                 s.overrides, stepping="fixed", gating=gating,
+                 **ZERO_DELAYS[zero]), seed=s.seed)
+             for s in ZERO_DELAY_SPECS]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scalar = Session(backend="scalar", cache="off").sweep(specs)

@@ -45,23 +45,15 @@ class TestConfigValidation:
         assert getattr(SystemConfig(**{field: 0.0}), field) == 0.0
 
     @pytest.mark.parametrize("field", ["v_in", "c_out", "dt", "sim_time",
-                                       "inductance"])
+                                       "inductance", "fsm_frequency"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
                                        float("inf")])
     def test_non_positive_or_non_finite_physics(self, field, value):
         """Fail at construction, not as a NaN result (``c_out=0``,
-        ``v_in=nan``) or deep inside assembly (``inductance=0``)."""
+        ``v_in=nan``), deep inside assembly (``inductance=0``) or as
+        clock edges scheduled at NaN (``fsm_frequency=nan``)."""
         with pytest.raises(ValueError, match=field):
             SystemConfig(**{field: value})
-
-    @pytest.mark.parametrize("controller", ["async", "sync"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
-                                       float("inf")])
-    def test_non_positive_or_non_finite_fsm_frequency(self, controller,
-                                                      value):
-        """A NaN clock would schedule every edge at NaN."""
-        with pytest.raises(ValueError, match="fsm_frequency"):
-            SystemConfig(controller=controller, fsm_frequency=value)
 
     @pytest.mark.parametrize("value", [5e9, 5.01e9, 20e9])
     def test_sync_clock_too_fast_for_the_synchronizers(self, value):
