@@ -36,7 +36,6 @@ class TwoFlopSynchronizer:
                  data: Signal, trace: bool):
         self._bank = bank
         self.index = index
-        self.name = name
         sim = bank.sim
         self.ff1 = DFlipFlop(sim, f"{name}.ff1", data, None, t_clk_q=T_CLK_Q,
                              trace=False)

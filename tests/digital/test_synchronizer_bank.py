@@ -177,8 +177,14 @@ def test_bank_visits_only_unsettled_pairs():
 
 
 def test_sync_controller_clock_has_one_listener(controller_rig):
-    rig = controller_rig(controller="sync", n=4, freq=333e6, seed=0)
-    assert isinstance(rig.ctrl, SyncMultiphaseController)
-    assert len(rig.ctrl.sync_clk.signal._listeners) == 1
-    assert rig.ctrl.sync_clk.signal._listeners[0][1].__self__ \
-        is rig.ctrl._bank
+    rig = controller_rig(controller="sync", n=2, freq=333e6, seed=0)
+    ctrl = rig.ctrl
+    assert isinstance(ctrl, SyncMultiphaseController)
+    assert len(ctrl.sync_clk.signal._listeners) == 1
+    assert ctrl.sync_clk.signal._listeners[0][1].__self__ is ctrl._bank
+    # the synchronized signals keep their names
+    names = [sig.name for sig in [ctrl._hl, ctrl._uv, ctrl._ov]
+             + ctrl._oc + ctrl._zc]
+    assert names == ["sync_hl.ff2", "sync_uv.ff2", "sync_ov.ff2",
+                     "sync_oc0.ff2", "sync_oc1.ff2",
+                     "sync_zc0.ff2", "sync_zc1.ff2"]
