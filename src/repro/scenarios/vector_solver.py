@@ -260,7 +260,7 @@ class VectorComparatorBank:
         changed = np.not_equal(new_state, state, out=self._b2)
         if active is not None:
             np.logical_and(changed, active[:, None], out=changed)
-        if changed.any():
+        if np.count_nonzero(changed):
             self._schedule_edges(t, x, new_state, changed)
             if not self._noise_lanes:
                 np.copyto(self._level,
@@ -269,18 +269,20 @@ class VectorComparatorBank:
             np.copyto(state, new_state, where=changed)
         self._prev_x = x
         self._cur = 1 - cur
-        self._prev_t = np.array(t, copy=True) if np.ndim(t) else t
+        self._prev_t = t.copy() if isinstance(t, np.ndarray) else t
 
     def _schedule_edges(self, t, x: np.ndarray, new_state: np.ndarray,
                         changed: np.ndarray) -> None:
         # Python scalars throughout: list rows for the per-lane times,
         # .item() for the few changed entries
         prev_t = self._prev_t
-        t_list = t.tolist() if np.ndim(t) else None
-        prev_list = (prev_t.tolist() if prev_t is not None and np.ndim(prev_t)
+        t_list = t.tolist() if isinstance(t, np.ndarray) else None
+        prev_list = (prev_t.tolist() if isinstance(prev_t, np.ndarray)
                      else None)
         prev_x, threshold, delay = self._prev_x, self.threshold, self.delay
-        for i, c in np.argwhere(changed).tolist():
+        # nonzero() walks in row-major order, like argwhere
+        rows, cols = changed.nonzero()
+        for i, c in zip(rows.tolist(), cols.tolist()):
             t_i = t if t_list is None else t_list[i]
             xv = x.item(i, c)
             cross_t = t_i

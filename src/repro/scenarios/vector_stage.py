@@ -6,19 +6,28 @@ and advances *all* of them with one RK2 step of array operations —
 replacing N sequential :meth:`repro.analog.buck.MultiphasePowerStage.step`
 calls with O(1) Python work per micro-step.
 
-The arithmetic mirrors the scalar model operation-for-operation (same
+The arithmetic mirrors the scalar model operation for operation (same
 RK2 form, same body-diode clamp, same soft-saturation derating, same
-trapezoidal energy bookkeeping), so with noiseless sensors the vectorized
-path reproduces the scalar solver's waveforms to floating-point-level
-accuracy (see ``tests/scenarios/test_equivalence.py``).  Two
-implementation tricks keep the per-step cost flat:
+trapezoidal energy bookkeeping), so each lane's currents, ``v_out``,
+output energy, coil losses and error estimates equal the scalar
+:meth:`~repro.analog.buck.MultiphasePowerStage.step` results exactly,
+at any phase count (``tests/scenarios/test_stage_parity.py``).  The one
+difference is the summation order of ``energy_in_j``: the scalar adds
+each phase's input energy in turn, the vector sums a step's phases
+first.  Three implementation tricks keep the per-step cost flat:
 
 - the piecewise switch-state coefficients (``v_drive = A + B*i``) are
-  recomputed only when a gate driver commutates (dirty flag), not on
-  every step;
-- all intermediates live in preallocated scratch buffers and use
-  ``out=`` ufunc forms, so a step performs no allocations on the fast
-  path (soft saturation, when active, takes a slower allocating branch).
+  recomputed only when a gate driver commutates, not on every step;
+- the body diodes are table-driven too: each commutation also refreshes
+  the drive offsets for negative and positive current (``A_neg`` /
+  ``A_pos``, the diode drops on open phases, ``A`` on conducting ones),
+  so a step selects the offset by current sign with two masked copies
+  and needs no branch on whether any diode conducts;
+- all intermediates live in preallocated scratch buffers and every
+  ``(N, P)`` operation is one same-shape ``out=`` ufunc call (scalar
+  operands such as ``dt`` are held as full arrays of the same doubles),
+  so a step performs no allocations on the fast path (soft saturation,
+  when active, takes a slower allocating branch).
 
 Each lane's discrete-event side (controller, gate drivers) talks to the
 arrays through :class:`LanePhase` / :class:`LaneStage` views, which
@@ -206,7 +215,7 @@ class VectorizedPowerStage:
         the adaptive stepper advances lanes on their own step grids."""
         if self._load_constant:
             return self._r_const
-        if np.ndim(t) == 0:
+        if not isinstance(t, np.ndarray):
             idx = (self._load_times <= t).sum(axis=1) - 1
         else:
             idx = (self._load_times <= t[:, None]).sum(axis=1) - 1
@@ -240,20 +249,34 @@ class VectorizedPowerStage:
         self._n_dcr_rn = -(self.dcr + self.r_nmos)
         # switch-state dependent coefficients (refreshed on commutation)
         self._A = np.zeros(shape)
+        self._A_neg = np.zeros(shape)    # drive offset while i < 0
+        self._A_pos = np.zeros(shape)    # drive offset while i > 0
         self._B = np.zeros(shape)
         self._pmos_f = np.zeros(shape)
-        self._cond_f = np.zeros(shape)
-        self._off_f = np.zeros(shape)
+        self._cond = np.zeros(shape, dtype=bool)
         self._off_b = np.ones(shape, dtype=bool)
+        # full-shape operands: a same-shape ufunc call is the cheapest
+        # dispatch, so no step op takes a Python scalar
+        self._zeros = np.zeros(shape)
+        self._half_np = np.full(shape, 0.5)
+        self._half_n = np.full(n, 0.5)
+        self._dt_key: Optional[float] = None   # dt of the arrays below
+        self._dt_np = np.empty(shape)
+        self._dt_half_np = np.empty(shape)
+        self._dt_n = np.empty(n)
+        self._dt_half_n = np.empty(n)
+        # numpy's add.reduce sums 8 or more elements pairwise; the scalar
+        # twin's sum() adds the phases in order
+        self._ordered_sum = p >= 8
         # scratch
         self._i_sat_min = float(self.i_sat.min())
         self._f1 = np.empty(shape)
         self._f2 = np.empty(shape)
         self._f3 = np.empty(shape)
         self._f3_flat = self._f3.reshape(-1)
+        self._fm = np.empty(shape)
         self._b1 = np.empty(shape, dtype=bool)
         self._b2 = np.empty(shape, dtype=bool)
-        self._b3 = np.empty(shape, dtype=bool)
         self._k1_i = np.empty(shape)
         self._k2_i = np.empty(shape)
         self._mid_i = np.empty(shape)
@@ -268,15 +291,16 @@ class VectorizedPowerStage:
     def _refresh_switch(self) -> None:
         """Rebuild all conduction-path coefficients (initialisation)."""
         pmos, nmos = self.pmos_on, self.nmos_on
-        np.logical_or(pmos, nmos, out=self._b1)
-        np.logical_not(self._b1, out=self._off_b)
+        cond = np.logical_or(pmos, nmos, out=self._cond)
+        np.logical_not(cond, out=self._off_b)
         self._pmos_f[:] = pmos
-        self._cond_f[:] = self._b1
-        self._off_f[:] = self._off_b
         # conducting phases: v_drive = A + B*i  (exactly the scalar forms:
-        # PMOS v_in - i*(dcr+r_p); NMOS -i*(dcr+r_n); body diode -i*dcr
-        # plus the sign-dependent diode drop added per step)
+        # PMOS v_in - i*(dcr+r_p); NMOS -i*(dcr+r_n)); an open phase
+        # conducts through a body diode: v_drive = A_neg + B*i (PMOS
+        # diode, i < 0) or A_pos + B*i (NMOS diode, i > 0), B = -dcr
         self._A[:] = np.where(pmos, self._vin_col, 0.0)
+        self._A_neg[:] = np.where(cond, self._A, self._vin_pvd)
+        self._A_pos[:] = np.where(cond, self._A, self._nvd)
         self._B[:] = np.where(pmos, self._n_dcr_rp,
                               np.where(nmos, self._n_dcr_rn, self._n_dcr))
 
@@ -285,11 +309,13 @@ class VectorizedPowerStage:
         p = bool(self.pmos_on[i, k])
         nm = bool(self.nmos_on[i, k])
         cond = p or nm
+        self._cond[i, k] = cond
         self._off_b[i, k] = not cond
-        self._off_f[i, k] = 0.0 if cond else 1.0
-        self._cond_f[i, k] = 1.0 if cond else 0.0
         self._pmos_f[i, k] = 1.0 if p else 0.0
-        self._A[i, k] = self._vin_col[i, k] if p else 0.0
+        a = self._vin_col[i, k] if p else 0.0
+        self._A[i, k] = a
+        self._A_neg[i, k] = a if cond else self._vin_pvd[i, k]
+        self._A_pos[i, k] = a if cond else self._nvd[i, k]
         if p:
             self._B[i, k] = self._n_dcr_rp[i, k]
         elif nm:
@@ -300,34 +326,28 @@ class VectorizedPowerStage:
     # ------------------------------------------------------------------
     # Dynamics (mirrors MultiphasePowerStage step-for-step)
     # ------------------------------------------------------------------
-    def _derivatives(self, t: float, i: np.ndarray, v: np.ndarray,
+    def _derivatives(self, t, i: np.ndarray, v: np.ndarray,
                      didt_out: np.ndarray, dvdt_out: np.ndarray,
                      _gt=np.greater, _lt=np.less, _mul=np.multiply,
                      _add=np.add, _sub=np.subtract, _div=np.divide,
-                     _abs=np.abs, _or=np.logical_or,
+                     _abs=np.abs, _or=np.logical_or, _copyto=np.copyto,
+                     _max=np.maximum.reduce,
                      _rsum=np.add.reduce) -> np.ndarray:
         """Write di/dt and dv/dt into the out arrays; return r_load(t)."""
-        f3 = _abs(i, out=self._f3)
-        f2 = self._f2
-        # does any open phase carry current (body-diode conduction)?
-        diode = bool(_mul(f3, self._off_f, out=f2).any())
-        if diode:
-            pos = _gt(i, 0.0, out=self._b1)
-            neg = _lt(i, 0.0, out=self._b2)
-            # sign-dependent body-diode drive, active on open phases only
-            f1 = _mul(neg, self._vin_pvd, out=self._f1)
-            f2 = _mul(pos, self._nvd, out=self._f2)
-            _add(f1, f2, out=f1)
-            _mul(f1, self._off_f, out=f1)
-            _add(f1, self._A, out=f1)
-        else:
-            f1 = self._f1
-            np.copyto(f1, self._A)
-        _mul(self._B, i, out=f2)
+        neg = _lt(i, self._zeros, out=self._b1)
+        pos = _gt(i, self._zeros, out=self._b2)
+        # drive offset by current sign: the body-diode drop on open
+        # phases, the switch term on conducting ones
+        f1 = self._f1
+        f1[:] = self._A
+        _copyto(f1, self._A_neg, where=neg)
+        _copyto(f1, self._A_pos, where=pos)
+        f2 = _mul(self._B, i, out=self._f2)
         _add(f1, f2, out=f1)                      # v_drive
         _sub(f1, v[:, None], out=f1)              # v_drive - v_out
         # cheap probe: saturation is impossible while max|i| <= min(i_sat)
-        if self._f3_flat.max() > self._i_sat_min:
+        f3 = _abs(i, out=self._f3)
+        if _max(self._f3_flat) > self._i_sat_min:
             od = _div(f3, self.i_sat, out=f3)
             # soft saturation possibly engaged: allocating slow path
             l_eff = self.inductance * np.where(
@@ -336,20 +356,23 @@ class VectorizedPowerStage:
         else:
             _div(f1, self.inductance, out=didt_out)
         # discontinuous conduction: an open coil at zero current stays open
-        if diode:
-            act = _or(self._b1, self._b2, out=self._b3)
-            f2 = _mul(act, self._off_f, out=self._f2)
-            _add(f2, self._cond_f, out=f2)
-            _mul(didt_out, f2, out=didt_out)
-        else:
-            # every open phase is at rest: zero exactly those entries
-            _mul(didt_out, self._cond_f, out=didt_out)
+        act = _or(neg, pos, out=self._b1)
+        _or(act, self._cond, out=act)
+        fm = self._fm
+        fm[:] = act         # as 0.0 / 1.0: see the clamp in step()
+        _mul(didt_out, fm, out=didt_out)
 
         r_load = self.resistance(t)
-        _rsum(i, axis=1, out=self._n1)
+        n1 = self._n1
+        if self._ordered_sum:
+            _add(i[:, 0], i[:, 1], out=n1)
+            for k in range(2, self.n_phases):
+                _add(n1, i[:, k], out=n1)
+        else:
+            _rsum(i, axis=1, out=n1)
         _div(v, r_load, out=self._n2)
-        _sub(self._n1, self._n2, out=self._n1)
-        _div(self._n1, self.c_out, out=dvdt_out)
+        _sub(n1, self._n2, out=n1)
+        _div(n1, self.c_out, out=dvdt_out)
         return r_load
 
     def step(self, t, dt,
@@ -357,7 +380,8 @@ class VectorizedPowerStage:
              err_v_out: Optional[np.ndarray] = None,
              _mul=np.multiply, _add=np.add, _abs=np.abs,
              _gt=np.greater, _le=np.less_equal, _or=np.logical_or,
-             _and=np.logical_and, _not=np.logical_not) -> None:
+             _and=np.logical_and, _rsum=np.add.reduce,
+             _max=np.maximum.reduce) -> None:
         """Advance every lane by ``dt`` with an explicit midpoint (RK2) step.
 
         Identical semantics to the scalar model: switch states held across
@@ -371,14 +395,23 @@ class VectorizedPowerStage:
         RK2(1) per-lane error estimates ``max_k |dt*(k2-k1)|`` (currents)
         and ``|dt*(k2-k1)|`` (voltage) are written into them.
         """
-        if np.ndim(dt) == 0:
-            half_col = half_row = 0.5 * dt
-            dt_col = dt_row = dt
-        else:
+        if isinstance(dt, np.ndarray):
             half_row = 0.5 * dt
             half_col = half_row[:, None]
             dt_row = dt
             dt_col = dt[:, None]
+            t_mid = t + half_row
+        else:
+            if dt != self._dt_key:
+                # full arrays of the same doubles: bit-identical products
+                self._dt_np.fill(dt)
+                self._dt_half_np.fill(0.5 * dt)
+                self._dt_n.fill(dt)
+                self._dt_half_n.fill(0.5 * dt)
+                self._dt_key = dt
+            dt_col, half_col = self._dt_np, self._dt_half_np
+            dt_row, half_row = self._dt_n, self._dt_half_n
+            t_mid = t + 0.5 * dt
         i0 = self.current
         v0 = self.v_out
 
@@ -387,7 +420,7 @@ class VectorizedPowerStage:
         _add(i0, self._mid_i, out=self._mid_i)
         _mul(self._k1_v, half_row, out=self._mid_v)
         _add(v0, self._mid_v, out=self._mid_v)
-        self._derivatives(t + half_row, self._mid_i, self._mid_v,
+        self._derivatives(t_mid, self._mid_i, self._mid_v,
                           self._k2_i, self._k2_v)
 
         i1 = self._next_i
@@ -399,22 +432,25 @@ class VectorizedPowerStage:
 
         # Body-diode conduction can only decay the current; a sign flip or
         # magnitude growth means the diode stopped: the coil opens at zero.
+        # Kept: conducting phases, and same-sign non-growing currents (a
+        # NaN current fails both comparisons and stays NaN either way).
         f1 = _mul(i0, i1, out=self._f1)
-        keep = _le(f1, 0.0, out=self._b1)
+        keep = _gt(f1, self._zeros, out=self._b1)
         a0 = _abs(i0, out=self._f1)
         a1 = _abs(i1, out=self._f2)
-        _gt(a1, a0, out=self._b2)
-        _or(keep, self._b2, out=keep)
-        _and(keep, self._off_b, out=keep)
-        _not(keep, out=keep)
-        _mul(i1, keep, out=i1)
+        _le(a1, a0, out=self._b2)
+        _and(keep, self._b2, out=keep)
+        _or(keep, self._cond, out=keep)
+        fm = self._fm
+        fm[:] = keep        # a float mask multiplies faster than a bool one
+        _mul(i1, fm, out=i1)
 
         if self.track_energy:
             # Trapezoidal energy bookkeeping on the accepted step.
             f1 = np.multiply(i0, i0, out=self._f1)
             f2 = np.multiply(i1, i1, out=self._f2)
             np.add(f1, f2, out=f1)
-            f1 *= 0.5
+            f1 *= self._half_np
             np.multiply(f1, self.dcr, out=f1)
             f1 *= dt_col
             self.coil_loss_j += f1
@@ -423,13 +459,13 @@ class VectorizedPowerStage:
             np.multiply(self._vin_half, f2, out=f2)
             f2 *= dt_col
             f2 *= self._pmos_f
-            np.sum(f2, axis=1, out=self._n1)
+            _rsum(f2, axis=1, out=self._n1)
             self.energy_in_j += self._n1
 
             np.multiply(v0, v0, out=self._n1)
             np.multiply(v1, v1, out=self._n2)
             np.add(self._n1, self._n2, out=self._n1)
-            self._n1 *= 0.5
+            self._n1 *= self._half_n
             np.divide(self._n1, r_load, out=self._n1)
             self._n1 *= dt_row
             self.energy_out_j += self._n1
@@ -444,7 +480,7 @@ class VectorizedPowerStage:
             # embedded RK2(1) estimate: |dt * (k2 - k1)|, worst phase
             d = np.subtract(self._k2_i, self._k1_i, out=self._f1)
             np.abs(d, out=d)
-            d.max(axis=1, out=err_i_out)
+            _max(d, axis=1, out=err_i_out)
             err_i_out *= dt_row
             np.subtract(self._k2_v, self._k1_v, out=err_v_out)
             np.abs(err_v_out, out=err_v_out)
