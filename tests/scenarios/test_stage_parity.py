@@ -137,7 +137,7 @@ def _run(p, adaptive, track_energy, seed):
                 h = np.array([0.0 if rng.random() < 0.2
                               else rng.uniform(0.1, 50.0) * NS
                               for _ in range(N_LANES)])
-                before = vec.current.copy(), vec.v_out.copy()
+                i_prev, v_prev = vec.current.copy(), vec.v_out.copy()
                 vec.step(t.copy(), h, err_i_out=err_i, err_v_out=err_v)
                 for lane, twin in enumerate(twins):
                     ei, ev = twin.step(t.item(lane), h.item(lane))
@@ -146,12 +146,12 @@ def _run(p, adaptive, track_energy, seed):
                     # a zero-width lane keeps its state, except that an
                     # open phase whose i*i underflows clamps to zero (as
                     # on its next real step)
-                    i_before = before[0][lane]
+                    i_lane = i_prev[lane]
                     if h[lane] == 0.0 and not np.any(
-                            (i_before != 0.0) & (np.abs(i_before) < 1e-150)):
+                            (i_lane != 0.0) & (np.abs(i_lane) < 1e-150)):
                         assert vec.current[lane].tolist() == \
-                            i_before.tolist(), f"{where}: idle lane"
-                        assert vec.v_out[lane] == before[1][lane]
+                            i_lane.tolist(), f"{where}: idle lane"
+                        assert vec.v_out[lane] == v_prev[lane]
                 t += h
             else:
                 vec.step(t, dt)
