@@ -24,10 +24,10 @@ first.  Three implementation tricks keep the per-step cost flat:
   so a step selects the offset by current sign with two masked copies
   and needs no branch on whether any diode conducts;
 - all intermediates live in preallocated scratch buffers and every
-  ``(N, P)`` operation is one same-shape ``out=`` ufunc call (scalar
-  operands such as ``dt`` are held as full arrays of the same doubles),
-  so a step performs no allocations on the fast path (soft saturation,
-  when active, takes a slower allocating branch).
+  ``(N, P)`` operation is one ``out=`` ufunc call with array operands
+  (a fixed ``dt`` is held as full arrays of the same doubles), so a
+  step performs no allocations on the fast path (soft saturation, when
+  active, takes a slower allocating branch).
 
 Each lane's discrete-event side (controller, gate drivers) talks to the
 arrays through :class:`LanePhase` / :class:`LaneStage` views, which
