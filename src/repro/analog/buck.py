@@ -149,9 +149,6 @@ class MultiphasePowerStage:
         """Sum of all coil currents feeding the output node."""
         return sum(p.current for p in self.phases)
 
-    def load_current(self, t: float) -> float:
-        return self.v_out / self.load.resistance(t)
-
     # ------------------------------------------------------------------
     # Integration
     # ------------------------------------------------------------------

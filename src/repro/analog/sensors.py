@@ -117,19 +117,27 @@ class Comparator:
             return
         self._state = new_state
 
-        # Interpolate the crossing instant inside the elapsed step.
-        cross_t = t
-        if prev_t is not None and prev_x is not None and prev_x != x:
-            level = self.threshold
-            frac = (level - prev_x) / (x - prev_x)
-            if 0.0 <= frac <= 1.0:
-                cross_t = prev_t + frac * (t - prev_t)
-        fire_at = max(t, cross_t + self.delay)
+        fire_at = edge_time(t, x, prev_t, prev_x, self.threshold, self.delay)
         self.sim.schedule_at(fire_at, lambda v=new_state: self.output._apply(v))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Comparator({self.name!r}, {self.direction} "
                 f"{self.threshold:g}, out={int(self.output.value)})")
+
+
+def edge_time(t: float, x: float, prev_t: Optional[float], prev_x: float,
+              threshold: float, delay: float) -> float:
+    """When a comparator that flipped at sample ``(t, x)`` drives its
+    output: the crossing instant, linearly interpolated against the clean
+    ``threshold`` inside the step from the previous sample ``(prev_t,
+    prev_x)``, plus ``delay`` — never before ``t``.  Without a previous
+    sample (``prev_t`` None, ``prev_x`` ignored) the crossing is ``t``."""
+    cross_t = t
+    if prev_t is not None and prev_x != x:
+        frac = (threshold - prev_x) / (x - prev_x)
+        if 0.0 <= frac <= 1.0:
+            cross_t = prev_t + frac * (t - prev_t)
+    return max(t, cross_t + delay)
 
 
 @dataclass

@@ -40,14 +40,15 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..sim.core import Simulator
 from ..sim.signal import AnalogProbe
 from ..sim.units import NS
 from .buck import MultiphasePowerStage
 from .sensors import SensorBank
-from .stepping import GROWTH, SAFETY, SteppingPolicy
+from .stepping import (GROWTH, SAFETY, SteppingPolicy, commutation_target,
+                       snap_to_commutation)
 
 
 class AnalogSolver:
@@ -162,22 +163,8 @@ class AnalogSolver:
         idx = bisect_right(self._breaks, now)
         if idx < len(self._breaks) and self._breaks[idx] < t_next:
             t_next = self._breaks[idx]
-        # Pending gate-driver commutations snap the step end.  A flip more
-        # than a guard away ends the step exactly on its instant (the
-        # commit runs first, at priority -1, so the step integrates the
-        # pre-flip state).  Flips *within* a guard of the boundary stay
-        # mid-step and apply retroactively over at most one guard — the
-        # same commutation granularity the fixed ``dt`` step has — which
-        # coalesces the dense flip bursts of a switching cycle into one
-        # tick instead of several sub-nanosecond ones.
-        commutes = self._commutes
-        while commutes and commutes[0] <= now:
-            heapq.heappop(commutes)
-        if commutes and commutes[0] < t_next:
-            if commutes[0] - now >= guard:
-                t_next = commutes[0]
-            elif now + guard < t_next:
-                t_next = now + guard
+        # pending gate-driver commutations snap the step end
+        t_next = snap_to_commutation(self._commutes, now, t_next, guard)
         self._pending = self.sim.schedule_at(t_next, self._tick_adaptive,
                                              priority=-1)
 
@@ -197,25 +184,23 @@ class AnalogSolver:
         """Earliest predicted comparator crossing (or, when ``clamp``,
         body-diode clamp), in seconds from now, from the analytic ODE
         slopes at the current state; inf when nothing is in sight."""
-        cap = math.inf
         sensors = self.sensors
         if sensors is None:
-            return cap
+            return math.inf
         stage = self.stage
         currents = [p.current for p in stage.phases]
         didt, dvdt = stage._derivatives(now, currents, stage.v_out)
-        v = stage.v_out
-        for comp in (sensors.hl, sensors.uv, sensors.ov):
-            cap = _hit(cap, comp.armed_level(), v, dvdt)
-        for k, phase in enumerate(stage.phases):
-            i = currents[k]
-            si = didt[k]
-            cap = _hit(cap, sensors.oc[k].armed_level(), i, si)
-            cap = _hit(cap, sensors.zc[k].armed_level(), i, si)
-            if clamp and not phase.pmos_on and not phase.nmos_on \
-                    and i != 0.0:
-                # freewheeling decay: the body-diode clamp at exactly zero
-                cap = _hit(cap, 0.0, i, si)
+        # columns in all_comparators() order: hl, uv, ov, oc_k, zc_k
+        cap = first_hit([comp.armed_level()
+                         for comp in sensors.all_comparators()],
+                        [stage.v_out] * 3 + currents + currents,
+                        [dvdt] * 3 + didt + didt)
+        if clamp:
+            # freewheeling decay: the body-diode clamp at exactly zero
+            free = [k for k, p in enumerate(stage.phases)
+                    if not p.pmos_on and not p.nmos_on and currents[k] != 0.0]
+            cap = first_hit([0.0] * len(free), [currents[k] for k in free],
+                            [didt[k] for k in free], cap)
         return cap
 
     def note_commutation(self, when: float) -> None:
@@ -230,11 +215,7 @@ class AnalogSolver:
         pending = self._pending
         if pending is None:
             return
-        # same window rule as _plan: snap exactly when the flip is at
-        # least a guard past the running step's start, otherwise bound
-        # the step at start + guard (fixed-grade retroactivity)
-        target = when if when - self._t_last >= self._guard \
-            else self._t_last + self._guard
+        target = commutation_target(when, self._t_last, self._guard)
         if self.sim.now < target < pending.time:
             pending.cancel()
             self._pending = self.sim.schedule_at(target, self._tick_adaptive,
@@ -295,11 +276,17 @@ class AnalogSolver:
             probe.reset_stats()
 
 
-def _hit(cap: float, level: float, x: float, slope: float) -> float:
-    """min(cap, time for ``x`` to reach ``level`` at ``slope``)."""
-    if slope == 0.0:
-        return cap
-    t_hit = (level - x) / slope
-    if 0.0 < t_hit < cap:
-        return t_hit
+def first_hit(levels: Sequence[float], xs: Sequence[float],
+              slopes: Sequence[float], cap: float = math.inf) -> float:
+    """Earliest time, below ``cap``, at which some ``xs[j]`` moving at
+    ``slopes[j]`` reaches ``levels[j]``; ``cap`` when none does.
+
+    The crossing scan both backends' bounds share: a flat slope never
+    hits, and only strictly positive times count.
+    """
+    for level, x, slope in zip(levels, xs, slopes):
+        if slope != 0.0:
+            t_hit = (level - x) / slope
+            if 0.0 < t_hit < cap:
+                cap = t_hit
     return cap

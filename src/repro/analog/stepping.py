@@ -54,7 +54,9 @@ result-cached execution paths.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import List
 
 from ..sim.units import NS
 
@@ -140,3 +142,30 @@ class SteppingPolicy:
         return cls(mode="fixed", dt=dt, dt_min=dt, dt_max=dt,
                    rtol=DEFAULT_RTOL, atol_i=DEFAULT_ATOL_I,
                    atol_v=DEFAULT_ATOL_V)
+
+
+def commutation_target(when: float, t0: float, guard: float) -> float:
+    """Where a gate-driver flip at ``when`` ends a step that starts at
+    ``t0``: exactly on the flip when it is at least ``guard`` past the
+    start, otherwise at ``t0 + guard``."""
+    return when if when - t0 >= guard else t0 + guard
+
+
+def snap_to_commutation(commutes: List[float], t0: float, t_end: float,
+                        guard: float) -> float:
+    """Snap a step ``[t0, t_end]`` onto the earliest pending flip.
+
+    ``commutes`` is a heap of announced flip times; flips at or before
+    ``t0`` are popped.  A flip more than a guard away ends the step
+    exactly on its instant (the commit runs first, at priority -1, so the
+    step integrates the pre-flip state).  Flips *within* a guard of the
+    boundary stay mid-step and apply retroactively over at most one guard
+    — the same commutation granularity the fixed ``dt`` step has — which
+    coalesces the dense flip bursts of a switching cycle into one tick
+    instead of several sub-nanosecond ones.
+    """
+    while commutes and commutes[0] <= t0:
+        heapq.heappop(commutes)
+    if commutes and commutes[0] < t_end:
+        return min(t_end, commutation_target(commutes[0], t0, guard))
+    return t_end

@@ -206,15 +206,23 @@ class SyncMultiphaseController:
                 st.phase = DISCHARGE
 
         elif st.phase == DISCHARGE:
-            if now < st.nmin_deadline:
-                return
-            if zc:
+            if now >= st.nmin_deadline and self._discharge_ends(k, st):
                 self._drive(gates.gn[k], False)
-                self._end_cycle(k, st)
-            elif self._activated(k) and (uv or (st.ov_mode and ov)) and not oc:
-                # back-to-back cycle: demand persists and current decayed
-                self._drive(gates.gn[k], False)
-                st.phase = GN_OFF
+                if zc:
+                    self._end_cycle(k, st)
+                else:
+                    # back-to-back cycle: demand persists, current decayed
+                    st.phase = GN_OFF
+
+    def _discharge_ends(self, k: int, st: _PhaseState) -> bool:
+        """Whether phase ``k``'s synced inputs end its DISCHARGE once NMIN
+        has passed: zero crossing, or a back-to-back cycle (activated,
+        demand persists, not over-current).  The FSM acts on it and the
+        gating entry schedules the NMIN wake for it."""
+        return self._zc[k]._value or (
+            self._activated(k)
+            and (self._uv._value or (st.ov_mode and self._ov._value))
+            and not self._oc[k]._value)
 
     def _begin_charge(self, k: int, st: _PhaseState) -> None:
         hold = self.params.pmin
@@ -274,12 +282,9 @@ class SyncMultiphaseController:
             if phase == CHARGE:
                 if self._oc[k]._value and now < st.pmin_deadline:
                     wake_at = min(wake_at, st.pmin_deadline)
-            elif phase == DISCHARGE and now < st.nmin_deadline:
-                uv, ov = self._uv._value, self._ov._value
-                if self._zc[k]._value or (
-                        self._activated(k) and (uv or (st.ov_mode and ov))
-                        and not self._oc[k]._value):
-                    wake_at = min(wake_at, st.nmin_deadline)
+            elif phase == DISCHARGE and now < st.nmin_deadline \
+                    and self._discharge_ends(k, st):
+                wake_at = min(wake_at, st.nmin_deadline)
         horizon = wake_at - now
         if self.crossing_bound is not None:
             horizon = min(horizon, self.crossing_bound())

@@ -52,30 +52,29 @@ class Clock:
         self.period = period
         self.duty = duty
         self.signal = Signal(sim, name, init=False, trace=trace)
-        self._high_time = period * duty
-        self._low_time = period - self._high_time
+        high = period * duty
+        #: time from an edge to the next, indexed by the edge's kind
+        #: (False = fall, True = rise)
+        self._after = (period - high, high)
         self.edges_simulated = 0
         self.edges_skipped = 0
         self._suspended = False
         self._next_at = sim.now + phase
         self._next_is_rise = True
-        self._pending = sim.schedule(phase, self._rise)
+        self._pending = sim.schedule(phase, self._edge)
 
-    def _rise(self) -> None:
+    def _edge(self) -> None:
+        is_rise = self._next_is_rise
         self.edges_simulated += 1
-        self._next_at = self.sim.now + self._high_time
-        self._next_is_rise = False
+        # an edge fires at exactly _next_at, so accumulating from it is
+        # the chain of float additions fast_forward replays
+        at = self._next_at + self._after[is_rise]
+        self._next_at = at
+        self._next_is_rise = not is_rise
         # schedule before dispatching: a listener may suspend() the clock
         # from inside this very edge, which must cancel the follow-up
-        self._pending = self.sim.schedule(self._high_time, self._fall)
-        self.signal._apply(True)
-
-    def _fall(self) -> None:
-        self.edges_simulated += 1
-        self._next_at = self.sim.now + self._low_time
-        self._next_is_rise = True
-        self._pending = self.sim.schedule(self._low_time, self._rise)
-        self.signal._apply(False)
+        self._pending = self.sim.schedule_at(at, self._edge)
+        self.signal._apply(is_rise)
 
     # ------------------------------------------------------------------
     # Gating
@@ -107,21 +106,22 @@ class Clock:
         value = self.signal.value
         at = self._next_at
         is_rise = self._next_is_rise
+        after = self._after
         skipped = 0
-        # Replays the live clock's own accumulation (now + delta at each
-        # edge) so the surviving grid is bit-identical to an ungated run.
+        # Replays the live clock's own accumulation (_edge, inlined: a
+        # pass skips hundreds of thousands of edges) so the surviving grid
+        # is bit-identical to an ungated run.
         while at < t:
             value = is_rise
             skipped += 1
-            at = at + (self._high_time if is_rise else self._low_time)
+            at = at + after[is_rise]
             is_rise = not is_rise
         self.edges_skipped += skipped
         if value != self.signal.value:
             self.signal.force(value)
         self._next_at = at
         self._next_is_rise = is_rise
-        self._pending = self.sim.schedule_at(
-            at, self._rise if is_rise else self._fall)
+        self._pending = self.sim.schedule_at(at, self._edge)
 
 
 class PhaseActivator:

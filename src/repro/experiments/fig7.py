@@ -50,15 +50,6 @@ class SweepResult:
     #: label -> per-point TraceSets (populated when run with trace=True)
     traces: Dict[str, List] = field(default_factory=dict)
 
-    def ordered_at(self, x: float) -> List[str]:
-        """Series labels sorted by value at ``x`` (ascending)."""
-        vals = {}
-        for label, pts in self.series.items():
-            for px, py in pts:
-                if abs(px - x) < 1e-12:
-                    vals[label] = py
-        return sorted(vals, key=lambda l: vals[l])
-
     def value(self, label: str, x: float) -> float:
         for px, py in self.series[label]:
             if abs(px - x) < 1e-12:

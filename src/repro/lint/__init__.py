@@ -10,9 +10,10 @@ otherwise enforces by reviewer discipline:
     no rule.
 
 ``parity`` (P01–P03)
-    Paired scalar/vector implementations (crossing bounds, RK2 steps,
-    fused kernels, gating entry conditions, clock replay) carry locked
-    AST fingerprints; a one-sided edit fails until the twin moves too.
+    Paired scalar/vector array implementations (RK2 steps and
+    derivatives, crossing caps, adaptive plan and commit, the fixed-step
+    tick) carry locked AST fingerprints; a one-sided edit fails until
+    the twin moves too.
 
 ``determinism`` (D01–D06)
     No unseeded RNG, wall-clock reads, unordered iteration, or

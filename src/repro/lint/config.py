@@ -42,9 +42,6 @@ DEFAULT_PARITY_PAIRS: Tuple[Tuple[str, Tuple[str, str], Tuple[str, str]],
     ("stage-derivatives",
      ("analog/buck.py", "MultiphasePowerStage._derivatives"),
      ("scenarios/vector_stage.py", "VectorizedPowerStage._derivatives")),
-    ("crossing-bound",
-     ("analog/solver.py", "AnalogSolver.crossing_bound"),
-     ("scenarios/vector_solver.py", "VectorizedSolver.lane_crossing_bound")),
     ("crossing-cap",
      ("analog/solver.py", "AnalogSolver._crossing_cap"),
      ("scenarios/vector_solver.py", "VectorizedSolver._crossing_caps")),
@@ -54,18 +51,9 @@ DEFAULT_PARITY_PAIRS: Tuple[Tuple[str, Tuple[str, str], Tuple[str, str]],
     ("adaptive-commit",
      ("analog/solver.py", "AnalogSolver._commit"),
      ("scenarios/vector_solver.py", "VectorizedSolver._advance_adaptive")),
-    ("note-commutation",
-     ("analog/solver.py", "AnalogSolver.note_commutation"),
-     ("scenarios/vector_solver.py", "VectorizedSolver.note_commutation")),
     ("fixed-tick",
      ("analog/solver.py", "AnalogSolver._tick"),
      ("scenarios/vector_solver.py", "VectorizedSolver._make_fixed_tick")),
-    ("gating-entry",
-     ("control/sync_controller.py", "SyncMultiphaseController._step_phase"),
-     ("control/sync_controller.py", "SyncMultiphaseController._maybe_gate")),
-    ("clock-replay",
-     ("digital/clock.py", "Clock._rise"),
-     ("digital/clock.py", "Clock.fast_forward")),
 )
 
 #: entry points of the clock-gating machinery; everything directly

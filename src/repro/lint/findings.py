@@ -73,10 +73,10 @@ RULES: Dict[str, Rule] = {r.id: r for r in (
         "does not: port the change to the twin, then ack with "
         "`python -m repro.lint --update-locks`.",
         bad_example=(
-            "# scalar: clamp added\n"
-            "def crossing_bound(self):  return max(0.0, bound)\n"
-            "# vector twin untouched -> P01\n"
-            "def lane_crossing_bound(self, lane):  return bound\n"),
+            "# analog/buck.py: clamp added\n"
+            "def step(self, t, dt):  return max(0.0, i1)\n"
+            "# scenarios/vector_stage.py twin untouched -> P01\n"
+            "def step(self, t, dt):  return i1\n"),
     ),
     Rule(
         "P02", "parity",

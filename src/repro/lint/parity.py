@@ -1,12 +1,13 @@
 """Rule family P: scalar/vector backend-parity pairing.
 
-The repo keeps paired implementations bit-identical op-for-op (scalar
-``AnalogSolver.crossing_bound`` vs. vector ``lane_crossing_bound``, the
-RK2 power-stage steps, the scalar solver tick vs. the fused vector tick,
-the gating entry conditions vs. the FSM action conditions, the clock
-edge functions vs. the fast-forward replay).  The pair registry lives
-in :data:`repro.lint.config.DEFAULT_PARITY_PAIRS`; this module hashes
-each member's docstring-stripped AST and compares against
+The repo keeps paired scalar/array implementations bit-identical
+op-for-op (the RK2 power-stage steps and their derivatives, the
+step-planning crossing caps, the adaptive plan and commit, the scalar
+solver tick vs. the fused vector tick).  Rules both backends apply to
+plain floats live in one shared helper instead and need no pair.  The
+pair registry lives in :data:`repro.lint.config.DEFAULT_PARITY_PAIRS`;
+this module hashes each member's docstring-stripped AST and compares
+against
 ``tests/golden/parity_lock.json``:
 
 * one member's hash moved, the twin's did not → **P01** (the dangerous

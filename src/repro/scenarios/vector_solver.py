@@ -34,8 +34,10 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..analog.sensors import BuckReferences
-from ..analog.stepping import GROWTH, SAFETY, SteppingPolicy
+from ..analog.sensors import BuckReferences, edge_time
+from ..analog.solver import first_hit
+from ..analog.stepping import (GROWTH, SAFETY, SteppingPolicy,
+                               commutation_target, snap_to_commutation)
 from ..sim.core import Simulator
 from ..sim.signal import Signal
 from ..system import SystemConfig
@@ -284,18 +286,9 @@ class VectorComparatorBank:
         rows, cols = changed.nonzero()
         for i, c in zip(rows.tolist(), cols.tolist()):
             t_i = t if t_list is None else t_list[i]
-            xv = x.item(i, c)
-            cross_t = t_i
-            if prev_t is not None:
-                prev_ti = prev_t if prev_list is None else prev_list[i]
-                px = prev_x.item(i, c)
-                if px != xv:
-                    # interpolate against the clean threshold, like the
-                    # scalar comparator
-                    frac = (threshold.item(i, c) - px) / (xv - px)
-                    if 0.0 <= frac <= 1.0:
-                        cross_t = prev_ti + frac * (t_i - prev_ti)
-            fire_at = max(t_i, cross_t + delay.item(i))
+            prev_ti = prev_t if prev_list is None else prev_list[i]
+            fire_at = edge_time(t_i, x.item(i, c), prev_ti, prev_x.item(i, c),
+                                threshold.item(i, c), delay.item(i))
             out = self.outputs[i][c]
             value = new_state.item(i, c)
             self.sims[i].schedule_at(fire_at, lambda o=out, v=value: o._apply(v))
@@ -473,6 +466,8 @@ class VectorizedSolver:
         n = stage.n_lanes
         queues = [sim._queue for sim in sims]
         guards = self._guards
+        g_list = guards.tolist()
+        commutes = self._commutes
         t = self._lane_t
         prop = self._prop
         dt_min, dt_max = policy.dt_min, policy.dt_max
@@ -487,16 +482,10 @@ class VectorizedSolver:
             np.minimum(t_tgt, t_end, out=t_tgt)
             nb = stage.next_load_change(t)
             np.copyto(t_tgt, nb, where=nb < t_tgt)
-            for i in range(n):
-                ch = self._commutes[i]
-                ti = t[i]
-                while ch and ch[0] <= ti:
-                    heapq.heappop(ch)
-                if ch and ch[0] < t_tgt[i]:
-                    if ch[0] - ti >= guards[i]:
-                        t_tgt[i] = ch[0]
-                    elif ti + guards[i] < t_tgt[i]:
-                        t_tgt[i] = ti + guards[i]
+            for i, ch in enumerate(commutes):
+                if ch:
+                    t_tgt[i] = snap_to_commutation(ch, t.item(i),
+                                                   t_tgt.item(i), g_list[i])
             self._t_tgt = t_tgt
             # ---- deliver events strictly before each lane's end ----------
             # (one at a time: a cascade may schedule a commutation that
@@ -569,8 +558,9 @@ class VectorizedSolver:
     def lane_crossing_bound(self, lane: int) -> float:
         """One lane's clock-gating bound: seconds from the lane's current
         event time until the earliest predicted comparator flip (inf when
-        nothing is in sight) — the per-lane twin of the scalar solver's
-        :meth:`~repro.analog.solver.AnalogSolver.crossing_bound`.
+        nothing is in sight) — the per-lane counterpart of the scalar
+        solver's :meth:`~repro.analog.solver.AnalogSolver.crossing_bound`,
+        through the same :func:`~repro.analog.solver.first_hit` scan.
 
         Pure scalar Python over the shared arrays (called per awake FSM
         edge, for one lane — an array pass over all lanes would cost
@@ -581,65 +571,18 @@ class VectorizedSolver:
         bank = self.bank
         if bank is None:
             return math.inf
-        stage = self.stage
-        p = stage.n_phases
-        # one list per lane row: Python floats, read once
-        cur = stage.current[lane].tolist()
-        pmos = stage.pmos_on[lane].tolist()
-        nmos = stage.nmos_on[lane].tolist()
-        vin = stage._vin_col[lane].tolist()
-        n_dcr_rp = stage._n_dcr_rp[lane].tolist()
-        n_dcr_rn = stage._n_dcr_rn[lane].tolist()
-        vin_pvd = stage._vin_pvd[lane].tolist()
-        nvd = stage._nvd[lane].tolist()
-        n_dcr = stage._n_dcr[lane].tolist()
-        inductance = stage.inductance[lane].tolist()
-        v = stage.v_out.item(lane)
-        total_i = 0.0
-        didt = []
-        for k in range(p):
-            i = cur[k]
-            total_i += i
-            if pmos[k]:
-                drive = vin[k] + i * n_dcr_rp[k]
-            elif nmos[k]:
-                drive = i * n_dcr_rn[k]
-            elif i != 0.0:
-                diode = vin_pvd[k] if i < 0.0 else nvd[k]
-                drive = diode + i * n_dcr[k]
-            else:
-                didt.append(0.0)
-                continue
-            didt.append((drive - v) / inductance[k])
-        r = float(stage.loads[lane].resistance(self.sims[lane].now))
-        dvdt = (total_i - v / r) / stage.c_out.item(lane)
-
-        threshold = bank.threshold[lane].tolist()
-        state = bank.state[lane].tolist()
-        hyst = bank._hyst_eff[lane].tolist()
-        cap = math.inf
-        for c in range(bank.n_cols):
-            level = threshold[c]
-            if state[c]:
-                level += hyst[c]
-            if c < V_COLS:
-                x, slope = v, dvdt
-            else:
-                x = cur[(c - V_COLS) % p]
-                slope = didt[(c - V_COLS) % p]
-            if slope != 0.0:
-                t_hit = (level - x) / slope
-                if 0.0 < t_hit < cap:
-                    cap = t_hit
-        return cap
+        cur, didt, v, dvdt = self.stage.lane_slopes(lane, self.sims[lane].now)
+        levels = [th + h if s else th for th, h, s in zip(
+            bank.threshold[lane].tolist(), bank._hyst_eff[lane].tolist(),
+            bank.state[lane].tolist())]
+        return first_hit(levels, [v] * V_COLS + cur + cur,
+                         [dvdt] * V_COLS + didt + didt)
 
     def note_commutation(self, lane: int, when: float) -> None:
         """Gate-driver hook: lane ``lane`` scheduled a transistor flip.
 
-        Same window rule as the scalar solver: a flip at least a guard
-        past the lane's step start snaps the step end exactly onto it;
-        a closer flip bounds the end at start + guard (fixed-grade
-        retroactivity), coalescing dense flip bursts into one tick.
+        Same window rule as the scalar solver
+        (:func:`~repro.analog.stepping.commutation_target`).
         """
         sim = self.sims[lane]
         if when <= sim.now:
@@ -648,9 +591,8 @@ class VectorizedSolver:
         tgt = self._t_tgt
         if tgt is None:
             return
-        t0 = self._lane_t[lane]
-        guard = self._guards[lane]
-        target = when if when - t0 >= guard else t0 + guard
+        target = commutation_target(when, self._lane_t.item(lane),
+                                    self._guards.item(lane))
         if sim.now < target < tgt[lane]:
             tgt[lane] = target
 

@@ -375,6 +375,32 @@ class VectorizedPowerStage:
         _div(n1, self.c_out, out=dvdt_out)
         return r_load
 
+    def lane_slopes(self, lane: int, t: float):
+        """One lane's ``(currents, di/dt, v_out, dv/dt)`` at time ``t`` as
+        Python floats, from the same switch tables as :meth:`_derivatives`
+        — the per-lane counterpart of the scalar twin's ``_derivatives``
+        for callers that need one lane (the clock-gating crossing bound).
+        Soft saturation is not applied: the caller treats the slopes as a
+        profitability hint."""
+        cur = self.current[lane].tolist()
+        v = self.v_out.item(lane)
+        didt = []
+        for i, a, a_neg, a_pos, b, cond, ind in zip(
+                cur, self._A[lane].tolist(), self._A_neg[lane].tolist(),
+                self._A_pos[lane].tolist(), self._B[lane].tolist(),
+                self._cond[lane].tolist(), self.inductance[lane].tolist()):
+            if i < 0.0:
+                a = a_neg
+            elif i > 0.0:
+                a = a_pos
+            elif not cond:
+                didt.append(0.0)   # discontinuous conduction: coil is open
+                continue
+            didt.append((a + b * i - v) / ind)
+        dvdt = (sum(cur) - v / self.loads[lane].resistance(t)) \
+            / self.c_out.item(lane)
+        return cur, didt, v, dvdt
+
     def step(self, t, dt,
              err_i_out: Optional[np.ndarray] = None,
              err_v_out: Optional[np.ndarray] = None,

@@ -8,7 +8,9 @@ when keys are configured — see :mod:`repro.serve.auth`):
 ``POST /v1/jobs``         submit a sweep (:mod:`repro.serve.protocol` forms);
                           ``202`` with the job snapshot; ``400`` for a
                           missing or malformed ``Content-Length``,
-                          ``413`` above :data:`MAX_BODY_BYTES`
+                          ``413`` above :data:`MAX_BODY_BYTES`,
+                          ``408`` when the body stalls for
+                          :data:`BODY_TIMEOUT_S`
 ``GET  /v1/jobs``         list job snapshots
 ``GET  /v1/jobs/<id>``    one job snapshot
 ``GET  /v1/jobs/<id>/events``  SSE stream: event replay (prefixed by an
@@ -52,6 +54,11 @@ from .sse import format_event
 #: ``413`` without being read.  A job costs ~330 bytes per lane: the
 #: 20-lane Fig. 7a quick grid is 6.4 KB, the 65-lane full grid 21 KB.
 MAX_BODY_BYTES = 1 << 20
+
+#: longest wait, in seconds, for more of a ``POST /v1/jobs`` body; a
+#: client that stalls longer is answered ``408`` and disconnected, so a
+#: body shorter than its ``Content-Length`` cannot pin a handler thread
+BODY_TIMEOUT_S = 10.0
 
 
 def _route_family(path: str) -> str:
@@ -188,8 +195,19 @@ class _Handler(BaseHTTPRequestHandler):
             self._reject(413, "too_large",
                          f"request body over {MAX_BODY_BYTES} bytes")
             return
+        # only the body read is bounded: keep-alive waits and SSE
+        # streams run with no socket timeout
+        self.connection.settimeout(BODY_TIMEOUT_S)
         try:
-            payload = json.loads(self.rfile.read(length) or b"null")
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self._reject(408, "body_timeout", "request body not received "
+                         f"within {BODY_TIMEOUT_S:g} s")
+            return
+        finally:
+            self.connection.settimeout(None)
+        try:
+            payload = json.loads(body or b"null")
         except ValueError:
             self._error(400, "request body is not valid JSON")
             return

@@ -262,14 +262,6 @@ class StateGraph:
     def is_deadlock_free(self) -> bool:
         return not self.deadlocks
 
-    def enabled_labels(self, state: State) -> List[Label]:
-        out = []
-        for t, _ in state.successors:
-            label = self.stg.label_of(t)
-            if label is not None:
-                out.append(label)
-        return out
-
     def code_str(self, state: State) -> str:
         """Human-readable signal code, e.g. ``"a=1 b=0"``."""
         cells = []

@@ -24,31 +24,38 @@ def _watch(clock):
     return seen
 
 
-def test_fast_forward_grid_bit_identical_to_free_running():
+@pytest.mark.parametrize("duty", [0.5, 0.3])
+@pytest.mark.parametrize("phase", [0.0, 0.7e-9])
+def test_fast_forward_grid_bit_identical_to_free_running(duty, phase):
     """Suspend + fast-forward, then compare every subsequent edge time
-    against a never-gated clock — exact float equality, no tolerance."""
-    period = 3.3e-9  # deliberately not exactly representable
+    against a never-gated clock — exact float equality, no tolerance.
+    Period and phase are deliberately not exactly representable; an
+    uneven duty makes rise and fall add different half-periods, and the
+    resume instants span a period, so the replay stops after either."""
+    period = 3.3e-9
 
     free_sim = Simulator()
-    free = Clock(free_sim, "free", period)
+    free = Clock(free_sim, "free", period, duty=duty, phase=phase)
     free_seen = _watch(free)
     free_sim.run_until(100e-9)
 
-    gated_sim = Simulator()
-    gated = Clock(gated_sim, "gated", period)
-    gated_seen = _watch(gated)
-    gated_sim.run_until(10e-9)
-    gated.suspend()
-    gated_sim.run_until(50e-9)
-    assert len(gated_seen) == sum(1 for t, _ in free_seen if t <= 10e-9)
-    gated.fast_forward(gated_sim.now)
-    gated_sim.run_until(100e-9)
+    for resume in (45e-9 + 0.29e-9 * j for j in range(12)):
+        gated_sim = Simulator()
+        gated = Clock(gated_sim, "gated", period, duty=duty, phase=phase)
+        gated_seen = _watch(gated)
+        gated_sim.run_until(10e-9)
+        gated.suspend()
+        gated_sim.run_until(resume)
+        assert len(gated_seen) == sum(1 for t, _ in free_seen if t <= 10e-9)
+        gated.fast_forward(gated_sim.now)
+        gated_sim.run_until(100e-9)
 
-    tail = [e for e in free_seen if e[0] >= 50e-9]
-    assert gated_seen[-len(tail):] == tail  # bit-identical times and values
-    assert gated.edges_simulated + gated.edges_skipped == free.edges_simulated
-    assert gated.edges_skipped == sum(
-        1 for t, _ in free_seen if 10e-9 < t < 50e-9)
+        tail = [e for e in free_seen if e[0] >= resume]
+        assert gated_seen[-len(tail):] == tail  # bit-identical times, values
+        assert gated.edges_simulated + gated.edges_skipped == \
+            free.edges_simulated
+        assert gated.edges_skipped == sum(
+            1 for t, _ in free_seen if 10e-9 < t < resume)
 
 
 def test_fast_forward_landing_exactly_on_edge_fires_it():

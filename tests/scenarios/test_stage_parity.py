@@ -173,3 +173,34 @@ def test_vector_step_matches_scalar_twin(p, adaptive):
 @pytest.mark.parametrize("p", [4, 8])
 def test_untracked_energy_keeps_dynamics(p):
     _run(p, adaptive=False, track_energy=False, seed=7 + p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8, 9])
+def test_lane_slopes_match_scalar_derivatives(p):
+    """``lane_slopes`` (one lane, Python floats, from the stage's switch
+    tables) equals the scalar twin's ``_derivatives`` value for value on
+    every lane that soft saturation leaves alone (``lane_slopes`` skips
+    the derating).  Every switch state meets every current sign."""
+    rng = random.Random(500 + p)
+    configs = _configs(rng, p)
+    vec = VectorizedPowerStage(configs)
+    twins = _twins(configs)
+    seen = set()
+    for rnd in range(ROUNDS):
+        _randomize(rng, vec, twins, rebuild=rnd % 3 == 0)
+        t = rng.uniform(0.0, 1.2) * US
+        for lane, twin in enumerate(twins):
+            cur = [ph.current for ph in twin.phases]
+            if any(abs(i) > ph.coil.i_sat for i, ph in zip(cur, twin.phases)):
+                continue
+            where = f"P={p} round {rnd} lane {lane}"
+            got_i, got_didt, got_v, got_dvdt = vec.lane_slopes(lane, t)
+            want_didt, want_dvdt = twin._derivatives(t, cur, twin.v_out)
+            assert got_i == cur, f"{where}: currents"
+            assert got_v == twin.v_out, f"{where}: v_out"
+            assert got_didt == want_didt, f"{where}: di/dt"
+            assert got_dvdt == want_dvdt, f"{where}: dv/dt"
+            for ph, i in zip(twin.phases, cur):
+                sw = "P" if ph.pmos_on else ("N" if ph.nmos_on else "o")
+                seen.add((sw, (i > 0.0) - (i < 0.0)))
+    assert seen == {(sw, sign) for sw in "PNo" for sign in (-1, 0, 1)}

@@ -21,6 +21,7 @@ import pytest
 from repro import obs
 from repro.scenarios import ScenarioSpec, Sweep
 from repro.serve import ApiKeyAuth, ServeClient, ServeError, SweepServer
+from repro.serve import server as server_module
 from repro.serve.server import MAX_BODY_BYTES
 from repro.session import Session
 from repro.sim import NS, US
@@ -365,6 +366,17 @@ class TestRequestBounds:
         assert status == (413 if reason == "too_large" else 400)
         assert "error" in body
         assert _rejected(server)[reason] == before + 1
+        assert server.manager.jobs() == []
+
+    def test_stalled_body_times_out(self, server, monkeypatch):
+        """A body shorter than its Content-Length is answered 408 once
+        it stalls for BODY_TIMEOUT_S, instead of pinning the thread."""
+        monkeypatch.setattr(server_module, "BODY_TIMEOUT_S", 0.2)
+        before = _rejected(server).get("body_timeout", 0)
+        status, body = _raw_post(server, "100", b'{"specs":')
+        assert status == 408
+        assert "error" in body
+        assert _rejected(server)["body_timeout"] == before + 1
         assert server.manager.jobs() == []
 
     def test_body_at_the_cap_is_read(self, server):
