@@ -76,26 +76,6 @@ class BuckPhase:
             self.switch_count += 1
         self.nmos_on = on
 
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
-    def didt(self, current: float, v_out: float, v_in: float) -> float:
-        """Coil current derivative for a hypothetical ``current`` value."""
-        dcr = self.coil.dcr
-        if self.pmos_on:
-            v_drive = v_in - current * (dcr + self.r_pmos)
-        elif self.nmos_on:
-            v_drive = -current * (dcr + self.r_nmos)
-        elif current > 0.0:
-            # freewheeling through the NMOS body diode
-            v_drive = -self.v_diode - current * dcr
-        elif current < 0.0:
-            # returning through the PMOS body diode
-            v_drive = v_in + self.v_diode - current * dcr
-        else:
-            return 0.0  # discontinuous conduction: coil is open
-        return (v_drive - v_out) / self.coil.effective_inductance(current)
-
     def conducting(self) -> bool:
         """True when the coil can carry current (switch on or diode path)."""
         return self.pmos_on or self.nmos_on or self.current != 0.0
@@ -154,10 +134,34 @@ class MultiphasePowerStage:
     # ------------------------------------------------------------------
     def _derivatives(self, t: float, currents: Sequence[float],
                      v_out: float) -> Tuple[List[float], float]:
-        didt = [p.didt(i, v_out, self.v_in)
-                for p, i in zip(self.phases, currents)]
+        """Coil current slopes and dv/dt at ``(currents, v_out)``."""
+        v_in = self.v_in
+        didt = []
+        total = 0.0   # in order: sum() is compensated from Python 3.12
+        for p, i in zip(self.phases, currents):
+            total += i
+            coil = p.coil
+            if p.pmos_on:
+                v_drive = v_in - i * (coil.dcr + p.r_pmos)
+            elif p.nmos_on:
+                v_drive = -i * (coil.dcr + p.r_nmos)
+            elif i > 0.0:
+                # freewheeling through the NMOS body diode
+                v_drive = -p.v_diode - i * coil.dcr
+            elif i < 0.0:
+                # returning through the PMOS body diode
+                v_drive = v_in + p.v_diode - i * coil.dcr
+            else:
+                didt.append(0.0)  # discontinuous conduction: coil is open
+                continue
+            # below i_sat the derating is exactly nominal (a <= b gives
+            # a / b <= 1.0); NaN takes the derating path
+            if abs(i) <= coil.i_sat:
+                didt.append((v_drive - v_out) / coil.inductance)
+            else:
+                didt.append((v_drive - v_out) / coil.effective_inductance(i))
         r_load = self.load.resistance(t)
-        dvdt = (sum(currents) - v_out / r_load) / self.c_out
+        dvdt = (total - v_out / r_load) / self.c_out
         return didt, dvdt
 
     def step(self, t: float, dt: float) -> Tuple[float, float]:
@@ -180,10 +184,11 @@ class MultiphasePowerStage:
         currents0 = [p.current for p in self.phases]
         v0 = self.v_out
 
+        half = 0.5 * dt
         k1_i, k1_v = self._derivatives(t, currents0, v0)
-        mid_i = [i + 0.5 * dt * d for i, d in zip(currents0, k1_i)]
-        mid_v = v0 + 0.5 * dt * k1_v
-        k2_i, k2_v = self._derivatives(t + 0.5 * dt, mid_i, mid_v)
+        mid_i = [i + half * d for i, d in zip(currents0, k1_i)]
+        mid_v = v0 + half * k1_v
+        k2_i, k2_v = self._derivatives(t + half, mid_i, mid_v)
 
         new_v = v0 + dt * k2_v
         for phase, i0, d in zip(self.phases, currents0, k2_i):
@@ -206,7 +211,7 @@ class MultiphasePowerStage:
         v_mid_sq = 0.5 * (v0 * v0 + new_v * new_v)
         self.energy_out_j += v_mid_sq / r_load * dt
         self.v_out = new_v
-        err_i = max(abs(b - a) for a, b in zip(k1_i, k2_i)) * dt
+        err_i = max([abs(b - a) for a, b in zip(k1_i, k2_i)]) * dt
         err_v = abs(k2_v - k1_v) * dt
         return err_i, err_v
 
@@ -215,7 +220,10 @@ class MultiphasePowerStage:
     # ------------------------------------------------------------------
     def coil_losses_j(self) -> float:
         """Total coil conduction energy loss so far (joule)."""
-        return sum(p.coil_loss_j for p in self.phases)
+        total = 0.0   # in order, as in _derivatives
+        for p in self.phases:
+            total += p.coil_loss_j
+        return total
 
     def efficiency(self) -> float:
         """Delivered-to-drawn energy ratio so far."""

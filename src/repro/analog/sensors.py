@@ -36,9 +36,11 @@ BELOW = "below"
 class Comparator:
     """Analog comparator with propagation delay and hysteresis.
 
-    The solver calls :meth:`sample` once per integration step; the
-    comparator linearly interpolates the crossing instant inside the step
-    and schedules the output edge at ``crossing + delay``.
+    The solver samples it once per integration step, through
+    :meth:`observe` from its :class:`SensorBank` (or :meth:`sample` when
+    the comparator is used on its own); the comparator linearly
+    interpolates the crossing instant inside the step and schedules the
+    output edge at ``crossing + delay``.
 
     Parameters
     ----------
@@ -72,6 +74,7 @@ class Comparator:
         self.quantity = quantity
         self.threshold = threshold
         self.direction = direction
+        self._above = direction == ABOVE
         self.delay = delay
         self.hysteresis = hysteresis
         self.noise = noise
@@ -81,15 +84,6 @@ class Comparator:
         self._state = False  # comparator decision before propagation delay
 
     # ------------------------------------------------------------------
-    def _trip_level(self, state: bool) -> float:
-        """Current trip level given the internal state (hysteresis band)."""
-        th = self.threshold
-        if self.noise:
-            th += self.sim.rng.gauss(0.0, self.noise)
-        if self.direction == ABOVE:
-            return th - self.hysteresis if state else th
-        return th + self.hysteresis if state else th
-
     def armed_level(self) -> float:
         """The noise-free level the next trip decision compares against
         (threshold, widened by the hysteresis band while tripped).  The
@@ -100,20 +94,28 @@ class Comparator:
         return th - self.hysteresis if self.direction == ABOVE \
             else th + self.hysteresis
 
-    def _decide(self, x: float, state: bool) -> bool:
-        level = self._trip_level(state)
-        if self.direction == ABOVE:
-            return x > level if not state else x >= level
-        return x < level if not state else x <= level
-
     def sample(self, t: float) -> None:
         """Evaluate the comparator at time ``t`` (one solver step)."""
-        x = self.quantity()
+        self.observe(t, self.quantity())
+
+    def observe(self, t: float, x: float) -> None:
+        """Evaluate the comparator at time ``t`` on the value ``x`` its
+        quantity holds there (a :class:`SensorBank` reads each analog
+        quantity once and hands it to every comparator watching it)."""
         prev_t, prev_x = self._prev_t, self._prev_x
         self._prev_t, self._prev_x = t, x
 
-        new_state = self._decide(x, self._state)
-        if new_state == self._state:
+        # trip decision against the (noisy) threshold; the hysteresis
+        # band widens the high region while tripped
+        state = self._state
+        th = self.threshold
+        if self.noise:
+            th += self.sim.rng.gauss(0.0, self.noise)
+        if self._above:
+            new_state = x >= th - self.hysteresis if state else x > th
+        else:
+            new_state = x <= th + self.hysteresis if state else x < th
+        if new_state == state:
             return
         self._state = new_state
 
@@ -204,8 +206,17 @@ class SensorBank:
         return [self.hl, self.uv, self.ov] + self.oc + self.zc
 
     def sample_all(self, t: float) -> None:
-        for comp in self.all_comparators():
-            comp.sample(t)
+        """Sample every comparator at ``t``, in :meth:`all_comparators`
+        order, reading ``v_out`` and each phase current once."""
+        v = self.stage.v_out
+        self.hl.observe(t, v)
+        self.uv.observe(t, v)
+        self.ov.observe(t, v)
+        currents = [p.current for p in self.stage.phases]
+        for comp, i in zip(self.oc, currents):
+            comp.observe(t, i)
+        for comp, i in zip(self.zc, currents):
+            comp.observe(t, i)
 
     # ------------------------------------------------------------------
     def set_ov_mode(self, phase_index: int, on: bool) -> None:

@@ -244,8 +244,9 @@ class AnalogSolver:
         self.v_probe.record(t, self.stage.v_out)
         total = 0.0
         for probe, phase in zip(self.i_probes, self.stage.phases):
-            probe.record(t, phase.current)
-            total += phase.current
+            i = phase.current
+            probe.record(t, i)
+            total += i
         self.i_total_probe.record(t, total)
 
     # ------------------------------------------------------------------
@@ -269,7 +270,7 @@ class AnalogSolver:
         return max(p.peak_abs for p in self.i_probes)
 
     def reset_measurements(self) -> None:
-        """Restart probe statistics (e.g. after the startup transient)."""
+        """Restart the probes' max / min (e.g. after the startup transient)."""
         self.v_probe.reset_stats()
         self.i_total_probe.reset_stats()
         for probe in self.i_probes:

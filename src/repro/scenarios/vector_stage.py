@@ -266,7 +266,7 @@ class VectorizedPowerStage:
         self._dt_n = np.empty(n)
         self._dt_half_n = np.empty(n)
         # numpy's add.reduce sums 8 or more elements pairwise; the scalar
-        # twin's sum() adds the phases in order
+        # twin adds the phases in order
         self._ordered_sum = p >= 8
         # scratch
         self._i_sat_min = float(self.i_sat.min())
@@ -397,7 +397,10 @@ class VectorizedPowerStage:
                 didt.append(0.0)   # discontinuous conduction: coil is open
                 continue
             didt.append((a + b * i - v) / ind)
-        dvdt = (sum(cur) - v / self.loads[lane].resistance(t)) \
+        total = 0.0   # in order, as in the scalar twin
+        for i in cur:
+            total += i
+        dvdt = (total - v / self.loads[lane].resistance(t)) \
             / self.c_out.item(lane)
         return cur, didt, v, dvdt
 

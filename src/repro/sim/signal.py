@@ -6,8 +6,8 @@ delivered, which is what non-persistent comparator outputs need), and edge
 subscribers are notified synchronously when the change applies.
 
 :class:`AnalogProbe` records a piecewise-linear real-valued waveform and keeps
-running statistics (min / max / RMS) even when full tracing is disabled, so
-parameter sweeps stay cheap.
+its running min / max even when full tracing is disabled, so parameter
+sweeps stay cheap.
 """
 
 from __future__ import annotations
@@ -163,11 +163,11 @@ class Signal:
 
 
 class AnalogProbe:
-    """Recorder for a real-valued waveform with running statistics.
+    """Recorder for a real-valued waveform with a running min / max.
 
     The analog solver calls :meth:`record` once per accepted integration
-    step.  Statistics (max, min, time-weighted RMS) accumulate regardless of
-    whether the full waveform is kept, so sweeps can disable tracing.
+    step.  The max and min update regardless of whether the full waveform
+    is kept, so sweeps can disable tracing.
 
     The probe is the *live, in-run* recording surface; the canonical
     trace representation — what crosses process boundaries, lands in
@@ -177,9 +177,7 @@ class AnalogProbe:
     should read waveforms through TraceSets.
     """
 
-    __slots__ = ("name", "trace", "times", "values", "_max", "_min",
-                 "_sq_integral", "_abs_integral", "_last_t", "_last_v",
-                 "_t0", "_started")
+    __slots__ = ("name", "trace", "times", "values", "_max", "_min")
 
     def __init__(self, name: str, trace: bool = True):
         self.name = name
@@ -188,26 +186,8 @@ class AnalogProbe:
         self.values: List[float] = []
         self._max = float("-inf")
         self._min = float("inf")
-        self._sq_integral = 0.0
-        self._abs_integral = 0.0
-        self._last_t = 0.0
-        self._last_v = 0.0
-        self._t0 = 0.0
-        self._started = False
 
     def record(self, t: float, v: float) -> None:
-        if not self._started:
-            self._t0 = t
-            self._started = True
-        else:
-            dt = t - self._last_t
-            if dt > 0:
-                # trapezoidal accumulation of v^2 and |v|
-                v0, v1 = self._last_v, v
-                self._sq_integral += 0.5 * (v0 * v0 + v1 * v1) * dt
-                self._abs_integral += 0.5 * (abs(v0) + abs(v1)) * dt
-        self._last_t = t
-        self._last_v = v
         if v > self._max:
             self._max = v
         if v < self._min:
@@ -231,30 +211,14 @@ class AnalogProbe:
     def peak_abs(self) -> float:
         return max(abs(self._max), abs(self._min))
 
-    def rms(self) -> float:
-        """Time-weighted RMS over the recorded interval."""
-        span = self._last_t - self._t0
-        if span <= 0:
-            return abs(self._last_v)
-        return (self._sq_integral / span) ** 0.5
-
-    def mean_abs(self) -> float:
-        span = self._last_t - self._t0
-        if span <= 0:
-            return abs(self._last_v)
-        return self._abs_integral / span
-
     def reset_stats(self) -> None:
-        """Restart statistic accumulation from the current point.
+        """Restart the max / min from the current point.
 
         Waveform history (if traced) is preserved; used to measure e.g.
         steady-state ripple excluding the startup transient.
         """
         self._max = float("-inf")
         self._min = float("inf")
-        self._sq_integral = 0.0
-        self._abs_integral = 0.0
-        self._started = False
 
     def value_at(self, t: float) -> float:
         """Linear interpolation of the traced waveform at time ``t``."""

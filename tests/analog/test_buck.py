@@ -4,6 +4,8 @@ Stage construction and stepping come from the shared ``stage_factory`` /
 ``run_stage`` fixtures in ``tests/conftest.py``.
 """
 
+import math
+
 import pytest
 
 from repro.analog import (
@@ -130,6 +132,62 @@ class TestOutputDynamics:
         for k, phase in enumerate(stage.phases):
             phase.current = 0.01 * (k + 1)
         assert stage.total_current() == pytest.approx(0.1)
+
+
+#: four phase values whose in-order float sum differs in the last bit
+#: from the compensated ``sum()`` of Python 3.12 and later
+UNEVEN = (0.103327, 0.077386, -0.023829, -0.072325)
+
+
+def _reference_didt(phase, i, v_out, v_in):
+    """Coil slope straight from the switch table and the coil's
+    soft-saturation derating, with no shortcut."""
+    dcr = phase.coil.dcr
+    if phase.pmos_on:
+        v_drive = v_in - i * (dcr + phase.r_pmos)
+    elif phase.nmos_on:
+        v_drive = -i * (dcr + phase.r_nmos)
+    elif i > 0.0:
+        v_drive = -phase.v_diode - i * dcr
+    elif i < 0.0:
+        v_drive = v_in + phase.v_diode - i * dcr
+    else:
+        return 0.0
+    return (v_drive - v_out) / phase.coil.effective_inductance(i)
+
+
+class TestDerivatives:
+    def test_dvdt_adds_phase_currents_in_order(self, stage_factory):
+        stage = stage_factory(n=4, v_out0=3.3)
+        _, dvdt = stage._derivatives(0.0, list(UNEVEN), 3.3)
+        a, b, c, d = UNEVEN
+        assert dvdt == ((((a + b) + c) + d) - 3.3 / 6.0) / 0.47e-6
+
+    def test_coil_losses_add_phases_in_order(self, stage_factory):
+        stage = stage_factory(n=4)
+        for phase, loss in zip(stage.phases, UNEVEN):
+            phase.coil_loss_j = loss
+        a, b, c, d = UNEVEN
+        assert stage.coil_losses_j() == ((a + b) + c) + d
+
+    @pytest.mark.parametrize("switch", ["pmos", "nmos", "open"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nominal_inductance_shortcut_is_exact(self, stage_factory,
+                                                  switch, sign):
+        """Up to ``i_sat`` the stage skips the derating call; at the
+        boundary, one ulp past it and for NaN the slope must equal the
+        derated formula value for value."""
+        stage = stage_factory(n=3, l_uh=1.0, v_out0=3.3)
+        i_sat = stage.phases[0].coil.i_sat
+        currents = [sign * i_sat, sign * math.nextafter(i_sat, math.inf),
+                    math.nan]
+        for phase in stage.phases:
+            phase.pmos_on = switch == "pmos"
+            phase.nmos_on = switch == "nmos"
+        didt, _ = stage._derivatives(0.0, currents, 3.3)
+        for phase, i, got in zip(stage.phases, currents, didt):
+            want = _reference_didt(phase, i, 3.3, stage.v_in)
+            assert got == want or (math.isnan(got) and math.isnan(want)), i
 
 
 class TestEnergyAccounting:

@@ -235,3 +235,38 @@ class TestSensorBank:
         stage, bank = self._bank(sim, n=3)
         comps = bank.all_comparators()
         assert len(comps) == 3 + 2 * 3  # hl, uv, ov + per-phase oc, zc
+
+    def test_sample_all_matches_one_at_a_time_sampling(self, make_sim):
+        """``sample_all`` reads each quantity once and hands it to every
+        comparator; sampling the same comparators one by one through
+        ``sample()`` must give the same edges, states and noise draws.
+        The ramp crosses every threshold both ways, with noise on and
+        one phase in OV mode for half the run."""
+        runs = []
+        for one_at_a_time in (False, True):
+            sim = make_sim(seed=5)
+            stage = make_power_stage(2, make_coil(4.7 * UH),
+                                     load=LoadProfile.constant(6.0))
+            bank = SensorBank(sim, stage, delay=1 * NS, noise=0.003)
+            for k in range(400):
+                t = k * NS
+                up = k % 200 / 200.0 if k < 200 else 1.0 - k % 200 / 200.0
+                stage.v_out = 2.8 + up                # 2.8 V .. 3.8 V
+                stage.phases[0].current = -0.1 + 0.5 * up
+                stage.phases[1].current = 0.4 - 0.5 * up
+                bank.set_ov_mode(1, 100 <= k < 300)
+                sim.run_until(t)
+                if one_at_a_time:
+                    for comp in bank.all_comparators():
+                        comp.sample(t)
+                else:
+                    bank.sample_all(t)
+            sim.run_until(410 * NS)
+            comps = bank.all_comparators()
+            for comp in comps:
+                assert comp.output.edges("rise") and \
+                    comp.output.edges("fall"), comp.name
+            runs.append(([comp.output.history for comp in comps],
+                         [comp._state for comp in comps],
+                         sim.rng.getstate()))
+        assert runs[0] == runs[1]

@@ -32,6 +32,10 @@ N_LANES = 6
 ROUNDS = 40          #: fresh random states per case
 STEPS = 6            #: consecutive steps from each state
 
+#: four phase currents whose in-order float sum differs in the last bit
+#: from the compensated ``sum()`` of Python 3.12 and later
+UNEVEN_CURRENTS = (0.103327, 0.077386, -0.023829, -0.072325)
+
 #: signed zeros, subnormals and tiny currents around the clamp and the
 #: diode sign tests
 SPECIAL_CURRENTS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12,
@@ -204,3 +208,17 @@ def test_lane_slopes_match_scalar_derivatives(p):
                 sw = "P" if ph.pmos_on else ("N" if ph.nmos_on else "o")
                 seen.add((sw, (i > 0.0) - (i < 0.0)))
     assert seen == {(sw, sign) for sw in "PNo" for sign in (-1, 0, 1)}
+
+
+def test_lane_slopes_add_phase_currents_in_order():
+    """``lane_slopes``' dv/dt adds the phase currents in order, like the
+    scalar twin, on every Python version."""
+    config = SystemConfig(n_phases=4, inductance=4.7 * UH, v_in=5.0,
+                          c_out=0.47e-6, v_out0=3.3,
+                          load=LoadProfile.constant(6.0))
+    vec = VectorizedPowerStage([config])
+    vec.current[0] = UNEVEN_CURRENTS
+    _, _, v, dvdt = vec.lane_slopes(0, 0.0)
+    a, b, c, d = UNEVEN_CURRENTS
+    assert v == 3.3
+    assert dvdt == ((((a + b) + c) + d) - 3.3 / 6.0) / 0.47e-6

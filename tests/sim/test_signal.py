@@ -164,27 +164,6 @@ class TestAnalogProbe:
         assert p.minimum == -1.0
         assert p.peak_abs == 2.0
 
-    def test_rms_of_constant(self):
-        p = AnalogProbe("i")
-        for t in range(11):
-            p.record(t * 0.1, 3.0)
-        assert p.rms() == pytest.approx(3.0)
-
-    def test_rms_of_sawtooth_matches_analytic(self):
-        # RMS of a 0..1 sawtooth is 1/sqrt(3)
-        p = AnalogProbe("i")
-        n = 1000
-        for k in range(n + 1):
-            t = k / n
-            p.record(t, t)
-        assert p.rms() == pytest.approx(3 ** -0.5, rel=1e-3)
-
-    def test_mean_abs(self):
-        p = AnalogProbe("i")
-        p.record(0.0, -2.0)
-        p.record(1.0, -2.0)
-        assert p.mean_abs() == pytest.approx(2.0)
-
     def test_value_at_interpolates(self):
         p = AnalogProbe("v")
         p.record(0.0, 0.0)
@@ -215,7 +194,6 @@ class TestAnalogProbe:
         p.record(1.0, 1.0)
         p.record(2.0, 1.0)
         assert p.maximum == 1.0
-        assert p.rms() == pytest.approx(1.0)
 
     def test_untraced_probe_still_accumulates_stats(self):
         p = AnalogProbe("v", trace=False)
@@ -223,4 +201,3 @@ class TestAnalogProbe:
         p.record(1.0, 5.0)
         assert p.times == []
         assert p.maximum == 5.0
-        assert p.rms() == pytest.approx(5.0)
