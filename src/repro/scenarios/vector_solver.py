@@ -11,6 +11,12 @@ and the output edge is scheduled on *that lane's* discrete-event
 simulator, where the lane's controller reacts through the ordinary
 event-driven machinery.
 
+With adaptive stepping every lane advances on its own error-controlled
+grid.  Each iteration plans all lanes' step ends with array operations
+into preallocated buffers, delivers each lane's due events in one
+kernel drain up to its step end, and commits one array step with a
+per-lane ``dt`` vector.
+
 Vectorized-vs-scalar caveats
 ----------------------------
 - With noiseless sensors the arithmetic is operation-for-operation
@@ -353,18 +359,43 @@ class VectorizedSolver:
             self._prop = np.full(n, min(max(dt, pol.dt_min), pol.dt_max))
             self._lane_t = np.zeros(n)
             self._commutes: List[List[float]] = [[] for _ in range(n)]
-            self._t_tgt: Optional[np.ndarray] = None
+            #: per-lane step ends as Python floats while events are
+            #: delivered (``note_commutation`` may lower them)
+            self._t_tgt: Optional[List[float]] = None
             delays = (bank.delay if bank is not None else np.full(n, dt))
             self._guards = np.where(delays > 0,
                                     np.minimum(dt, delays), dt)
             self._err_i = np.empty(n)
             self._err_v = np.empty(n)
-            self._didt = np.empty((n, p))
-            self._dvdt = np.empty(n)
+            # per-iteration buffers: plan, commit and proposal
+            self._caps = np.full(n, np.inf)
+            self._tgt_arr = np.empty(n)
+            self._h = np.empty(n)
+            self._active = np.empty(n, dtype=bool)
+            self._mag = np.empty((n, p))
+            self._en = np.empty(n)
+            self._en_v = np.empty(n)
+            self._scale = np.empty(n)
+            self._raw = np.empty(n)
+            self._pos = np.empty(n, dtype=bool)
             if bank is not None:
+                # crossing scan over C comparator columns plus P clamp
+                # columns: hl uv ov | oc_k | zc_k | clamp_k
                 c = bank.n_cols
-                self._xq = np.empty((n, c))
-                self._sq = np.empty((n, c))
+                shape = (n, c + p)
+                self._lvl = np.zeros(shape)    # clamp columns stay 0.0
+                self._xq = np.empty(shape)
+                self._sq = np.empty(shape)
+                self._th = np.empty(shape)
+                self._cand = np.empty(shape)
+                self._hit = np.empty(shape, dtype=bool)
+                self._above = np.empty(shape, dtype=bool)
+                self._lvl_cmp = self._lvl[:, :c]
+                self._xq_v = self._xq[:, :V_COLS]
+                self._xq_i = self._xq[:, V_COLS:].reshape(n, 3, p)
+                self._sq_v = self._sq[:, :V_COLS]
+                self._sq_i = self._sq[:, V_COLS:].reshape(n, 3, p)
+                self._sq_clamp = self._sq[:, c:]
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -452,72 +483,97 @@ class VectorizedSolver:
         Each iteration plans a per-lane step end (error-controlled
         proposal, capped by predicted comparator crossings and snapped
         onto commutations and load breakpoints), delivers each lane's
-        digital events strictly before its step end — one at a time, so
-        a commutation scheduled by a cascade can still shrink the end —
-        then commits one array step with the per-lane ``dt`` vector,
-        samples the comparator bank, and fires the events sitting
-        exactly on the boundary.  The ordering mirrors the scalar
-        adaptive solver: commit (priority -1) before same-instant
-        events, planning (priority +1) after them.
+        digital events strictly before its step end in one kernel drain
+        per lane (:meth:`~repro.sim.core.Simulator.run_before`, which
+        re-reads the end after every event, so a commutation scheduled
+        by a cascade can still shrink it), then commits one array step
+        with the per-lane ``dt`` vector, samples the comparator bank, and
+        fires the events sitting exactly on the boundary.  The ordering
+        mirrors the scalar adaptive solver: commit (priority -1) before
+        same-instant events, planning (priority +1) after them.
+
+        Step ends and lane clocks are Python floats throughout the event
+        side, so no NumPy scalar leaks into a lane's ``now`` or into the
+        times of the events its callbacks schedule.
         """
         policy = self.policy
         stage, bank = self.stage, self.bank
         sims = self.sims
-        n = stage.n_lanes
         queues = [sim._queue for sim in sims]
         guards = self._guards
         g_list = guards.tolist()
         commutes = self._commutes
         t = self._lane_t
         prop = self._prop
+        t_tgt, h_arr, active = self._tgt_arr, self._h, self._active
+        mag, scale, en, en_v = self._mag, self._scale, self._en, self._en_v
+        raw, pos = self._raw, self._pos
+        err_i, err_v = self._err_i, self._err_v
+        rtol, atol_i, atol_v = policy.rtol, policy.atol_i, policy.atol_v
         dt_min, dt_max = policy.dt_min, policy.dt_max
         half_g = 0.5 * guards
+        load_breaks = not stage._load_constant
         while (t < t_end).any():
             # ---- plan: per-lane step ends --------------------------------
             caps = self._crossing_caps(t)
             h = np.where(caps < prop,
                          np.where(caps > half_g, caps + half_g, guards),
                          prop)
-            t_tgt = t + h
+            np.add(t, h, out=t_tgt)
             np.minimum(t_tgt, t_end, out=t_tgt)
-            nb = stage.next_load_change(t)
-            np.copyto(t_tgt, nb, where=nb < t_tgt)
-            for i, ch in enumerate(commutes):
+            if load_breaks:
+                nb = stage.next_load_change(t)
+                np.copyto(t_tgt, nb, where=nb < t_tgt)
+            lim = t_tgt.tolist()
+            for i, (ch, t0, g) in enumerate(zip(commutes, t.tolist(),
+                                                g_list)):
                 if ch:
-                    t_tgt[i] = snap_to_commutation(ch, t.item(i),
-                                                   t_tgt.item(i), g_list[i])
-            self._t_tgt = t_tgt
+                    lim[i] = snap_to_commutation(ch, t0, lim[i], g)
+            self._t_tgt = lim
             # ---- deliver events strictly before each lane's end ----------
-            # (one at a time: a cascade may schedule a commutation that
-            # shrinks this lane's t_tgt through note_commutation)
-            for i in range(n):
-                if queues[i] and queues[i][0][0] < t_tgt[i]:
-                    sim = sims[i]
-                    while sim.run_one_before(t_tgt[i]):
-                        pass
+            # (one drain per lane; it re-reads lim[i] after every event)
+            for i, queue in enumerate(queues):
+                if queue and queue[0][0] < lim[i]:
+                    sims[i].run_before(lim, i)
             # ---- commit one array step with the per-lane dt vector -------
-            h_arr = t_tgt - t
-            active = h_arr > 0.0
-            stage.step(t, h_arr, err_i_out=self._err_i,
-                       err_v_out=self._err_v)
+            t_tgt[:] = lim
+            np.subtract(t_tgt, t, out=h_arr)
+            np.greater(h_arr, 0.0, out=active)
+            stage.step(t, h_arr, err_i_out=err_i, err_v_out=err_v)
             self.tick_counts += active
             self._record(t_tgt)
             if bank is not None:
                 bank.sample(t_tgt, stage.v_out, stage.current, active=active)
             # ---- boundary events (flips snapped onto step ends) ----------
-            for i in range(n):
-                if active[i]:
-                    sims[i].run_until(t_tgt[i])
+            for i in active.nonzero()[0].tolist():
+                queue, end = queues[i], lim[i]
+                if queue and queue[0][0] <= end:
+                    sims[i].run_until(end)
+                else:
+                    sims[i].now = end
             # ---- error-controlled proposals for the next step ------------
-            with np.errstate(divide="ignore", invalid="ignore"):
-                i_mag = np.abs(stage.current).max(axis=1)
-                scale_i = policy.atol_i + policy.rtol * i_mag
-                scale_v = policy.atol_v + policy.rtol * np.abs(stage.v_out)
-                en = np.maximum(self._err_i / scale_i, self._err_v / scale_v)
-                raw = np.where(en > 0.0, SAFETY * h_arr / np.sqrt(en), dt_max)
-            p_new = np.maximum(
-                np.minimum(np.minimum(raw, GROWTH * prop), dt_max), dt_min)
-            np.copyto(prop, p_new, where=active)
+            # en = max(err_i / (atol_i + rtol*max|i|),
+            #          err_v / (atol_v + rtol*|v|)); a zero or NaN norm
+            # proposes dt_max
+            np.abs(stage.current, out=mag)
+            np.maximum.reduce(mag, axis=1, out=scale)
+            np.multiply(scale, rtol, out=scale)
+            np.add(scale, atol_i, out=scale)
+            np.divide(err_i, scale, out=en)
+            np.abs(stage.v_out, out=scale)
+            np.multiply(scale, rtol, out=scale)
+            np.add(scale, atol_v, out=scale)
+            np.divide(err_v, scale, out=en_v)
+            np.maximum(en, en_v, out=en)
+            np.greater(en, 0.0, out=pos)
+            raw.fill(dt_max)
+            np.sqrt(en, out=en, where=pos)
+            np.multiply(h_arr, SAFETY, out=scale)
+            np.divide(scale, en, out=raw, where=pos)
+            np.multiply(prop, GROWTH, out=scale)
+            np.minimum(raw, scale, out=raw)
+            np.minimum(raw, dt_max, out=raw)
+            np.maximum(raw, dt_min, out=prop, where=active)
             np.copyto(t, t_tgt)
         self._t_tgt = None
         self.now = t_end
@@ -528,31 +584,38 @@ class VectorizedSolver:
         """Per-lane earliest predicted comparator crossing (or body-diode
         clamp), in seconds from each lane's ``t``, from the analytic ODE
         slopes at the current state — the vector twin of the scalar
-        solver's ``_crossing_cap``."""
+        solver's ``_crossing_cap``.
+
+        The slopes land in the stage's RK2 first-stage buffers
+        (:meth:`VectorizedPowerStage.prime_k1`), so the step committed
+        from ``t`` reuses them.  One masked scan covers the comparator
+        columns and a clamp column (level 0.0) per phase; a clamp column
+        gets a zero slope on conducting phases, and a zero slope never
+        hits.  Returns a buffer the next call overwrites.
+        """
         stage, bank = self.stage, self.bank
-        didt, dvdt = self._didt, self._dvdt
-        stage._derivatives(t, stage.current, stage.v_out, didt, dvdt)
+        didt, dvdt = stage.prime_k1(t)
+        caps = self._caps
         if bank is None:
-            return np.full(stage.n_lanes, np.inf)
-        p = stage.n_phases
-        lvl = np.where(bank.state, bank.threshold + bank._hyst_eff,
-                       bank.threshold)
-        xq, sq = self._xq, self._sq
-        xq[:, :V_COLS] = stage.v_out[:, None]
-        xq[:, V_COLS:V_COLS + p] = stage.current
-        xq[:, V_COLS + p:] = stage.current
-        sq[:, :V_COLS] = dvdt[:, None]
-        sq[:, V_COLS:V_COLS + p] = didt
-        sq[:, V_COLS + p:] = didt
-        with np.errstate(divide="ignore", invalid="ignore"):
-            th = (lvl - xq) / sq
-            valid = (sq != 0.0) & (th > 0.0)
-            caps = np.where(valid, th, np.inf).min(axis=1)
-            # freewheeling decay: the body-diode clamp at exactly zero
-            tz = (0.0 - stage.current) / didt
-            vz = (stage._off_b & (stage.current != 0.0) & (didt != 0.0)
-                  & (tz > 0.0))
-            np.minimum(caps, np.where(vz, tz, np.inf).min(axis=1), out=caps)
+            return caps
+        lvl_cmp, th, hit, above, cand = (self._lvl_cmp, self._th, self._hit,
+                                         self._above, self._cand)
+        np.copyto(lvl_cmp, bank.threshold)
+        np.add(lvl_cmp, bank._hyst_eff, out=lvl_cmp, where=bank.state)
+        np.copyto(self._xq_v, stage.v_out[:, None])
+        np.copyto(self._xq_i, stage.current[:, None, :])
+        np.copyto(self._sq_v, dvdt[:, None])
+        np.copyto(self._sq_i, didt[:, None, :])
+        np.copyto(self._sq_clamp, 0.0, where=stage._cond)
+        sq = self._sq
+        np.subtract(self._lvl, self._xq, out=th)
+        np.not_equal(sq, 0.0, out=hit)
+        np.divide(th, sq, out=th, where=hit)
+        np.greater(th, 0.0, out=above)
+        np.logical_and(hit, above, out=hit)
+        cand.fill(np.inf)
+        np.copyto(cand, th, where=hit)
+        np.minimum.reduce(cand, axis=1, out=caps)
         return caps
 
     def lane_crossing_bound(self, lane: int) -> float:

@@ -282,6 +282,9 @@ class VectorizedPowerStage:
         self._mid_i = np.empty(shape)
         self._next_i = np.empty(shape)
         self._k1_v = np.empty(n)
+        #: load resistance of slopes primed into ``_k1_i`` / ``_k1_v``
+        #: by :meth:`prime_k1`; None when the next step evaluates them
+        self._k1_r: Optional[np.ndarray] = None
         self._k2_v = np.empty(n)
         self._mid_v = np.empty(n)
         self._next_v = np.empty(n)
@@ -290,6 +293,7 @@ class VectorizedPowerStage:
 
     def _refresh_switch(self) -> None:
         """Rebuild all conduction-path coefficients (initialisation)."""
+        self._k1_r = None
         pmos, nmos = self.pmos_on, self.nmos_on
         cond = np.logical_or(pmos, nmos, out=self._cond)
         np.logical_not(cond, out=self._off_b)
@@ -306,6 +310,7 @@ class VectorizedPowerStage:
 
     def _update_switch_entry(self, i: int, k: int) -> None:
         """Refresh one lane-phase's coefficients after a commutation."""
+        self._k1_r = None
         p = bool(self.pmos_on[i, k])
         nm = bool(self.nmos_on[i, k])
         cond = p or nm
@@ -375,6 +380,20 @@ class VectorizedPowerStage:
         _div(n1, self.c_out, out=dvdt_out)
         return r_load
 
+    def prime_k1(self, t: np.ndarray):
+        """Evaluate the slopes at the current state and time ``t`` into
+        the RK2 first-stage buffers and return them as ``(di/dt, dv/dt)``.
+
+        The next :meth:`step` (which must start from the same ``t``)
+        reuses them instead of evaluating its first stage again, unless
+        a commutation (:meth:`_update_switch_entry`,
+        :meth:`_refresh_switch`) rewrote the switch tables in between.
+        The adaptive planner reads its crossing slopes this way.
+        """
+        self._k1_r = self._derivatives(t, self.current, self.v_out,
+                                       self._k1_i, self._k1_v)
+        return self._k1_i, self._k1_v
+
     def lane_slopes(self, lane: int, t: float):
         """One lane's ``(currents, di/dt, v_out, dv/dt)`` at time ``t`` as
         Python floats, from the same switch tables as :meth:`_derivatives`
@@ -420,6 +439,8 @@ class VectorizedPowerStage:
         ``t`` / ``dt`` are scalars in lock-step operation, or ``(N,)``
         per-lane arrays when the adaptive stepper advances each lane on
         its own grid (a lane with ``dt == 0`` is a bit-exact no-op).
+        First-stage slopes primed by :meth:`prime_k1` are used as they
+        are.
         When ``err_i_out`` / ``err_v_out`` are given, the embedded
         RK2(1) per-lane error estimates ``max_k |dt*(k2-k1)|`` (currents)
         and ``|dt*(k2-k1)|`` (voltage) are written into them.
@@ -444,7 +465,11 @@ class VectorizedPowerStage:
         i0 = self.current
         v0 = self.v_out
 
-        r_load = self._derivatives(t, i0, v0, self._k1_i, self._k1_v)
+        r_load = self._k1_r
+        if r_load is None:
+            r_load = self._derivatives(t, i0, v0, self._k1_i, self._k1_v)
+        else:
+            self._k1_r = None
         _mul(self._k1_i, half_col, out=self._mid_i)
         _add(i0, self._mid_i, out=self._mid_i)
         _mul(self._k1_v, half_row, out=self._mid_v)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, MutableSequence, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -71,7 +71,7 @@ class Simulator:
     share_heap:
         Push into this simulator's event heap and sequence counter
         instead of owning new ones.  Draining any member of the group
-        (:meth:`run_until`, :meth:`run_one_before`) then delivers every
+        (:meth:`run_until`, :meth:`run_before`) then delivers every
         member's events in global time order.
 
     Examples
@@ -146,14 +146,37 @@ class Simulator:
             event.fn()
         self.now = t_end
 
+    def run_before(self, limits: MutableSequence[float], index: int) -> None:
+        """Fire, in order, every event strictly before ``limits[index]``.
+
+        The limit is re-read after each event, so a callback may lower it
+        mid-drain and the events at or past the new limit stay queued —
+        the adaptive vector solver delivers each lane's events in one
+        call this way while a gate commutation scheduled by a cascade
+        can still shrink that lane's step end.  ``now`` is left at the
+        last fired event's timestamp (unchanged when nothing fired).
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        while queue:
+            time, _prio, _seq, event, sim = queue[0]
+            if event.cancelled:
+                pop(queue)
+                continue
+            if time >= limits[index]:
+                return
+            pop(queue)
+            sim.now = time
+            sim.events_delivered += 1
+            event.fn()
+
     def run_one_before(self, t_limit: float) -> bool:
         """Fire the single earliest event strictly before ``t_limit``.
 
         Returns True when an event fired, False when the next live event
         is at or past ``t_limit`` (or the queue is empty).  ``now`` is
-        left at the fired event's timestamp — the adaptive lock-step
-        solver uses this to deliver digital events one at a time while it
-        may still shrink the current step's end in reaction to them.
+        left at the fired event's timestamp.  :meth:`run_before` is the
+        draining form.
         """
         queue = self._queue
         while queue:

@@ -85,7 +85,9 @@ def test_suspend_cancels_pending_edge_and_is_idempotent():
     assert clk.suspended
     sim.run_until(100.0)
     assert clk.edges_simulated == 1  # only the rise at t=0
-    assert not sim.run_one_before(math.inf)  # no live event left
+    delivered = sim.events_delivered
+    sim.run_before([math.inf], 0)
+    assert sim.events_delivered == delivered  # no live event left
 
 
 def test_fast_forward_on_running_clock_is_a_noop():
@@ -112,7 +114,9 @@ def test_suspend_from_inside_edge_listener_cancels_follow_up():
     sim.run_until(50.0)
     assert clk.edges_simulated == 1
     assert clk.suspended
-    assert not sim.run_one_before(math.inf)  # no live event left
+    delivered = sim.events_delivered
+    sim.run_before([math.inf], 0)
+    assert sim.events_delivered == delivered  # no live event left
 
 
 def test_fast_forward_resumes_mid_cycle_value():

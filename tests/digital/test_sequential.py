@@ -86,7 +86,7 @@ class TestDFlipFlop:
         ff = DFlipFlop(sim, "q", d, clk)
         clk.set(True, 5 * NS)
         sim.run_until(5 * NS)          # delivers only the clock edge
-        assert not sim.run_one_before(math.inf)  # no live event left
+        sim.run_before([math.inf], 0)  # fires any live event left
         assert sim.events_delivered == 1
         assert ff.inflight == 0
         sim.run(10 * NS)

@@ -27,6 +27,8 @@ to gate-response behaviour — is bounded here through the cycle/OV
 agreement of the drift specs.
 """
 
+import collections
+
 import pytest
 
 from repro import Session
@@ -178,6 +180,36 @@ def test_adaptive_noisy_lane_reproducible():
     a = Session(cache="off").sweep([spec])[0]
     b = Session(cache="off").sweep([spec, other])[0]
     assert _fp([a]) == _fp([b])
+
+
+def test_adaptive_lane_clocks_stay_python_floats():
+    """Step ends reach the lanes' clocks as Python floats: every lane's
+    ``now`` is a ``float`` whenever something schedules on it (the
+    comparator edges scheduled between step commits included), and
+    after each ``advance_to`` every lane's ``now`` and every queued
+    event time is a ``float`` — no NumPy scalar leaks into the event
+    arithmetic."""
+    base = {"sim_time": 2 * US, "dt": 1 * NS, "stepping": "adaptive"}
+    specs = [ScenarioSpec(f"afloat[{k}]", overrides=dict(
+        base, controller=("sync" if k % 2 else "async"), l_uh=1.0 + 2 * k,
+        r_load=3.0 + k)) for k in range(4)]
+    batch = VectorBatch(specs, [s.to_config() for s in specs])
+    seen = collections.Counter()
+    for sim in batch.sims:
+        def schedule_at(time, fn, priority=0, sim=sim,
+                        inner=sim.schedule_at):
+            seen[type(sim.now), type(time)] += 1
+            return inner(time, fn, priority)
+        sim.schedule_at = schedule_at
+    for t_end in (0.4 * US, 1.1 * US):
+        batch.solver.advance_to(t_end)
+        for lane, sim in enumerate(batch.sims):
+            assert type(sim.now) is float, f"lane {lane} now"
+            assert sim._queue, f"lane {lane}: nothing queued to check"
+            for time, _prio, _seq, event, _owner in sim._queue:
+                assert type(time) is float, f"lane {lane} event {time!r}"
+                assert type(event.time) is float
+    assert set(seen) == {(float, float)}, seen
 
 
 # ---------------------------------------------------------------------------

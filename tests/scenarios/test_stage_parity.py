@@ -16,6 +16,7 @@ scalar adds each phase's input energy to the total in turn, while the
 vector sums the phases of a step first and adds that sum once.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -24,8 +25,13 @@ import pytest
 from repro.analog.buck import make_power_stage
 from repro.analog.coil import make_coil
 from repro.analog.load import LoadProfile
+from repro.analog.sensors import BuckReferences, SensorBank
+from repro.analog.solver import AnalogSolver
+from repro.analog.stepping import SteppingPolicy
+from repro.scenarios.vector_solver import (LaneSensors, VectorComparatorBank,
+                                           VectorizedSolver)
 from repro.scenarios.vector_stage import VectorizedPowerStage
-from repro.sim import NS, UH, US
+from repro.sim import NS, UH, US, Simulator
 from repro.system import SystemConfig
 
 N_LANES = 6
@@ -222,3 +228,130 @@ def test_lane_slopes_add_phase_currents_in_order():
     a, b, c, d = UNEVEN_CURRENTS
     assert v == 3.3
     assert dvdt == ((((a + b) + c) + d) - 3.3 / 6.0) / 0.47e-6
+
+
+def _commutate(rng, stage, lane, k, how):
+    """Flip one lane-phase's switch state on ``stage``: through the
+    gate-driver view (``entry``) or the arrays plus the full rebuild
+    (``refresh``)."""
+    pmos, nmos = bool(stage.pmos_on[lane, k]), bool(stage.nmos_on[lane, k])
+    if pmos or nmos:
+        new = (False, False)
+    else:
+        new = rng.choice(((True, False), (False, True)))
+    if how == "entry":
+        view = stage.lanes[lane].phases[k]
+        view.set_pmos(False)
+        view.set_nmos(False)
+        view.set_pmos(new[0])
+        view.set_nmos(new[1])
+    else:
+        stage.pmos_on[lane, k], stage.nmos_on[lane, k] = new
+        stage._refresh_switch()
+
+
+@pytest.mark.parametrize("how", ["none", "entry", "refresh"])
+@pytest.mark.parametrize("p", [1, 4, 9])
+def test_primed_k1_step_matches_fresh_stage(p, how):
+    """``prime_k1`` then ``step`` from the same ``t`` equals the step of
+    a stage that never primed, bit for bit — also when a commutation ran
+    in between, which must make the step evaluate its first stage again
+    instead of reusing the stale primed slopes — and the step after it
+    evaluates its own slopes again."""
+    rng = random.Random(700 + 10 * p + len(how))
+    configs = _configs(rng, p)
+    primed = VectorizedPowerStage(configs)
+    fresh = VectorizedPowerStage(configs)
+    twins = _twins(configs)
+    stages = (primed, fresh)
+    errs = [(np.empty(N_LANES), np.empty(N_LANES)) for _ in stages]
+    for rnd in range(ROUNDS):
+        _randomize(rng, primed, twins, rebuild=rnd % 3 == 0)
+        fresh.current[:] = primed.current
+        fresh.v_out[:] = primed.v_out
+        fresh.pmos_on[:] = primed.pmos_on
+        fresh.nmos_on[:] = primed.nmos_on
+        fresh._refresh_switch()
+        t = np.array([rng.uniform(0.0, 1.2) * US for _ in range(N_LANES)])
+        h = np.array([0.0 if rng.random() < 0.2
+                      else rng.uniform(0.1, 50.0) * NS
+                      for _ in range(N_LANES)])
+        primed.prime_k1(t)
+        if how != "none":
+            lane, k = rng.randrange(N_LANES), rng.randrange(p)
+            state = rng.getstate()
+            for st in stages:
+                rng.setstate(state)
+                _commutate(rng, st, lane, k, how)
+        # the primed step, then a plain one (the priming is used once)
+        for step in range(2):
+            for st, (err_i, err_v) in zip(stages, errs):
+                st.step(t.copy(), h.copy(), err_i, err_v)
+            where = f"P={p} {how} round {rnd} step {step}"
+            assert primed.current.tolist() == fresh.current.tolist(), where
+            assert primed.v_out.tolist() == fresh.v_out.tolist(), where
+            for got, want in zip(*errs):
+                assert got.tolist() == want.tolist(), \
+                    f"{where}: error estimate"
+            for name in ("energy_in_j", "energy_out_j", "coil_loss_j"):
+                assert getattr(primed, name).tolist() == \
+                    getattr(fresh, name).tolist(), f"{where}: {name}"
+            t += h
+
+
+# a subnormal slope divides to an infinite crossing time (on both
+# sides), which never wins the minimum
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [1, 4, 9])
+def test_crossing_caps_match_scalar_crossing_cap(p):
+    """The adaptive planner's per-lane crossing cap equals the scalar
+    solver's ``_crossing_cap`` value for value: every comparator armed
+    or released, OC/ZC in both reference modes, ``v_out`` and the phase
+    currents on both sides of every armed level, and open phases at
+    nonzero current (the body-diode clamp)."""
+    rng = random.Random(300 + p)
+    configs = _configs(rng, p)
+    policy = SteppingPolicy.from_config(
+        dataclasses.replace(configs[0], stepping="adaptive"))
+    sims = [Simulator() for _ in configs]
+    vec = VectorizedPowerStage(configs)
+    bank = VectorComparatorBank(sims, configs, p)
+    solver = VectorizedSolver(sims, vec, bank, configs[0].dt, policy=policy)
+    lane_sensors = [LaneSensors(bank, lane) for lane in range(N_LANES)]
+    twins = _twins(configs)
+    sensors = [SensorBank(Simulator(), twin) for twin in twins]
+    scalars = [AnalogSolver(Simulator(), twin, bank_, trace=False)
+               for twin, bank_ in zip(twins, sensors)]
+    refs = BuckReferences()
+    v_levels = (refs.v_min, refs.v_ref, refs.v_max)
+    i_levels = (refs.i_max, refs.i_0, refs.i_neg)
+    sides = set()
+    for rnd in range(ROUNDS):
+        _randomize(rng, vec, twins, rebuild=rnd % 3 == 0)
+        for lane, twin in enumerate(twins):
+            if rng.random() < 0.7:
+                v = rng.choice(v_levels) + rng.uniform(-0.05, 0.05)
+                vec.v_out[lane] = twin.v_out = v
+            for k, phase in enumerate(twin.phases):
+                if rng.random() < 0.5:
+                    i = rng.choice(i_levels) + rng.uniform(-0.02, 0.02)
+                    vec.current[lane, k] = phase.current = i
+                on = rng.random() < 0.3
+                lane_sensors[lane].set_ov_mode(k, on)
+                sensors[lane].set_ov_mode(k, on)
+            comps = sensors[lane].all_comparators()
+            for col, comp in enumerate(comps):
+                comp._state = rng.random() < 0.5
+                bank.state[lane, col] = comp._state
+            cur = [ph.current for ph in twin.phases]
+            for col, (comp, x) in enumerate(zip(
+                    comps, [twin.v_out] * 3 + cur + cur)):
+                sides.add((col, x > comp.armed_level(), comp._state))
+        t = np.array([rng.uniform(0.0, 1.2) * US for _ in range(N_LANES)])
+        caps = solver._crossing_caps(t)
+        for lane, scalar in enumerate(scalars):
+            want = scalar._crossing_cap(t.item(lane))
+            assert caps.item(lane) == want, f"P={p} round {rnd} lane {lane}"
+    n_cols = 3 + 2 * p
+    assert sides == {(col, above, armed) for col in range(n_cols)
+                     for above in (False, True) for armed in (False, True)}

@@ -110,7 +110,7 @@ def test_rng_seed_variation():
 
 
 # ---------------------------------------------------------------------------
-# run_one_before edge cases (adaptive delivery leans on these: equal-time
+# run_one_before edge cases (the one-event form of run_before: equal-time
 # ties, cancelled heads, empty heap)
 # ---------------------------------------------------------------------------
 def test_run_one_before_fires_ties_fifo_one_at_a_time():
@@ -151,6 +151,82 @@ def test_run_one_before_skips_cancelled_heads():
     assert fired == ["live"]
 
 
+# ---------------------------------------------------------------------------
+# run_before: the adaptive vector solver's one drain per lane (limit read
+# from a list slot and re-read after every event)
+# ---------------------------------------------------------------------------
+def test_run_before_fires_ties_fifo():
+    sim = Simulator()
+    fired = []
+    for tag in "ab":
+        sim.schedule(5 * NS, lambda tag=tag: fired.append((tag, sim.now)))
+    sim.run_before([10 * NS], 0)
+    assert fired == [("a", pytest.approx(5 * NS)), ("b", pytest.approx(5 * NS))]
+    assert sim.now == pytest.approx(5 * NS)
+
+
+def test_run_before_limit_is_strict():
+    sim = Simulator()
+    fired = []
+    sim.schedule(5 * NS, lambda: fired.append(1))
+    sim.run_before([5 * NS], 0)
+    assert fired == []
+    assert sim.now == 0.0
+    sim.run_before([5 * NS + 1e-12], 0)
+    assert fired == [1]
+
+
+def test_run_before_empty_heap():
+    sim = Simulator()
+    sim.run_before([1 * US], 0)
+    assert sim.now == 0.0
+    assert sim.events_delivered == 0
+
+
+def test_run_before_skips_cancelled_heads():
+    sim = Simulator()
+    fired = []
+    dead = sim.schedule(1 * NS, lambda: fired.append("dead"))
+    sim.schedule(2 * NS, lambda: fired.append("live"))
+    dead.cancel()
+    sim.run_before([10 * NS], 0)
+    assert fired == ["live"]
+    assert sim.events_delivered == 1
+
+
+def test_run_before_reads_its_own_slot():
+    sim = Simulator()
+    fired = []
+    sim.schedule(2 * NS, lambda: fired.append(2))
+    sim.schedule(4 * NS, lambda: fired.append(4))
+    sim.run_before([1 * NS, 3 * NS, 5 * NS], 1)
+    assert fired == [2]
+
+
+def test_run_before_rereads_a_limit_lowered_mid_drain():
+    """A callback that lowers the limit stops the drain there: the later
+    events stay queued, and a following drain to the old limit fires
+    them in order."""
+    sim = Simulator()
+    limits = [10 * NS]
+    fired = []
+
+    def lower():
+        fired.append("lower")
+        limits[0] = 3 * NS
+
+    sim.schedule(1 * NS, lambda: fired.append(1))
+    sim.schedule(2 * NS, lower)
+    sim.schedule(3 * NS, lambda: fired.append(3))
+    sim.schedule(4 * NS, lambda: fired.append(4))
+    sim.run_before(limits, 0)
+    assert fired == [1, "lower"]
+    assert sim.now == pytest.approx(2 * NS)
+    assert sim.events_delivered == 2
+    sim.run_before([10 * NS], 0)
+    assert fired == [1, "lower", 3, 4]
+
+
 def test_events_delivered_counts_only_live_events():
     sim = Simulator()
     dead = sim.schedule(1 * NS, lambda: None)
@@ -160,6 +236,18 @@ def test_events_delivered_counts_only_live_events():
     sim.run_until(2.5 * NS)
     assert sim.events_delivered == 1
     assert sim.run_one_before(1 * US) is True
+    assert sim.events_delivered == 2
+
+
+def test_run_before_counts_only_live_events():
+    sim = Simulator()
+    dead = sim.schedule(1 * NS, lambda: None)
+    sim.schedule(2 * NS, lambda: None)
+    sim.schedule(3 * NS, lambda: None)
+    dead.cancel()
+    sim.run_before([2.5 * NS], 0)
+    assert sim.events_delivered == 1
+    sim.run_before([1 * US], 0)
     assert sim.events_delivered == 2
 
 
@@ -200,6 +288,18 @@ def test_shared_heap_run_one_before_fires_for_owner():
     seen = []
     b.schedule(2 * NS, lambda: seen.append(b.now))
     assert a.run_one_before(5 * NS) is True
+    assert seen == [pytest.approx(2 * NS)]
+    assert (a.events_delivered, b.events_delivered) == (0, 1)
+    assert a.now == 0.0
+
+
+def test_shared_heap_run_before_fires_for_owner():
+    a = Simulator()
+    b = Simulator(share_heap=a)
+    seen = []
+    b.schedule(2 * NS, lambda: seen.append(b.now))
+    a.schedule(6 * NS, lambda: seen.append(a.now))
+    a.run_before([5 * NS], 0)
     assert seen == [pytest.approx(2 * NS)]
     assert (a.events_delivered, b.events_delivered) == (0, 1)
     assert a.now == 0.0
