@@ -3,12 +3,12 @@
 
 Writes a tiny package into a temp directory with one of each kind of
 violation the analyzer knows about — a RunResult layout change without
-a FORMAT_VERSION bump, a one-sided parity edit, an unseeded RNG draw, a
-wall-clock read, unordered iteration, id()-ordering, a set flowing
-(through variables) into a wire encoding, an unguarded write to a
-`guarded_by` attribute, a lock-order inversion, a blocking call under a
-lock, and an RNG draw on a clock-gating path — runs the analyzer over
-it, and prints the findings grouped by rule family.  Exits non-zero if
+a FORMAT_VERSION bump, an unseeded RNG draw, a wall-clock read,
+unordered iteration, id()-ordering, a set flowing (through variables)
+into a wire encoding, an unguarded write to a `guarded_by` attribute, a
+lock-order inversion, a blocking call under a lock, and an RNG draw on
+a clock-gating path — runs the analyzer over it, and prints the
+findings grouped by rule family.  Exits non-zero if
 any family finds nothing, so a rule-catalog or LintConfig change that
 leaves the demo behind fails loudly (CI runs it).
 
@@ -93,20 +93,6 @@ class Telemetry:
             with self._lock:            # reverse nesting -> L02
                 return self.count
 ''',
-    "analog/solver.py": '''\
-class AnalogSolver:
-    def crossing_bound(self, level, slope):
-        if slope == 0.0:
-            return float("inf")
-        return level / slope + 1e-12    # edited; vector twin was not
-''',
-    "scenarios/vector_solver.py": '''\
-class VectorizedSolver:
-    def lane_crossing_bound(self, lane, level, slope):
-        if slope == 0.0:
-            return float("inf")
-        return level / slope
-''',
     "digital/clock.py": '''\
 class Clock:
     def suspend(self):
@@ -127,12 +113,6 @@ def build_tree(root: Path) -> LintConfig:
     return LintConfig(
         root=root,
         scan_paths=tuple(BROKEN_TREE),
-        parity_pairs=(
-            ("crossing-bound",
-             ("analog/solver.py", "AnalogSolver.crossing_bound"),
-             ("scenarios/vector_solver.py",
-              "VectorizedSolver.lane_crossing_bound")),
-        ),
         gating_roots=(("digital/clock.py", "Clock.suspend"),),
         locks_dir=root / "locks",
     )
@@ -141,13 +121,10 @@ def build_tree(root: Path) -> LintConfig:
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="lint_demo_") as tmp:
         config = build_tree(Path(tmp))
-        # lock the current state, then make the post-lock edits the
-        # lockfiles exist to catch: a one-sided parity change (P01) and
-        # a RunResult layout change without a FORMAT_VERSION bump (K03)
+        # lock the current state, then make the post-lock edit the
+        # lockfile exists to catch: a RunResult layout change without a
+        # FORMAT_VERSION bump (K03)
         update_locks(config)
-        solver = Path(tmp) / "analog/solver.py"
-        solver.write_text(solver.read_text(encoding="utf-8").replace(
-            "+ 1e-12", "+ 2e-12"), encoding="utf-8")
         system = Path(tmp) / "system.py"
         system.write_text(system.read_text(encoding="utf-8").replace(
             "    cycles: List[int] = None",

@@ -191,6 +191,7 @@ class MultiphasePowerStage:
         k2_i, k2_v = self._derivatives(t + half, mid_i, mid_v)
 
         new_v = v0 + dt * k2_v
+        e_in = 0.0   # this step's input energy, phase by phase
         for phase, i0, d in zip(self.phases, currents0, k2_i):
             i1 = i0 + dt * d
             if not phase.pmos_on and not phase.nmos_on:
@@ -205,7 +206,8 @@ class MultiphasePowerStage:
             i_mid_sq = 0.5 * (i0 * i0 + i1 * i1)
             phase.coil_loss_j += i_mid_sq * phase.coil.dcr * dt
             if phase.pmos_on:
-                self.energy_in_j += self.v_in * 0.5 * (i0 + i1) * dt
+                e_in += self.v_in * 0.5 * (i0 + i1) * dt
+        self.energy_in_j += e_in
 
         r_load = self.load.resistance(t)
         v_mid_sq = 0.5 * (v0 * v0 + new_v * new_v)

@@ -1,6 +1,6 @@
 """Static analyzer for the repo's bit-identity invariants.
 
-Five rule families, each machine-checking a convention the reproduction
+Four rule families, each machine-checking a convention the reproduction
 otherwise enforces by reviewer discipline:
 
 ``keys`` (K03)
@@ -8,12 +8,6 @@ otherwise enforces by reviewer discipline:
     ``tests/golden/format_lock.json``.  The cache and lock-step key field
     sets and the cache payload columns are derived in code, so they need
     no rule.
-
-``parity`` (P01–P03)
-    Paired scalar/vector array implementations (RK2 steps and
-    derivatives, crossing caps, adaptive plan and commit, the fixed-step
-    tick) carry locked AST fingerprints; a one-sided edit fails until
-    the twin moves too.
 
 ``determinism`` (D01–D06)
     No unseeded RNG, wall-clock reads, unordered iteration, or
@@ -30,8 +24,8 @@ otherwise enforces by reviewer discipline:
     provably no-op" argument machine-checked.
 
 Run ``python -m repro.lint`` (see ``--help``); suppress one finding
-with ``# lint: ok(RULE: reason)`` on its line; ack intentional paired
-edits or format bumps with ``--update-locks``.
+with ``# lint: ok(RULE: reason)`` on its line; ack an intentional
+format bump with ``--update-locks``.
 """
 
 from .config import LintConfig, default_config_for

@@ -5,9 +5,8 @@ error.  ``--json FILE`` writes the machine-readable report (CI uploads
 it as an artifact); ``--sarif FILE`` writes a SARIF 2.1.0 log for
 GitHub code-scanning annotations; ``--bench-json FILE`` records the
 analyzer's own wall time and finding counts (the perf-trajectory
-artifact); ``--update-locks`` regenerates the parity and
-serialization-format lockfiles — the explicit ack for intentional
-paired edits and format bumps;
+artifact); ``--update-locks`` regenerates the serialization-format
+lockfile — the explicit ack for an intentional format bump;
 ``--explain RULE`` prints the catalog entry with a miniature bad
 example.
 """
@@ -48,12 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "FILE (perf-trajectory artifact)")
     parser.add_argument(
         "--update-locks", action="store_true",
-        help="regenerate tests/golden/{parity,format}_lock.json from "
-             "the current tree (the explicit ack for paired edits and "
-             "FORMAT_VERSION bumps)")
+        help="regenerate tests/golden/format_lock.json from the current "
+             "tree (the explicit ack for a FORMAT_VERSION bump)")
     parser.add_argument(
         "--explain", metavar="RULE", default=None,
-        help="print the catalog entry for one rule id (e.g. P01) and "
+        help="print the catalog entry for one rule id (e.g. K03) and "
              "exit")
     parser.add_argument(
         "--list-rules", action="store_true",

@@ -17,44 +17,17 @@ exceptions stay self-documenting:
     ``self._writer_lock()``.
 
 :class:`LintConfig` names every repo-specific anchor (which modules hold
-the result dataclass and its format version, which callables are parity
-pairs and gating roots, where the lockfiles live) so the test suite can
-point the same rules at miniature fixture trees.
+the result dataclass and its format version, which callables are gating
+roots, where the lockfile lives) so the test suite can point the same
+rules at miniature fixture trees.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
-
-#: paired scalar/vector callables kept bit-identical op-for-op.  Each
-#: member is ``(module relpath, qualname)``; qualnames are ``Class.
-#: method`` or a module-level function name.  Editing one member without
-#: the other trips P01; editing both without refreshing the lockfile
-#: trips P02 (`python -m repro.lint --update-locks` is the ack).
-DEFAULT_PARITY_PAIRS: Tuple[Tuple[str, Tuple[str, str], Tuple[str, str]],
-                            ...] = (
-    ("power-stage-step",
-     ("analog/buck.py", "MultiphasePowerStage.step"),
-     ("scenarios/vector_stage.py", "VectorizedPowerStage.step")),
-    ("stage-derivatives",
-     ("analog/buck.py", "MultiphasePowerStage._derivatives"),
-     ("scenarios/vector_stage.py", "VectorizedPowerStage._derivatives")),
-    ("crossing-cap",
-     ("analog/solver.py", "AnalogSolver._crossing_cap"),
-     ("scenarios/vector_solver.py", "VectorizedSolver._crossing_caps")),
-    ("adaptive-plan",
-     ("analog/solver.py", "AnalogSolver._plan"),
-     ("scenarios/vector_solver.py", "VectorizedSolver._advance_adaptive")),
-    ("adaptive-commit",
-     ("analog/solver.py", "AnalogSolver._commit"),
-     ("scenarios/vector_solver.py", "VectorizedSolver._advance_adaptive")),
-    ("fixed-tick",
-     ("analog/solver.py", "AnalogSolver._tick"),
-     ("scenarios/vector_solver.py", "VectorizedSolver._make_fixed_tick")),
-)
 
 #: entry points of the clock-gating machinery; everything directly
 #: callable from them must stay free of RNG draws and dispatching
@@ -98,22 +71,13 @@ class LintConfig:
     #: Rule D06 separately proves nothing observability-derived reaches
     #: the cache/lockstep keys.
     wallclock_modules: Tuple[str, ...] = ("obs",)
-    parity_pairs: Tuple[Tuple[str, Tuple[str, str], Tuple[str, str]], ...] \
-        = DEFAULT_PARITY_PAIRS
     gating_roots: Tuple[Tuple[str, str], ...] = DEFAULT_GATING_ROOTS
-    #: directory holding parity_lock.json / format_lock.json
+    #: directory holding format_lock.json
     locks_dir: Path = Path("tests/golden")
-
-    @property
-    def parity_lock_path(self) -> Path:
-        return Path(self.locks_dir) / "parity_lock.json"
 
     @property
     def format_lock_path(self) -> Path:
         return Path(self.locks_dir) / "format_lock.json"
-
-    def with_root(self, root: Path) -> "LintConfig":
-        return replace(self, root=Path(root))
 
 
 def default_config_for(path: Path) -> LintConfig:

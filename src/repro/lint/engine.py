@@ -7,9 +7,8 @@ requested families, applies ``# lint: ok(RULE: reason)`` suppressions,
 and returns a :class:`LintReport` with deterministic finding order.
 
 Also home to the lockfile plumbing: :func:`update_locks` regenerates
-``tests/golden/parity_lock.json`` and ``format_lock.json`` — the
-explicit ack for intentional parity edits and serialization-format
-bumps.
+``tests/golden/format_lock.json`` — the explicit ack for an intentional
+serialization-format bump.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ def build_index(config: LintConfig) -> Tuple[ModuleIndex, List[Finding]]:
     root = Path(config.root)
     wanted = set(config.scan_paths)
     wanted.update((config.config_module, config.cache_module))
-    wanted.update(member[0] for _, a, b in config.parity_pairs
-                  for member in (a, b))
     wanted.update(module for module, _ in config.gating_roots)
     for entry in sorted(wanted):
         path = root / entry
@@ -75,7 +72,7 @@ def build_index(config: LintConfig) -> Tuple[ModuleIndex, List[Finding]]:
             files = sorted(path.rglob("*.py"))
         else:
             # a missing module that a rule family anchors on is that
-            # family's finding (X00/P03/G03 with context); only a
+            # family's finding (X00/G03 with context); only a
             # missing *scan* path is an engine-level error
             if entry in config.scan_paths:
                 findings.append(Finding(
@@ -237,10 +234,9 @@ def run_lint(config: LintConfig,
     """Run the requested rule families over one shared tree walk."""
     index, findings = build_index(config)
     # imported here so the rule modules can use engine helpers freely
-    from . import determinism, keys, locks, parity, purity
+    from . import determinism, keys, locks, purity
     runners = {
         "keys": keys.check,
-        "parity": parity.check,
         "determinism": determinism.check,
         "locks": locks.check,
         "purity": purity.check,
@@ -274,17 +270,13 @@ def write_lock(path: Path, payload: Dict) -> None:
 
 
 def update_locks(config: LintConfig) -> Dict[str, str]:
-    """Regenerate both lockfiles from the current tree (the explicit
-    ack for parity edits and format bumps).  Returns a summary of what
-    was written."""
+    """Regenerate the format lockfile from the current tree (the
+    explicit ack for format bumps).  Returns a summary of what was
+    written."""
     index, findings = build_index(config)
     hard = [f for f in findings if f.rule == "X00"]
     if hard:
         raise RuntimeError("cannot update locks: " + hard[0].render())
-    from . import keys, parity
-    write_lock(config.parity_lock_path, parity.lock_payload(config, index))
+    from . import keys
     write_lock(config.format_lock_path, keys.lock_payload(config, index))
-    return {
-        "parity_lock": str(config.parity_lock_path),
-        "format_lock": str(config.format_lock_path),
-    }
+    return {"format_lock": str(config.format_lock_path)}

@@ -46,7 +46,7 @@ class Rule:
 
 
 #: the rule families, in report order
-FAMILIES = ("keys", "parity", "determinism", "locks", "purity")
+FAMILIES = ("keys", "determinism", "locks", "purity")
 
 RULES: Dict[str, Rule] = {r.id: r for r in (
     Rule(
@@ -63,36 +63,6 @@ RULES: Dict[str, Rule] = {r.id: r for r in (
             "    v_final: float\n"
             "    brand_new_counter: int = 0   # K03 until the lock and\n"
             "                                 # FORMAT_VERSION move too\n"),
-    ),
-    Rule(
-        "P01", "parity",
-        "One side of a scalar/vector parity pair changed",
-        "The paired implementations must be edited together (they are "
-        "kept bit-identical op-for-op).  One member's AST fingerprint "
-        "differs from tests/golden/parity_lock.json while its twin's "
-        "does not: port the change to the twin, then ack with "
-        "`python -m repro.lint --update-locks`.",
-        bad_example=(
-            "# analog/buck.py: clamp added\n"
-            "def step(self, t, dt):  return max(0.0, i1)\n"
-            "# scenarios/vector_stage.py twin untouched -> P01\n"
-            "def step(self, t, dt):  return i1\n"),
-    ),
-    Rule(
-        "P02", "parity",
-        "Both sides of a parity pair changed but the lockfile is stale",
-        "Both fingerprints moved — good, the twins were edited together "
-        "— but the lockfile still records the old pair.  Ack the edit "
-        "with `python -m repro.lint --update-locks` so the next "
-        "one-sided edit is caught against the new baseline.",
-    ),
-    Rule(
-        "P03", "parity",
-        "Parity pair member or lockfile entry missing",
-        "A registered pair member cannot be resolved (renamed or "
-        "deleted), or the lockfile has no entry for the pair.  Update "
-        "lint/parity.py's registry to the new name, or regenerate the "
-        "lockfile with `--update-locks`.",
     ),
     Rule(
         "D01", "determinism",

@@ -27,12 +27,11 @@ inline path — see :mod:`repro.scenarios.parallel`).
 
 :func:`cross_validate` runs one spec through both backends with full
 tracing and reports waveform and comparator-edge deviations; the
-equivalence tests keep these within documented tolerances.
+equivalence tests require them to be exactly zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import (Any, Callable, List, Mapping, Optional, Sequence,
                     Union)
@@ -472,19 +471,16 @@ class SteppingDrift:
 
     @property
     def backends_match(self) -> bool:
-        """Adaptive scalar and adaptive vector agree: bit-for-bit on the
-        state/peak/timing quantities and step counts; within float
-        round-off on the energy accumulators, whose per-phase summation
-        order differs between the backends (the same ulp-level slack the
-        fixed-grid equivalence suite documents)."""
+        """Adaptive scalar and adaptive vector agree bit for bit: on
+        the state, peak and energy quantities (``coil_loss_w`` and
+        ``efficiency`` included), the controller statistics and the
+        step counts."""
         a, s = self.result_adaptive, self.result_adaptive_scalar
         return (a.v_final == s.v_final
                 and a.peak_coil_current == s.peak_coil_current
                 and a.ripple == s.ripple
-                and math.isclose(a.coil_loss_w, s.coil_loss_w,
-                                 rel_tol=1e-9, abs_tol=1e-18)
-                and math.isclose(a.efficiency, s.efficiency,
-                                 rel_tol=1e-9, abs_tol=1e-18)
+                and a.coil_loss_w == s.coil_loss_w
+                and a.efficiency == s.efficiency
                 and a.cycles == s.cycles
                 and a.ov_events == s.ov_events
                 and a.solver_ticks == s.solver_ticks)

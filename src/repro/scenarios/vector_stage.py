@@ -9,12 +9,11 @@ calls with O(1) Python work per micro-step.
 The arithmetic mirrors the scalar model operation for operation (same
 RK2 form, same body-diode clamp, same soft-saturation derating, same
 trapezoidal energy bookkeeping), so each lane's currents, ``v_out``,
-output energy, coil losses and error estimates equal the scalar
-:meth:`~repro.analog.buck.MultiphasePowerStage.step` results exactly,
-at any phase count (``tests/scenarios/test_stage_parity.py``).  The one
-difference is the summation order of ``energy_in_j``: the scalar adds
-each phase's input energy in turn, the vector sums a step's phases
-first.  Three implementation tricks keep the per-step cost flat:
+input and output energy, coil losses and error estimates equal the
+scalar :meth:`~repro.analog.buck.MultiphasePowerStage.step` results
+exactly, at any phase count
+(``tests/scenarios/test_stage_parity.py``).  Three implementation
+tricks keep the per-step cost flat:
 
 - the piecewise switch-state coefficients (``v_drive = A + B*i``) are
   recomputed only when a gate driver commutates, not on every step;
@@ -336,8 +335,7 @@ class VectorizedPowerStage:
                      _gt=np.greater, _lt=np.less, _mul=np.multiply,
                      _add=np.add, _sub=np.subtract, _div=np.divide,
                      _abs=np.abs, _or=np.logical_or, _copyto=np.copyto,
-                     _max=np.maximum.reduce,
-                     _rsum=np.add.reduce) -> np.ndarray:
+                     _max=np.maximum.reduce) -> np.ndarray:
         """Write di/dt and dv/dt into the out arrays; return r_load(t)."""
         neg = _lt(i, self._zeros, out=self._b1)
         pos = _gt(i, self._zeros, out=self._b2)
@@ -368,17 +366,23 @@ class VectorizedPowerStage:
         _mul(didt_out, fm, out=didt_out)
 
         r_load = self.resistance(t)
-        n1 = self._n1
-        if self._ordered_sum:
-            _add(i[:, 0], i[:, 1], out=n1)
-            for k in range(2, self.n_phases):
-                _add(n1, i[:, k], out=n1)
-        else:
-            _rsum(i, axis=1, out=n1)
+        n1 = self._row_sum(i, self._n1)
         _div(v, r_load, out=self._n2)
         _sub(n1, self._n2, out=n1)
         _div(n1, self.c_out, out=dvdt_out)
         return r_load
+
+    def _row_sum(self, x: np.ndarray, out: np.ndarray,
+                 _add=np.add, _rsum=np.add.reduce) -> np.ndarray:
+        """Sum each lane's phases into ``out`` in the scalar twin's
+        order (see ``_ordered_sum``); return ``out``."""
+        if self._ordered_sum:
+            _add(x[:, 0], x[:, 1], out=out)
+            for k in range(2, self.n_phases):
+                _add(out, x[:, k], out=out)
+        else:
+            _rsum(x, axis=1, out=out)
+        return out
 
     def prime_k1(self, t: np.ndarray):
         """Evaluate the slopes at the current state and time ``t`` into
@@ -428,8 +432,7 @@ class VectorizedPowerStage:
              err_v_out: Optional[np.ndarray] = None,
              _mul=np.multiply, _add=np.add, _abs=np.abs,
              _gt=np.greater, _le=np.less_equal, _or=np.logical_or,
-             _and=np.logical_and, _rsum=np.add.reduce,
-             _max=np.maximum.reduce) -> None:
+             _and=np.logical_and, _max=np.maximum.reduce) -> None:
         """Advance every lane by ``dt`` with an explicit midpoint (RK2) step.
 
         Identical semantics to the scalar model: switch states held across
@@ -513,7 +516,7 @@ class VectorizedPowerStage:
             np.multiply(self._vin_half, f2, out=f2)
             f2 *= dt_col
             f2 *= self._pmos_f
-            _rsum(f2, axis=1, out=self._n1)
+            self._row_sum(f2, self._n1)
             self.energy_in_j += self._n1
 
             np.multiply(v0, v0, out=self._n1)

@@ -11,9 +11,9 @@ from .helpers import FIXTURES, by_rule
 
 def _config(root, locks_dir) -> LintConfig:
     # the fixture tree mirrors the real module layout, so only the
-    # root, lockfile location, and (empty) pair/root registries move
-    return LintConfig(root=root, scan_paths=(), parity_pairs=(),
-                      gating_roots=(), locks_dir=locks_dir)
+    # root, lockfile location, and (empty) gating-root registry move
+    return LintConfig(root=root, scan_paths=(), gating_roots=(),
+                      locks_dir=locks_dir)
 
 
 class TestGoodFixture:
@@ -75,12 +75,12 @@ class TestFormatLock:
         k03 = by_rule(report).get("K03", [])
         assert len(k03) == 1 and "missing" in k03[0].message
 
-    def test_update_locks_writes_only_parity_and_format(self, tmp_path):
+    def test_update_locks_writes_only_format(self, tmp_path):
         locks = tmp_path / "locks"
         written = update_locks(_config(FIXTURES / "keys_good", locks))
-        assert sorted(written) == ["format_lock", "parity_lock"]
+        assert sorted(written) == ["format_lock"]
         assert sorted(p.name for p in locks.iterdir()) == [
-            "format_lock.json", "parity_lock.json"]
+            "format_lock.json"]
 
 
 class TestResolution:

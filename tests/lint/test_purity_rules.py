@@ -23,7 +23,7 @@ PURE_ROOTS = (
 
 def _report(scan, roots, tmp_path):
     config = LintConfig(root=FIXTURES / "purity", scan_paths=scan,
-                        parity_pairs=(), gating_roots=roots,
+                        gating_roots=roots,
                         locks_dir=tmp_path)
     return run_lint(config, families=("purity",))
 
@@ -116,7 +116,6 @@ def test_typed_receiver_skips_unrelated_same_named_method(tmp_path):
 
     def gated_by(qualname):
         config = LintConfig(root=tmp_path, scan_paths=("typedmod.py",),
-                            parity_pairs=(),
                             gating_roots=(("typedmod.py", qualname),),
                             locks_dir=tmp_path / "locks")
         return run_lint(config, families=("purity",))

@@ -17,10 +17,11 @@ asserting exactly the equivalences the implementation promises:
   off-mode edge is either simulated or skipped, less at most one
   suspended tail);
 - **backends agree under gating** — scalar and vector runs of the same
-  gated scenario match to the same tolerances the ungated equivalence
-  suite promises, *and* make identical gating decisions (equal
-  simulated/skipped edge counts), because the vector lane bound
-  replicates the scalar crossing arithmetic operation for operation;
+  gated scenario are bit-identical on every physics field, as the
+  ungated equivalence suite promises, *and* make identical gating
+  decisions (equal simulated/skipped edge counts), because the vector
+  lane bound replicates the scalar crossing arithmetic operation for
+  operation;
 - **stepping modes drift boundedly** — fixed vs adaptive under gating
   stays inside the documented drift bounds of the adaptive suite.
 
@@ -40,10 +41,6 @@ from repro.sim import NS, US
 
 BACKENDS = ("scalar", "vector")
 MODES = tuple((s, g) for s in ("fixed", "adaptive") for g in ("off", "auto"))
-
-#: cross-backend tolerances (same promises as tests/scenarios/test_equivalence.py)
-ABS_TOL = 1e-9
-REL_TOL = 1e-9
 
 #: fixed-vs-adaptive drift bounds — the adaptive suite's documented
 #: bounds (tests/scenarios/test_adaptive.py) with extra headroom for the
@@ -127,20 +124,19 @@ def _check_gating_unobservable(spec, backend, stepping, off, auto):
         f"  {_repro(spec, backend, stepping, 'auto')}")
 
 
+#: the RunResult physics fields the backends must reproduce bit for bit
+PHYSICS_FIELDS = ("v_final", "peak_coil_current", "ripple", "coil_loss_w",
+                  "efficiency")
+
+
 def _check_backends_agree(spec, stepping, gating, s, v):
     where = f"{spec.name} [{stepping}/gating={gating}]"
     line = _repro(spec, "vector", stepping, gating)
-    assert v.v_final == pytest.approx(s.v_final, abs=ABS_TOL), (
-        f"{where}: V_final diverged across backends\n  {line}")
-    assert v.peak_coil_current == pytest.approx(
-        s.peak_coil_current, abs=ABS_TOL), (
-        f"{where}: peak coil current diverged across backends\n  {line}")
-    assert v.ripple == pytest.approx(s.ripple, abs=ABS_TOL), (
-        f"{where}: ripple diverged across backends\n  {line}")
-    assert v.coil_loss_w == pytest.approx(s.coil_loss_w, rel=REL_TOL), (
-        f"{where}: coil loss diverged across backends\n  {line}")
-    assert v.efficiency == pytest.approx(s.efficiency, rel=REL_TOL), (
-        f"{where}: efficiency diverged across backends\n  {line}")
+    for name in PHYSICS_FIELDS:
+        sv, vv = getattr(s, name), getattr(v, name)
+        assert vv == sv, (
+            f"{where}: {name} diverged across backends "
+            f"(scalar {sv!r}, vector {vv!r})\n  {line}")
     assert (tuple(v.cycles), v.ov_events, v.metastable_events,
             v.solver_ticks) == \
            (tuple(s.cycles), s.ov_events, s.metastable_events,

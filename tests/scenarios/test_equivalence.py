@@ -1,18 +1,19 @@
 """Vectorized-vs-scalar cross-validation: the batched engine must
-reproduce the scalar solver.
+reproduce the scalar solver exactly.
 
 With noiseless sensors the vectorized path is arithmetically bit-matched
-to the scalar path, so the documented tolerances below are far looser
-than today's observed agreement (exactly zero) — they bound what future
-refactors may introduce:
+to the scalar path, in fixed and in adaptive stepping, so nothing is
+tolerated:
 
-- waveforms (V_out and every coil current): max abs error < 1e-6 (V / A);
-- comparator output edges: identical counts, times within 0.01 ns.
+- waveforms (V_out and every coil current) are equal sample for sample;
+- comparator output edges have identical counts and identical times;
+- every RunResult physics field (losses and efficiency included) and
+  controller statistic is equal.
 
 The scenario set is a seeded random grid over both controllers, the
 Fig. 7 coil/load ranges, and the PMIN ablation axis, plus hand-picked
 corner cases (stepped Fig. 6-style load; OV-mode entry from a high
-initial voltage).
+initial voltage), each run on both stepping grids.
 """
 
 import pytest
@@ -21,9 +22,11 @@ from repro.analog.load import LoadProfile
 from repro.scenarios import ScenarioSpec, Sweep, choice, cross_validate, log_uniform, uniform
 from repro.sim import NS, US
 
-V_TOL = 1e-6          #: max |V_out difference| over all samples (V)
-I_TOL = 1e-6          #: max |coil current difference| (A)
-EDGE_TOL = 0.01 * NS  #: max comparator edge-time difference
+STEPPINGS = ("fixed", "adaptive")
+
+#: fewest compared samples per stepping mode: a 2 us run is 2000 fixed
+#: 1 ns steps, while the adaptive grid commits 75 to ~1,250 steps
+MIN_SAMPLES = {"fixed": 1000, "adaptive": 50}
 
 #: 8 seeded random scenarios (2 us runs keep the grid fast)
 RANDOM_SPECS = (Sweep(base={"n_phases": 4, "sim_time": 2 * US, "dt": 1 * NS},
@@ -46,42 +49,51 @@ CORNER_SPECS = [
 ]
 
 
-def _check(cv):
-    assert cv.n_samples > 1000, "cross-validation barely sampled anything"
+def _stepped(spec, stepping):
+    return ScenarioSpec(spec.name, overrides=dict(spec.overrides,
+                                                  stepping=stepping),
+                        seed=spec.seed)
+
+
+def _check(cv, stepping):
+    where = f"{cv.spec.name} [{stepping}]"
+    assert cv.n_samples > MIN_SAMPLES[stepping], \
+        f"{where}: cross-validation barely sampled anything"
     assert cv.sample_counts_match, (
-        f"{cv.spec.name}: backends took different step counts "
+        f"{where}: backends took different step counts "
         f"({cv.n_samples_scalar} vs {cv.n_samples_vector})")
-    assert cv.v_err < V_TOL, f"{cv.spec.name}: V_out diverged ({cv.v_err})"
-    assert cv.i_err < I_TOL, f"{cv.spec.name}: coil current diverged ({cv.i_err})"
+    assert cv.v_err == 0.0, f"{where}: V_out diverged ({cv.v_err})"
+    assert cv.i_err == 0.0, f"{where}: coil current diverged ({cv.i_err})"
     assert cv.edge_counts_match, (
-        f"{cv.spec.name}: comparator edge counts differ: "
+        f"{where}: comparator edge counts differ: "
         + ", ".join(f"{e.name} {e.count_scalar}/{e.count_vector}"
                     for e in cv.edges if not e.counts_match))
-    assert cv.max_edge_dt < EDGE_TOL, \
-        f"{cv.spec.name}: comparator edge times shifted ({cv.max_edge_dt})"
+    assert cv.max_edge_dt == 0.0, \
+        f"{where}: comparator edge times shifted ({cv.max_edge_dt})"
+    s, v = cv.result_scalar, cv.result_vector
+    for name in ("v_final", "peak_coil_current", "ripple", "coil_loss_w",
+                 "efficiency", "cycles", "ov_events", "metastable_events",
+                 "solver_ticks"):
+        assert getattr(v, name) == getattr(s, name), (
+            f"{where}: {name} diverged (scalar {getattr(s, name)!r}, "
+            f"vector {getattr(v, name)!r})")
 
 
+@pytest.mark.parametrize("stepping", STEPPINGS)
 @pytest.mark.parametrize("spec", RANDOM_SPECS, ids=lambda s: s.name)
-def test_random_scenarios_match_scalar(spec):
-    _check(cross_validate(spec))
+def test_random_scenarios_match_scalar(spec, stepping):
+    _check(cross_validate(_stepped(spec, stepping)), stepping)
 
 
+@pytest.mark.parametrize("stepping", STEPPINGS)
 @pytest.mark.parametrize("spec", CORNER_SPECS, ids=lambda s: s.name)
-def test_corner_scenarios_match_scalar(spec):
-    _check(cross_validate(spec))
+def test_corner_scenarios_match_scalar(spec, stepping):
+    _check(cross_validate(_stepped(spec, stepping)), stepping)
 
 
 def test_headline_measurements_match_scalar():
     """RunResult parity beyond waveforms: losses, efficiency, cycles."""
-    cv = cross_validate(ScenarioSpec("xval[results]", overrides={
+    spec = ScenarioSpec("xval[results]", overrides={
         "controller": "async", "l_uh": 4.7, "r_load": 6.0,
-        "sim_time": 2 * US, "dt": 1 * NS}))
-    s, v = cv.result_scalar, cv.result_vector
-    assert v.v_final == pytest.approx(s.v_final, abs=1e-9)
-    assert v.peak_coil_current == pytest.approx(s.peak_coil_current, abs=1e-9)
-    assert v.ripple == pytest.approx(s.ripple, abs=1e-9)
-    assert v.coil_loss_w == pytest.approx(s.coil_loss_w, rel=1e-9)
-    assert v.efficiency == pytest.approx(s.efficiency, rel=1e-9)
-    assert v.cycles == s.cycles
-    assert v.ov_events == s.ov_events
-    assert v.metastable_events == s.metastable_events
+        "sim_time": 2 * US, "dt": 1 * NS})
+    _check(cross_validate(spec), "fixed")

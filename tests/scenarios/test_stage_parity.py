@@ -8,12 +8,10 @@ zero-crossing clamp, soft saturation, stepped loads, lock-step ``dt``
 and per-lane adaptive ``dt`` vectors with zero-width lanes, for phase
 counts on both sides of numpy's pairwise-summation block (8).
 
-Currents, ``v_out``, ``energy_out_j``, ``coil_loss_j`` and the RK2(1)
-error estimates must be equal, value for value.  Signed zeros compare
-equal: the vector clamp multiplies by a 0/1 mask where the scalar
-assigns ``0.0``.  ``energy_in_j`` is checked at ``rel=1e-12`` only: the
-scalar adds each phase's input energy to the total in turn, while the
-vector sums the phases of a step first and adds that sum once.
+Currents, ``v_out``, ``energy_in_j``, ``energy_out_j``, ``coil_loss_j``
+and the RK2(1) error estimates must be equal, value for value.  Signed
+zeros compare equal: the vector clamp multiplies by a 0/1 mask where the
+scalar assigns ``0.0``.
 """
 
 import dataclasses
@@ -123,8 +121,8 @@ def _assert_lane(vec, twin, lane, where, track_energy):
         f"{where}: energy_out_j"
     assert vec.coil_loss_j[lane].tolist() == \
         [p.coil_loss_j for p in twin.phases], f"{where}: coil_loss_j"
-    assert vec.energy_in_j.item(lane) == pytest.approx(
-        twin.energy_in_j, rel=1e-12), f"{where}: energy_in_j"
+    assert vec.energy_in_j.item(lane) == twin.energy_in_j, \
+        f"{where}: energy_in_j"
 
 
 def _run(p, adaptive, track_energy, seed):
