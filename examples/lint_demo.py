@@ -6,11 +6,11 @@ violation the analyzer knows about — a RunResult layout change without
 a FORMAT_VERSION bump, an unseeded RNG draw, a wall-clock read,
 unordered iteration, id()-ordering, a set flowing (through variables)
 into a wire encoding, an unguarded write to a `guarded_by` attribute, a
-lock-order inversion, a blocking call under a lock, and an RNG draw on
-a clock-gating path — runs the analyzer over it, and prints the
-findings grouped by rule family.  Exits non-zero if
-any family finds nothing, so a rule-catalog or LintConfig change that
-leaves the demo behind fails loudly (CI runs it).
+lock-order inversion and a blocking call under a lock — runs the
+analyzer over it, and prints the findings grouped by rule family.
+Exits non-zero if any family finds nothing, so a rule-catalog or
+LintConfig change that leaves the demo behind fails loudly (CI runs
+it).
 
 Nothing here touches the real tree (which is lint-clean; that is a
 tier-1 test).  Use this to see what each finding looks like before you
@@ -93,15 +93,6 @@ class Telemetry:
             with self._lock:            # reverse nesting -> L02
                 return self.count
 ''',
-    "digital/clock.py": '''\
-class Clock:
-    def suspend(self):
-        self._jitter()
-        self.gate_sig.set(False)        # dispatching write -> G02
-
-    def _jitter(self):
-        return self.sim.rng.random()    # RNG on gating path -> G01
-''',
 }
 
 
@@ -113,7 +104,6 @@ def build_tree(root: Path) -> LintConfig:
     return LintConfig(
         root=root,
         scan_paths=tuple(BROKEN_TREE),
-        gating_roots=(("digital/clock.py", "Clock.suspend"),),
         locks_dir=root / "locks",
     )
 

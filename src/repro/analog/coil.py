@@ -67,10 +67,6 @@ class Coil:
         factor = 0.4 + 0.6 / overdrive
         return self.inductance * factor
 
-    def conduction_loss(self, i_rms: float) -> float:
-        """Ohmic winding loss in watt for a given RMS current."""
-        return i_rms * i_rms * self.dcr
-
     def stored_energy(self, current: float) -> float:
         """Magnetic energy at ``current``: the flux-linkage integral
         ``int L(i) i di`` of the soft-saturation model, which is below the

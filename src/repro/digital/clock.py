@@ -162,8 +162,3 @@ class PhaseActivator:
         sig._apply(False)
         self._current = (self._current + 1) % self.n_phases
         self.sim.schedule(self.gap, self._activate)
-
-    @property
-    def rotation_period(self) -> float:
-        """Time for the activation token to make a full round."""
-        return self.dwell * self.n_phases

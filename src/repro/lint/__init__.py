@@ -1,6 +1,6 @@
 """Static analyzer for the repo's bit-identity invariants.
 
-Four rule families, each machine-checking a convention the reproduction
+Three rule families, each machine-checking a convention the reproduction
 otherwise enforces by reviewer discipline:
 
 ``keys`` (K03)
@@ -17,11 +17,6 @@ otherwise enforces by reviewer discipline:
 ``locks`` (L01–L03)
     ``guarded_by`` attributes are touched only under their lock, locks
     are taken in one global order, and nothing blocks while holding one.
-
-``purity`` (G01–G03)
-    Code reachable from the clock-gating paths performs no RNG draws
-    and no dispatching signal writes, keeping the "skipped edges are
-    provably no-op" argument machine-checked.
 
 Run ``python -m repro.lint`` (see ``--help``); suppress one finding
 with ``# lint: ok(RULE: reason)`` on its line; ack an intentional

@@ -17,8 +17,8 @@ exceptions stay self-documenting:
     ``self._writer_lock()``.
 
 :class:`LintConfig` names every repo-specific anchor (which modules hold
-the result dataclass and its format version, which callables are gating
-roots, where the lockfile lives) so the test suite can point the same
+the result dataclass and its format version, which modules are scanned,
+where the lockfile lives) so the test suite can point the same
 rules at miniature fixture trees.
 """
 
@@ -28,21 +28,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
-
-#: entry points of the clock-gating machinery; everything directly
-#: callable from them must stay free of RNG draws and dispatching
-#: signal writes (rules G01/G02).
-DEFAULT_GATING_ROOTS: Tuple[Tuple[str, str], ...] = (
-    ("digital/clock.py", "Clock.suspend"),
-    ("digital/clock.py", "Clock.fast_forward"),
-    ("control/sync_controller.py", "SyncMultiphaseController._maybe_gate"),
-    ("control/sync_controller.py", "SyncMultiphaseController._resume"),
-    ("control/sync_controller.py", "SyncMultiphaseController._on_wake_edge"),
-    ("control/sync_controller.py", "SyncMultiphaseController._on_act_edge"),
-    ("control/sync_controller.py", "SyncMultiphaseController._on_wake_timer"),
-    ("analog/solver.py", "AnalogSolver.crossing_bound"),
-    ("scenarios/vector_solver.py", "VectorizedSolver.lane_crossing_bound"),
-)
 
 
 @dataclass(frozen=True)
@@ -59,7 +44,7 @@ class LintConfig:
     cache_module: str = "session/cache.py"
     format_version_name: str = "FORMAT_VERSION"
     #: directories/files (relative to root) scanned by the determinism
-    #: and purity families — the result-producing modules
+    #: and locks families — the result-producing modules
     scan_paths: Tuple[str, ...] = ("system.py", "sim", "analog", "digital",
                                    "a2a", "control", "scenarios", "session",
                                    "trace", "serve", "obs")
@@ -71,7 +56,6 @@ class LintConfig:
     #: Rule D06 separately proves nothing observability-derived reaches
     #: the cache/lockstep keys.
     wallclock_modules: Tuple[str, ...] = ("obs",)
-    gating_roots: Tuple[Tuple[str, str], ...] = DEFAULT_GATING_ROOTS
     #: directory holding format_lock.json
     locks_dir: Path = Path("tests/golden")
 

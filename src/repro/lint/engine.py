@@ -63,7 +63,6 @@ def build_index(config: LintConfig) -> Tuple[ModuleIndex, List[Finding]]:
     root = Path(config.root)
     wanted = set(config.scan_paths)
     wanted.update((config.config_module, config.cache_module))
-    wanted.update(module for module, _ in config.gating_roots)
     for entry in sorted(wanted):
         path = root / entry
         if path.is_file():
@@ -72,8 +71,8 @@ def build_index(config: LintConfig) -> Tuple[ModuleIndex, List[Finding]]:
             files = sorted(path.rglob("*.py"))
         else:
             # a missing module that a rule family anchors on is that
-            # family's finding (X00/G03 with context); only a
-            # missing *scan* path is an engine-level error
+            # family's finding (X00 with context); only a missing
+            # *scan* path is an engine-level error
             if entry in config.scan_paths:
                 findings.append(Finding(
                     "X00", entry, 1,
@@ -234,12 +233,11 @@ def run_lint(config: LintConfig,
     """Run the requested rule families over one shared tree walk."""
     index, findings = build_index(config)
     # imported here so the rule modules can use engine helpers freely
-    from . import determinism, keys, locks, purity
+    from . import determinism, keys, locks
     runners = {
         "keys": keys.check,
         "determinism": determinism.check,
         "locks": locks.check,
-        "purity": purity.check,
     }
     for family in families:
         findings.extend(runners[family](config, index))

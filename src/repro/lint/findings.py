@@ -1,9 +1,9 @@
 """Finding records and the rule catalog for :mod:`repro.lint`.
 
-Every rule has a stable id (``K``/``P``/``D``/``L``/``G`` family prefix plus a
-two-digit number), a one-line title, a longer explanation, and a
-miniature *bad example* used by ``--explain`` and ``examples/
-lint_demo.py``.  A :class:`Finding` pins one violation to a
+Every rule has a stable id (``K``/``D``/``L`` family prefix, or ``X``
+for the engine, plus a two-digit number), a one-line title, a longer
+explanation, and a miniature *bad example* used by ``--explain`` and
+``examples/lint_demo.py``.  A :class:`Finding` pins one violation to a
 ``file:line`` with the id and a one-line fix hint — everything a
 reviewer (or CI log reader) needs to act without opening the linter's
 source.
@@ -46,7 +46,7 @@ class Rule:
 
 
 #: the rule families, in report order
-FAMILIES = ("keys", "determinism", "locks", "purity")
+FAMILIES = ("keys", "determinism", "locks")
 
 RULES: Dict[str, Rule] = {r.id: r for r in (
     Rule(
@@ -196,40 +196,6 @@ RULES: Dict[str, Rule] = {r.id: r for r in (
             "with self._lock:\n"
             "    time.sleep(0.1)            # L03\n"
             "    data = future.result()     # L03\n"),
-    ),
-    Rule(
-        "G01", "purity",
-        "RNG draw reachable from a clock-gating path",
-        "The gating soundness argument (skipped edges are provably "
-        "no-op) requires the suspend/fast-forward/bound paths to be "
-        "pure: an RNG draw there would advance a generator that a "
-        "non-gated run advances elsewhere (or not at all), breaking "
-        "gating-on == gating-off bit-identity.",
-        bad_example=(
-            "class Controller:\n"
-            "    def _maybe_gate(self):\n"
-            "        if self.sim.rng.random() < 0.5:   # G01\n"
-            "            self.clk.suspend()\n"),
-    ),
-    Rule(
-        "G02", "purity",
-        "Signal write reachable from a clock-gating path",
-        "Gating paths may schedule wake events and use the sanctioned "
-        "silent Signal.force replay, but a dispatching write (.set, "
-        "._apply, gate-driver set_pmos/set_nmos) from a gating "
-        "decision point would make the skipped-edge region observable.",
-        bad_example=(
-            "class Clock:\n"
-            "    def suspend(self):\n"
-            "        self.signal.set(0)   # G02: dispatching write\n"),
-    ),
-    Rule(
-        "G03", "purity",
-        "Gating-path root cannot be resolved",
-        "A configured gating root (e.g. Clock.suspend) no longer "
-        "exists under that name — the purity rule is checking nothing. "
-        "Update the root list in lint/config.py (or the LintConfig in "
-        "use) to the new name.",
     ),
     Rule(
         "X00", "engine",

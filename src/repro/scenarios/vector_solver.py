@@ -17,15 +17,13 @@ into preallocated buffers, delivers each lane's due events in one
 kernel drain up to its step end, and commits one array step with a
 per-lane ``dt`` vector.
 
-Vectorized-vs-scalar caveats
-----------------------------
-- With noiseless sensors the arithmetic is operation-for-operation
-  identical to the scalar path, so waveforms and comparator edge times
-  agree to floating-point accuracy (enforced by the equivalence tests).
-- With ``sensor_noise > 0`` the comparator jitter is drawn from a batch
-  NumPy generator instead of each lane's ``Simulator.rng``: runs remain
-  deterministic and per-lane reproducible, but the noise *realization*
-  differs from the scalar path's.
+Vectorized-vs-scalar agreement
+------------------------------
+- The arithmetic is operation-for-operation identical to the scalar
+  path, so waveforms and comparator edge times agree exactly (enforced
+  by the equivalence tests).  With ``sensor_noise > 0`` each lane draws
+  its comparator jitter from its own ``Simulator.rng`` in the scalar
+  order, so noisy lanes are bit-matched too.
 - With fixed stepping the array step is itself a kernel event on the
   lanes' shared heap, so events landing on the exact timestamp of a
   micro-step order around it by scheduling sequence, as around the
@@ -56,20 +54,12 @@ V_COLS = 3  # hl, uv, ov
 
 class _LaneComparatorView:
     """Controller-facing stand-in for one scalar ``Comparator``: just the
-    output signal (plus the live threshold, for introspection)."""
+    output signal."""
 
-    __slots__ = ("bank", "lane", "col", "output")
+    __slots__ = ("output",)
 
-    def __init__(self, bank: "VectorComparatorBank", lane: int, col: int,
-                 output: Signal):
-        self.bank = bank
-        self.lane = lane
-        self.col = col
+    def __init__(self, output: Signal):
         self.output = output
-
-    @property
-    def threshold(self) -> float:
-        return float(self.bank.threshold[self.lane, self.col])
 
 
 class LaneSensors:
@@ -83,12 +73,10 @@ class LaneSensors:
         self.lane = lane
         self.refs = bank.refs[lane]
         n_phases = bank.n_phases
-        self.hl = bank.view(lane, 0)
-        self.uv = bank.view(lane, 1)
-        self.ov = bank.view(lane, 2)
-        self.oc = [bank.view(lane, V_COLS + k) for k in range(n_phases)]
-        self.zc = [bank.view(lane, V_COLS + n_phases + k)
-                   for k in range(n_phases)]
+        views = [_LaneComparatorView(out) for out in bank.outputs[lane]]
+        self.hl, self.uv, self.ov = views[:V_COLS]
+        self.oc = views[V_COLS:V_COLS + n_phases]
+        self.zc = views[V_COLS + n_phases:]
         self._ov_mode = [False] * n_phases
 
     def set_ov_mode(self, phase_index: int, on: bool) -> None:
@@ -144,14 +132,9 @@ class VectorComparatorBank:
             self.hysteresis[i, V_COLS:] = r.i_hyst
 
         self.delay = np.array([cfg.sensor_delay for cfg in configs])
-        self.noise = np.array([cfg.sensor_noise for cfg in configs])
-        # Per-lane noise generators, seeded from each lane's config seed:
-        # a lane's jitter stream never depends on its batch neighbours.
-        self._noise_lanes = [int(i) for i in np.nonzero(self.noise != 0.0)[0]]
-        self._noise_rngs = {
-            i: np.random.Generator(np.random.PCG64(configs[i].seed))
-            for i in self._noise_lanes
-        }
+        # noisy lanes draw their jitter from their own Simulator.rng
+        self.noise = [cfg.sensor_noise for cfg in configs]
+        self._noise_lanes = [i for i, sigma in enumerate(self.noise) if sigma]
 
         self.state = np.zeros((n, c), dtype=bool)
         self._prev_t: Optional[float] = None
@@ -198,14 +181,6 @@ class VectorComparatorBank:
              for name in names]
             for i in range(n)
         ]
-        self._views = {}
-
-    def view(self, lane: int, col: int) -> _LaneComparatorView:
-        key = (lane, col)
-        if key not in self._views:
-            self._views[key] = _LaneComparatorView(
-                self, lane, col, self.outputs[lane][col])
-        return self._views[key]
 
     def mark_thresholds_dirty(self) -> None:
         """Re-derive the cached trip levels after a threshold swap."""
@@ -240,12 +215,15 @@ class VectorComparatorBank:
 
         state = self.state
         if self._noise_lanes:
+            rows = [i for i in self._noise_lanes
+                    if active is None or active[i]]
+            # the scalar SensorBank's draws: one per comparator, in
+            # column (= all_comparators()) order, from the lane's rng
+            lanes = [(self.sims[i].rng.gauss, self.noise[i]) for i in rows]
+            draws = [gauss(0.0, sigma) for gauss, sigma in lanes
+                     for _ in range(self.n_cols)]
             th = self.threshold.copy()
-            for i in self._noise_lanes:
-                if active is not None and not active[i]:
-                    continue
-                th[i] += (self.noise[i]
-                          * self._noise_rngs[i].standard_normal(self.n_cols))
+            th[rows] += np.reshape(draws, (len(rows), self.n_cols))
             # write through self._level so the block views stay coherent
             level = self._level
             np.copyto(level, th)

@@ -51,11 +51,6 @@ class TestCoil:
         values = [coil.effective_inductance(i) for i in (1.0, 1.5, 2.0, 5.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_conduction_loss_quadratic(self):
-        coil = Coil("test", 1 * UH, 0.2)
-        assert coil.conduction_loss(0.1) == pytest.approx(0.002)
-        assert coil.conduction_loss(0.2) == pytest.approx(0.008)
-
     def test_stored_energy_linear_region(self):
         coil = Coil("test", 2 * UH, 0.1, i_sat=1.0)
         assert coil.stored_energy(0.5) == pytest.approx(0.5 * 2e-6 * 0.25)

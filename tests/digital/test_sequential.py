@@ -250,7 +250,6 @@ class TestPhaseActivator:
         for k in range(3):
             rises = act.act[k].edges("rise")
             assert rises[0] == pytest.approx(k * 100 * NS, abs=1 * NS)
-        assert act.rotation_period == pytest.approx(300 * NS)
 
     def test_non_overlap(self, sim):
         act = PhaseActivator(sim, "pa", n_phases=4, dwell=50 * NS)

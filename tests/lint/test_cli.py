@@ -64,9 +64,9 @@ def test_quiet_suppresses_the_summary(capsys):
 
 def test_family_selection_is_honoured(capsys):
     assert main([SRC, "--family", "determinism", "--family",
-                 "purity"]) == 0
+                 "locks"]) == 0
     out = capsys.readouterr().out
-    assert "families: determinism, purity" in out
+    assert "families: determinism, locks" in out
 
 
 def test_json_report_written_to_file(tmp_path, capsys):

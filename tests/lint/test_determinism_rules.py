@@ -12,7 +12,6 @@ GOOD = FIXTURES / "det" / "good.py"
 
 def _report(filename, tmp_path):
     config = LintConfig(root=FIXTURES / "det", scan_paths=(filename,),
-                        gating_roots=(),
                         locks_dir=tmp_path)
     return run_lint(config, families=("determinism",))
 
@@ -103,7 +102,6 @@ OBS_KEY = FIXTURES / "det" / "obs_key.py"
 
 def _obs_report(tmp_path, allow=False):
     config = LintConfig(root=FIXTURES / "det", scan_paths=("obs_key.py",),
-                        gating_roots=(),
                         wallclock_modules=(("obs_key.py",) if allow else ()),
                         locks_dir=tmp_path)
     return run_lint(config, families=("determinism",))
@@ -151,7 +149,6 @@ class TestD06AndWallclockAllowlist:
         shipped package must produce no determinism findings."""
         root = REPO / "src" / "repro"
         config = LintConfig(root=root, scan_paths=("obs",),
-                            gating_roots=(),
                             locks_dir=tmp_path)
         assert "obs" in LintConfig().wallclock_modules
         report = run_lint(config, families=("determinism",))

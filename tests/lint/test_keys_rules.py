@@ -11,9 +11,8 @@ from .helpers import FIXTURES, by_rule
 
 def _config(root, locks_dir) -> LintConfig:
     # the fixture tree mirrors the real module layout, so only the
-    # root, lockfile location, and (empty) gating-root registry move
-    return LintConfig(root=root, scan_paths=(), gating_roots=(),
-                      locks_dir=locks_dir)
+    # root and lockfile location move
+    return LintConfig(root=root, scan_paths=(), locks_dir=locks_dir)
 
 
 class TestGoodFixture:

@@ -12,7 +12,6 @@ GOOD = FIXTURES / "locks" / "good.py"
 
 def _report(filename, tmp_path):
     config = LintConfig(root=FIXTURES / "locks", scan_paths=(filename,),
-                        gating_roots=(),
                         locks_dir=tmp_path)
     return run_lint(config, families=("locks",))
 
@@ -85,7 +84,6 @@ def test_guard_marker_without_assignment_is_x01(tmp_path):
         "        return 1\n",
         encoding="utf-8")
     config = LintConfig(root=tmp_path, scan_paths=("loose.py",),
-                        gating_roots=(),
                         locks_dir=tmp_path)
     report = run_lint(config, families=("locks",))
     assert [f.rule for f in report.findings] == ["X01"]

@@ -169,8 +169,9 @@ def test_fixed_and_adaptive_never_share_a_cache_entry(tmp_path):
 
 
 def test_adaptive_noisy_lane_reproducible():
-    """Per-lane noise generators draw once per *own* sample: the jitter
-    realization survives batching and repeats bit-identically."""
+    """A noisy lane draws from its own ``Simulator.rng`` once per
+    comparator per *own* sample: the jitter realization survives
+    batching and repeats bit-identically."""
     spec = ScenarioSpec("adet[noise]", overrides={
         "controller": "async", "l_uh": 4.7, "r_load": 6.0,
         "sensor_noise": 0.004, "sim_time": 2 * US, "dt": 1 * NS,

@@ -71,7 +71,8 @@ def test_lane_results_independent_of_batch_composition():
 
 
 def test_noisy_lane_is_reproducible():
-    """Sensor noise draws come from per-lane seeded generators."""
+    """Sensor noise draws come from the lane's own seeded
+    ``Simulator.rng``."""
     spec = ScenarioSpec("det[noise]", overrides={
         "controller": "async", "l_uh": 4.7, "r_load": 6.0,
         "sensor_noise": 0.004, "sim_time": 2 * US, "dt": 1 * NS,

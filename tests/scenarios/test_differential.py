@@ -23,7 +23,13 @@ asserting exactly the equivalences the implementation promises:
   lane bound replicates the scalar crossing arithmetic operation for
   operation;
 - **stepping modes drift boundedly** — fixed vs adaptive under gating
-  stays inside the documented drift bounds of the adaptive suite.
+  stays inside the documented drift bounds of the adaptive suite.  This
+  holds for the noiseless specs only: sensor jitter is drawn once per
+  comparator sample, so the two step grids see different noise
+  processes, not a drifted copy of one.
+
+Every other spec has noisy sensors; the first two equivalences hold
+bit for bit on those too.
 
 Every assertion message embeds a one-line repro (constructor call with
 the fully expanded overrides) so a failing seed can be replayed without
@@ -51,22 +57,32 @@ RIPPLE_ABS = 0.012
 CYCLE_REL = 0.10
 
 
+#: comparator jitter of the noisy half of each batch
+SENSOR_NOISE = 0.004
+
+
 def differential_specs(count, master_seed, sim_time):
     """Seeded random scenario batch spanning the gating-relevant axes.
 
     ``r_load`` is always drawn explicitly: the two backends have
     different *default* loads, so an implicit load would confound the
     differential comparison with a pre-existing configuration split.
+    Every other spec (odd index) gets noisy sensors after the draw, so
+    the noise axis leaves the drawn values themselves unchanged.
     """
-    return (Sweep(base={"dt": 1 * NS, "sim_time": sim_time},
-                  seed=master_seed, name="diff")
-            .random(count,
-                    n_phases=choice([2, 4]),
-                    controller=choice(["async", "sync"]),
-                    fsm_frequency=choice([100e6, 333e6, 1000e6, 4000e6]),
-                    l_uh=log_uniform(1.0, 10.0),
-                    r_load=uniform(3.0, 15.0),
-                    pmin=choice([2 * NS, 20 * NS]))).specs()
+    specs = (Sweep(base={"dt": 1 * NS, "sim_time": sim_time},
+                   seed=master_seed, name="diff")
+             .random(count,
+                     n_phases=choice([2, 4]),
+                     controller=choice(["async", "sync"]),
+                     fsm_frequency=choice([100e6, 333e6, 1000e6, 4000e6]),
+                     l_uh=log_uniform(1.0, 10.0),
+                     r_load=uniform(3.0, 15.0),
+                     pmin=choice([2 * NS, 20 * NS]))).specs()
+    return [ScenarioSpec(s.name, overrides=dict(s.overrides,
+                                                sensor_noise=SENSOR_NOISE),
+                         seed=s.seed) if k % 2 else s
+            for k, s in enumerate(specs)]
 
 
 def _variant(spec, stepping, gating):
@@ -191,8 +207,12 @@ def _check_stepping_drift(spec, backend, fixed, adaptive):
 # ---------------------------------------------------------------------------
 # Tier-1 quick batch
 # ---------------------------------------------------------------------------
-QUICK_SPECS = differential_specs(4, master_seed=202, sim_time=2 * US)
+#: eight draws, so the noiseless half the drift check covers is still
+#: four specs, including a gating sync lane (``rand6``)
+QUICK_SPECS = differential_specs(8, master_seed=202, sim_time=2 * US)
 _IDS = [s.name for s in QUICK_SPECS]
+_NOISELESS = [i for i, s in enumerate(QUICK_SPECS)
+              if "sensor_noise" not in s.overrides]
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +240,8 @@ def test_backends_agree(matrix, idx, stepping, gating):
         matrix["vector", stepping, gating][idx])
 
 
-@pytest.mark.parametrize("idx", range(len(QUICK_SPECS)), ids=_IDS)
+@pytest.mark.parametrize("idx", _NOISELESS,
+                         ids=[_IDS[i] for i in _NOISELESS])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_stepping_drift_bounded_under_gating(matrix, idx, backend):
     _check_stepping_drift(
@@ -286,6 +307,8 @@ def test_differential_full_batch():
                 spec, stepping, gating,
                 matrix["scalar", stepping, gating][i],
                 matrix["vector", stepping, gating][i])
+        if "sensor_noise" in spec.overrides:
+            continue
         for backend in BACKENDS:
             _check_stepping_drift(
                 spec, backend,

@@ -1,8 +1,9 @@
 """Vectorized-vs-scalar cross-validation: the batched engine must
 reproduce the scalar solver exactly.
 
-With noiseless sensors the vectorized path is arithmetically bit-matched
-to the scalar path, in fixed and in adaptive stepping, so nothing is
+The vectorized path is arithmetically bit-matched to the scalar path,
+in fixed and in adaptive stepping, and a noisy lane draws its comparator
+jitter from its own ``Simulator.rng`` in the scalar order, so nothing is
 tolerated:
 
 - waveforms (V_out and every coil current) are equal sample for sample;
@@ -13,7 +14,8 @@ tolerated:
 The scenario set is a seeded random grid over both controllers, the
 Fig. 7 coil/load ranges, and the PMIN ablation axis, plus hand-picked
 corner cases (stepped Fig. 6-style load; OV-mode entry from a high
-initial voltage), each run on both stepping grids.
+initial voltage; noisy sensors on a gated sync lane), each run on both
+stepping grids.
 """
 
 import pytest
@@ -46,6 +48,10 @@ CORNER_SPECS = [
     ScenarioSpec("xval[ov-entry]", overrides={
         "controller": "sync", "fsm_frequency": 333e6, "l_uh": 1.0,
         "r_load": 30.0, "v_out0": 3.52, "sim_time": 2 * US, "dt": 1 * NS}),
+    ScenarioSpec("xval[noisy]", overrides={
+        "controller": "sync", "fsm_frequency": 333e6, "l_uh": 2.2,
+        "r_load": 8.0, "pmin": 20 * NS, "sensor_noise": 0.004,
+        "sim_time": 2 * US, "dt": 1 * NS}),
 ]
 
 
