@@ -17,7 +17,8 @@ Not in the paper's tables, but quantifying its design decisions:
 All four studies run through the batched scenario engine
 (:meth:`repro.Session.sweep`): each ablation is a
 :class:`~repro.scenarios.Sweep` grid executed by the vectorized backend
-(noisy comparator study included — per-lane seeded NumPy jitter).
+(noisy comparator study included — each lane draws its jitter from
+its own ``Simulator.rng``, as the scalar backend does).
 """
 
 import pytest

@@ -303,7 +303,7 @@ class SyncMultiphaseController:
             self._resume()
         elif self.sync_clk.suspended:
             # sync-only suspension: re-arm in time to sample this change
-            self.sync_clk.fast_forward(self.sim.now)
+            self.sync_clk.fast_forward(self.sim.now, self.sim.current)
 
     def _on_act_edge(self, _sig: Signal, _value: bool) -> None:
         if self._gated and self._act_wakes:
@@ -318,11 +318,12 @@ class SyncMultiphaseController:
         if self._wake_ev is not None:
             self._wake_ev.cancel()
             self._wake_ev = None
-        now = self.sim.now
-        # sync before fsm: at shared grid instants the ungated clocks
-        # fire the sync edge first, and re-arming preserves that order
-        self.sync_clk.fast_forward(now)
-        self.fsm_clk.fast_forward(now)
+        now, cause = self.sim.now, self.sim.current
+        # At shared grid instants the ungated clocks fire the sync edge
+        # first.  A re-armed edge goes ahead of the same-instant edges
+        # born with it, so the sync clock is re-armed last.
+        self.fsm_clk.fast_forward(now, cause)
+        self.sync_clk.fast_forward(now, cause)
 
     @property
     def clock_edges_simulated(self) -> int:

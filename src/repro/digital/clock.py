@@ -9,9 +9,10 @@ The synchronous multiphase controller (paper Fig. 5a) uses two clocks:
 
 from __future__ import annotations
 
-from typing import List
+import math
+from typing import List, Optional
 
-from ..sim.core import Simulator
+from ..sim.core import Event, Simulator
 from ..sim.signal import Signal
 
 
@@ -34,9 +35,9 @@ class Clock:
     skipped *arithmetically* (no kernel events, no listener dispatch).
     The skipped-edge times are reproduced with the exact same chain of
     float additions the live clock would have performed, so the re-armed
-    edge grid is bit-identical to an ungated run's.  A jump that lands
-    exactly on an edge schedules that edge *at* the jump time — it still
-    fires; only edges strictly before the target are skipped.
+    edge grid is bit-identical to an ungated run's, and the re-armed edge
+    takes its ungated place among same-instant events (see
+    :meth:`fast_forward`).
 
     ``edges_simulated`` counts edges delivered through the event loop,
     ``edges_skipped`` counts edges absorbed by fast-forward jumps.
@@ -88,31 +89,46 @@ class Clock:
         if self._suspended:
             return
         self._suspended = True
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
+        self._pending.cancel()
 
-    def fast_forward(self, t: float) -> None:
+    def fast_forward(self, t: float, cause: Optional[Event] = None) -> None:
         """Re-arm a suspended clock as of time ``t``.
 
-        Edges strictly before ``t`` are skipped (counted, value applied
-        silently via :meth:`Signal.force` — no listener dispatch); the
-        first edge at or after ``t`` is scheduled normally, so an edge
-        landing exactly on ``t`` fires at ``t``.
+        ``cause`` is the event whose delivery wakes the clock (``None``
+        outside one).  Edges the ungated clock would have fired before
+        it are skipped: counted, value applied silently via
+        :meth:`Signal.force`, no listener dispatch.  Those are the edges
+        before ``t`` and, at exactly ``t``, the ones queued ahead of the
+        cause.  The next edge takes its ungated place among the
+        same-instant events.  The cancelled edge, still queued, keeps
+        its own (:meth:`~repro.sim.core.Event.restore`).  A replayed
+        edge is queued as of the instant the edge before it fired
+        (:meth:`~repro.sim.core.Simulator.schedule_as_of`), and an event
+        scheduled at that very instant is taken to follow it: the clock
+        edge that fired there was queued a half period ahead.
         """
         if not self._suspended:
             return
         self._suspended = False
-        value = self.signal.value
+        pending = self._pending
         at = self._next_at
-        is_rise = self._next_is_rise
+        # at t, a cancelled edge still queued comes after the cause
+        if at > t or at == t and self.sim.is_queued(pending):
+            pending.restore()
+            return
+        born = -math.inf if cause is None else cause.born
         after = self._after
-        skipped = 0
         # Replays the live clock's own accumulation (_edge, inlined: a
         # pass skips hundreds of thousands of edges) so the surviving grid
-        # is bit-identical to an ungated run.
-        while at < t:
+        # is bit-identical to an ungated run.  The pending edge goes
+        # first; each later one is born when the edge before it fires.
+        is_rise = self._next_is_rise
+        value, prev, at = is_rise, at, at + after[is_rise]
+        is_rise = not is_rise
+        skipped = 1
+        while at < t or at == t and prev <= born:
             value = is_rise
+            prev = at
             skipped += 1
             at = at + after[is_rise]
             is_rise = not is_rise
@@ -121,7 +137,7 @@ class Clock:
             self.signal.force(value)
         self._next_at = at
         self._next_is_rise = is_rise
-        self._pending = self.sim.schedule_at(at, self._edge)
+        self._pending = self.sim.schedule_as_of(at, self._edge, prev)
 
 
 class PhaseActivator:

@@ -275,7 +275,11 @@ class VectorComparatorBank:
                                 threshold.item(i, c), delay.item(i))
             out = self.outputs[i][c]
             value = new_state.item(i, c)
-            self.sims[i].schedule_at(fire_at, lambda o=out, v=value: o._apply(v))
+            # the lane stands at the sample instant, so the edge is
+            # scheduled (born) there, as on the scalar backend
+            sim = self.sims[i]
+            sim.now = t_i
+            sim.schedule_at(fire_at, lambda o=out, v=value: o._apply(v))
 
 
 class VectorizedSolver:

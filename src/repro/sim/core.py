@@ -24,6 +24,11 @@ ordering.  The one consumer of the priority lane is the adaptive analog
 solver: its micro-step commits run at priority -1, so a step that was
 *snapped* onto an event's timestamp integrates up to that instant with the
 pre-event state before the event (a gate commutation, say) takes effect.
+
+Each event records when it was scheduled (``Event.born``), and
+``Simulator.current`` is the event being delivered.  A gated clock uses
+both to re-arm its next edge in the FIFO place the ungated edge would
+hold (:meth:`Simulator.schedule_as_of`).
 """
 
 from __future__ import annotations
@@ -43,17 +48,24 @@ class Event:
 
     Returned by :meth:`Simulator.schedule`; calling :meth:`cancel` before the
     event fires turns it into a no-op.  Cancellation is O(1) (lazy removal).
+    ``born`` is the simulation time it was scheduled at.
     """
 
-    __slots__ = ("time", "fn", "cancelled")
+    __slots__ = ("time", "fn", "cancelled", "born")
 
-    def __init__(self, time: float, fn: Callable[[], None]):
+    def __init__(self, time: float, fn: Callable[[], None], born: float):
         self.time = time
         self.fn = fn
         self.cancelled = False
+        self.born = born
 
     def cancel(self) -> None:
         self.cancelled = True
+
+    def restore(self) -> None:
+        """Undo :meth:`cancel`; only valid while the event is still
+        queued (:meth:`Simulator.is_queued`), where it keeps its place."""
+        self.cancelled = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -96,6 +108,8 @@ class Simulator:
             self._seq = share_heap._seq
         #: events actually fired through the loop (cancelled pops excluded)
         self.events_delivered: int = 0
+        #: the event being delivered (between deliveries: the last one)
+        self.current: Optional[Event] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -106,7 +120,8 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         # hot path: inlined schedule_at (same semantics, one call less)
-        event = Event(self.now + delay, fn)
+        now = self.now
+        event = Event(now + delay, fn, now)
         heapq.heappush(self._queue,
                        (event.time, priority, next(self._seq), event, self))
         return event
@@ -118,10 +133,71 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        event = Event(time, fn)
+        event = Event(time, fn, self.now)
         heapq.heappush(self._queue,
                        (time, priority, next(self._seq), event, self))
         return event
+
+    def schedule_as_of(self, time: float, fn: Callable[[], None],
+                       born: float) -> Event:
+        """Schedule ``fn`` at ``time`` (priority 0) as if it had been
+        scheduled at the earlier instant ``born``: among the queued
+        events due at the same instant and priority it goes after those
+        scheduled before ``born`` and ahead of those scheduled at or
+        after it."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before current time t={self.now}"
+            )
+        # FIFO keys grow with scheduling time, so the two groups do not
+        # interleave: take a key strictly between them (a fresh one when
+        # nothing goes after)
+        lo = hi = None
+        for seq, event in self._entries_at(time):
+            if event.born < born:
+                if lo is None or seq > lo:
+                    lo = seq
+            elif hi is None or seq < hi:
+                hi = seq
+        if hi is None:
+            seq = next(self._seq)
+        else:
+            seq = hi - 0.5 if lo is None else (lo + hi) / 2
+        event = Event(time, fn, born)
+        heapq.heappush(self._queue, (time, 0, seq, event, self))
+        return event
+
+    def is_queued(self, event: Event) -> bool:
+        """Whether priority-0 ``event`` is still in the queue (cancelled
+        events stay there until delivery passes them)."""
+        return any(e is event for _seq, e in self._entries_at(event.time))
+
+    def _entries_at(self, time: float) -> List[Tuple[float, Event]]:
+        """``(seq, event)`` of the queued priority-0 entries due at
+        ``time``.  The entries due no later than that form a subtree at
+        the heap's root: walk it breadth-first, pruning later ones."""
+        queue = self._queue
+        n = len(queue)
+        found = []
+        todo = [0] if n else []
+        append = todo.append
+        for k in todo:
+            entry = queue[k]
+            t_k = entry[0]
+            if t_k > time:
+                continue
+            if t_k == time:
+                prio = entry[1]
+                if prio > 0:
+                    continue
+                if prio == 0:
+                    found.append((entry[2], entry[3]))
+            k = 2 * k + 1
+            if k < n:
+                append(k)
+                if k < n - 1:
+                    append(k + 1)
+        return found
 
     # ------------------------------------------------------------------
     # Execution
@@ -142,6 +218,7 @@ class Simulator:
             if event.cancelled:
                 continue
             sim.now = time
+            sim.current = event
             sim.events_delivered += 1
             event.fn()
         self.now = t_end
@@ -160,13 +237,13 @@ class Simulator:
         pop = heapq.heappop
         while queue:
             time, _prio, _seq, event, sim = queue[0]
-            if event.cancelled:
-                pop(queue)
-                continue
             if time >= limits[index]:
                 return
             pop(queue)
+            if event.cancelled:
+                continue
             sim.now = time
+            sim.current = event
             sim.events_delivered += 1
             event.fn()
 
@@ -181,13 +258,13 @@ class Simulator:
         queue = self._queue
         while queue:
             time, _prio, _seq, event, sim = queue[0]
-            if event.cancelled:
-                heapq.heappop(queue)
-                continue
             if time >= t_limit:
                 return False
             heapq.heappop(queue)
+            if event.cancelled:
+                continue
             sim.now = time
+            sim.current = event
             sim.events_delivered += 1
             event.fn()
             return True

@@ -3,7 +3,8 @@
 The clock-gating fast-forward is only sound if the re-armed edge grid is
 *bit-identical* to the grid an ungated clock would have produced — the
 skipped edge times must be replayed with the same chain of float
-additions, an edge landing exactly on the jump target must still fire,
+additions, an edge landing exactly on the jump target must fire or be
+skipped as the ungated clock's place among same-instant events says,
 and skipped edges must never dispatch listeners (their sweeps are
 defined to be no-ops, so nobody may observe them).
 """
@@ -59,8 +60,9 @@ def test_fast_forward_grid_bit_identical_to_free_running(duty, phase):
 
 
 def test_fast_forward_landing_exactly_on_edge_fires_it():
-    """Only edges strictly before the target are skipped: a jump that
-    lands on an edge schedules that edge at the jump time."""
+    """Outside a wake (no cause), only edges strictly before the target
+    are skipped: a jump that lands on an edge schedules that edge at the
+    jump time."""
     sim = Simulator()
     clk = Clock(sim, "clk", period=2.0)  # rise 0, fall 1, rise 2, ...
     seen = _watch(clk)
@@ -132,3 +134,51 @@ def test_fast_forward_resumes_mid_cycle_value():
     assert clk.signal.value is False
     sim.run_until(4.0)
     assert clk.signal.value is True  # rise@4 delivered normally
+
+
+def _wake_run(gate_at, waker, births):
+    """Clock with edges on the integers (rise even, fall odd) and probes
+    due at t=6, one per birth instant, each scheduled half a unit before
+    its birth by a helper event (so at a shared instant the clock edge,
+    queued a whole unit ahead, fires first).  With ``gate_at`` set the
+    clock is suspended then and the probe ``waker`` fast-forwards it.
+    Returns the log of dispatched edges and probes, and the clock."""
+    sim = Simulator()
+    clk = Clock(sim, "clk", period=2.0)
+    log = []
+    clk.signal.subscribe(lambda s, v: log.append(("edge", sim.now, v)), ANY)
+
+    def probe(tag):
+        if gate_at is not None and tag == waker:
+            clk.fast_forward(sim.now, sim.current)
+        log.append(("probe", sim.now, tag))
+
+    for tag, born in enumerate(births):
+        sim.schedule_at(born - 0.5, lambda tag=tag, born=born: sim.schedule_at(
+            born, lambda: sim.schedule_at(6.0, lambda: probe(tag))))
+    if gate_at is not None:
+        sim.schedule_at(gate_at, clk.suspend)
+    sim.run_until(9.0)
+    return log, clk
+
+
+@pytest.mark.parametrize("gate_at", [2.5, 5.5], ids=["skipped", "pending"])
+@pytest.mark.parametrize("waker", [0, 1, 2, 3])
+def test_wake_on_an_edge_instant_keeps_the_ungated_order(gate_at, waker):
+    """Probes due exactly on the edge at t=6 are born before (4.5), at
+    (5.0, the instant the edge at 5 schedules it) and after (5.5, 5.75)
+    that edge's birth.  Whichever probe wakes the clock, the gated run
+    dispatches from the wake on exactly what the ungated run does: the
+    edge at 6 is skipped when it fired ahead of the waker, and otherwise
+    fires in its ungated place among the remaining probes.  Suspending
+    at 2.5 makes the edge at 6 a replayed one; at 5.5 it is the
+    cancelled pending edge."""
+    births = [4.5, 5.0, 5.5, 5.75]
+    free_log, free = _wake_run(None, waker, births)
+    gated_log, gated = _wake_run(gate_at, waker, births)
+    start = free_log.index(("probe", 6.0, waker))
+    assert gated_log[-(len(free_log) - start):] == free_log[start:]
+    assert gated.edges_simulated + gated.edges_skipped == \
+        free.edges_simulated
+    edge_6 = free_log.index(("edge", 6.0, True))
+    assert (edge_6 < start) == (waker >= 1)  # the order under test

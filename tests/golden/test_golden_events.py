@@ -29,25 +29,26 @@ from repro.scenarios import Sweep
 from repro.sim import NS, UH, US
 
 #: measured golden counters (seed 0; events re-locked when no-op flop
-#: settles stopped being scheduled):
+#: settles stopped being scheduled, sync lanes again when re-armed clock
+#: edges took their ungated order among same-instant events):
 #: name -> (events_delivered, clock_edges_simulated, clock_edges_skipped)
 GOLDEN = {
-    "fig7a[ctrl=100MHz,pt=1uH]": (5305, 2532, 1444),
-    "fig7a[ctrl=100MHz,pt=2.25uH]": (3669, 1986, 2012),
-    "fig7a[ctrl=100MHz,pt=4.7uH]": (2771, 1411, 2586),
-    "fig7a[ctrl=100MHz,pt=10uH]": (2152, 1085, 2876),
-    "fig7a[ctrl=333MHz,pt=1uH]": (10091, 5315, 8002),
-    "fig7a[ctrl=333MHz,pt=2.25uH]": (5810, 2949, 10262),
-    "fig7a[ctrl=333MHz,pt=4.7uH]": (4461, 2141, 11164),
-    "fig7a[ctrl=333MHz,pt=10uH]": (3335, 1602, 11587),
-    "fig7a[ctrl=666MHz,pt=1uH]": (15408, 8648, 17964),
-    "fig7a[ctrl=666MHz,pt=2.25uH]": (8522, 4732, 21900),
-    "fig7a[ctrl=666MHz,pt=4.7uH]": (5890, 2781, 23824),
-    "fig7a[ctrl=666MHz,pt=10uH]": (4285, 1969, 24480),
-    "fig7a[ctrl=1GHz,pt=1uH]": (17950, 10587, 29345),
-    "fig7a[ctrl=1GHz,pt=2.25uH]": (9534, 5414, 34197),
-    "fig7a[ctrl=1GHz,pt=4.7uH]": (6726, 3405, 36268),
-    "fig7a[ctrl=1GHz,pt=10uH]": (4377, 2073, 37532),
+    "fig7a[ctrl=100MHz,pt=1uH]": (5450, 2677, 1300),
+    "fig7a[ctrl=100MHz,pt=2.25uH]": (3785, 2102, 1896),
+    "fig7a[ctrl=100MHz,pt=4.7uH]": (2834, 1474, 2523),
+    "fig7a[ctrl=100MHz,pt=10uH]": (2199, 1132, 2829),
+    "fig7a[ctrl=333MHz,pt=1uH]": (10309, 5533, 7784),
+    "fig7a[ctrl=333MHz,pt=2.25uH]": (5872, 3011, 10200),
+    "fig7a[ctrl=333MHz,pt=4.7uH]": (4507, 2187, 11118),
+    "fig7a[ctrl=333MHz,pt=10uH]": (3353, 1620, 11569),
+    "fig7a[ctrl=666MHz,pt=1uH]": (15670, 8910, 17703),
+    "fig7a[ctrl=666MHz,pt=2.25uH]": (8658, 4868, 21764),
+    "fig7a[ctrl=666MHz,pt=4.7uH]": (5900, 2791, 23814),
+    "fig7a[ctrl=666MHz,pt=10uH]": (4290, 1974, 24475),
+    "fig7a[ctrl=1GHz,pt=1uH]": (18105, 10742, 29191),
+    "fig7a[ctrl=1GHz,pt=2.25uH]": (9596, 5476, 34135),
+    "fig7a[ctrl=1GHz,pt=4.7uH]": (6745, 3424, 36249),
+    "fig7a[ctrl=1GHz,pt=10uH]": (4380, 2076, 37529),
     "fig7a[ctrl=ASYNC,pt=1uH]": (18006, 0, 0),
     "fig7a[ctrl=ASYNC,pt=2.25uH]": (9729, 0, 0),
     "fig7a[ctrl=ASYNC,pt=4.7uH]": (7437, 0, 0),

@@ -10,7 +10,8 @@ asserting exactly the equivalences the implementation promises:
 
 - **gating is unobservable** — with backend and stepping held fixed,
   ``gating="auto"`` reproduces ``gating="off"`` bit-for-bit on every
-  physics field, controller statistic, and the solver tick count.  Only
+  physics field, controller statistic, the solver tick count and the
+  lane's final ``Simulator.rng`` state.  Only
   the kernel activity counters (events delivered, clock edges
   simulated/skipped) may differ: that activity reduction is the entire
   point of the mode, and the edge ledger must still balance (every
@@ -18,10 +19,10 @@ asserting exactly the equivalences the implementation promises:
   suspended tail);
 - **backends agree under gating** — scalar and vector runs of the same
   gated scenario are bit-identical on every physics field, as the
-  ungated equivalence suite promises, *and* make identical gating
-  decisions (equal simulated/skipped edge counts), because the vector
-  lane bound replicates the scalar crossing arithmetic operation for
-  operation;
+  ungated equivalence suite promises, end with equal ``Simulator.rng``
+  states *and* make identical gating decisions (equal
+  simulated/skipped edge counts), because the vector lane bound
+  replicates the scalar crossing arithmetic operation for operation;
 - **stepping modes drift boundedly** — fixed vs adaptive under gating
   stays inside the documented drift bounds of the adaptive suite.  This
   holds for the noiseless specs only: sensor jitter is drawn once per
@@ -29,7 +30,11 @@ asserting exactly the equivalences the implementation promises:
   processes, not a drifted copy of one.
 
 Every other spec has noisy sensors; the first two equivalences hold
-bit for bit on those too.
+bit for bit on those too.  ``Simulator.rng`` is a lane's only source of
+randomness (metastability draws and, on noisy lanes, one jitter draw
+per comparator per sample), so comparing its final state pins every
+draw by value: one stray draw anywhere moves it, even when no result
+field shows it.
 
 Every assertion message embeds a one-line repro (constructor call with
 the fully expanded overrides) so a failing seed can be replayed without
@@ -38,10 +43,12 @@ carries the ``bench`` marker and runs in its own blocking CI job.
 """
 
 import warnings
+from typing import NamedTuple
 
 import pytest
 
-from repro import Session
+from repro import RunResult, Session
+from repro.control.sync_controller import SyncMultiphaseController
 from repro.scenarios import ScenarioSpec, Sweep, choice, log_uniform, uniform
 from repro.sim import NS, US
 
@@ -100,15 +107,25 @@ def _repro(spec, backend, stepping, gating):
             f"seed={spec.seed!r}))")
 
 
+class Run(NamedTuple):
+    """One lane's result and its ``Simulator.rng`` state after the run."""
+    result: RunResult
+    rng: tuple
+
+
+def _runs(session, specs):
+    return [Run(p.result, p.handle.sim.rng.getstate())
+            for p in session.sweep(specs, keep=True)]
+
+
 def _run_matrix(specs):
     """Run ``specs`` through every (backend, stepping, gating) cell."""
     out = {}
     for backend in BACKENDS:
         session = Session(backend=backend, cache="off")
         for stepping, gating in MODES:
-            pts = session.sweep(
-                [_variant(s, stepping, gating) for s in specs])
-            out[backend, stepping, gating] = [p.result for p in pts]
+            out[backend, stepping, gating] = _runs(
+                session, [_variant(s, stepping, gating) for s in specs])
     return out
 
 
@@ -120,12 +137,16 @@ def _gate_invariant_fp(r):
             r.metastable_events, r.solver_ticks)
 
 
-def _check_gating_unobservable(spec, backend, stepping, off, auto):
+def _check_gating_unobservable(spec, backend, stepping, off_run, auto_run):
     where = f"{spec.name} [{backend}/{stepping}]"
+    off, auto = off_run.result, auto_run.result
     assert _gate_invariant_fp(auto) == _gate_invariant_fp(off), (
         f"{where}: gating=auto changed observable results\n"
         f"  off:  {_gate_invariant_fp(off)}\n"
         f"  auto: {_gate_invariant_fp(auto)}\n"
+        f"  {_repro(spec, backend, stepping, 'auto')}")
+    assert auto_run.rng == off_run.rng, (
+        f"{where}: gating=auto moved the lane's Simulator.rng state\n"
         f"  {_repro(spec, backend, stepping, 'auto')}")
     # the edge ledger balances: each off-mode edge is simulated or
     # skipped in auto mode, minus at most one still-suspended tail
@@ -145,9 +166,10 @@ PHYSICS_FIELDS = ("v_final", "peak_coil_current", "ripple", "coil_loss_w",
                   "efficiency")
 
 
-def _check_backends_agree(spec, stepping, gating, s, v):
+def _check_backends_agree(spec, stepping, gating, s_run, v_run):
     where = f"{spec.name} [{stepping}/gating={gating}]"
     line = _repro(spec, "vector", stepping, gating)
+    s, v = s_run.result, v_run.result
     for name in PHYSICS_FIELDS:
         sv, vv = getattr(s, name), getattr(v, name)
         assert vv == sv, (
@@ -178,9 +200,13 @@ def _check_backends_agree(spec, stepping, gating, s, v):
         f"(scalar {s.clock_edges_simulated}+{s.clock_edges_skipped}, "
         f"vector {v.clock_edges_simulated}+{v.clock_edges_skipped})\n"
         f"  {line}")
+    assert v_run.rng == s_run.rng, (
+        f"{where}: Simulator.rng state diverged across backends\n"
+        f"  {line}")
 
 
-def _check_stepping_drift(spec, backend, fixed, adaptive):
+def _check_stepping_drift(spec, backend, fixed_run, adaptive_run):
+    fixed, adaptive = fixed_run.result, adaptive_run.result
     where = f"{spec.name} [{backend}/gating=auto]"
     line = _repro(spec, backend, "adaptive", "auto")
     peak_drift = abs(adaptive.peak_coil_current - fixed.peak_coil_current)
@@ -208,8 +234,14 @@ def _check_stepping_drift(spec, backend, fixed, adaptive):
 # Tier-1 quick batch
 # ---------------------------------------------------------------------------
 #: eight draws, so the noiseless half the drift check covers is still
-#: four specs, including a gating sync lane (``rand6``)
-QUICK_SPECS = differential_specs(8, master_seed=202, sim_time=2 * US)
+#: four specs, including a gating sync lane (``rand6``), plus a 1 GHz
+#: sync lane whose gates end on PMIN/NMIN wake timers, which no draw
+#: fires
+QUICK_SPECS = differential_specs(8, master_seed=202, sim_time=2 * US) + [
+    ScenarioSpec("diff[timer]", overrides={
+        "dt": 1 * NS, "sim_time": 2 * US, "n_phases": 4,
+        "controller": "sync", "fsm_frequency": 1000e6, "l_uh": 1.0,
+        "r_load": 6.0, "pmin": 20 * NS}, seed=46)]
 _IDS = [s.name for s in QUICK_SPECS]
 _NOISELESS = [i for i, s in enumerate(QUICK_SPECS)
               if "sensor_noise" not in s.overrides]
@@ -217,7 +249,20 @@ _NOISELESS = [i for i, s in enumerate(QUICK_SPECS)
 
 @pytest.fixture(scope="module")
 def matrix():
-    return _run_matrix(QUICK_SPECS)
+    """The quick batch's cells, plus the number of PMIN/NMIN wake-timer
+    firings over all of them under ``"timer wakes"``."""
+    wakes = []
+    on_wake_timer = SyncMultiphaseController._on_wake_timer
+
+    def counted(self):
+        wakes.append(self)
+        on_wake_timer(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SyncMultiphaseController, "_on_wake_timer", counted)
+        cells = _run_matrix(QUICK_SPECS)
+    cells["timer wakes"] = len(wakes)
+    return cells
 
 
 @pytest.mark.parametrize("idx", range(len(QUICK_SPECS)), ids=_IDS)
@@ -253,10 +298,14 @@ def test_stepping_drift_bounded_under_gating(matrix, idx, backend):
 def test_gating_engages_somewhere(matrix):
     """The batch actually exercises the fast-forward path: at least one
     sync-controller lane skips edges (async lanes have no clock, so a
-    batch of only-async draws would silently test nothing)."""
-    skipped = sum(r.clock_edges_skipped
-                  for r in matrix["scalar", "fixed", "auto"])
+    batch of only-async draws would silently test nothing), and some
+    gate ends on a PMIN/NMIN wake timer, so the state comparison covers
+    the code that runs in place of the skipped edges."""
+    skipped = sum(run.result.clock_edges_skipped
+                  for run in matrix["scalar", "fixed", "auto"])
     assert skipped > 0, "no lane ever gated; widen the spec generator"
+    assert matrix["timer wakes"] > 0, \
+        "no gate ended on a PMIN/NMIN wake timer; add a spec that does"
 
 
 #: the two draws of the full batch whose gating decisions split across
@@ -282,10 +331,10 @@ def test_zero_delay_backends_agree(zero, gating):
              for s in ZERO_DELAY_SPECS]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scalar = Session(backend="scalar", cache="off").sweep(specs)
-        vector = Session(backend="vector", cache="off").sweep(specs)
+        scalar = _runs(Session(backend="scalar", cache="off"), specs)
+        vector = _runs(Session(backend="vector", cache="off"), specs)
     for spec, s, v in zip(specs, scalar, vector):
-        _check_backends_agree(spec, "fixed", gating, s.result, v.result)
+        _check_backends_agree(spec, "fixed", gating, s, v)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +342,9 @@ def test_zero_delay_backends_agree(zero, gating):
 # ---------------------------------------------------------------------------
 @pytest.mark.bench
 def test_differential_full_batch():
-    specs = differential_specs(16, master_seed=303, sim_time=5 * US)
+    # 32 draws: the noisy half leaves 16 noiseless specs to the drift
+    # check (the draws are prefix-stable, so the first 16 are unchanged)
+    specs = differential_specs(32, master_seed=303, sim_time=5 * US)
     matrix = _run_matrix(specs)
     for i, spec in enumerate(specs):
         for backend in BACKENDS:

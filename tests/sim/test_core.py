@@ -303,3 +303,108 @@ def test_shared_heap_run_before_fires_for_owner():
     assert seen == [pytest.approx(2 * NS)]
     assert (a.events_delivered, b.events_delivered) == (0, 1)
     assert a.now == 0.0
+
+
+def test_events_record_birth_and_current_event():
+    sim = Simulator()
+    seen = []
+
+    def first():
+        seen.append(sim.current)
+        sim.schedule(2.0, lambda: seen.append(sim.current))
+
+    outer = sim.schedule(1.0, first)
+    sim.run_until(10.0)
+    assert seen[0] is outer and outer.born == 0.0
+    assert seen[1].born == 1.0 and seen[1].time == 3.0
+
+
+def _same_instant(sim, tags, fired):
+    for tag in tags:
+        sim.schedule_at(5.0, lambda tag=tag: fired.append(tag))
+
+
+def test_schedule_as_of_takes_the_fifo_place_of_its_birth():
+    """Events scheduled before ``born`` go first; those scheduled at or
+    after it go after, as if the new event had been queued at ``born``."""
+    sim = Simulator()
+    fired = []
+    _same_instant(sim, "a", fired)                       # born 0
+    sim.schedule(1.0, lambda: _same_instant(sim, "b", fired))
+    sim.schedule(2.0, lambda: _same_instant(sim, "c", fired))
+    sim.schedule(3.0, lambda: _same_instant(sim, "d", fired))
+    sim.run_until(3.0)
+    late = sim.schedule_as_of(5.0, lambda: fired.append("X"), born=2.0)
+    assert late.born == 2.0
+    sim.run_until(10.0)
+    assert fired == ["a", "b", "X", "c", "d"]
+
+
+def test_schedule_as_of_behind_everything_takes_a_fresh_key():
+    sim = Simulator()
+    fired = []
+    _same_instant(sim, "ab", fired)
+    sim.schedule_as_of(5.0, lambda: fired.append("X"), born=4.0)
+    sim.schedule_as_of(5.0, lambda: fired.append("Y"), born=-1.0)
+    sim.schedule_at(6.0, lambda: fired.append("later"))
+    sim.run_until(10.0)
+    assert fired == ["Y", "a", "b", "X", "later"]
+
+
+def test_schedule_as_of_ignores_other_instants_and_priorities():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: sim.schedule_at(
+        5.0, lambda: fired.append("late-pre"), priority=-1))
+    sim.schedule(1.0, lambda: sim.schedule_at(
+        5.0, lambda: fired.append("late-post"), priority=1))
+    sim.schedule(1.0, lambda: sim.schedule_at(
+        4.0, lambda: fired.append("earlier")))
+    sim.run_until(2.0)
+    sim.schedule_as_of(5.0, lambda: fired.append("X"), born=0.5)
+    sim.run_until(10.0)
+    assert fired == ["earlier", "late-pre", "X", "late-post"]
+
+
+def test_schedule_as_of_past_rejected():
+    sim = Simulator()
+    sim.run_until(5.0)
+    with pytest.raises(SimulationError):
+        sim.schedule_as_of(4.0, lambda: None, born=0.0)
+
+
+def test_restore_revives_a_queued_cancelled_event_in_its_place():
+    sim = Simulator()
+    fired = []
+    _same_instant(sim, "a", fired)
+    kept = sim.schedule_at(5.0, lambda: fired.append("E"))
+    _same_instant(sim, "b", fired)
+    kept.cancel()
+    sim.run_until(1.0)
+    assert sim.is_queued(kept)
+    kept.restore()
+    _same_instant(sim, "c", fired)
+    sim.run_until(10.0)
+    assert fired == ["a", "E", "b", "c"]
+    assert not sim.is_queued(kept)
+
+
+def test_is_queued_turns_false_once_delivery_passes_a_cancelled_event():
+    sim = Simulator()
+    seen = []
+    first = sim.schedule_at(5.0, lambda: None)
+    dead = sim.schedule_at(5.0, lambda: None)
+    sim.schedule_at(5.0, lambda: seen.append(sim.is_queued(dead)))
+    dead.cancel()
+    first.fn = lambda: seen.append(sim.is_queued(dead))
+    sim.run_until(10.0)
+    assert seen == [True, False]
+
+
+def test_run_before_keeps_cancelled_entries_past_the_limit():
+    sim = Simulator()
+    dead = sim.schedule(5 * NS, lambda: None)
+    dead.cancel()
+    sim.run_before([3 * NS], 0)
+    assert sim.is_queued(dead)
+    assert not sim.run_one_before(3 * NS) and sim.is_queued(dead)
