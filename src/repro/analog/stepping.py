@@ -90,17 +90,12 @@ class SteppingPolicy:
     rtol: float               #: relative tolerance on both state families
     atol_i: float             #: absolute current tolerance (A)
     atol_v: float             #: absolute voltage tolerance (V)
-    gating: str = "auto"      #: 'auto' or 'off' — idle clock-edge fast-forward
 
     def __post_init__(self) -> None:
         if self.mode not in STEPPING_MODES:
             raise ValueError(
                 f"stepping mode must be one of {STEPPING_MODES}, "
                 f"got {self.mode!r}")
-        if self.gating not in GATING_MODES:
-            raise ValueError(
-                f"gating mode must be one of {GATING_MODES}, "
-                f"got {self.gating!r}")
         if self.dt <= 0:
             raise ValueError("solver step must be positive")
         if self.dt_min <= 0 or self.dt_max < self.dt_min:
@@ -133,7 +128,6 @@ class SteppingPolicy:
             rtol=config.rtol,
             atol_i=config.atol_i,
             atol_v=config.atol_v,
-            gating=config.gating,
         )
 
     @classmethod

@@ -20,7 +20,7 @@ from .gates import (
 from .latches import DFlipFlop, SRLatch
 from .mutex import Mutex
 from .synchronizer import SynchronizerBank, TwoFlopSynchronizer
-from .timer import HandshakeTimer, MinOnTimeGuard, RestartableTimer
+from .timer import HandshakeTimer
 
 __all__ = [
     "Gate", "DEFAULT_GATE_DELAY",
@@ -31,5 +31,5 @@ __all__ = [
     "Mutex",
     "Clock", "PhaseActivator",
     "TwoFlopSynchronizer", "SynchronizerBank",
-    "HandshakeTimer", "RestartableTimer", "MinOnTimeGuard",
+    "HandshakeTimer",
 ]

@@ -99,13 +99,12 @@ class Clock:
         it are skipped: counted, value applied silently via
         :meth:`Signal.force`, no listener dispatch.  Those are the edges
         before ``t`` and, at exactly ``t``, the ones queued ahead of the
-        cause.  The next edge takes its ungated place among the
-        same-instant events.  The cancelled edge, still queued, keeps
-        its own (:meth:`~repro.sim.core.Event.restore`).  A replayed
-        edge is queued as of the instant the edge before it fired
-        (:meth:`~repro.sim.core.Simulator.schedule_as_of`), and an event
-        scheduled at that very instant is taken to follow it: the clock
-        edge that fired there was queued a half period ahead.
+        cause.  The cancelled edge, while still queued, is restored in
+        its own place (:meth:`~repro.sim.core.Event.restore`).  A
+        replayed edge is queued as of the instant the edge before it
+        fired (:meth:`~repro.sim.core.Simulator.schedule_as_of`), so its
+        heap key puts it ahead of the events born at that instant: the
+        clock edge that fired there was queued a half period ahead.
         """
         if not self._suspended:
             return
@@ -113,8 +112,7 @@ class Clock:
         pending = self._pending
         at = self._next_at
         # at t, a cancelled edge still queued comes after the cause
-        if at > t or at == t and self.sim.is_queued(pending):
-            pending.restore()
+        if at >= t and pending.restore():
             return
         born = -math.inf if cause is None else cause.born
         after = self._after

@@ -5,9 +5,6 @@ A :class:`HandshakeTimer` has a request/acknowledge interface: raise
 ``ack`` follows down (return-to-zero handshake).  The asynchronous phase
 controller uses these to bound minimum transistor ON times and token dwell
 without any clock.
-
-:class:`RestartableTimer` adds early cancellation, needed by the RWAIT-
-based zero-crossing wait ("it can be reset due to a timeout", Sec. IV).
 """
 
 from __future__ import annotations
@@ -57,61 +54,3 @@ class HandshakeTimer:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"HandshakeTimer({self.name!r}, {self.duration!r}s)"
 
-
-class RestartableTimer(HandshakeTimer):
-    """Handshake timer whose programmed duration may be changed per use.
-
-    ``set_duration`` affects the *next* request; a running measurement is
-    unaffected.  The EXT_DELAY_CTRL uses this to add PEXT on the first
-    charging cycle only.
-    """
-
-    def set_duration(self, duration: float) -> None:
-        if duration < 0:
-            raise ValueError("timer duration cannot be negative")
-        self.duration = duration
-
-
-class MinOnTimeGuard:
-    """Enforces a minimum ON time for a power transistor request signal.
-
-    Watches a gate request signal ``g``; ``expired`` is high only when the
-    signal has been high for at least ``minimum``.  Both controllers use
-    this for the PMIN/NMIN requirement (Sec. II: "once ON, the PMOS and
-    NMOS transistors should not switch OFF for at least the predefined
-    PMIN and NMIN time intervals").
-    """
-
-    def __init__(self, sim: Simulator, name: str, g: Signal, minimum: float,
-                 trace: bool = True):
-        if minimum < 0:
-            raise ValueError("minimum ON time cannot be negative")
-        self.sim = sim
-        self.minimum = minimum
-        #: extra hold applied to the next ON interval only (PEXT support)
-        self.extension = 0.0
-        self.expired = Signal(sim, f"{name}.expired", init=True, trace=trace)
-        self._pending: Optional[Event] = None
-        g.subscribe(self._on_g)
-
-    def _on_g(self, _sig: Signal, value: bool) -> None:
-        if value:
-            hold = self.minimum + self.extension
-            self.extension = 0.0
-            self.expired._apply(False)
-            if self._pending is not None:
-                self._pending.cancel()
-            self._pending = self.sim.schedule(hold, self._expire)
-        else:
-            # turning off: nothing to do; the guard re-arms on next ON
-            pass
-
-    def _expire(self) -> None:
-        self._pending = None
-        self.expired._apply(True)
-
-    def extend_next(self, extra: float) -> None:
-        """Lengthen the next ON interval by ``extra`` (the PEXT mechanism)."""
-        if extra < 0:
-            raise ValueError("extension cannot be negative")
-        self.extension = extra

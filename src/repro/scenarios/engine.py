@@ -122,24 +122,19 @@ class VectorBatch:
         if not configs:
             raise ValueError("batch needs at least one scenario")
         first = configs[0]
-        stepping_keys = ("stepping", "dt_min", "dt_max", "rtol",
-                         "atol_i", "atol_v")
+        policy = SteppingPolicy.from_config(first)
         for cfg in configs:
             if cfg.n_phases != first.n_phases:
                 raise ValueError("batch lanes must share n_phases")
-            if cfg.dt != first.dt:
-                raise ValueError("batch lanes must share dt")
             if cfg.sim_time != first.sim_time:
                 raise ValueError("batch lanes must share sim_time")
-            for key in stepping_keys:
-                if getattr(cfg, key) != getattr(first, key):
-                    raise ValueError(
-                        f"batch lanes must share {key} (stepping policy)")
+            if SteppingPolicy.from_config(cfg) != policy:
+                raise ValueError(
+                    "batch lanes must share dt and the stepping policy")
         self.configs = list(configs)
         self.sim_time = first.sim_time
         self.dt = first.dt
         n_phases = first.n_phases
-        policy = SteppingPolicy.from_config(first)
         if policy.adaptive and any(cfg.sensor_delay <= 0 or cfg.t_gate <= 0
                                    for cfg in configs):
             raise ValueError(

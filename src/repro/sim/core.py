@@ -8,16 +8,21 @@ deterministic tie-break sequence number.  Everything else in the library
 Determinism
 -----------
 Events scheduled for the same instant fire in priority order (lower first),
-then in scheduling order (FIFO), so a simulation is a pure function of its
-inputs and the RNG seed.  All stochastic elements (metastability resolution,
-sensor jitter) draw from ``Simulator.rng`` which is seeded at construction.
+then in order of the instant they were scheduled at (``Event.born``), then
+in scheduling order (FIFO), so a simulation is a pure function of its
+inputs and the RNG seed.  A simulator's ``now`` only moves forward, so
+among its events queued by :meth:`Simulator.schedule` and
+:meth:`Simulator.schedule_at` birth order is FIFO order;
+:meth:`Simulator.schedule_as_of` is the only way to queue an event with an
+earlier birth.  All stochastic elements (metastability resolution, sensor
+jitter) draw from ``Simulator.rng`` which is seeded at construction.
 
 Simulators built with ``share_heap`` push into one heap with one sequence
 counter (the lanes of a fixed-step vector batch do this).  Each heap entry
 carries the simulator that scheduled it, so delivery sets *that*
-simulator's ``now`` and counts the event on it.  Each simulator keeps its
-own FIFO order; same-instant events of different simulators tie-break by
-the shared sequence counter.
+simulator's ``now`` and counts the event on it.  Same-instant events of
+different simulators tie-break by birth, then by the shared sequence
+counter.
 
 Almost everything schedules at the default priority 0 and sees pure FIFO
 ordering.  The one consumer of the priority lane is the adaptive analog
@@ -25,10 +30,10 @@ solver: its micro-step commits run at priority -1, so a step that was
 *snapped* onto an event's timestamp integrates up to that instant with the
 pre-event state before the event (a gate commutation, say) takes effect.
 
-Each event records when it was scheduled (``Event.born``), and
-``Simulator.current`` is the event being delivered.  A gated clock uses
-both to re-arm its next edge in the FIFO place the ungated edge would
-hold (:meth:`Simulator.schedule_as_of`).
+``Simulator.current`` is the event being delivered.  A gated clock passes
+it to :meth:`~repro.digital.clock.Clock.fast_forward`, which re-arms the
+next edge as of the birth the ungated edge would have
+(:meth:`Simulator.schedule_as_of`).
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ class Event:
     """A cancellable scheduled callback.
 
     Returned by :meth:`Simulator.schedule`; calling :meth:`cancel` before the
-    event fires turns it into a no-op.  Cancellation is O(1) (lazy removal).
+    event fires turns it into a no-op.  Cancellation is O(1) (lazy removal:
+    delivery drops the callback when it pops the cancelled entry).
     ``born`` is the simulation time it was scheduled at.
     """
 
@@ -62,10 +68,14 @@ class Event:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def restore(self) -> None:
-        """Undo :meth:`cancel`; only valid while the event is still
-        queued (:meth:`Simulator.is_queued`), where it keeps its place."""
+    def restore(self) -> bool:
+        """Undo :meth:`cancel` while the cancelled entry is still queued,
+        where the event keeps its place.  Returns whether it did: once
+        delivery has popped the entry, the event is gone for good."""
+        if self.fn is None:
+            return False
         self.cancelled = False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -101,7 +111,8 @@ class Simulator:
         self.now: float = 0.0
         self.rng = random.Random(seed)
         if share_heap is None:
-            self._queue: List[Tuple[float, int, int, Event, Simulator]] = []
+            self._queue: List[
+                Tuple[float, int, float, int, Event, Simulator]] = []
             self._seq = itertools.count(1)
         else:
             self._queue = share_heap._queue
@@ -122,82 +133,38 @@ class Simulator:
         # hot path: inlined schedule_at (same semantics, one call less)
         now = self.now
         event = Event(now + delay, fn, now)
-        heapq.heappush(self._queue,
-                       (event.time, priority, next(self._seq), event, self))
+        heapq.heappush(self._queue, (event.time, priority, now,
+                                     next(self._seq), event, self))
         return event
 
     def schedule_at(self, time: float, fn: Callable[[], None],
                     priority: int = 0) -> Event:
         """Schedule ``fn`` to run at absolute simulation time ``time``."""
-        if time < self.now:
+        now = self.now
+        if time < now:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self.now}"
+                f"cannot schedule at t={time} before current time t={now}"
             )
-        event = Event(time, fn, self.now)
+        event = Event(time, fn, now)
         heapq.heappush(self._queue,
-                       (time, priority, next(self._seq), event, self))
+                       (time, priority, now, next(self._seq), event, self))
         return event
 
     def schedule_as_of(self, time: float, fn: Callable[[], None],
                        born: float) -> Event:
         """Schedule ``fn`` at ``time`` (priority 0) as if it had been
-        scheduled at the earlier instant ``born``: among the queued
-        events due at the same instant and priority it goes after those
-        scheduled before ``born`` and ahead of those scheduled at or
-        after it."""
+        scheduled at the earlier instant ``born``: it goes after the
+        same-instant events born before ``born`` and ahead of those born
+        at or after it.  Of two such events with one birth, the one
+        scheduled last goes first (its sequence key is negated)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        # FIFO keys grow with scheduling time, so the two groups do not
-        # interleave: take a key strictly between them (a fresh one when
-        # nothing goes after)
-        lo = hi = None
-        for seq, event in self._entries_at(time):
-            if event.born < born:
-                if lo is None or seq > lo:
-                    lo = seq
-            elif hi is None or seq < hi:
-                hi = seq
-        if hi is None:
-            seq = next(self._seq)
-        else:
-            seq = hi - 0.5 if lo is None else (lo + hi) / 2
         event = Event(time, fn, born)
-        heapq.heappush(self._queue, (time, 0, seq, event, self))
+        heapq.heappush(self._queue,
+                       (time, 0, born, -next(self._seq), event, self))
         return event
-
-    def is_queued(self, event: Event) -> bool:
-        """Whether priority-0 ``event`` is still in the queue (cancelled
-        events stay there until delivery passes them)."""
-        return any(e is event for _seq, e in self._entries_at(event.time))
-
-    def _entries_at(self, time: float) -> List[Tuple[float, Event]]:
-        """``(seq, event)`` of the queued priority-0 entries due at
-        ``time``.  The entries due no later than that form a subtree at
-        the heap's root: walk it breadth-first, pruning later ones."""
-        queue = self._queue
-        n = len(queue)
-        found = []
-        todo = [0] if n else []
-        append = todo.append
-        for k in todo:
-            entry = queue[k]
-            t_k = entry[0]
-            if t_k > time:
-                continue
-            if t_k == time:
-                prio = entry[1]
-                if prio > 0:
-                    continue
-                if prio == 0:
-                    found.append((entry[2], entry[3]))
-            k = 2 * k + 1
-            if k < n:
-                append(k)
-                if k < n - 1:
-                    append(k + 1)
-        return found
 
     # ------------------------------------------------------------------
     # Execution
@@ -214,8 +181,9 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         while queue and queue[0][0] <= t_end:
-            time, _prio, _seq, event, sim = pop(queue)
+            time, _prio, _born, _seq, event, sim = pop(queue)
             if event.cancelled:
+                event.fn = None
                 continue
             sim.now = time
             sim.current = event
@@ -236,11 +204,12 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         while queue:
-            time, _prio, _seq, event, sim = queue[0]
+            time, _prio, _born, _seq, event, sim = queue[0]
             if time >= limits[index]:
                 return
             pop(queue)
             if event.cancelled:
+                event.fn = None
                 continue
             sim.now = time
             sim.current = event
@@ -257,11 +226,12 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            time, _prio, _seq, event, sim = queue[0]
+            time, _prio, _born, _seq, event, sim = queue[0]
             if time >= t_limit:
                 return False
             heapq.heappop(queue)
             if event.cancelled:
+                event.fn = None
                 continue
             sim.now = time
             sim.current = event

@@ -207,7 +207,7 @@ class BuckSystem:
             self.controller = SyncMultiphaseController(
                 self.sim, self.sensors, self.gates, config.n_phases,
                 config.fsm_frequency, params=params, trace=config.trace,
-                gating=policy.gating,
+                gating=config.gating,
                 crossing_bound=self.solver.crossing_bound)
         else:
             self.controller = AsyncMultiphaseController(

@@ -8,10 +8,8 @@ from repro.digital import (
     Clock,
     DFlipFlop,
     HandshakeTimer,
-    MinOnTimeGuard,
     Mutex,
     PhaseActivator,
-    RestartableTimer,
     SRLatch,
     SynchronizerBank,
 )
@@ -296,43 +294,3 @@ class TestTimers:
     def test_negative_duration_rejected(self, sim):
         with pytest.raises(ValueError):
             HandshakeTimer(sim, "t", duration=-1.0)
-
-    def test_restartable_duration_change(self, sim):
-        timer = RestartableTimer(sim, "t", duration=50 * NS)
-        timer.set_duration(10 * NS)
-        timer.req.set(True, 1 * NS)
-        sim.run(15 * NS)
-        assert timer.ack.value
-
-    def test_min_on_time_guard(self, sim):
-        g = Signal(sim, "g")
-        guard = MinOnTimeGuard(sim, "pmin", g, minimum=30 * NS)
-        assert guard.expired.value  # nothing running yet
-        g.set(True, 1 * NS)
-        sim.run(20 * NS)
-        assert not guard.expired.value
-        sim.run(20 * NS)
-        assert guard.expired.value
-
-    def test_min_on_guard_extension_applies_once(self, sim):
-        g = Signal(sim, "g")
-        guard = MinOnTimeGuard(sim, "pmin", g, minimum=10 * NS)
-        guard.extend_next(20 * NS)  # PEXT
-        g.set(True, 1 * NS)
-        sim.run(21 * NS)
-        assert not guard.expired.value  # still inside 10+20 ns hold
-        sim.run(15 * NS)
-        assert guard.expired.value
-        # second cycle: no extension
-        g.set(False)
-        g.set(True, 1 * NS)
-        sim.run(13 * NS)
-        assert guard.expired.value
-
-    def test_guard_invalid_parameters(self, sim):
-        g = Signal(sim, "g")
-        with pytest.raises(ValueError):
-            MinOnTimeGuard(sim, "x", g, minimum=-1.0)
-        guard = MinOnTimeGuard(sim, "x", g, minimum=1 * NS)
-        with pytest.raises(ValueError):
-            guard.extend_next(-1.0)

@@ -207,7 +207,7 @@ def test_adaptive_lane_clocks_stay_python_floats():
         for lane, sim in enumerate(batch.sims):
             assert type(sim.now) is float, f"lane {lane} now"
             assert sim._queue, f"lane {lane}: nothing queued to check"
-            for time, _prio, _seq, event, _owner in sim._queue:
+            for time, _prio, _born, _seq, event, _owner in sim._queue:
                 assert type(time) is float, f"lane {lane} event {time!r}"
                 assert type(event.time) is float
     assert set(seen) == {(float, float)}, seen
@@ -232,6 +232,20 @@ def test_vector_batch_rejects_mixed_stepping():
     specs = [ScenarioSpec("f", overrides=base),
              ScenarioSpec("a", overrides=dict(base, stepping="adaptive"))]
     with pytest.raises(ValueError, match="stepping"):
+        VectorBatch(specs, [s.to_config() for s in specs])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dt_min", 0.5 * NS), ("dt_max", 32 * NS), ("rtol", 2e-3),
+    ("atol_i", 2e-4), ("atol_v", 1e-3)])
+def test_vector_batch_rejects_lanes_differing_in_one_stepping_knob(key, value):
+    """Lanes share one :class:`SteppingPolicy`: a lane that differs in
+    any single knob the policy resolves is refused."""
+    base = {"controller": "async", "sim_time": 2 * US, "dt": 1 * NS,
+            "stepping": "adaptive"}
+    specs = [ScenarioSpec("p", overrides=base),
+             ScenarioSpec("q", overrides=dict(base, **{key: value}))]
+    with pytest.raises(ValueError, match="stepping policy"):
         VectorBatch(specs, [s.to_config() for s in specs])
 
 

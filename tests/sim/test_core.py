@@ -262,8 +262,8 @@ def test_shared_heap_delivers_in_global_time_order_to_owners():
     b.schedule(3 * NS, mark(b, "b3"))
     a.schedule(5 * NS, mark(a, "a5"))
     b.schedule(1 * NS, mark(b, "b1"))
-    # same-instant ties: each simulator keeps its FIFO order, and the
-    # two interleave by the shared sequence counter
+    # same-instant ties of one birth: each simulator keeps its FIFO
+    # order, and the two interleave by the shared sequence counter
     for tag in ("a7x", "b7x", "a7y", "b7y"):
         owner = a if tag[0] == "a" else b
         owner.schedule(7 * NS, mark(owner, tag))
@@ -280,6 +280,18 @@ def test_shared_heap_delivers_in_global_time_order_to_owners():
     assert b.events_delivered == 4
     assert a.now == pytest.approx(10 * NS)
     assert b.now == pytest.approx(7 * NS)
+
+
+def test_shared_heap_same_instant_events_fire_by_birth_then_fifo():
+    a = Simulator()
+    b = Simulator(share_heap=a)
+    fired = []
+    b.schedule(1 * NS, lambda: None)
+    a.run_until(5 * NS)           # a.now is 5 ns, b.now stays at 1 ns
+    for owner, tag in ((a, "a1"), (b, "b1"), (a, "a2"), (b, "b2")):
+        owner.schedule_at(20 * NS, lambda tag=tag: fired.append(tag))
+    a.run_until(30 * NS)
+    assert fired == ["b1", "b2", "a1", "a2"]
 
 
 def test_shared_heap_run_one_before_fires_for_owner():
@@ -351,6 +363,22 @@ def test_schedule_as_of_behind_everything_takes_a_fresh_key():
     assert fired == ["Y", "a", "b", "X", "later"]
 
 
+def test_schedule_as_of_replays_of_one_birth_fire_last_pushed_first():
+    """A gated controller re-arms its fsm clock, then its sync clock, as
+    of one birth: the sync edge fires first, ahead of the events born
+    at that instant."""
+    sim = Simulator()
+    fired = []
+    _same_instant(sim, "a", fired)
+    sim.schedule(2.0, lambda: _same_instant(sim, "b", fired))
+    sim.run_until(3.0)
+    sim.schedule_as_of(5.0, lambda: fired.append("fsm"), born=2.0)
+    sim.schedule_as_of(5.0, lambda: fired.append("sync"), born=2.0)
+    assert all(type(entry[3]) is int for entry in sim._queue)
+    sim.run_until(10.0)
+    assert fired == ["a", "sync", "fsm", "b"]
+
+
 def test_schedule_as_of_ignores_other_instants_and_priorities():
     sim = Simulator()
     fired = []
@@ -381,30 +409,35 @@ def test_restore_revives_a_queued_cancelled_event_in_its_place():
     _same_instant(sim, "b", fired)
     kept.cancel()
     sim.run_until(1.0)
-    assert sim.is_queued(kept)
-    kept.restore()
+    assert kept.restore()
     _same_instant(sim, "c", fired)
     sim.run_until(10.0)
     assert fired == ["a", "E", "b", "c"]
-    assert not sim.is_queued(kept)
 
 
-def test_is_queued_turns_false_once_delivery_passes_a_cancelled_event():
+def test_restore_fails_once_delivery_pops_the_cancelled_entry():
+    """Mid-instant, an earlier same-instant event still finds the
+    cancelled entry queued; a later one finds it popped."""
     sim = Simulator()
-    seen = []
-    first = sim.schedule_at(5.0, lambda: None)
-    dead = sim.schedule_at(5.0, lambda: None)
-    sim.schedule_at(5.0, lambda: seen.append(sim.is_queued(dead)))
+    fired = []
+    sim.schedule_at(5.0, lambda: fired.append(("first", kept.restore())))
+    kept = sim.schedule_at(5.0, lambda: fired.append("kept"))
+    dead = sim.schedule_at(5.0, lambda: fired.append("dead"))
+    sim.schedule_at(5.0, lambda: fired.append(("last", dead.restore())))
+    kept.cancel()
     dead.cancel()
-    first.fn = lambda: seen.append(sim.is_queued(dead))
     sim.run_until(10.0)
-    assert seen == [True, False]
+    assert fired == [("first", True), "kept", ("last", False)]
+    assert dead.cancelled
 
 
 def test_run_before_keeps_cancelled_entries_past_the_limit():
     sim = Simulator()
-    dead = sim.schedule(5 * NS, lambda: None)
+    fired = []
+    dead = sim.schedule(5 * NS, lambda: fired.append(sim.now))
     dead.cancel()
     sim.run_before([3 * NS], 0)
-    assert sim.is_queued(dead)
-    assert not sim.run_one_before(3 * NS) and sim.is_queued(dead)
+    assert not sim.run_one_before(3 * NS)
+    assert dead.restore()
+    sim.run_until(10 * NS)
+    assert fired == [5 * NS]
