@@ -13,21 +13,12 @@ comparator crossings.
 - :mod:`repro.scenarios.spec` — specs, grid/random sweeps, seeding rules;
 - :mod:`repro.scenarios.vector_stage` — the N-lane power-stage arrays;
 - :mod:`repro.scenarios.vector_solver` — lock-step solver + comparators;
-- :mod:`repro.scenarios.engine` — batching, results, cross-validation;
+- :mod:`repro.scenarios.engine` — lane handles, batching, results;
 - :mod:`repro.scenarios.parallel` — process-pool sharding of batches
   (``Session(workers=N)``), batch planner, picklable work units.
 """
 
-from .engine import (
-    CrossValidation,
-    EdgeComparison,
-    ScenarioLane,
-    SteppingDrift,
-    SweepPoint,
-    VectorBatch,
-    cross_validate,
-    cross_validate_stepping,
-)
+from .engine import ScenarioLane, SweepPoint, VectorBatch
 from .parallel import BatchPlan, plan_batches, pool_map, run_sweep_parallel
 from .spec import (
     Distribution,
@@ -45,8 +36,6 @@ __all__ = [
     "ScenarioSpec", "Sweep", "Distribution", "uniform", "log_uniform",
     "choice", "lane_seed",
     "SweepPoint", "VectorBatch", "ScenarioLane",
-    "cross_validate", "CrossValidation", "EdgeComparison",
-    "cross_validate_stepping", "SteppingDrift",
     "BatchPlan", "plan_batches", "pool_map", "run_sweep_parallel",
     "VectorizedPowerStage", "LaneStage", "LanePhase",
     "VectorizedSolver", "VectorComparatorBank", "LaneSensors",

@@ -18,23 +18,20 @@ Backends
     co-simulation.
 ``scalar``
     One sequential :class:`~repro.system.BuckSystem` per scenario — the
-    reference path, used by the cross-validation tests and available as a
-    fallback.
+    reference path and a fallback.  The equivalence tests sweep the same
+    specs through both backends with ``trace=True`` and require the
+    results, traces included, to be equal up to the kernel event
+    counter.
 
 Either backend shards across worker processes with ``workers=N``
 (independent batches, reassembled in spec order, bit-identical to the
 inline path — see :mod:`repro.scenarios.parallel`).
-
-:func:`cross_validate` runs one spec through both backends with full
-tracing and reports waveform and comparator-edge deviations; the
-equivalence tests require them to be exactly zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Any, Callable, List, Mapping, Optional, Sequence,
-                    Union)
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,7 +53,7 @@ Specs = Union[Sweep, Sequence[ScenarioSpec]]
 
 class ScenarioLane:
     """Handle to one lane of a running batch (testbench access: sensors,
-    gates, controller, simulator, and traced waveforms)."""
+    gates, controller, simulator, and the traced run as a TraceSet)."""
 
     def __init__(self, index: int, spec: ScenarioSpec, config: SystemConfig,
                  sim: Simulator, stage, sensors: LaneSensors,
@@ -70,15 +67,6 @@ class ScenarioLane:
         self.gates = gates
         self.controller = controller
         self.solver = solver
-
-    def v_waveform(self) -> np.ndarray:
-        return self.solver.v_waveform(self.index)
-
-    def i_waveform(self, phase: int) -> np.ndarray:
-        return self.solver.i_waveform(self.index, phase)
-
-    def waveform_times(self) -> np.ndarray:
-        return self.solver.waveform_times(self.index)
 
     def trace_signals(self):
         """This lane's Fig. 6 digital signal set (the vector twin of
@@ -373,180 +361,3 @@ def _execute_sweep(spec_list: Sequence[ScenarioSpec],
                                     results[lane_no],
                                     batch.lanes[lane_no] if keep else None))
     return points  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# Cross-validation: vectorized vs scalar
-# ---------------------------------------------------------------------------
-@dataclass
-class EdgeComparison:
-    """Edge-time agreement for one comparator output."""
-
-    name: str
-    count_scalar: int
-    count_vector: int
-    max_dt: float        #: worst |t_scalar - t_vector| over paired edges
-
-    @property
-    def counts_match(self) -> bool:
-        return self.count_scalar == self.count_vector
-
-
-@dataclass
-class CrossValidation:
-    """Waveform/event agreement report for one scenario run both ways."""
-
-    spec: ScenarioSpec
-    v_err: float                     #: max |V_out difference| over all samples
-    i_err: float                     #: max |coil current difference|
-    n_samples: int                   #: compared samples (the shared prefix)
-    n_samples_scalar: int = 0
-    n_samples_vector: int = 0
-    edges: List[EdgeComparison] = field(default_factory=list)
-    result_scalar: Optional[RunResult] = None
-    result_vector: Optional[RunResult] = None
-
-    @property
-    def max_edge_dt(self) -> float:
-        return max((e.max_dt for e in self.edges), default=0.0)
-
-    @property
-    def edge_counts_match(self) -> bool:
-        return all(e.counts_match for e in self.edges)
-
-    @property
-    def sample_counts_match(self) -> bool:
-        """Both backends took the same number of micro-steps."""
-        return self.n_samples_scalar == self.n_samples_vector
-
-
-@dataclass
-class SteppingDrift:
-    """Fixed-vs-adaptive agreement report for one scenario.
-
-    The adaptive stepper is *not* bit-matched to the fixed grid — it
-    takes different (error-controlled) steps — so agreement is bounded,
-    not exact: the cross-validation suite asserts the drifts below stay
-    inside documented tolerances.  Between the two adaptive backends,
-    however, the stepping policy is plumbed identically, so
-    ``backends_match`` locks scalar-vs-vector adaptive *exact* equality.
-    """
-
-    spec: ScenarioSpec
-    result_fixed: RunResult          #: vector backend, fixed grid
-    result_adaptive: RunResult       #: vector backend, adaptive grid
-    result_adaptive_scalar: RunResult
-
-    @property
-    def tick_ratio(self) -> float:
-        """Fixed-over-adaptive committed micro-step ratio (the speed win)."""
-        return self.result_fixed.solver_ticks / self.result_adaptive.solver_ticks
-
-    @property
-    def peak_drift(self) -> float:
-        return abs(self.result_fixed.peak_coil_current
-                   - self.result_adaptive.peak_coil_current)
-
-    @property
-    def ripple_drift(self) -> float:
-        return abs(self.result_fixed.ripple - self.result_adaptive.ripple)
-
-    @property
-    def v_final_drift(self) -> float:
-        return abs(self.result_fixed.v_final - self.result_adaptive.v_final)
-
-    @property
-    def cycle_drift(self) -> float:
-        """Relative total-cycle-count difference (controller activity)."""
-        fixed = sum(self.result_fixed.cycles)
-        adaptive = sum(self.result_adaptive.cycles)
-        if fixed == 0:
-            return float(adaptive != 0)
-        return abs(fixed - adaptive) / fixed
-
-    @property
-    def backends_match(self) -> bool:
-        """Adaptive scalar and adaptive vector agree bit for bit: on
-        the state, peak and energy quantities (``coil_loss_w`` and
-        ``efficiency`` included), the controller statistics and the
-        step counts."""
-        a, s = self.result_adaptive, self.result_adaptive_scalar
-        return (a.v_final == s.v_final
-                and a.peak_coil_current == s.peak_coil_current
-                and a.ripple == s.ripple
-                and a.coil_loss_w == s.coil_loss_w
-                and a.efficiency == s.efficiency
-                and a.cycles == s.cycles
-                and a.ov_events == s.ov_events
-                and a.solver_ticks == s.solver_ticks)
-
-
-def _respec(spec: ScenarioSpec, stepping: str) -> ScenarioSpec:
-    return ScenarioSpec(name=f"{spec.name}[{stepping}]",
-                        overrides=dict(spec.overrides, stepping=stepping),
-                        seed=spec.seed)
-
-
-def cross_validate_stepping(spec: ScenarioSpec,
-                            defaults: Optional[Mapping[str, Any]] = None,
-                            settle: Optional[float] = None) -> SteppingDrift:
-    """Run ``spec`` on the fixed and adaptive grids and report the drift.
-
-    Three runs: vector/fixed (the golden-locked reference), vector/
-    adaptive, and scalar/adaptive (which must match vector/adaptive
-    bit-for-bit — the policy is the same code path on both backends).
-    """
-    defaults = dict(defaults or {})
-    spec_f = _respec(spec, "fixed")
-    spec_a = _respec(spec, "adaptive")
-    cfg_f = spec_f.to_config(**defaults)
-    cfg_a = spec_a.to_config(**defaults)
-    result_f = VectorBatch([spec_f], [cfg_f]).run(settle=settle)[0]
-    result_a = VectorBatch([spec_a], [cfg_a]).run(settle=settle)[0]
-    result_s = BuckSystem(spec_a.to_config(**defaults)).measure(settle=settle)
-    return SteppingDrift(spec=spec, result_fixed=result_f,
-                         result_adaptive=result_a,
-                         result_adaptive_scalar=result_s)
-
-
-def cross_validate(spec: ScenarioSpec,
-                   defaults: Optional[Mapping[str, Any]] = None,
-                   settle: Optional[float] = None) -> CrossValidation:
-    """Run ``spec`` through both backends with tracing and compare."""
-    defaults = dict(defaults or {})
-    cfg_s = spec.to_config(trace=True, **defaults)
-    system = BuckSystem(cfg_s)
-    result_s = system.measure(settle=settle)
-
-    cfg_v = spec.to_config(trace=True, **defaults)
-    batch = VectorBatch([spec], [cfg_v])
-    result_v = batch.run(settle=settle)[0]
-
-    times_s = np.array(system.solver.v_probe.times)
-    times_v = batch.solver.waveform_times()
-    n = min(len(times_s), len(times_v))
-    v_err = float(np.max(np.abs(
-        np.array(system.solver.v_probe.values[:n]) - batch.solver.v_waveform(0)[:n])))
-    i_err = 0.0
-    for k in range(cfg_s.n_phases):
-        scal = np.array(system.solver.i_probes[k].values[:n])
-        vect = batch.solver.i_waveform(0, k)[:n]
-        i_err = max(i_err, float(np.max(np.abs(scal - vect))))
-
-    names = (["hl", "uv", "ov"]
-             + [f"oc{k}" for k in range(cfg_s.n_phases)]
-             + [f"zc{k}" for k in range(cfg_s.n_phases)])
-    scalar_comps = system.sensors.all_comparators()
-    edges = []
-    for col, (name, comp) in enumerate(zip(names, scalar_comps)):
-        e_s = comp.output.edges()
-        e_v = batch.bank.outputs[0][col].edges()
-        paired = min(len(e_s), len(e_v))
-        max_dt = max((abs(a - b) for a, b in zip(e_s[:paired], e_v[:paired])),
-                     default=0.0)
-        edges.append(EdgeComparison(name, len(e_s), len(e_v), max_dt))
-
-    return CrossValidation(spec=spec, v_err=v_err, i_err=i_err,
-                           n_samples=n, n_samples_scalar=len(times_s),
-                           n_samples_vector=len(times_v), edges=edges,
-                           result_scalar=result_s, result_vector=result_v)

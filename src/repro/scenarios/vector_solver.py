@@ -673,25 +673,6 @@ class VectorizedSolver:
     # ------------------------------------------------------------------
     # Traced waveforms
     # ------------------------------------------------------------------
-    def waveform_times(self, lane: int = 0) -> np.ndarray:
-        """Raw sample times: one shared grid in fixed mode; each lane's
-        own grid in adaptive mode (pass the lane index; a lane that
-        idled while stragglers caught up repeats its last boundary —
-        :meth:`trace_set` compacts those rows away)."""
-        if self._buffers is None:
-            raise ValueError("solver ran with trace=False")
-        return self._buffers.lane_times(lane)
-
-    def v_waveform(self, lane: int) -> np.ndarray:
-        if self._buffers is None:
-            raise ValueError("solver ran with trace=False")
-        return self._buffers.lane_v(lane)
-
-    def i_waveform(self, lane: int, phase: int) -> np.ndarray:
-        if self._buffers is None:
-            raise ValueError("solver ran with trace=False")
-        return self._buffers.lane_i(lane, phase)
-
     def trace_set(self, lane: int, compact: bool = True) -> TraceSet:
         """One lane's analog waveforms as a columnar
         :class:`~repro.trace.TraceSet`.

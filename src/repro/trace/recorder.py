@@ -65,18 +65,6 @@ class BatchTraceRecorder:
             self._stacked = (rows, T, V, I)
         return self._stacked
 
-    def lane_times(self, lane: int) -> np.ndarray:
-        _, T, _, _ = self._finalize()
-        return T if T.ndim == 1 else T[:, lane]
-
-    def lane_v(self, lane: int) -> np.ndarray:
-        _, _, V, _ = self._finalize()
-        return V[:, lane]
-
-    def lane_i(self, lane: int, phase: int) -> np.ndarray:
-        _, _, _, I = self._finalize()
-        return I[:, lane, phase]
-
     def lane_trace_set(self, lane: int, compact: bool = True) -> TraceSet:
         """One lane's analog channels as a TraceSet (``v_load``,
         ``i_coil{k}``, ``i_total`` on the shared :data:`ANALOG_GRID`).

@@ -9,20 +9,20 @@ every one across the full execution matrix
 asserting exactly the equivalences the implementation promises:
 
 - **gating is unobservable** — with backend and stepping held fixed,
-  ``gating="auto"`` reproduces ``gating="off"`` bit-for-bit on every
-  physics field, controller statistic, the solver tick count and the
-  lane's final ``Simulator.rng`` state.  Only
+  ``gating="auto"`` reproduces ``gating="off"`` as a whole
+  ``RunResult`` and in the lane's final ``Simulator.rng`` state.  Only
   the kernel activity counters (events delivered, clock edges
   simulated/skipped) may differ: that activity reduction is the entire
   point of the mode, and the edge ledger must still balance (every
   off-mode edge is either simulated or skipped, less at most one
   suspended tail);
 - **backends agree under gating** — scalar and vector runs of the same
-  gated scenario are bit-identical on every physics field, as the
-  ungated equivalence suite promises, end with equal ``Simulator.rng``
-  states *and* make identical gating decisions (equal
-  simulated/skipped edge counts), because the vector lane bound
-  replicates the scalar crossing arithmetic operation for operation;
+  gated scenario are equal as whole ``RunResult`` objects up to the
+  delivered-event count, as the ungated equivalence suite promises,
+  and end with equal ``Simulator.rng`` states.  The results include
+  the clock-edge counters, so the backends make identical gating
+  decisions, because the vector lane bound replicates the scalar
+  crossing arithmetic operation for operation;
 - **stepping modes drift boundedly** — fixed vs adaptive under gating
   stays inside the documented drift bounds of the adaptive suite.  This
   holds for the noiseless specs only: sensor jitter is drawn once per
@@ -36,6 +36,7 @@ per comparator per sample), so comparing its final state pins every
 draw by value: one stray draw anywhere moves it, even when no result
 field shows it.
 
+Both comparisons follow the shared rule of ``tests/scenarios/oracle.py``.
 Every assertion message embeds a one-line repro (constructor call with
 the fully expanded overrides) so a failing seed can be replayed without
 re-running the batch.  The quick batch below is tier-1; a larger batch
@@ -43,25 +44,26 @@ carries the ``bench`` marker and runs in its own blocking CI job.
 """
 
 import warnings
-from typing import NamedTuple
 
 import pytest
 
-from repro import RunResult, Session
+from repro import Session
 from repro.control.sync_controller import SyncMultiphaseController
 from repro.scenarios import ScenarioSpec, Sweep, choice, log_uniform, uniform
 from repro.sim import NS, US
 
+from .oracle import (GATING_COUNTERS, blind, check_backends_agree,
+                     check_stepping_drift, differing, repro, runs, variant,
+                     where)
+
 BACKENDS = ("scalar", "vector")
 MODES = tuple((s, g) for s in ("fixed", "adaptive") for g in ("off", "auto"))
 
-#: fixed-vs-adaptive drift bounds — the adaptive suite's documented
+#: fixed-vs-adaptive drift bounds: the adaptive suite's documented
 #: bounds (tests/scenarios/test_adaptive.py) with extra headroom for the
-#: randomized scenario space
-PEAK_TOL_A = 0.006
-RIPPLE_REL = 0.30
-RIPPLE_ABS = 0.012
-CYCLE_REL = 0.10
+#: randomized scenario space, and a 2-cycle slack on the cycle count
+DRIFT_BOUNDS = dict(peak_tol=0.006, ripple_rel=0.30, ripple_abs=0.012,
+                    cycle_rel=0.10, cycle_slack=2)
 
 
 #: comparator jitter of the noisy half of each batch
@@ -92,142 +94,36 @@ def differential_specs(count, master_seed, sim_time):
             for k, s in enumerate(specs)]
 
 
-def _variant(spec, stepping, gating):
-    return ScenarioSpec(spec.name,
-                        overrides=dict(spec.overrides,
-                                       stepping=stepping, gating=gating),
-                        seed=spec.seed)
-
-
-def _repro(spec, backend, stepping, gating):
-    """One pasteable line that replays a failing cell of the matrix."""
-    ov = dict(spec.overrides, stepping=stepping, gating=gating)
-    return (f"repro: Session(backend={backend!r}, cache='off').run("
-            f"ScenarioSpec({spec.name!r}, overrides={ov!r}, "
-            f"seed={spec.seed!r}))")
-
-
-class Run(NamedTuple):
-    """One lane's result and its ``Simulator.rng`` state after the run."""
-    result: RunResult
-    rng: tuple
-
-
-def _runs(session, specs):
-    return [Run(p.result, p.handle.sim.rng.getstate())
-            for p in session.sweep(specs, keep=True)]
-
-
 def _run_matrix(specs):
     """Run ``specs`` through every (backend, stepping, gating) cell."""
     out = {}
     for backend in BACKENDS:
         session = Session(backend=backend, cache="off")
         for stepping, gating in MODES:
-            out[backend, stepping, gating] = _runs(
-                session, [_variant(s, stepping, gating) for s in specs])
+            out[backend, stepping, gating] = runs(session, [
+                variant(s, stepping=stepping, gating=gating) for s in specs])
     return out
 
 
-def _gate_invariant_fp(r):
-    """Every RunResult field that gating promises to leave untouched —
-    i.e. everything except the kernel activity counters."""
-    return (r.controller, r.v_final, r.peak_coil_current, r.ripple,
-            r.coil_loss_w, r.efficiency, r.ov_events, tuple(r.cycles),
-            r.metastable_events, r.solver_ticks)
-
-
-def _check_gating_unobservable(spec, backend, stepping, off_run, auto_run):
-    where = f"{spec.name} [{backend}/{stepping}]"
-    off, auto = off_run.result, auto_run.result
-    assert _gate_invariant_fp(auto) == _gate_invariant_fp(off), (
-        f"{where}: gating=auto changed observable results\n"
-        f"  off:  {_gate_invariant_fp(off)}\n"
-        f"  auto: {_gate_invariant_fp(auto)}\n"
-        f"  {_repro(spec, backend, stepping, 'auto')}")
+def _check_gating_unobservable(backend, off_run, auto_run):
+    at, line = where(auto_run, backend), repro(auto_run, backend)
+    off = blind(off_run.result, *GATING_COUNTERS)
+    auto = blind(auto_run.result, *GATING_COUNTERS)
+    assert auto == off, (
+        f"{at}: gating=auto changed observable results on "
+        f"{differing(off, auto)}\n  {line}")
     assert auto_run.rng == off_run.rng, (
-        f"{where}: gating=auto moved the lane's Simulator.rng state\n"
-        f"  {_repro(spec, backend, stepping, 'auto')}")
+        f"{at}: gating=auto moved the lane's Simulator.rng state\n  {line}")
     # the edge ledger balances: each off-mode edge is simulated or
     # skipped in auto mode, minus at most one still-suspended tail
     # (edges past the final wake are neither delivered nor replayed)
+    off, auto = off_run.result, auto_run.result
     total = auto.clock_edges_simulated + auto.clock_edges_skipped
     assert total <= off.clock_edges_simulated, (
-        f"{where}: gated run invented clock edges "
-        f"({total} > {off.clock_edges_simulated})\n"
-        f"  {_repro(spec, backend, stepping, 'auto')}")
+        f"{at}: gated run invented clock edges "
+        f"({total} > {off.clock_edges_simulated})\n  {line}")
     assert auto.events_delivered <= off.events_delivered, (
-        f"{where}: gating increased delivered events\n"
-        f"  {_repro(spec, backend, stepping, 'auto')}")
-
-
-#: the RunResult physics fields the backends must reproduce bit for bit
-PHYSICS_FIELDS = ("v_final", "peak_coil_current", "ripple", "coil_loss_w",
-                  "efficiency")
-
-
-def _check_backends_agree(spec, stepping, gating, s_run, v_run):
-    where = f"{spec.name} [{stepping}/gating={gating}]"
-    line = _repro(spec, "vector", stepping, gating)
-    s, v = s_run.result, v_run.result
-    for name in PHYSICS_FIELDS:
-        sv, vv = getattr(s, name), getattr(v, name)
-        assert vv == sv, (
-            f"{where}: {name} diverged across backends "
-            f"(scalar {sv!r}, vector {vv!r})\n  {line}")
-    assert (tuple(v.cycles), v.ov_events, v.metastable_events,
-            v.solver_ticks) == \
-           (tuple(s.cycles), s.ov_events, s.metastable_events,
-            s.solver_ticks), (
-        f"{where}: controller statistics diverged across backends\n"
-        f"  scalar: cycles={s.cycles} ov={s.ov_events} "
-        f"meta={s.metastable_events} ticks={s.solver_ticks}\n"
-        f"  vector: cycles={v.cycles} ov={v.ov_events} "
-        f"meta={v.metastable_events} ticks={v.solver_ticks}\n  {line}")
-    if stepping == "fixed":
-        # the same lane events fire on both backends: the scalar run
-        # delivers them plus one solver tick event per micro-step (the
-        # vector batch's tick counts on a non-lane simulator)
-        assert s.events_delivered == v.events_delivered + s.solver_ticks, (
-            f"{where}: delivered lane events diverged across backends "
-            f"(scalar {s.events_delivered} = vector {v.events_delivered}"
-            f" + {s.solver_ticks} ticks expected)\n  {line}")
-    # gating decisions must coincide: the vector lane crossing bound
-    # replicates the scalar float arithmetic op for op
-    assert (v.clock_edges_simulated, v.clock_edges_skipped) == \
-           (s.clock_edges_simulated, s.clock_edges_skipped), (
-        f"{where}: backends made different gating decisions "
-        f"(scalar {s.clock_edges_simulated}+{s.clock_edges_skipped}, "
-        f"vector {v.clock_edges_simulated}+{v.clock_edges_skipped})\n"
-        f"  {line}")
-    assert v_run.rng == s_run.rng, (
-        f"{where}: Simulator.rng state diverged across backends\n"
-        f"  {line}")
-
-
-def _check_stepping_drift(spec, backend, fixed_run, adaptive_run):
-    fixed, adaptive = fixed_run.result, adaptive_run.result
-    where = f"{spec.name} [{backend}/gating=auto]"
-    line = _repro(spec, backend, "adaptive", "auto")
-    peak_drift = abs(adaptive.peak_coil_current - fixed.peak_coil_current)
-    assert peak_drift < PEAK_TOL_A, (
-        f"{where}: adaptive peak current drifted "
-        f"{peak_drift * 1e3:.2f} mA\n  {line}")
-    ripple_drift = abs(adaptive.ripple - fixed.ripple)
-    assert ripple_drift < max(RIPPLE_ABS, RIPPLE_REL * fixed.ripple), (
-        f"{where}: adaptive ripple drifted "
-        f"{ripple_drift * 1e3:.1f} mV\n  {line}")
-    # V_final samples a rippling waveform: phase shifts move it within
-    # the ripple envelope, never outside it
-    assert abs(adaptive.v_final - fixed.v_final) <= \
-        max(fixed.ripple, RIPPLE_ABS), (
-        f"{where}: adaptive V_final left the ripple envelope\n  {line}")
-    tot_f, tot_a = sum(fixed.cycles), sum(adaptive.cycles)
-    assert abs(tot_f - tot_a) <= max(CYCLE_REL * tot_f, 2), (
-        f"{where}: cycle count drifted ({tot_f} -> {tot_a})\n  {line}")
-    assert adaptive.ov_events == fixed.ov_events, (
-        f"{where}: OV episode count changed under adaptive stepping\n"
-        f"  {line}")
+        f"{at}: gating increased delivered events\n  {line}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +166,7 @@ def matrix():
 @pytest.mark.parametrize("stepping", ["fixed", "adaptive"])
 def test_gating_is_unobservable(matrix, idx, backend, stepping):
     _check_gating_unobservable(
-        QUICK_SPECS[idx], backend, stepping,
-        matrix[backend, stepping, "off"][idx],
+        backend, matrix[backend, stepping, "off"][idx],
         matrix[backend, stepping, "auto"][idx])
 
 
@@ -279,8 +174,7 @@ def test_gating_is_unobservable(matrix, idx, backend, stepping):
 @pytest.mark.parametrize("stepping,gating", MODES,
                          ids=[f"{s}-{g}" for s, g in MODES])
 def test_backends_agree(matrix, idx, stepping, gating):
-    _check_backends_agree(
-        QUICK_SPECS[idx], stepping, gating,
+    check_backends_agree(
         matrix["scalar", stepping, gating][idx],
         matrix["vector", stepping, gating][idx])
 
@@ -289,10 +183,9 @@ def test_backends_agree(matrix, idx, stepping, gating):
                          ids=[_IDS[i] for i in _NOISELESS])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_stepping_drift_bounded_under_gating(matrix, idx, backend):
-    _check_stepping_drift(
-        QUICK_SPECS[idx], backend,
+    check_stepping_drift(
         matrix[backend, "fixed", "auto"][idx],
-        matrix[backend, "adaptive", "auto"][idx])
+        matrix[backend, "adaptive", "auto"][idx], backend, **DRIFT_BOUNDS)
 
 
 def test_gating_engages_somewhere(matrix):
@@ -325,16 +218,14 @@ def test_zero_delay_backends_agree(zero, gating):
     exact instants of solver micro-steps; the tick event orders them by
     scheduling sequence on both backends, so they still agree (and the
     vector batch raises no warning)."""
-    specs = [ScenarioSpec(s.name, overrides=dict(
-                 s.overrides, stepping="fixed", gating=gating,
-                 **ZERO_DELAYS[zero]), seed=s.seed)
+    specs = [variant(s, stepping="fixed", gating=gating, **ZERO_DELAYS[zero])
              for s in ZERO_DELAY_SPECS]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scalar = _runs(Session(backend="scalar", cache="off"), specs)
-        vector = _runs(Session(backend="vector", cache="off"), specs)
-    for spec, s, v in zip(specs, scalar, vector):
-        _check_backends_agree(spec, "fixed", gating, s, v)
+        scalar = runs(Session(backend="scalar", cache="off"), specs)
+        vector = runs(Session(backend="vector", cache="off"), specs)
+    for s, v in zip(scalar, vector):
+        check_backends_agree(s, v)
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +241,16 @@ def test_differential_full_batch():
         for backend in BACKENDS:
             for stepping in ("fixed", "adaptive"):
                 _check_gating_unobservable(
-                    spec, backend, stepping,
-                    matrix[backend, stepping, "off"][i],
+                    backend, matrix[backend, stepping, "off"][i],
                     matrix[backend, stepping, "auto"][i])
         for stepping, gating in MODES:
-            _check_backends_agree(
-                spec, stepping, gating,
+            check_backends_agree(
                 matrix["scalar", stepping, gating][i],
                 matrix["vector", stepping, gating][i])
         if "sensor_noise" in spec.overrides:
             continue
         for backend in BACKENDS:
-            _check_stepping_drift(
-                spec, backend,
+            check_stepping_drift(
                 matrix[backend, "fixed", "auto"][i],
-                matrix[backend, "adaptive", "auto"][i])
+                matrix[backend, "adaptive", "auto"][i], backend,
+                **DRIFT_BOUNDS)

@@ -93,11 +93,12 @@ class TestHandles:
         assert lane.sensors.uv.output.edges("rise")
         assert lane.sensors.ov_mode(0) in (False, True)
         # traced waveforms: one row per micro-step plus the initial sample
-        times = lane.waveform_times()
-        v = lane.v_waveform()
+        trace = lane.trace_set()
+        times, v = trace.times("v_load"), trace.values("v_load")
         assert len(times) == len(v) > 900
         assert v[0] == 0.0            # cold startup
-        assert lane.i_waveform(0).shape == v.shape
+        assert trace.values("i_coil0").shape == v.shape
+        assert trace == points[0].result.trace
 
     def test_keep_scalar_exposes_system(self):
         points = run_sweep([_spec()], backend="scalar", trace=True, keep=True)

@@ -4,30 +4,35 @@ reproduce the scalar solver exactly.
 The vectorized path is arithmetically bit-matched to the scalar path,
 in fixed and in adaptive stepping, and a noisy lane draws its comparator
 jitter from its own ``Simulator.rng`` in the scalar order, so nothing is
-tolerated:
-
-- waveforms (V_out and every coil current) are equal sample for sample;
-- comparator output edges have identical counts and identical times;
-- every RunResult physics field (losses and efficiency included) and
-  controller statistic is equal.
+tolerated.  Each stepping mode runs every spec through one traced
+``Session.sweep`` per backend (the vector side batched, as Fig. 7a
+traffic runs), and each pair of results must be equal as whole
+``RunResult`` objects up to the kernel event counter (see
+``tests/scenarios/oracle.py``).  That covers every physics field and
+controller statistic, the solver tick count, the lane's final
+``Simulator.rng`` state and the trace: V_out, every coil current, every
+comparator edge, the gate drives and the token/act channels.
 
 The scenario set is a seeded random grid over both controllers, the
 Fig. 7 coil/load ranges, and the PMIN ablation axis, plus hand-picked
 corner cases (stepped Fig. 6-style load; OV-mode entry from a high
-initial voltage; noisy sensors on a gated sync lane), each run on both
-stepping grids.
+initial voltage; noisy sensors on a gated sync lane; a 4.7 uH async
+lane), each run on both stepping grids.
 """
 
 import pytest
 
+from repro import Session
 from repro.analog.load import LoadProfile
-from repro.scenarios import ScenarioSpec, Sweep, choice, cross_validate, log_uniform, uniform
+from repro.scenarios import ScenarioSpec, Sweep, choice, log_uniform, uniform
 from repro.sim import NS, US
+
+from .oracle import check_backends_agree, runs, variant
 
 STEPPINGS = ("fixed", "adaptive")
 
-#: fewest compared samples per stepping mode: a 2 us run is 2000 fixed
-#: 1 ns steps, while the adaptive grid commits 75 to ~1,250 steps
+#: fewest traced V_out samples per stepping mode: a 2 us run is 2000
+#: fixed 1 ns steps, while the adaptive grid commits 75 to ~1,250 steps
 MIN_SAMPLES = {"fixed": 1000, "adaptive": 50}
 
 #: 8 seeded random scenarios (2 us runs keep the grid fast)
@@ -45,61 +50,48 @@ CORNER_SPECS = [
         "controller": "async", "l_uh": 1.0,
         "load": LoadProfile([(0.0, 6.0), (0.8 * US, 2.5), (1.4 * US, 6.0)]),
         "sim_time": 2 * US, "dt": 1 * NS}),
+    # starts above V_max (3.55 V), so every phase enters OV mode
     ScenarioSpec("xval[ov-entry]", overrides={
         "controller": "sync", "fsm_frequency": 333e6, "l_uh": 1.0,
-        "r_load": 30.0, "v_out0": 3.52, "sim_time": 2 * US, "dt": 1 * NS}),
+        "r_load": 30.0, "v_out0": 3.7, "sim_time": 2 * US, "dt": 1 * NS}),
     ScenarioSpec("xval[noisy]", overrides={
         "controller": "sync", "fsm_frequency": 333e6, "l_uh": 2.2,
         "r_load": 8.0, "pmin": 20 * NS, "sensor_noise": 0.004,
         "sim_time": 2 * US, "dt": 1 * NS}),
+    ScenarioSpec("xval[results]", overrides={
+        "controller": "async", "l_uh": 4.7, "r_load": 6.0,
+        "sim_time": 2 * US, "dt": 1 * NS}),
 ]
 
-
-def _stepped(spec, stepping):
-    return ScenarioSpec(spec.name, overrides=dict(spec.overrides,
-                                                  stepping=stepping),
-                        seed=spec.seed)
+SPECS = RANDOM_SPECS + CORNER_SPECS
 
 
-def _check(cv, stepping):
-    where = f"{cv.spec.name} [{stepping}]"
-    assert cv.n_samples > MIN_SAMPLES[stepping], \
-        f"{where}: cross-validation barely sampled anything"
-    assert cv.sample_counts_match, (
-        f"{where}: backends took different step counts "
-        f"({cv.n_samples_scalar} vs {cv.n_samples_vector})")
-    assert cv.v_err == 0.0, f"{where}: V_out diverged ({cv.v_err})"
-    assert cv.i_err == 0.0, f"{where}: coil current diverged ({cv.i_err})"
-    assert cv.edge_counts_match, (
-        f"{where}: comparator edge counts differ: "
-        + ", ".join(f"{e.name} {e.count_scalar}/{e.count_vector}"
-                    for e in cv.edges if not e.counts_match))
-    assert cv.max_edge_dt == 0.0, \
-        f"{where}: comparator edge times shifted ({cv.max_edge_dt})"
-    s, v = cv.result_scalar, cv.result_vector
-    for name in ("v_final", "peak_coil_current", "ripple", "coil_loss_w",
-                 "efficiency", "cycles", "ov_events", "metastable_events",
-                 "solver_ticks"):
-        assert getattr(v, name) == getattr(s, name), (
-            f"{where}: {name} diverged (scalar {getattr(s, name)!r}, "
-            f"vector {getattr(v, name)!r})")
+@pytest.fixture(scope="module")
+def swept():
+    """``(backend, stepping) -> one traced Run per spec of SPECS``."""
+    return {(backend, stepping): runs(
+                Session(backend=backend, cache="off"),
+                [variant(s, stepping=stepping) for s in SPECS], trace=True)
+            for backend in ("scalar", "vector") for stepping in STEPPINGS}
+
+
+def _check(swept, spec, stepping):
+    i = SPECS.index(spec)
+    s_run = swept["scalar", stepping][i]
+    v_run = swept["vector", stepping][i]
+    n = s_run.result.trace.n_samples("v_load")
+    assert n > MIN_SAMPLES[stepping], \
+        f"{spec.name} [{stepping}]: cross-validation barely sampled anything"
+    check_backends_agree(s_run, v_run)
 
 
 @pytest.mark.parametrize("stepping", STEPPINGS)
 @pytest.mark.parametrize("spec", RANDOM_SPECS, ids=lambda s: s.name)
-def test_random_scenarios_match_scalar(spec, stepping):
-    _check(cross_validate(_stepped(spec, stepping)), stepping)
+def test_random_scenarios_match_scalar(swept, spec, stepping):
+    _check(swept, spec, stepping)
 
 
 @pytest.mark.parametrize("stepping", STEPPINGS)
 @pytest.mark.parametrize("spec", CORNER_SPECS, ids=lambda s: s.name)
-def test_corner_scenarios_match_scalar(spec, stepping):
-    _check(cross_validate(_stepped(spec, stepping)), stepping)
-
-
-def test_headline_measurements_match_scalar():
-    """RunResult parity beyond waveforms: losses, efficiency, cycles."""
-    spec = ScenarioSpec("xval[results]", overrides={
-        "controller": "async", "l_uh": 4.7, "r_load": 6.0,
-        "sim_time": 2 * US, "dt": 1 * NS})
-    _check(cross_validate(spec), "fixed")
+def test_corner_scenarios_match_scalar(swept, spec, stepping):
+    _check(swept, spec, stepping)
