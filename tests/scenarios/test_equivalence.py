@@ -17,7 +17,11 @@ The scenario set is a seeded random grid over both controllers, the
 Fig. 7 coil/load ranges, and the PMIN ablation axis, plus hand-picked
 corner cases (stepped Fig. 6-style load; OV-mode entry from a high
 initial voltage; noisy sensors on a gated sync lane; a 4.7 uH async
-lane), each run on both stepping grids.
+lane), each run on both stepping grids.  One more corner runs on the
+fixed grid alone, which is the only grid that accepts zero delays:
+eight seeds of a gated, noisy sync lane with zero sensor and gate delay,
+whose comparator edges fall on the instants of other events, so their
+birth order must match.
 """
 
 import pytest
@@ -65,6 +69,17 @@ CORNER_SPECS = [
 
 SPECS = RANDOM_SPECS + CORNER_SPECS
 
+#: fixed stepping only; adaptive stepping rejects zero delays.  The
+#: noise makes the lanes' edges tie with other events; a vector edge
+#: born at the wrong instant changes the run of two of the eight seeds.
+ZERO_DELAY_SPECS = [ScenarioSpec(f"xval[zero-delay{seed}]", seed=seed,
+                                 overrides={
+    "controller": "sync", "fsm_frequency": 1000e6, "n_phases": 2,
+    "l_uh": 1.65, "r_load": 11.2, "pmin": 20 * NS, "gating": "auto",
+    "sensor_delay": 0.0, "t_gate": 0.0, "sensor_noise": 0.004,
+    "stepping": "fixed", "sim_time": 2 * US, "dt": 1 * NS})
+                    for seed in range(8)]
+
 
 @pytest.fixture(scope="module")
 def swept():
@@ -95,3 +110,15 @@ def test_random_scenarios_match_scalar(swept, spec, stepping):
 @pytest.mark.parametrize("spec", CORNER_SPECS, ids=lambda s: s.name)
 def test_corner_scenarios_match_scalar(swept, spec, stepping):
     _check(swept, spec, stepping)
+
+
+def test_zero_delay_scenarios_match_scalar():
+    scalar, vector = (
+        runs(Session(backend=backend, cache="off"), ZERO_DELAY_SPECS,
+             trace=True)
+        for backend in ("scalar", "vector"))
+    for s_run, v_run in zip(scalar, vector):
+        name = s_run.spec.name
+        assert s_run.result.trace.n_samples("v_load") > MIN_SAMPLES["fixed"]
+        assert s_run.result.clock_edges_skipped > 0, f"{name} never gated"
+        check_backends_agree(s_run, v_run)

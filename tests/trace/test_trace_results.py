@@ -21,6 +21,13 @@ def _spec(name="t", stepping="fixed", **overrides):
 
 
 class TestTraceContent:
+    def test_scalar_and_vector_fixed_traces_are_identical(self):
+        spec = _spec()
+        scalar = BuckSystem(spec.to_config(trace=True)).measure()
+        vector = VectorBatch([spec], [spec.to_config(trace=True)]).run()[0]
+        assert scalar.trace is not None and vector.trace is not None
+        assert vector.trace == scalar.trace
+
     def test_channel_inventory(self):
         [point] = Session().sweep([_spec(n_phases=2)], trace=True)
         ts = point.result.trace
@@ -95,6 +102,12 @@ class TestAdaptiveCompaction:
         assert compact == raw.compacted()
         # the compacted grid is strictly increasing (no idle duplicates)
         assert (np.diff(compact.times("v_load")) > 0).all()
+
+    def test_vector_adaptive_compacted_equals_scalar_adaptive_trace(self):
+        _, specs, configs, results = self._batch()
+        for spec, result in zip(specs, results):
+            scalar = BuckSystem(spec.to_config(trace=True)).measure()
+            assert result.trace == scalar.trace, spec.name
 
     def test_adaptive_traces_independent_of_batch_composition(self):
         _, specs, configs, results = self._batch()
