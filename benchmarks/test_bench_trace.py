@@ -1,24 +1,17 @@
-"""Bench: the waveform subsystem — trace memory compaction + sharding.
+"""Bench: sharded traced sweeps — bit-identity and the wall-clock win.
 
-Two measurements on the Fig. 7a quick grid (five controllers x four
-coils, 10 us runs, 6 Ohm load), both recorded in ``BENCH_trace.json``:
+``Session.sweep(trace=True, workers=N)`` — waveforms come back through
+the process pool — timed against the inline traced sweep on the Fig. 7a
+quick grid (five controllers x four coils, 10 us runs, 6 Ohm load),
+recorded in ``BENCH_trace.json``.  Bit-identity of every TraceSet
+asserts unconditionally, and the blocking CI ``differential`` job runs
+this bench for it; the wall-clock floor (:data:`SPEEDUP_FLOOR`) is
+machine-dependent and only gates under ``REPRO_REQUIRE_SPEEDUP=1`` (the
+non-blocking CI bench job) *and* with at least two cores available — a
+single-core host cannot speed anything up by sharding.
 
-1. **Traced-adaptive memory.**  An adaptive vector batch records one
-   row per solver iteration for *every* lane, so lanes that idle
-   (zero-width steps) while batch stragglers finish keep duplicate
-   rows.  :meth:`TraceSet.compacted` (applied by default when per-lane
-   traces are extracted) drops them; the raw-over-compacted byte ratio
-   must reach :data:`COMPACTION_FLOOR`.  Byte counts are a deterministic
-   function of the scenarios, so this floor gates unconditionally.
-
-2. **Sharded-trace wall clock.**  ``Session.sweep(trace=True,
-   workers=N)`` — waveforms come back through the process pool — timed
-   against the inline traced sweep.  Bit-identity of every TraceSet
-   asserts unconditionally; the wall-clock floor
-   (:data:`SPEEDUP_FLOOR`) is machine-dependent and only gates under
-   ``REPRO_REQUIRE_SPEEDUP=1`` (the non-blocking CI bench job) *and*
-   with at least two cores available — a single-core host cannot speed
-   anything up by sharding — matching the PR 2 convention.
+The deterministic trace-memory floor (adaptive idle-lane compaction)
+is a tier-1 test: ``tests/trace/test_recorders.py``.
 """
 
 import json
@@ -30,13 +23,10 @@ import pytest
 from repro import Session
 from repro.experiments.fig7 import controller_axis, default_l_values
 from repro.scenarios import Sweep
-from repro.scenarios.engine import VectorBatch
 from repro.sim import NS, UH, US
 
 pytestmark = pytest.mark.bench
 
-#: raw-over-compacted trace byte ratio the adaptive grid must reach
-COMPACTION_FLOOR = 2.0
 #: sharded-vs-inline traced sweep speedup (gates under REPRO_REQUIRE_SPEEDUP)
 SPEEDUP_FLOOR = 1.2
 
@@ -47,12 +37,12 @@ ARTIFACT = "BENCH_trace.json"
 WORKERS = max(2, min(4, os.cpu_count() or 1))
 
 
-def _quick_grid(stepping):
+def _quick_grid():
     axis = [(f"{l / UH:g}uH", {"l_uh": l / UH})
             for l in default_l_values(quick=True)]
     return (Sweep(base={"n_phases": 4, "r_load": 6.0, "sim_time": 10 * US,
-                        "dt": 1 * NS, "seed": 0, "stepping": stepping},
-                  name=f"fig7a-quick-trace-{stepping}")
+                        "dt": 1 * NS, "seed": 0, "stepping": "fixed"},
+                  name="fig7a-quick-trace-fixed")
             .grid(ctrl=controller_axis(), pt=axis))
 
 
@@ -67,41 +57,10 @@ def _write_artifact(payload):
 
 
 @pytest.mark.benchmark(group="trace")
-def test_adaptive_trace_compaction_memory(benchmark):
-    """Idle-lane row compaction must shrink traced-adaptive memory >= 2x."""
-    specs = _quick_grid("adaptive").specs()
-    configs = [spec.to_config(trace=True) for spec in specs]
-    assert len(specs) == 20
-
-    def run():
-        batch = VectorBatch(specs, configs, track_energy=False)
-        batch.run()
-        return batch
-
-    batch = benchmark.pedantic(run, rounds=1, iterations=1)
-    solver = batch.solver
-    raw = sum(solver.trace_set(i, compact=False).nbytes
-              for i in range(len(specs)))
-    compacted = sum(solver.trace_set(i, compact=True).nbytes
-                    for i in range(len(specs)))
-    ratio = raw / compacted
-    print()
-    print(f"traced-adaptive fig7a quick grid: raw {raw / 1e6:.2f} MB, "
-          f"compacted {compacted / 1e6:.2f} MB -> {ratio:.2f}x smaller")
-    _write_artifact({"compaction": {
-        "raw_bytes": raw, "compacted_bytes": compacted,
-        "ratio": ratio, "floor": COMPACTION_FLOOR, "lanes": len(specs),
-    }})
-    assert ratio >= COMPACTION_FLOOR, (
-        f"adaptive idle-lane compaction only saved {ratio:.2f}x "
-        f"(need >= {COMPACTION_FLOOR}x)")
-
-
-@pytest.mark.benchmark(group="trace")
 def test_sharded_traced_sweep_wall_clock(benchmark):
     """trace=True sweeps shard bit-identically; record (and, in the CI
     bench job, gate) the wall-clock win."""
-    specs = _quick_grid("fixed").specs()
+    specs = _quick_grid().specs()
     inline_session = Session(cache="off")
     sharded_session = Session(workers=WORKERS, cache="off")
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_right
 from typing import List, Optional, Sequence
 
@@ -66,12 +67,13 @@ class AnalogSolver:
         self.trace = trace
         self.policy = policy if policy is not None else SteppingPolicy.fixed(dt)
         self.adaptive = self.policy.adaptive
-        self.v_probe = AnalogProbe("v_load", trace=trace)
+        #: the instants of every recorded step, shared by the probes
+        self.times = array("d")
+        self.v_probe = AnalogProbe("v_load", trace=trace, times=self.times)
         self.i_probes: List[AnalogProbe] = [
-            AnalogProbe(f"i_coil{k}", trace=trace)
+            AnalogProbe(f"i_coil{k}", trace=trace, times=self.times)
             for k in range(stage.n_phases)
         ]
-        self.i_total_probe = AnalogProbe("i_total", trace=trace)
         self._started = False
         #: committed micro-steps so far (fixed mode: one per dt)
         self.tick_count = 0
@@ -241,13 +243,11 @@ class AnalogSolver:
         self._plan()
 
     def _record(self, t: float) -> None:
-        self.v_probe.record(t, self.stage.v_out)
-        total = 0.0
+        if self.trace:
+            self.times.append(t)
+        self.v_probe.sample(self.stage.v_out)
         for probe, phase in zip(self.i_probes, self.stage.phases):
-            i = phase.current
-            probe.record(t, i)
-            total += i
-        self.i_total_probe.record(t, total)
+            probe.sample(phase.current)
 
     # ------------------------------------------------------------------
     # Traced waveforms
@@ -256,11 +256,10 @@ class AnalogSolver:
         """The traced analog waveforms as a columnar
         :class:`~repro.trace.TraceSet` (``v_load``, ``i_coil{k}``,
         ``i_total`` on one shared time grid) — the canonical trace
-        representation; the probes remain the live append buffers and
-        the legacy access path."""
+        representation, copied out of the probes' live columns (the
+        run may go on recording afterwards)."""
         from ..trace import probe_trace_set
-        return probe_trace_set(self.v_probe, self.i_probes,
-                               self.i_total_probe)
+        return probe_trace_set(self.v_probe, self.i_probes)
 
     # ------------------------------------------------------------------
     # Convenience measurements used by the experiments
@@ -272,7 +271,6 @@ class AnalogSolver:
     def reset_measurements(self) -> None:
         """Restart the probes' max / min (e.g. after the startup transient)."""
         self.v_probe.reset_stats()
-        self.i_total_probe.reset_stats()
         for probe in self.i_probes:
             probe.reset_stats()
 

@@ -78,14 +78,13 @@ def edge_count(signal: Signal, kind: str, t_start: float,
 def episodes(signal: Signal, t_start: float, t_end: float) -> List[Tuple[float, float]]:
     """High intervals of a traced signal clipped to the window."""
     out: List[Tuple[float, float]] = []
-    history = signal.history
-    if not history:
+    times, values = signal.times.tolist(), signal.values.tolist()
+    if not times:
         return out
-    prev_t, prev_v = history[0]
     start: Optional[float] = None
-    if prev_v and prev_t <= t_start:
+    if values[0] and times[0] <= t_start:
         start = t_start
-    for t, v in history[1:]:
+    for t, v in zip(times[1:], values[1:]):
         if v and start is None and t <= t_end:
             start = max(t, t_start)
         elif not v and start is not None:

@@ -331,7 +331,8 @@ class VectorizedSolver:
         self.i_min = np.full((n, p), np.inf)
         #: per-lane committed micro-step counts
         self.tick_counts = np.zeros(n, dtype=np.int64)
-        self._buffers = BatchTraceRecorder(n, p) if trace else None
+        self._buffers = (BatchTraceRecorder(
+            n, p, lane_times=self.policy.adaptive) if trace else None)
         self.now = 0.0
         self._started = False
         #: fixed-step ticks not yet added to ``tick_counts``

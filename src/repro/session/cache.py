@@ -56,9 +56,12 @@ between many worker threads and processes):
   wrong result.
 * **Stores never lock either.**  Two processes storing the same key
   race benignly: last rename wins, and both wrote the same numbers.
-  If a traced and an untraced store of one key interleave so that
-  their halves end up mixed, the entry reads as a miss until the next
-  store of that key rewrites both halves.
+  A traced and an untraced store of one key can interleave so that
+  their halves end up mixed; the pair then reads as a miss, and the
+  store whose sidecar landed last reads it back and publishes again,
+  so the entry is whole once the stores return.  Only a store that
+  dies between its two renames leaves a mixed pair behind, a miss
+  until the next store of that key.
 * **Compaction is single-writer.**  :meth:`prune` / :meth:`clear` (and
   the trace-strip pass inside prune) serialize on an advisory lockfile
   (``<root>/.writer.lock``) so two pruners cannot interleave their
@@ -141,6 +144,14 @@ _TRACE_PREFIX = "trace_"
 _KEY_RE = re.compile(r"[0-9a-f]{64}")
 
 
+def _read_or_none(path: Path) -> Optional[bytes]:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
 def is_cache_key(key: str) -> bool:
     """Whether ``key`` has the shape of a :func:`cache_key` digest — so
     it names a file inside the cache root, never a path outside it."""
@@ -155,6 +166,10 @@ def _npz_bytes(arrays: Mapping[str, Any]) -> bytes:
 
 #: the npz half of an untraced entry
 _EMPTY_NPZ = _npz_bytes({})
+
+#: how often a store republishes a pair that a concurrent store of the
+#: same key mixed (see :meth:`ResultCache._write_pair`)
+_PUBLISH_ATTEMPTS = 8
 
 
 def _entry_digest(sidecar: Mapping[str, Any], blob: bytes) -> str:
@@ -532,11 +547,24 @@ class ResultCache:
     def _write_pair(self, meta_path: Path, npz_path: Path,
                     sidecar: Dict[str, Any], blob: bytes) -> None:
         """Publish one entry: the npz first, then the sidecar carrying
-        the digest over both, each an atomic replace."""
+        the digest over both, each an atomic replace.
+
+        A concurrent store of the same key may replace the npz between
+        the two renames, leaving this sidecar over another store's npz.
+        Only the store whose sidecar landed last can see that for good,
+        so it reads the pair back and publishes again until the halves
+        match (at most :data:`_PUBLISH_ATTEMPTS` times).  A pair is left
+        mixed only while some store is between its renames, or after
+        one died there."""
         sidecar["sha256"] = _entry_digest(sidecar, blob)
         text = json.dumps(sidecar, sort_keys=True, indent=1).encode()
-        self._atomic_write(npz_path, lambda fh: fh.write(blob))
-        self._atomic_write(meta_path, lambda fh: fh.write(text))
+        for _ in range(_PUBLISH_ATTEMPTS):
+            self._atomic_write(npz_path, lambda fh: fh.write(blob))
+            self._atomic_write(meta_path, lambda fh: fh.write(text))
+            if _read_or_none(meta_path) != text:
+                return   # a later sidecar landed: its store checks
+            if _read_or_none(npz_path) == blob:
+                return
 
     @staticmethod
     def _atomic_write(path: Path, write) -> None:

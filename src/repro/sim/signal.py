@@ -8,10 +8,18 @@ subscribers are notified synchronously when the change applies.
 :class:`AnalogProbe` records a piecewise-linear real-valued waveform and keeps
 its running min / max even when full tracing is disabled, so parameter
 sweeps stay cheap.
+
+Both record into typed :mod:`array` columns (``'d'`` times and values,
+``'b'`` digital values): 8 bytes per analog sample and 9 per digital
+change, against a boxed float in a list.  A numpy view of a column pins
+it (the next append raises :class:`BufferError`), so readers that build
+arrays from a live recorder copy out of it.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from typing import Callable, List, Optional, Tuple
 
 from .core import Event, Simulator
@@ -36,10 +44,13 @@ class Signal:
     init:
         Initial value at t=0.
     trace:
-        When True, keep the full ``(time, value)`` history.
+        When True, keep the full change history: the change instants in
+        :attr:`times` and the values taken (0/1) in :attr:`values`; the
+        initial value at creation is always the first entry.
     """
 
-    __slots__ = ("sim", "name", "_value", "_listeners", "trace", "history")
+    __slots__ = ("sim", "name", "_value", "_listeners", "trace", "times",
+                 "values")
 
     def __init__(self, sim: Simulator, name: str, init: bool = False,
                  trace: bool = True):
@@ -48,7 +59,8 @@ class Signal:
         self._value = bool(init)
         self._listeners: List[Tuple[str, Listener]] = []
         self.trace = trace
-        self.history: List[Tuple[float, bool]] = [(sim.now, self._value)]
+        self.times = array("d", (sim.now,))
+        self.values = array("b", (self._value,))
 
     # ------------------------------------------------------------------
     # Value access
@@ -91,7 +103,8 @@ class Signal:
             return
         self._value = value
         if self.trace:
-            self.history.append((self.sim.now, value))
+            self.times.append(self.sim.now)
+            self.values.append(value)
         listeners = self._listeners
         if not listeners:
             return
@@ -112,7 +125,8 @@ class Signal:
         """Set the value without notifying listeners (testbench reset aid)."""
         self._value = bool(value)
         if self.trace:
-            self.history.append((self.sim.now, self._value))
+            self.times.append(self.sim.now)
+            self.values.append(self._value)
 
     # ------------------------------------------------------------------
     # Subscription
@@ -138,19 +152,17 @@ class Signal:
     # History helpers
     # ------------------------------------------------------------------
     def value_at(self, t: float) -> bool:
-        """Value the signal held at time ``t`` (requires tracing)."""
-        result = self.history[0][1]
-        for time, value in self.history:
-            if time > t:
-                break
-            result = value
-        return result
+        """Value the signal held at time ``t`` (requires tracing): the
+        last change at or before ``t``, the initial value before any."""
+        i = bisect_right(self.times, t)
+        return bool(self.values[i - 1 if i else 0])
 
     def edges(self, kind: str = ANY) -> List[float]:
         """Timestamps of recorded edges of the requested kind."""
         out: List[float] = []
-        prev = self.history[0][1]
-        for time, value in self.history[1:]:
+        values = self.values
+        prev = values[0]
+        for time, value in zip(self.times[1:], values[1:]):
             if value != prev:
                 edge = RISE if value else FALL
                 if kind == ANY or kind == edge:
@@ -165,35 +177,48 @@ class Signal:
 class AnalogProbe:
     """Recorder for a real-valued waveform with a running min / max.
 
-    The analog solver calls :meth:`record` once per accepted integration
+    The analog solver samples its probes once per accepted integration
     step.  The max and min update regardless of whether the full waveform
     is kept, so sweeps can disable tracing.
+
+    A probe built on its own keeps its own time column and records
+    ``(t, v)`` pairs with :meth:`record`.  Probes sampled together share
+    one time column, passed in as ``times``: their owner appends each
+    instant once, and each probe then takes its value with
+    :meth:`sample`.
 
     The probe is the *live, in-run* recording surface; the canonical
     trace representation — what crosses process boundaries, lands in
     the result cache, and feeds the metrics/VCD layers — is the
-    columnar :class:`repro.trace.TraceSet` assembled from these buffers
+    columnar :class:`repro.trace.TraceSet` copied out of these buffers
     (:meth:`repro.analog.solver.AnalogSolver.trace_set`).  New code
     should read waveforms through TraceSets.
     """
 
     __slots__ = ("name", "trace", "times", "values", "_max", "_min")
 
-    def __init__(self, name: str, trace: bool = True):
+    def __init__(self, name: str, trace: bool = True,
+                 times: Optional[array] = None):
         self.name = name
         self.trace = trace
-        self.times: List[float] = []
-        self.values: List[float] = []
+        self.times = array("d") if times is None else times
+        self.values = array("d")
         self._max = float("-inf")
         self._min = float("inf")
 
     def record(self, t: float, v: float) -> None:
+        """Append ``(t, v)`` to a probe that owns its time column."""
+        if self.trace:
+            self.times.append(t)
+        self.sample(v)
+
+    def sample(self, v: float) -> None:
+        """Take ``v`` at the instant last appended to the time column."""
         if v > self._max:
             self._max = v
         if v < self._min:
             self._min = v
         if self.trace:
-            self.times.append(t)
             self.values.append(v)
 
     # ------------------------------------------------------------------
@@ -229,8 +254,7 @@ class AnalogProbe:
             return values[0]
         if t >= times[-1]:
             return values[-1]
-        import bisect
-        i = bisect.bisect_right(times, t)
+        i = bisect_right(times, t)
         t0, t1 = times[i - 1], times[i]
         v0, v1 = values[i - 1], values[i]
         if t1 == t0:
@@ -247,4 +271,4 @@ class AnalogProbe:
         return ts, vs
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AnalogProbe({self.name!r}, n={len(self.times)})"
+        return f"AnalogProbe({self.name!r}, n={len(self.values)})"

@@ -11,7 +11,7 @@ uses to dump a cached traced run without re-simulating.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, TextIO, Tuple, Union
+from typing import List, Sequence, TextIO, Tuple, Union
 
 from .signal import AnalogProbe, Signal
 
@@ -24,11 +24,6 @@ def _is_digital(item) -> bool:
         return True
     return bool(getattr(item, "is_digital", False))
 
-
-def _changes(item) -> Iterable[Tuple[float, float]]:
-    if isinstance(item, Signal):
-        return item.history
-    return zip(item.times, item.values)
 
 _ID_CHARS = "".join(chr(c) for c in range(33, 127))
 
@@ -76,10 +71,10 @@ def write_vcd(out: TextIO, items: Sequence[Traceable],
     for item in items:
         ident = ids[id(item)]
         if _is_digital(item):
-            for t, v in _changes(item):
+            for t, v in zip(item.times, item.values):
                 changes.append((t, f"{int(v)}{ident}"))
         else:
-            for t, v in _changes(item):
+            for t, v in zip(item.times, item.values):
                 changes.append((t, f"r{v:.9g} {ident}"))
     changes.sort(key=lambda c: c[0])
 

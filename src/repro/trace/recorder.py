@@ -1,23 +1,29 @@
 """Trace recording buffers feeding :class:`~repro.trace.TraceSet`.
 
-:class:`BatchTraceRecorder` is the vector solver's waveform buffer: one
-append per array step (per-step ``(N,)`` voltage and ``(N, P)`` current
-snapshots, plus the scalar-or-per-lane step time), finalized once into
-stacked column arrays from which per-lane :class:`TraceSet` objects are
-sliced.  In adaptive mode a lane that idled while batch stragglers
-finished repeats its last boundary; :meth:`lane_trace_set` compacts
-those duplicate rows away by default (see :meth:`TraceSet.compacted`).
+:class:`BatchTraceRecorder` is the vector solver's waveform buffer:
+each array step writes one row into preallocated numpy blocks (``(N,)``
+voltages, ``(N, P)`` currents, and the step time: one column in fixed
+mode, one per lane in adaptive mode), which double when full.  Per-lane
+:class:`TraceSet` objects copy their columns out of the blocks.  In
+adaptive mode a lane that idled while batch stragglers finished repeats
+its last boundary; :meth:`lane_trace_set` compacts those duplicate rows
+away by default (see :meth:`TraceSet.compacted`).
 
 :func:`probe_trace_set` builds the scalar solver's TraceSet from its
-live :class:`~repro.sim.signal.AnalogProbe` append buffers — the probes
-stay the in-flight recording surface (and the legacy access path), the
-TraceSet is the canonical result.  :func:`add_signals` appends digital
-:class:`~repro.sim.signal.Signal` histories as bool channels.
+live :class:`~repro.sim.signal.AnalogProbe` columns, and
+:func:`add_signals` appends digital :class:`~repro.sim.signal.Signal`
+change histories as bool channels.  Both copy: a numpy view of an
+``array`` column would pin it, and the run's next append would raise
+:class:`BufferError`.
+
+Neither recorder stores ``i_total``: :func:`phase_sum` derives it from
+the coil columns, added in phase order from ``0.0`` exactly as a running
+``total += i`` would.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,89 +32,106 @@ from .traceset import TraceSet
 #: grid name shared by the analog channels of one lane/run
 ANALOG_GRID = "t"
 
+#: rows a recorder's blocks hold before their first doubling
+_FIRST_ROWS = 1024
+
+
+def _analog_trace_set(times: np.ndarray, v_load: np.ndarray,
+                     currents: Sequence[np.ndarray]) -> TraceSet:
+    """One run's analog channels on the shared :data:`ANALOG_GRID`:
+    ``v_load``, ``i_coil{k}`` and the derived ``i_total`` (the arrays
+    are held, not copied)."""
+    ts = TraceSet().add_grid(ANALOG_GRID, times)
+    ts.add_channel("v_load", v_load, grid=ANALOG_GRID)
+    for k, column in enumerate(currents):
+        ts.add_channel(f"i_coil{k}", column, grid=ANALOG_GRID)
+    return ts.add_channel("i_total", phase_sum(currents), grid=ANALOG_GRID)
+
+
+def phase_sum(currents: Sequence[np.ndarray]) -> np.ndarray:
+    """The ``i_total`` channel: the coil columns added in phase order
+    onto zeros — bit for bit the running sum ``total = 0.0; total += i``
+    (so ``-0.0`` currents sum to ``+0.0``, and no pairwise reduction
+    reorders eight or more phases)."""
+    total = np.zeros(len(currents[0]))
+    for column in currents:
+        total += column
+    return total
+
 
 class BatchTraceRecorder:
-    """Row-append buffer for an ``(N,)``-lane vector solver."""
+    """Row blocks for an ``(N,)``-lane vector solver.
 
-    def __init__(self, n_lanes: int, n_phases: int):
+    ``lane_times`` selects one time column per lane (adaptive stepping,
+    where every lane keeps its own grid) over one shared column.
+    """
+
+    def __init__(self, n_lanes: int, n_phases: int,
+                 lane_times: bool = False):
         self.n_lanes = n_lanes
         self.n_phases = n_phases
-        self.times: List = []       # per-step scalar t or (N,) per-lane t
-        self.v: List[np.ndarray] = []        # per-step (N,) copies
-        self.i: List[np.ndarray] = []        # per-step (N, P) copies
-        self._stacked = None        # (rows, T, V, I) cache
+        self._rows = 0
+        self._t = np.empty((_FIRST_ROWS, n_lanes) if lane_times
+                           else _FIRST_ROWS)
+        self._v = np.empty((_FIRST_ROWS, n_lanes))
+        self._i = np.empty((_FIRST_ROWS, n_lanes, n_phases))
 
     def append(self, t, v_out: np.ndarray, currents: np.ndarray) -> None:
-        self.times.append(t.copy() if np.ndim(t) else t)
-        self.v.append(v_out.copy())
-        self.i.append(currents.copy())
+        """Write one row; a scalar ``t`` fills a per-lane time row."""
+        row = self._rows
+        if row == len(self._v):
+            self._t, self._v, self._i = (
+                _doubled(block, row) for block in (self._t, self._v,
+                                                   self._i))
+        self._t[row] = t
+        self._v[row] = v_out
+        self._i[row] = currents
+        self._rows = row + 1
 
     def __len__(self) -> int:
-        return len(self.times)
-
-    # ------------------------------------------------------------------
-    def _finalize(self):
-        """Stack the row buffers into column-sliceable arrays (cached
-        until more rows arrive)."""
-        rows = len(self.times)
-        if self._stacked is None or self._stacked[0] != rows:
-            times = self.times
-            if any(np.ndim(t) for t in times):
-                # adaptive batches mix scalar rows (the shared t=0 start
-                # record) with per-lane (N,) rows; broadcast the scalars
-                times = [np.full(self.n_lanes, t) if np.ndim(t) == 0 else t
-                         for t in times]
-            T = np.array(times)
-            V = np.array(self.v) if rows else np.empty((0, self.n_lanes))
-            I = (np.array(self.i) if rows
-                 else np.empty((0, self.n_lanes, self.n_phases)))
-            self._stacked = (rows, T, V, I)
-        return self._stacked
+        return self._rows
 
     def lane_trace_set(self, lane: int, compact: bool = True) -> TraceSet:
         """One lane's analog channels as a TraceSet (``v_load``,
-        ``i_coil{k}``, ``i_total`` on the shared :data:`ANALOG_GRID`).
+        ``i_coil{k}``, ``i_total`` on the shared :data:`ANALOG_GRID`),
+        copied out of the blocks.
 
         ``compact=False`` keeps the raw rows — including the duplicate
         idle-lane rows of adaptive batches — which is what the trace
-        memory benchmark measures the compaction win against.
+        memory test measures the compaction win against.
         """
-        _, T, V, I = self._finalize()
-        times = np.ascontiguousarray(T if T.ndim == 1 else T[:, lane])
-        ts = TraceSet().add_grid(ANALOG_GRID, times)
-        ts.add_channel("v_load", np.ascontiguousarray(V[:, lane]),
-                       grid=ANALOG_GRID)
-        lane_i = I[:, lane, :]
-        for k in range(self.n_phases):
-            ts.add_channel(f"i_coil{k}", np.ascontiguousarray(lane_i[:, k]),
-                           grid=ANALOG_GRID)
-        # left-to-right reduction matches the scalar solver's running sum
-        ts.add_channel("i_total", np.add.reduce(lane_i, axis=1),
-                       grid=ANALOG_GRID)
+        rows = self._rows
+        times = self._t[:rows]
+        lane_i = self._i[:rows, lane]
+        ts = _analog_trace_set(
+            np.array(times if times.ndim == 1 else times[:, lane]),
+            np.array(self._v[:rows, lane]),
+            [np.array(lane_i[:, k]) for k in range(self.n_phases)])
         return ts.compacted() if compact else ts
 
 
-def probe_trace_set(v_probe, i_probes: Sequence, i_total_probe) -> TraceSet:
-    """The scalar solver's probes as one TraceSet (shared time grid)."""
+def _doubled(block: np.ndarray, rows: int) -> np.ndarray:
+    """``block``'s first ``rows`` rows in a new block of twice as many."""
+    out = np.empty((2 * rows,) + block.shape[1:])
+    out[:rows] = block[:rows]
+    return out
+
+
+def probe_trace_set(v_probe, i_probes: Sequence) -> TraceSet:
+    """The scalar solver's probes (one shared time column) as one
+    TraceSet."""
     if not v_probe.trace:
         raise ValueError("solver ran with trace=False; no waveforms kept")
-    ts = TraceSet().add_grid(ANALOG_GRID,
-                             np.asarray(v_probe.times, dtype=np.float64))
-    ts.add_channel("v_load", np.asarray(v_probe.values, dtype=np.float64),
-                   grid=ANALOG_GRID)
-    for k, probe in enumerate(i_probes):
-        ts.add_channel(f"i_coil{k}",
-                       np.asarray(probe.values, dtype=np.float64),
-                       grid=ANALOG_GRID)
-    ts.add_channel("i_total",
-                   np.asarray(i_total_probe.values, dtype=np.float64),
-                   grid=ANALOG_GRID)
-    return ts
+    return _analog_trace_set(np.array(v_probe.times), np.array(v_probe.values),
+                            [np.array(probe.values) for probe in i_probes])
 
 
 def add_signals(ts: TraceSet, signals: Iterable) -> TraceSet:
-    """Append traced digital :class:`Signal` histories as bool channels
-    (each on its own grid, named after the signal)."""
+    """Append traced digital :class:`Signal` change histories as bool
+    channels (each on its own grid, named after the signal), copied out
+    of the signals' live columns."""
     for signal in signals:
-        ts.add_signal(signal.name, signal.history)
+        ts.add_grid(signal.name, np.array(signal.times))
+        ts.add_channel(signal.name, np.array(signal.values, dtype=bool),
+                       grid=signal.name)
     return ts

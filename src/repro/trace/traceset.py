@@ -8,7 +8,7 @@ per-lane grids of adaptive stepping) carry their own.  Two dtypes are
 supported: ``float64`` for analog waveforms and ``bool`` for digital
 signals.
 
-Unlike the per-probe Python lists it replaces, a TraceSet is
+Unlike the live recording columns it is copied from, a TraceSet is
 
 - **columnar** — one contiguous array per channel, cheap to slice,
   window, decimate, and measure;
@@ -50,8 +50,9 @@ class ChannelView:
 
     Duck-compatible with the traced parts of
     :class:`~repro.sim.signal.AnalogProbe` (analog channels) and with
-    the history/edge readers of :class:`~repro.sim.signal.Signal`
-    (digital channels), so metrics and the VCD writer accept either.
+    the ``times`` / ``values`` / ``edges`` / ``value_at`` readers of
+    :class:`~repro.sim.signal.Signal` (digital channels), so metrics and
+    the VCD writer accept either.
     """
 
     __slots__ = ("trace", "name")
@@ -136,9 +137,10 @@ class TraceSet:
     Construction is incremental: :meth:`add_grid` registers a strictly
     ordered time axis, :meth:`add_channel` attaches a value array to it,
     and :meth:`add_signal` ingests a digital ``(time, value)`` history
-    on a private grid.  All arrays are held as-is (no copies), so
-    channels sharing a grid share one array object in memory and in the
-    npz serialization.
+    on a private grid.  Arrays are held as-is (no copies), so channels
+    sharing a grid share one array object in memory and in the npz
+    serialization; callers building from live recording buffers pass
+    copies (see :mod:`repro.trace.recorder`).
     """
 
     def __init__(self) -> None:
@@ -177,8 +179,10 @@ class TraceSet:
 
     def add_signal(self, name: str,
                    history: Sequence[Tuple[float, bool]]) -> "TraceSet":
-        """Ingest a digital signal history on a private grid named after
-        the channel (e.g. a :class:`~repro.sim.signal.Signal.history`)."""
+        """Ingest a hand-written digital ``(time, value)`` history on a
+        private grid named after the channel (live
+        :class:`~repro.sim.signal.Signal` columns go through
+        :func:`repro.trace.add_signals`)."""
         times = [t for t, _ in history]
         values = [bool(v) for _, v in history]
         self.add_grid(name, times)

@@ -266,7 +266,8 @@ class TestSensorBank:
             for comp in comps:
                 assert comp.output.edges("rise") and \
                     comp.output.edges("fall"), comp.name
-            runs.append(([comp.output.history for comp in comps],
+            runs.append(([(comp.output.times, comp.output.values)
+                          for comp in comps],
                          [comp._state for comp in comps],
                          sim.rng.getstate()))
         assert runs[0] == runs[1]

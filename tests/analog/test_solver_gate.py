@@ -114,7 +114,7 @@ class TestClosedLoopOpenController:
         rig.gates.gp[0].set(True, 1 * NS)
         rig.sim.run_until(100 * NS)
         assert rig.solver.i_probes[0].maximum > 0.0
-        assert rig.solver.i_probes[0].times == []
+        assert len(rig.solver.i_probes[0].times) == 0
 
     def test_solver_rejects_double_start(self, analog_rig):
         rig = analog_rig()

@@ -90,7 +90,8 @@ class TestDFlipFlop:
         sim.run(10 * NS)
         assert sim.events_delivered == 1
         assert not ff.q.value
-        assert ff.q.history == [(0.0, False)]
+        assert list(ff.q.times) == [0.0]
+        assert list(ff.q.values) == [False]
 
     def test_d_change_reaches_q_after_clk_to_q(self, sim):
         d, clk = Signal(sim, "d"), Signal(sim, "clk")

@@ -132,7 +132,8 @@ class _Rig:
     def observables(self):
         return {
             "q_history": self.q_history,
-            "outputs": [ff2.q.history for _, ff2 in self.flops],
+            "outputs": [(ff2.q.times, ff2.q.values)
+                        for _, ff2 in self.flops],
             "metastable": [ff1.metastable_events for ff1, _ in self.flops],
             "inflight": [(ff1.inflight, ff2.inflight)
                          for ff1, ff2 in self.flops],

@@ -19,6 +19,7 @@ so any cross-contamination between entries is detectable.
 """
 
 import hashlib
+import json
 import multiprocessing
 import os
 
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.session import ResultCache
+from repro.session.cache import _entry_digest
 from repro.system import RunResult
 from repro.trace import TraceSet
 
@@ -125,6 +127,19 @@ def _run_processes(targets) -> list:
     return out
 
 
+def _entry_state(cache: ResultCache, i: int) -> str:
+    """What is on disk for key ``i``, for a failure message."""
+    meta_path, npz_path = cache._paths(_key(i))
+    if not (meta_path.exists() and npz_path.exists()):
+        return (f"json on disk: {meta_path.exists()}, "
+                f"npz on disk: {npz_path.exists()}")
+    meta = json.loads(meta_path.read_bytes())
+    shape = "traced" if "trace" in meta else "untraced"
+    held = meta.get("sha256") == _entry_digest(meta, npz_path.read_bytes())
+    return (f"{shape} sidecar over a {npz_path.stat().st_size}-byte npz, "
+            f"digest holds: {held}")
+
+
 def _assert_no_half_entries(root: str) -> None:
     cache = ResultCache(root=root)
     json_stems = {p.with_suffix("") for p in cache.root.glob("*/*.json")}
@@ -159,7 +174,8 @@ def test_writers_readers_and_pruner_share_one_directory(tmp_path, capped):
         # every key loads and carries exactly its own content
         for i in range(N_KEYS):
             result = cache.load(_key(i))
-            assert result is not None, f"entry {i} lost without eviction"
+            assert result is not None, (
+                f"entry {i} lost without eviction: {_entry_state(cache, i)}")
             assert _matches(result, i)
     else:
         # eviction is allowed to drop entries, never to corrupt them
@@ -247,3 +263,29 @@ def test_untraced_reader_racing_a_traced_upgrade(tmp_path):
     _assert_no_half_entries(root)
     final = ResultCache(root=root).load(_key(0), want_trace=True)
     assert final == _result(0, traced=True)
+
+
+def test_store_republishes_a_pair_mixed_by_a_concurrent_store(
+        tmp_path, monkeypatch):
+    """A traced store's npz landing between an untraced store's two
+    renames mixes the pair; the untraced store, whose sidecar landed
+    last, must see that and publish its pair again."""
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    cache.store(_key(0), _result(0, traced=True))
+    _, npz_path = cache._paths(_key(0))
+    traced_npz = npz_path.read_bytes()
+    write = ResultCache._atomic_write
+    landed = []
+
+    def racing_write(path, fill):
+        write(path, fill)
+        if path == npz_path and not landed:
+            landed.append(path)     # the concurrent store's npz lands now
+            write(path, lambda fh: fh.write(traced_npz))
+
+    monkeypatch.setattr(ResultCache, "_atomic_write",
+                        staticmethod(racing_write))
+    assert cache.store(_key(0), _result(0, traced=False))
+    assert landed
+    assert cache.load(_key(0)) == _result(0, traced=False), \
+        _entry_state(cache, 0)

@@ -80,11 +80,9 @@ class TestSignal:
         s.set(True, 1 * NS)
         s.set(False, 3 * NS)
         sim.run(10 * NS)
-        assert s.history == [
-            (0.0, False),
-            (pytest.approx(1 * NS), True),
-            (pytest.approx(3 * NS), False),
-        ]
+        assert list(s.times) == [0.0, pytest.approx(1 * NS),
+                                 pytest.approx(3 * NS)]
+        assert list(s.values) == [False, True, False]
 
     def test_value_at(self, sim):
         s = Signal(sim, "s")
@@ -134,7 +132,7 @@ class TestSignal:
     def test_untraced_signal_skips_history(self, sim):
         s = Signal(sim, "s", trace=False)
         s.set(True)
-        assert len(s.history) == 1  # only the initial record
+        assert len(s.times) == len(s.values) == 1  # the initial record
 
     def test_listener_may_unsubscribe_during_notification(self, sim):
         s = Signal(sim, "s")
@@ -199,5 +197,5 @@ class TestAnalogProbe:
         p = AnalogProbe("v", trace=False)
         p.record(0.0, 5.0)
         p.record(1.0, 5.0)
-        assert p.times == []
+        assert len(p.times) == 0
         assert p.maximum == 5.0
