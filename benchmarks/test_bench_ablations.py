@@ -1,11 +1,11 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the model's design choices.
 
 Not in the paper's tables, but quantifying its design decisions:
 
 1. **PMIN masking** — with a minimum PMOS ON time at or above the
    synchronous latency scale, every controller's current overshoot is
    floored by PMIN x slew and the latency benefit disappears (this drove
-   our PMIN calibration, see EXPERIMENTS.md).
+   our PMIN calibration, see ``BuckControlParams``).
 2. **PEXT** — the extended first charging cycle of a UV episode deepens
    the initial current ramp and shortens the high-load dip.
 3. **A2A metastability containment** — with noisy comparators the A2A

@@ -8,8 +8,9 @@ protected), builds the Fig. 7a quick-grid job payload (5 controllers x
 
 - the **cold** job simulates every lane, streaming one SSE lane event
   per scenario as it lands;
-- the **hot** job must be served entirely from the server's shared
-  result cache — every lane ``cached: true``, every number
+- the server is then restarted over the same cache, so the **hot**
+  job runs in a fresh process: it must be served entirely from the
+  on-disk result cache — every lane ``cached: true``, every number
   bit-identical to the cold pass, zero recompute;
 - every hot lane is then fetched by content key through the client's
   ``result`` command (``GET /v1/results/<key>``), and each fetched
@@ -94,6 +95,11 @@ def start_server(cache_dir: str, workers):
     raise RuntimeError("server never became healthy")
 
 
+def stop_server(proc) -> None:
+    proc.terminate()
+    proc.wait(timeout=30)
+
+
 def client(url: str, *args: str, api_key: str = API_KEY,
            check: bool = True) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "repro.serve.client", "--url", url,
@@ -175,6 +181,11 @@ def main() -> int:
         assert client(url, "stats", api_key="", check=False).returncode == 1
 
         cold, cold_s = submit(url, job_path, "cold")
+        # a fresh server over the same cache: the hot job exercises the
+        # hit path of a process that has simulated nothing
+        stop_server(proc)
+        proc, url = start_server(args.cache_dir, args.workers)
+        print(f"server restarted at {url}")
         hot, hot_s = submit(url, job_path, "hot ")
 
         stats = json.loads(client(url, "stats").stdout)
@@ -220,8 +231,7 @@ def main() -> int:
             return 1
         return 0
     finally:
-        proc.terminate()
-        proc.wait(timeout=30)
+        stop_server(proc)
         os.unlink(job_path)
         if tmp is not None:
             tmp.cleanup()

@@ -1,7 +1,7 @@
 """Reproduction of Sokolov et al., "Benefits of Asynchronous Control for
 Analog Electronics: Multiphase Buck Case Study" (DATE 2017).
 
-Layers (see DESIGN.md):
+Layers (README "Layout" maps them to paths):
 
 - :mod:`repro.sim` — discrete-event kernel (signals, processes, VCD);
 - :mod:`repro.analog` — buck power stage ODE, coils, sensors, gate drivers;
@@ -25,7 +25,7 @@ from .system import BuckSystem, RunResult, SystemConfig
 __version__ = "1.1.0"
 
 #: lazily re-exported names (PEP 562): keeps ``import repro`` free of the
-#: NumPy-backed scenario/session machinery until it is actually used
+#: scenario, session and trace machinery (and NumPy) until it is used
 _LAZY_EXPORTS = {
     "Session": ".session",
     "ResultCache": ".session",

@@ -7,7 +7,7 @@ element is rendered as alternating RTZ handshakes with internal phase state
 (first handshake awaits the high level, the next the low level).  The
 observable event ordering — which is what the controller logic depends on —
 is identical, and one uniform protocol keeps the controller processes and
-verification models simple (documented substitution, DESIGN.md Sec. 5).
+verification models simple.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Replaces the paper's Verilog-A + Cadence Incisive AMS setup with a
 pure-Python piecewise-linear model co-simulated by the discrete-event
-kernel (see DESIGN.md, substitution table).
+kernel.
 """
 
 from .buck import BuckPhase, MultiphasePowerStage, ShortCircuitError, make_power_stage

@@ -32,7 +32,8 @@ class BuckControlParams:
     # PMIN/NMIN below the synchronous latency scale: the paper does not
     # publish them, and a larger PMIN floors every controller's current
     # overshoot at pmin*slew, masking exactly the latency effect the
-    # evaluation measures (see DESIGN.md).
+    # evaluation measures (the PMIN ablation in
+    # benchmarks/test_bench_ablations.py shows it).
     pmin: float = 2 * NS         #: minimum PMOS ON time
     nmin: float = 3 * NS         #: minimum NMOS ON time
     pext: float = 40 * NS        #: PMOS ON extension, first cycle of a UV episode

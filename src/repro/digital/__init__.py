@@ -1,7 +1,7 @@
 """Digital substrate: gates, sequential elements, clocks, synchronizers.
 
 Behavioural stand-ins for the paper's TSMC 90 nm gate library, with
-explicit metastability models in the flip-flop and mutex (see DESIGN.md).
+explicit metastability models in the flip-flop and mutex.
 """
 
 from .celement import AsymmetricCElement, CElement

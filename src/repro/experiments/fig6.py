@@ -24,7 +24,7 @@ from ..system import BuckSystem, SystemConfig
 from ..trace import TraceSet
 from .report import format_table
 
-#: paper-reported values for EXPERIMENTS.md comparison
+#: paper-reported values the reproduced Fig. 6 is compared against
 PAPER_FIG6 = {
     "sync": {"ripple_v": 0.43, "peak_a": 0.24, "recurring_ov": True},
     "async": {"ripple_v": 0.36, "peak_a": 0.21, "recurring_ov": False},

@@ -10,7 +10,8 @@ operations while each lane's discrete-event controller runs on its own
 seeded :class:`~repro.sim.core.Simulator`, reacting to per-lane
 comparator crossings.
 
-- :mod:`repro.scenarios.spec` — specs, grid/random sweeps, seeding rules;
+- :mod:`repro.scenarios.spec` — specs, grid/random sweeps, seeding rules,
+  the :class:`SweepPoint` a sweep returns;
 - :mod:`repro.scenarios.vector_stage` — the N-lane power-stage arrays;
 - :mod:`repro.scenarios.vector_solver` — lock-step solver + comparators;
 - :mod:`repro.scenarios.engine` — lane handles, batching, results;
@@ -18,19 +19,32 @@ comparator crossings.
   (``Session(workers=N)``), batch planner, picklable work units.
 """
 
-from .engine import ScenarioLane, SweepPoint, VectorBatch
+from importlib import import_module
+
 from .parallel import BatchPlan, plan_batches, pool_map, run_sweep_parallel
 from .spec import (
     Distribution,
     ScenarioSpec,
     Sweep,
+    SweepPoint,
     choice,
     lane_seed,
     log_uniform,
     uniform,
 )
-from .vector_solver import LaneSensors, VectorComparatorBank, VectorizedSolver
-from .vector_stage import LanePhase, LaneStage, VectorizedPowerStage
+
+#: lazily re-exported names (PEP 562): keeps the array engine, and with
+#: it NumPy, out of a process that only builds specs or reads the cache
+_LAZY_EXPORTS = {
+    "VectorBatch": ".engine",
+    "ScenarioLane": ".engine",
+    "VectorizedSolver": ".vector_solver",
+    "VectorComparatorBank": ".vector_solver",
+    "LaneSensors": ".vector_solver",
+    "VectorizedPowerStage": ".vector_stage",
+    "LaneStage": ".vector_stage",
+    "LanePhase": ".vector_stage",
+}
 
 __all__ = [
     "ScenarioSpec", "Sweep", "Distribution", "uniform", "log_uniform",
@@ -40,3 +54,10 @@ __all__ = [
     "VectorizedPowerStage", "LaneStage", "LanePhase",
     "VectorizedSolver", "VectorComparatorBank", "LaneSensors",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(module, __name__), name)

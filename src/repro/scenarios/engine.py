@@ -30,8 +30,7 @@ inline path — see :mod:`repro.scenarios.parallel`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,11 +43,9 @@ from ..control.sync_controller import SyncMultiphaseController
 from ..sim.core import Simulator
 from ..system import BuckSystem, RunResult, SystemConfig
 from .parallel import plan_batches, run_sweep_parallel
-from .spec import ScenarioSpec, Sweep
+from .spec import ScenarioSpec, SweepPoint
 from .vector_solver import LaneSensors, VectorComparatorBank, VectorizedSolver
 from .vector_stage import VectorizedPowerStage
-
-Specs = Union[Sweep, Sequence[ScenarioSpec]]
 
 
 class ScenarioLane:
@@ -229,29 +226,6 @@ class VectorBatch:
                     lane.controller, "clock_edges_skipped", 0),
             ))
         return results
-
-
-@dataclass
-class SweepPoint:
-    """One scenario's spec, expanded config, result, and (optionally) the
-    live lane/system handle for waveform-level inspection."""
-
-    spec: ScenarioSpec
-    config: SystemConfig
-    result: RunResult
-    handle: Optional[object] = None   #: ScenarioLane or BuckSystem when kept
-    #: served without simulating: a cache hit, an in-flight dedupe against
-    #: a concurrent sweep, or a duplicate spec within this sweep
-    cached: bool = False
-    #: the scenario's content cache key (set when the session caches; the
-    #: sweep server hands it to clients for GET-by-key fetches)
-    key: Optional[str] = None
-
-
-def _as_specs(specs: Specs) -> List[ScenarioSpec]:
-    if isinstance(specs, Sweep):
-        return specs.specs()
-    return list(specs)
 
 
 def _execute_sweep(spec_list: Sequence[ScenarioSpec],

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, TypeVar)
@@ -305,6 +304,8 @@ def run_sweep_parallel(specs: Sequence[ScenarioSpec],
                    shard=shard_no, indices=plan.indices)
         for shard_no, plan in enumerate(plans)
     ]
+    # imported here: multiprocessing is loaded only by a process that shards
+    from concurrent.futures import ProcessPoolExecutor, as_completed
     results: List[Optional[RunResult]] = [None] * len(configs)
     with ProcessPoolExecutor(max_workers=min(workers, len(plans))) as pool:
         futures = {pool.submit(_run_shard, unit): (plan, unit.shard)
@@ -338,6 +339,7 @@ def pool_map(fn: Callable[[T], R], items: Sequence[T],
     items = list(items)
     if workers in (None, 0, 1) or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 

@@ -52,13 +52,14 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Union)
 
 from ..analog.coil import make_coil
 from ..analog.load import LoadProfile
 from ..control.params import BuckControlParams
 from ..sim.units import UH
-from ..system import SystemConfig
+from ..system import RunResult, SystemConfig
 
 #: override keys routed into BuckControlParams instead of SystemConfig
 PARAM_KEYS = ("pmin", "nmin", "pext", "phase_dwell")
@@ -310,6 +311,32 @@ class Sweep:
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._blocks) or 1
+
+
+Specs = Union[Sweep, Sequence[ScenarioSpec]]
+
+
+def _as_specs(specs: Specs) -> List[ScenarioSpec]:
+    if isinstance(specs, Sweep):
+        return specs.specs()
+    return list(specs)
+
+
+@dataclass
+class SweepPoint:
+    """One scenario's spec, expanded config, result, and (optionally) the
+    live lane/system handle for waveform-level inspection."""
+
+    spec: ScenarioSpec
+    config: SystemConfig
+    result: RunResult
+    handle: Optional[object] = None   #: ScenarioLane or BuckSystem when kept
+    #: served without simulating: a cache hit, an in-flight dedupe against
+    #: a concurrent sweep, or a duplicate spec within this sweep
+    cached: bool = False
+    #: the scenario's content cache key (set when the session caches; the
+    #: sweep server hands it to clients for GET-by-key fetches)
+    key: Optional[str] = None
 
 
 def _fmt(value: Any) -> str:

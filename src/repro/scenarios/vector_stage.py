@@ -501,6 +501,9 @@ class VectorizedPowerStage:
         fm = self._fm
         fm[:] = keep        # a float mask multiplies faster than a bool one
         _mul(i1, fm, out=i1)
+        # the mask turns a negative current into -0.0; adding +0.0 makes
+        # it the 0.0 the scalar stage writes (and leaves NaN as NaN)
+        _add(i1, self._zeros, out=i1)
 
         if self.track_energy:
             # Trapezoidal energy bookkeeping on the accepted step.

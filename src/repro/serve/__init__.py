@@ -15,12 +15,20 @@ behind a small stdlib HTTP API.
 Launch with ``python -m repro.serve``; see README "Serving sweeps".
 """
 
+from importlib import import_module
+
 from .auth import ApiKeyAuth, load_key_file
-from .client import ServeClient, ServeError
 from .jobs import Job, JobManager
 from .protocol import (JobOptions, ProtocolError, decode_job, job_request,
                        specs_to_jsonable, sweep_from_jsonable)
 from .server import SweepServer
+
+#: lazily re-exported names (PEP 562): the server never loads the client
+#: (and with it ``urllib.request``)
+_LAZY_EXPORTS = {
+    "ServeClient": ".client",
+    "ServeError": ".client",
+}
 
 __all__ = [
     "SweepServer", "ServeClient", "ServeError",
@@ -29,3 +37,10 @@ __all__ = [
     "specs_to_jsonable", "sweep_from_jsonable",
     "ApiKeyAuth", "load_key_file",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(module, __name__), name)

@@ -30,7 +30,8 @@ headline measurements are a pure function of
   empty archive for an untraced entry).
 
 An untraced hit is therefore one small JSON read plus a hash of the
-npz bytes; the zip is parsed only for ``want_trace=True``.  Corrupt,
+npz bytes; the zip is parsed, and NumPy imported, only for
+``want_trace=True`` or to store a traced result.  Corrupt,
 torn, or half-written entries fail the digest and read as misses,
 never as wrong results.
 
@@ -88,8 +89,6 @@ import zipfile
 from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
-
-import numpy as np
 
 try:                              # pragma: no cover - platform availability
     import fcntl
@@ -159,13 +158,17 @@ def is_cache_key(key: str) -> bool:
 
 
 def _npz_bytes(arrays: Mapping[str, Any]) -> bytes:
+    import numpy as np
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     return buf.getvalue()
 
 
-#: the npz half of an untraced entry
-_EMPTY_NPZ = _npz_bytes({})
+#: the npz half of an untraced entry: the 22-byte empty zip archive
+#: (end-of-central-directory record only), byte for byte what
+#: ``_npz_bytes({})`` writes.  A literal, so that storing or serving an
+#: untraced entry never imports NumPy.
+_EMPTY_NPZ = b"PK\x05\x06" + bytes(18)
 
 #: how often a store republishes a pair that a concurrent store of the
 #: same key mixed (see :meth:`ResultCache._write_pair`)
@@ -442,6 +445,8 @@ class ResultCache:
                 return None
             trace = None
             if want_trace:
+                import numpy as np
+
                 from ..trace import TraceSet
                 with np.load(io.BytesIO(blob)) as data:
                     trace = TraceSet.from_arrays(trace_manifest, data,

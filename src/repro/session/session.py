@@ -31,9 +31,8 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 from .. import obs
 from ..analog.stepping import GATING_MODES, STEPPING_MODES
-from ..scenarios.engine import Specs, SweepPoint, _as_specs, _execute_sweep
 from ..scenarios.parallel import pool_map, workers_from_env
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios.spec import ScenarioSpec, Specs, SweepPoint, _as_specs
 from ..system import BuckSystem, RunResult, SystemConfig
 from .cache import DEFAULT_CACHE_DIR, ResultCache, cache_key, code_fingerprint
 from .inflight import InFlightRegistry
@@ -346,11 +345,9 @@ class Session:
         cache = self.cache if (self.cache is not None and not keep) else None
         if cache is None:
             tick("execute")
-            return _execute_sweep(
-                spec_list, configs, backend=self.backend, settle=settle,
-                keep=keep, track_energy=track_energy, workers=self.workers,
-                max_lanes_per_shard=self.max_lanes_per_shard,
-                on_result=on_result), None, 0
+            return self._execute(
+                spec_list, configs, settle=settle, keep=keep,
+                track_energy=track_energy, on_result=on_result), None, 0
 
         points: List[Optional[SweepPoint]] = [None] * len(spec_list)
         # the process's first keyed sweep computes the fingerprint with
@@ -406,13 +403,11 @@ class Session:
                 events[keys[i]] = event
                 waiters.append(i)
 
-        def _execute(indices: Sequence[int], landed) -> None:
-            _execute_sweep([spec_list[i] for i in indices],
-                           [configs[i] for i in indices],
-                           backend=self.backend, settle=settle, keep=keep,
-                           track_energy=track_energy, workers=self.workers,
-                           max_lanes_per_shard=self.max_lanes_per_shard,
-                           on_result=landed)
+        def _simulate(indices: Sequence[int], landed) -> None:
+            self._execute([spec_list[i] for i in indices],
+                          [configs[i] for i in indices], settle=settle,
+                          keep=keep, track_energy=track_energy,
+                          on_result=landed)
 
         tick("execute")
         try:
@@ -437,7 +432,7 @@ class Session:
                         self._count(hits=1)
                         _serve(dup, point.result)
 
-                _execute(leaders, _fresh)
+                _simulate(leaders, _fresh)
         finally:
             # release claims for lanes that never landed (mid-sweep
             # failure), so waiters in other threads fall back instead of
@@ -478,8 +473,24 @@ class Session:
                 if on_result is not None:
                     on_result(i, point)
 
-            _execute(recompute, _again)
+            _simulate(recompute, _again)
         return points, keys, waited  # type: ignore[return-value]
+
+    def _execute(self, spec_list: List[ScenarioSpec],
+                 configs: List[SystemConfig], *, settle: Optional[float],
+                 keep: bool, track_energy: bool,
+                 on_result: Optional[Callable[[int, SweepPoint], None]]
+                 ) -> List[SweepPoint]:
+        """Simulate the lanes no cache entry served, on this session's
+        backend and workers.  The engine is imported here, so NumPy and
+        the array backend load on a process's first miss: a cache-hot
+        process never imports them."""
+        from ..scenarios.engine import _execute_sweep
+        return _execute_sweep(
+            spec_list, configs, backend=self.backend, settle=settle,
+            keep=keep, track_energy=track_energy, workers=self.workers,
+            max_lanes_per_shard=self.max_lanes_per_shard,
+            on_result=on_result)
 
     # ------------------------------------------------------------------
     # Observability: receipts + trace export

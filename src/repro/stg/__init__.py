@@ -6,7 +6,7 @@ freeness, output persistence, CSC, design invariants), Quine–McCluskey
 based speed-independent synthesis, parallel composition, gate-level
 conformance/hazard checking, and a ``.g``-format parser — our
 reimplementation of the Workcraft/Petrify/MPSat backend stack the paper
-automates (see DESIGN.md substitution table).
+automates.
 """
 
 from .circuit import (

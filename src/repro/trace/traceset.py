@@ -45,6 +45,12 @@ FALL = "fall"
 ANY = "any"
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same dtype, shape and bytes."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
 class ChannelView:
     """Read-only probe-like adapter over one channel of a TraceSet.
 
@@ -434,7 +440,9 @@ class TraceSet:
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
-        """Exact (bit-level) equality of structure, grids, and values."""
+        """Exact (bit-level) equality of structure, grids, and values:
+        ``-0.0`` differs from ``0.0``, and a NaN sample equals the same
+        NaN."""
         if not isinstance(other, TraceSet):
             return NotImplemented
         if (self.meta != other.meta
@@ -442,15 +450,11 @@ class TraceSet:
                 or list(self._channels) != list(other._channels)):
             return False
         for g, times in self._grids.items():
-            o = other._grids[g]
-            if times.dtype != o.dtype or not np.array_equal(times, o):
+            if not _same_bits(times, other._grids[g]):
                 return False
         for name, (gname, values) in self._channels.items():
             ogname, ovalues = other._channels[name]
-            if gname != ogname:
-                return False
-            if (values.dtype != ovalues.dtype
-                    or not np.array_equal(values, ovalues)):
+            if gname != ogname or not _same_bits(values, ovalues):
                 return False
         return True
 

@@ -209,6 +209,20 @@ class TestSerialization:
         assert a != c
         assert a != object()
 
+    @staticmethod
+    def _one(value):
+        return (TraceSet().add_grid("t", [0.0])
+                .add_channel("v", [value], grid="t"))
+
+    def test_eq_tells_signed_zeros_apart(self):
+        assert self._one(-0.0) != self._one(0.0)
+        assert self._one(-0.0) == self._one(-0.0)
+
+    def test_eq_holds_for_a_nan_channel(self):
+        a = self._one(float("nan"))
+        assert a == a
+        assert a == self._one(float("nan"))
+
     def test_meta_round_trips_everywhere(self, tmp_path):
         import json
         ts = _ts()
