@@ -2,12 +2,12 @@
 """Demo: every repro.lint rule family firing on a miniature broken tree.
 
 Writes a tiny package into a temp directory with one of each kind of
-violation the analyzer knows about — a RunResult layout change without
-a FORMAT_VERSION bump, an unseeded RNG draw, a wall-clock read,
-unordered iteration, id()-ordering, a set flowing (through variables)
-into a wire encoding, an unguarded write to a `guarded_by` attribute, a
-lock-order inversion and a blocking call under a lock — runs the
-analyzer over it, and prints the findings grouped by rule family.
+violation the analyzer knows about — an unseeded RNG draw, a wall-clock
+read, unordered iteration, id()-ordering, a set flowing (through
+variables) into a wire encoding, an unguarded write to a `guarded_by`
+attribute, a lock-order inversion and a blocking call under a lock —
+runs the analyzer over it, and prints the findings grouped by rule
+family.
 Exits non-zero if any family finds nothing, so a rule-catalog or
 LintConfig change that leaves the demo behind fails loudly (CI runs
 it).
@@ -24,27 +24,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.lint import FAMILIES, LintConfig, RULES, run_lint, update_locks
+from repro.lint import FAMILIES, LintConfig, RULES, run_lint
 
 #: the miniature broken tree, mirroring the real module layout
 BROKEN_TREE = {
-    "system.py": '''\
-from dataclasses import dataclass
-from typing import List
-
-
-@dataclass
-class RunResult:
-    v_final: float = 0.0
-    ripple: float = 0.0
-    cycles: List[int] = None
-
-    def to_dict(self):
-        return {"v_final": self.v_final, "ripple": self.ripple}
-''',
-    "session/cache.py": '''\
-FORMAT_VERSION = 1
-''',
     "scenarios/parallel.py": '''\
 import json
 import random
@@ -101,27 +84,12 @@ def build_tree(root: Path) -> LintConfig:
         path = root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source, encoding="utf-8")
-    return LintConfig(
-        root=root,
-        scan_paths=tuple(BROKEN_TREE),
-        locks_dir=root / "locks",
-    )
+    return LintConfig(root=root, scan_paths=tuple(BROKEN_TREE))
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="lint_demo_") as tmp:
-        config = build_tree(Path(tmp))
-        # lock the current state, then make the post-lock edit the
-        # lockfile exists to catch: a RunResult layout change without a
-        # FORMAT_VERSION bump (K03)
-        update_locks(config)
-        system = Path(tmp) / "system.py"
-        system.write_text(system.read_text(encoding="utf-8").replace(
-            "    cycles: List[int] = None",
-            "    cycles: List[int] = None\n    note: str = \"\""),
-            encoding="utf-8")
-
-        report = run_lint(config)
+        report = run_lint(build_tree(Path(tmp)))
 
         print("repro.lint demo — one miniature tree, every rule family")
         print(f"  modules scanned : {report.modules_scanned}")

@@ -5,10 +5,8 @@ error.  ``--json FILE`` writes the machine-readable report (CI uploads
 it as an artifact); ``--sarif FILE`` writes a SARIF 2.1.0 log for
 GitHub code-scanning annotations; ``--bench-json FILE`` records the
 analyzer's own wall time and finding counts (the perf-trajectory
-artifact); ``--update-locks`` regenerates the serialization-format
-lockfile — the explicit ack for an intentional format bump;
-``--explain RULE`` prints the catalog entry with a miniature bad
-example.
+artifact); ``--explain RULE`` prints the catalog entry with a
+miniature bad example.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .config import default_config_for
-from .engine import run_lint, update_locks
+from .engine import run_lint
 from .findings import FAMILIES, explain, rule_ids
 
 
@@ -46,12 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record the analyzer's wall time and finding counts to "
              "FILE (perf-trajectory artifact)")
     parser.add_argument(
-        "--update-locks", action="store_true",
-        help="regenerate tests/golden/format_lock.json from the current "
-             "tree (the explicit ack for a FORMAT_VERSION bump)")
-    parser.add_argument(
         "--explain", metavar="RULE", default=None,
-        help="print the catalog entry for one rule id (e.g. K03) and "
+        help="print the catalog entry for one rule id (e.g. D03) and "
              "exit")
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -94,16 +88,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_locks:
-        try:
-            written = update_locks(config)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for label, where in sorted(written.items()):
-            print(f"wrote {label}: {where}")
-        return 0
 
     families = tuple(args.family) if args.family else FAMILIES
     t0 = time.perf_counter()

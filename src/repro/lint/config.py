@@ -16,10 +16,9 @@ exceptions stay self-documenting:
     sites — ``self._lock``, ``self._cond``, or the factory form
     ``self._writer_lock()``.
 
-:class:`LintConfig` names every repo-specific anchor (which modules hold
-the result dataclass and its format version, which modules are scanned,
-where the lockfile lives) so the test suite can point the same
-rules at miniature fixture trees.
+:class:`LintConfig` names every repo-specific anchor (the package root,
+which modules are scanned, which ones may read the wall clock) so the
+test suite can point the same rules at miniature fixture trees.
 """
 
 from __future__ import annotations
@@ -36,13 +35,6 @@ class LintConfig:
 
     #: package source root (the directory containing ``system.py``)
     root: Path = Path(".")
-    #: module paths below, all relative to ``root``: the module holding
-    #: the result dataclass whose layout K03 locks, and the one holding
-    #: its format version
-    config_module: str = "system.py"
-    result_class: str = "RunResult"
-    cache_module: str = "session/cache.py"
-    format_version_name: str = "FORMAT_VERSION"
     #: directories/files (relative to root) scanned by the determinism
     #: and locks families — the result-producing modules
     scan_paths: Tuple[str, ...] = ("system.py", "sim", "analog", "digital",
@@ -56,22 +48,13 @@ class LintConfig:
     #: Rule D06 separately proves nothing observability-derived reaches
     #: the cache/lockstep keys.
     wallclock_modules: Tuple[str, ...] = ("obs",)
-    #: directory holding format_lock.json
-    locks_dir: Path = Path("tests/golden")
-
-    @property
-    def format_lock_path(self) -> Path:
-        return Path(self.locks_dir) / "format_lock.json"
 
 
 def default_config_for(path: Path) -> LintConfig:
     """Resolve a CLI path argument into a :class:`LintConfig`.
 
     Accepts the package root itself (``.../repro``), a ``src`` directory
-    containing it, or a repo root containing ``src/repro``.  The
-    lockfiles are looked up in ``<repo>/tests/golden`` when that layout
-    is recognisable, falling back to a ``tests/golden`` sibling of the
-    package's parent.
+    containing it, or a repo root containing ``src/repro``.
     """
     path = Path(path).resolve()
     for candidate in (path, path / "repro", path / "src" / "repro"):
@@ -81,9 +64,7 @@ def default_config_for(path: Path) -> LintConfig:
     else:
         raise FileNotFoundError(
             f"no repro package (system.py) found under {path}")
-    # <repo>/src/repro -> <repo>/tests/golden
-    repo = root.parent.parent if root.parent.name == "src" else root.parent
-    return LintConfig(root=root, locks_dir=repo / "tests" / "golden")
+    return LintConfig(root=root)
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,11 @@
 rule re-reads or re-parses source).  :func:`run_lint` dispatches the
 requested families, applies ``# lint: ok(RULE: reason)`` suppressions,
 and returns a :class:`LintReport` with deterministic finding order.
-
-Also home to the lockfile plumbing: :func:`update_locks` regenerates
-``tests/golden/format_lock.json`` — the explicit ack for an intentional
-serialization-format bump.
 """
 
 from __future__ import annotations
 
 import ast
-import copy
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,23 +54,17 @@ def build_index(config: LintConfig) -> Tuple[ModuleIndex, List[Finding]]:
     index = ModuleIndex()
     findings: List[Finding] = []
     root = Path(config.root)
-    wanted = set(config.scan_paths)
-    wanted.update((config.config_module, config.cache_module))
-    for entry in sorted(wanted):
+    for entry in sorted(set(config.scan_paths)):
         path = root / entry
         if path.is_file():
             files = [path]
         elif path.is_dir():
             files = sorted(path.rglob("*.py"))
         else:
-            # a missing module that a rule family anchors on is that
-            # family's finding (X00 with context); only a missing
-            # *scan* path is an engine-level error
-            if entry in config.scan_paths:
-                findings.append(Finding(
-                    "X00", entry, 1,
-                    f"configured path {entry!r} not found under {root}",
-                    "fix the lint configuration (scan_paths)"))
+            findings.append(Finding(
+                "X00", entry, 1,
+                f"configured path {entry!r} not found under {root}",
+                "fix the lint configuration (scan_paths)"))
             continue
         for file in files:
             relpath = file.relative_to(root).as_posix()
@@ -102,54 +89,6 @@ def build_index(config: LintConfig) -> Tuple[ModuleIndex, List[Finding]]:
 # ---------------------------------------------------------------------------
 # Shared AST helpers
 # ---------------------------------------------------------------------------
-def find_def(tree: ast.Module, qualname: str):
-    """The FunctionDef/AsyncFunctionDef for ``qualname`` (``Class.
-    method``, possibly nested classes, or a module-level name)."""
-    parts = qualname.split(".")
-    scope: ast.AST = tree
-    for part in parts:
-        found = None
-        for node in getattr(scope, "body", []):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) and node.name == part:
-                found = node
-                break
-        if found is None:
-            return None
-        scope = found
-    return scope if isinstance(scope, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)) else None
-
-
-def find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def node_fingerprint(node: ast.AST) -> str:
-    """Digest of one def's behaviour-relevant AST (16 hex chars).
-
-    Same normalization as the cache layer's ``module_fingerprint``:
-    docstrings are stripped, positions are excluded, so comment/
-    docstring/formatting edits keep the fingerprint while any real code
-    change moves it.
-    """
-    clone = copy.deepcopy(node)
-    for sub in ast.walk(clone):
-        if not isinstance(sub, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                ast.AsyncFunctionDef)):
-            continue
-        body = sub.body
-        if (body and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)):
-            del body[0]
-    payload = ast.dump(clone, include_attributes=False).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: List[str] = []
@@ -233,9 +172,8 @@ def run_lint(config: LintConfig,
     """Run the requested rule families over one shared tree walk."""
     index, findings = build_index(config)
     # imported here so the rule modules can use engine helpers freely
-    from . import determinism, keys, locks
+    from . import determinism, locks
     runners = {
-        "keys": keys.check,
         "determinism": determinism.check,
         "locks": locks.check,
     }
@@ -247,34 +185,3 @@ def run_lint(config: LintConfig,
     return LintReport(findings=kept, suppressed=suppressed,
                       modules_scanned=len(index.modules),
                       families=tuple(families))
-
-
-# ---------------------------------------------------------------------------
-# Lockfiles
-# ---------------------------------------------------------------------------
-def read_lock(path: Path) -> Optional[Dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return None
-
-
-def write_lock(path: Path, payload: Dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def update_locks(config: LintConfig) -> Dict[str, str]:
-    """Regenerate the format lockfile from the current tree (the
-    explicit ack for format bumps).  Returns a summary of what was
-    written."""
-    index, findings = build_index(config)
-    hard = [f for f in findings if f.rule == "X00"]
-    if hard:
-        raise RuntimeError("cannot update locks: " + hard[0].render())
-    from . import keys
-    write_lock(config.format_lock_path, keys.lock_payload(config, index))
-    return {"format_lock": str(config.format_lock_path)}

@@ -1,6 +1,6 @@
 """Finding records and the rule catalog for :mod:`repro.lint`.
 
-Every rule has a stable id (``K``/``D``/``L`` family prefix, or ``X``
+Every rule has a stable id (``D``/``L`` family prefix, or ``X``
 for the engine, plus a two-digit number), a one-line title, a longer
 explanation, and a miniature *bad example* used by ``--explain`` and
 ``examples/lint_demo.py``.  A :class:`Finding` pins one violation to a
@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 class Finding:
     """One rule violation, pinned to a source location."""
 
-    rule: str          #: rule id, e.g. ``"K03"``
+    rule: str          #: rule id, e.g. ``"D03"``
     path: str          #: path as reported (relative to the scanned root)
     line: int          #: 1-based line number
     message: str       #: what is wrong, naming the offending symbol
@@ -46,24 +46,9 @@ class Rule:
 
 
 #: the rule families, in report order
-FAMILIES = ("keys", "determinism", "locks")
+FAMILIES = ("determinism", "locks")
 
 RULES: Dict[str, Rule] = {r.id: r for r in (
-    Rule(
-        "K03", "keys",
-        "RunResult serialization drift without FORMAT_VERSION bump",
-        "The on-disk entry layout is pinned by tests/golden/"
-        "format_lock.json.  Changing RunResult's field set (or its "
-        "to_dict) without bumping FORMAT_VERSION lets old entries "
-        "decode into wrong-shaped results.  Bump FORMAT_VERSION and "
-        "refresh the lock with `python -m repro.lint --update-locks`.",
-        bad_example=(
-            "@dataclass\n"
-            "class RunResult:\n"
-            "    v_final: float\n"
-            "    brand_new_counter: int = 0   # K03 until the lock and\n"
-            "                                 # FORMAT_VERSION move too\n"),
-    ),
     Rule(
         "D01", "determinism",
         "Unseeded or global-state RNG",
@@ -200,8 +185,8 @@ RULES: Dict[str, Rule] = {r.id: r for r in (
     Rule(
         "X00", "engine",
         "Analyzer configuration error",
-        "A module, class, or function the lint configuration points at "
-        "is missing or unparseable.  The analyzer fails loudly rather "
+        "A path the lint configuration points at is missing, or a "
+        "module under it does not parse.  The analyzer fails loudly rather "
         "than silently skipping the check.",
     ),
     Rule(

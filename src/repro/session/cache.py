@@ -33,7 +33,8 @@ An untraced hit is therefore one small JSON read plus a hash of the
 npz bytes; the zip is parsed, and NumPy imported, only for
 ``want_trace=True`` or to store a traced result.  Corrupt,
 torn, or half-written entries fail the digest and read as misses,
-never as wrong results.
+never as wrong results; so does an entry whose ``result`` members or
+their kinds differ from what ``RunResult`` declares now.
 
 The cache is shared by value, not by process: the parallel sharder's
 per-lane results are written back individually, so a re-run of an
@@ -99,7 +100,10 @@ from .. import obs
 from ..scenarios.parallel import encode_config
 from ..system import RunResult, SystemConfig
 
-#: bump when the key payload or on-disk layout changes shape
+#: bump when the cache's own encoding changes: the key payload or how
+#: an entry is laid out on disk.  A change to ``RunResult`` needs no
+#: bump: ``system.py`` is fingerprinted, so it moves every key, and an
+#: entry fetched by an old key reads as a miss (:data:`_RESULT_LAYOUT`).
 #: (2: RunResult gained solver_ticks; keys cover the stepping knobs.
 #: 3: entries may embed the traced TraceSet; fingerprint covers trace/.
 #: 4: RunResult gained the kernel counters events_delivered /
@@ -126,15 +130,21 @@ def _fields_typed(kind: type) -> Tuple[str, ...]:
     """``RunResult``'s fields annotated ``kind``, in declaration order.
 
     They name the sidecar's ``result`` members, so every numeric field
-    is stored by construction; a field added to ``RunResult`` still
-    needs a ``FORMAT_VERSION`` bump (``format_lock.json`` enforces
-    that)."""
+    is stored by construction, and they fix :data:`_RESULT_LAYOUT`, so
+    an entry written for another ``RunResult`` reads as a miss."""
     return tuple(f.name for f in fields(RunResult)
                  if f.type in (kind, kind.__name__))
 
 
 _FLOAT_FIELDS = _fields_typed(float)
 _INT_FIELDS = _fields_typed(int)
+
+#: the sidecar ``result`` this ``RunResult`` implies: member name -> the
+#: type ``json.loads`` gives it (float text, int, list).  An entry with
+#: another member set or kind was written for another ``RunResult`` --
+#: a field added, removed or retyped since -- and reads as a miss.
+_RESULT_LAYOUT = {**dict.fromkeys(_FLOAT_FIELDS, float),
+                  **dict.fromkeys(_INT_FIELDS, int), "cycles": list}
 
 #: npz member-name prefix for embedded TraceSet arrays
 _TRACE_PREFIX = "trace_"
@@ -443,6 +453,12 @@ class ResultCache:
                 blob = fh.read()
             if meta.get("sha256") != _entry_digest(meta, blob):
                 return None
+            numbers = meta["result"]
+            if not isinstance(numbers, dict) or {
+                    name: type(value) for name, value in numbers.items()
+            } != _RESULT_LAYOUT:
+                return None
+            numbers["cycles"] = [int(c) for c in numbers["cycles"]]
             trace = None
             if want_trace:
                 import numpy as np
@@ -451,13 +467,8 @@ class ResultCache:
                 with np.load(io.BytesIO(blob)) as data:
                     trace = TraceSet.from_arrays(trace_manifest, data,
                                                  prefix=_TRACE_PREFIX)
-            numbers = meta["result"]
-            kwargs: Dict[str, Any] = {
-                name: float(numbers[name]) for name in _FLOAT_FIELDS}
-            kwargs.update({name: int(numbers[name]) for name in _INT_FIELDS})
-            return RunResult(controller=meta["controller"],
-                             cycles=[int(c) for c in numbers["cycles"]],
-                             trace=trace, **kwargs)
+            return RunResult(controller=meta["controller"], trace=trace,
+                             **numbers)
         except (OSError, ValueError, KeyError, TypeError, EOFError,
                 zipfile.BadZipFile):
             # unreadable files, or a sidecar of the wrong shape

@@ -18,21 +18,22 @@ def test_list_rules_covers_the_whole_catalog(capsys):
 
 
 def test_retired_rules_are_not_listed(capsys):
-    """The key, payload and job field sets are derived in code, so the
+    """The key, payload and job field sets are derived in code, and the
+    cache reads an entry of another RunResult layout as a miss, so the
     rules that policed hand-kept copies of them are gone."""
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("K01", "K02", "K04", "K05", "K06",
+    for rule_id in ("K01", "K02", "K03", "K04", "K05", "K06",
                     "W01", "W02", "W03"):
         assert rule_id not in out
 
 
 def test_explain_prints_the_catalog_entry(capsys):
-    assert main(["--explain", "K03"]) == 0
+    assert main(["--explain", "L02"]) == 0
     out = capsys.readouterr().out
-    assert "K03" in out
-    assert RULES["K03"].title in out
-    assert RULES["K03"].bad_example.strip().splitlines()[0] in out
+    assert "L02" in out
+    assert RULES["L02"].title in out
+    assert RULES["L02"].bad_example.strip().splitlines()[0] in out
 
 
 def test_explain_is_case_insensitive(capsys):

@@ -10,15 +10,14 @@ BAD = FIXTURES / "det" / "bad.py"
 GOOD = FIXTURES / "det" / "good.py"
 
 
-def _report(filename, tmp_path):
-    config = LintConfig(root=FIXTURES / "det", scan_paths=(filename,),
-                        locks_dir=tmp_path)
+def _report(filename):
+    config = LintConfig(root=FIXTURES / "det", scan_paths=(filename,))
     return run_lint(config, families=("determinism",))
 
 
 @pytest.fixture()
-def bad(tmp_path):
-    return _report("bad.py", tmp_path)
+def bad():
+    return _report("bad.py")
 
 
 #: (rule id, MARK name) — one hazard per line in the bad fixture
@@ -74,23 +73,23 @@ def test_through_variable_case_is_invisible_to_syntax_alone():
     assert isinstance(loops[0].iter, ast.Name)
 
 
-def test_seeded_and_sorted_code_is_clean(tmp_path):
-    report = _report("good.py", tmp_path)
+def test_seeded_and_sorted_code_is_clean():
+    report = _report("good.py")
     assert report.clean, [f.render() for f in report.findings]
 
 
-def test_deliberate_exception_is_counted_not_dropped(tmp_path):
-    report = _report("good.py", tmp_path)
+def test_deliberate_exception_is_counted_not_dropped():
+    report = _report("good.py")
     assert len(report.suppressed) == 1
     sup = report.suppressed[0]
     assert sup.finding.rule == "D03"
     assert sup.reason == "order logged, never used"
 
 
-def test_sorted_wrapper_is_not_transparent(tmp_path):
+def test_sorted_wrapper_is_not_transparent():
     """sorted(base.glob(...)) pins the order, so D03 must not fire —
     the good fixture iterates a sorted glob on purpose."""
-    report = _report("good.py", tmp_path)
+    report = _report("good.py")
     assert not any(f.rule == "D03" for f in report.findings)
 
 
@@ -100,56 +99,54 @@ def test_sorted_wrapper_is_not_transparent(tmp_path):
 OBS_KEY = FIXTURES / "det" / "obs_key.py"
 
 
-def _obs_report(tmp_path, allow=False):
+def _obs_report(allow=False):
     config = LintConfig(root=FIXTURES / "det", scan_paths=("obs_key.py",),
-                        wallclock_modules=(("obs_key.py",) if allow else ()),
-                        locks_dir=tmp_path)
+                        wallclock_modules=(("obs_key.py",) if allow else ()))
     return run_lint(config, families=("determinism",))
 
 
 class TestD06AndWallclockAllowlist:
-    def test_obs_value_into_cache_key_fires(self, tmp_path):
-        report = _obs_report(tmp_path)
+    def test_obs_value_into_cache_key_fires(self):
+        report = _obs_report()
         line = mark_line(OBS_KEY, "d06-cache-key")
         assert any(f.rule == "D06" and f.line == line
                    for f in report.findings), \
             [f.render() for f in report.findings]
 
-    def test_obs_value_into_lockstep_key_fires(self, tmp_path):
-        report = _obs_report(tmp_path)
+    def test_obs_value_into_lockstep_key_fires(self):
+        report = _obs_report()
         line = mark_line(OBS_KEY, "d06-lockstep-key")
         assert any(f.rule == "D06" and f.line == line
                    for f in report.findings)
 
-    def test_obs_values_on_wire_sinks_are_not_d05(self, tmp_path):
+    def test_obs_values_on_wire_sinks_are_not_d05(self):
         """Receipts serialize obs values by design: TAG_OBS must not
         count as D05 taint on json.dumps."""
-        report = _obs_report(tmp_path)
+        report = _obs_report()
         assert not any(f.rule == "D05" for f in report.findings), \
             [f.render() for f in report.findings]
 
-    def test_wallclock_fires_outside_allowlist(self, tmp_path):
-        report = _obs_report(tmp_path, allow=False)
+    def test_wallclock_fires_outside_allowlist(self):
+        report = _obs_report(allow=False)
         line = mark_line(OBS_KEY, "d02-wallclock")
         assert any(f.rule == "D02" and f.line == line
                    for f in report.findings)
 
-    def test_allowlist_exempts_d02_module_wide(self, tmp_path):
-        report = _obs_report(tmp_path, allow=True)
+    def test_allowlist_exempts_d02_module_wide(self):
+        report = _obs_report(allow=True)
         assert not any(f.rule == "D02" for f in report.findings)
 
-    def test_allowlist_never_covers_d06(self, tmp_path):
+    def test_allowlist_never_covers_d06(self):
         """The allowlist waives wall-clock *reads*, not key-sink flows:
         both D06 findings must survive it."""
-        report = _obs_report(tmp_path, allow=True)
+        report = _obs_report(allow=True)
         assert sum(1 for f in report.findings if f.rule == "D06") == 2
 
-    def test_repo_obs_package_is_covered_and_clean(self, tmp_path):
+    def test_repo_obs_package_is_covered_and_clean(self):
         """The real config scans repro/obs under the allowlist; the
         shipped package must produce no determinism findings."""
         root = REPO / "src" / "repro"
-        config = LintConfig(root=root, scan_paths=("obs",),
-                            locks_dir=tmp_path)
+        config = LintConfig(root=root, scan_paths=("obs",))
         assert "obs" in LintConfig().wallclock_modules
         report = run_lint(config, families=("determinism",))
         assert report.clean, [f.render() for f in report.findings]

@@ -10,15 +10,14 @@ BAD = FIXTURES / "locks" / "bad.py"
 GOOD = FIXTURES / "locks" / "good.py"
 
 
-def _report(filename, tmp_path):
-    config = LintConfig(root=FIXTURES / "locks", scan_paths=(filename,),
-                        locks_dir=tmp_path)
+def _report(filename):
+    config = LintConfig(root=FIXTURES / "locks", scan_paths=(filename,))
     return run_lint(config, families=("locks",))
 
 
 @pytest.fixture()
-def bad(tmp_path):
-    return _report("bad.py", tmp_path)
+def bad():
+    return _report("bad.py")
 
 
 #: (rule id, MARK name) — one hazard per line in the bad fixture
@@ -67,8 +66,8 @@ def test_inversion_names_both_sites(bad):
     assert "bad.py:" in inversion[0].message   # the reverse-order site
 
 
-def test_disciplined_fixture_is_clean(tmp_path):
-    report = _report("good.py", tmp_path)
+def test_disciplined_fixture_is_clean():
+    report = _report("good.py")
     assert report.clean, [f.render() for f in report.findings]
 
 
@@ -83,8 +82,7 @@ def test_guard_marker_without_assignment_is_x01(tmp_path):
         "    def method(self):\n"
         "        return 1\n",
         encoding="utf-8")
-    config = LintConfig(root=tmp_path, scan_paths=("loose.py",),
-                        locks_dir=tmp_path)
+    config = LintConfig(root=tmp_path, scan_paths=("loose.py",))
     report = run_lint(config, families=("locks",))
     assert [f.rule for f in report.findings] == ["X01"]
     assert "not attached" in report.findings[0].message

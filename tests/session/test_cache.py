@@ -5,7 +5,7 @@ import os
 import shutil
 import warnings
 import zipfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import ScenarioSpec
+from repro.serve import ServeClient, ServeError, SweepServer
 from repro.session import cache as cache_mod
 from repro.session import (ResultCache, Session, cache_key,
                            code_fingerprint, module_fingerprint)
@@ -21,14 +22,33 @@ from repro.system import RunResult, SystemConfig
 from repro.trace import TraceSet
 
 
+#: a non-default value per ``RunResult`` annotation, made from the
+#: field's position so that no two fields share one
+_SAMPLES = {
+    "str": lambda i: f"label{i}",
+    "float": lambda i: i + 0.1,
+    "int": lambda i: 40 + i,
+    "List[int]": lambda i: [i, i + 1, i + 2],
+}
+
+
 def _result(**kw):
-    fields = dict(controller="async", v_final=3.300000000000001,
+    """A result with every ``RunResult`` field but ``trace`` away from
+    its default (pass ``trace=`` for a traced one).  A field added to
+    ``RunResult`` gets a sample from its annotation, or fails here."""
+    values = dict(controller="async", v_final=3.300000000000001,
                   peak_coil_current=0.1 + 0.2,   # 0.30000000000000004
                   ripple=0.11951, coil_loss_w=1.23e-6,
                   efficiency=0.8765432109876543, ov_events=2,
-                  cycles=[3, 4, 5, 6], metastable_events=1)
-    fields.update(kw)
-    return RunResult(**fields)
+                  cycles=[3, 4, 5, 6], metastable_events=1, trace=None)
+    values.update(kw)
+    for i, field in enumerate(fields(RunResult)):
+        if field.name not in values:
+            if field.type not in _SAMPLES:
+                raise TypeError(f"no sample value for RunResult."
+                                f"{field.name}: {field.type}")
+            values[field.name] = _SAMPLES[field.type](i)
+    return RunResult(**values)
 
 
 def _trace(n=16, seed=0):
@@ -107,6 +127,20 @@ class TestResultCacheStore:
         assert cache.load(key) == _result()
         assert len(cache) == 1
         assert list(cache.keys()) == [key]
+
+    def test_every_field_round_trips(self, tmp_path):
+        """A result with every field away from its default, trace
+        included, loads back equal: a field the entry does not carry
+        (one of a type the sidecar skips, say) fails here."""
+        result = _result(trace=_trace())
+        for field in fields(RunResult):
+            default = field.default if field.default_factory is MISSING \
+                else field.default_factory()
+            assert getattr(result, field.name) != default, field.name
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        assert cache.store(key, result)
+        assert cache.load(key, want_trace=True) == result
 
     def test_missing_key_is_a_miss(self, tmp_path):
         cache = ResultCache(root=tmp_path)
@@ -612,6 +646,35 @@ class TestEntryIntegrity:
             sidecar, npz_path.read_bytes())
         meta_path.write_text(json.dumps(sidecar))
         assert cache.load(key) is None
+
+    @pytest.mark.parametrize("drift", [
+        lambda numbers: numbers.update(removed_field=1),
+        lambda numbers: numbers.update(ripple=0),
+        lambda numbers: numbers.update(solver_ticks=7.0),
+        lambda numbers: numbers.pop("clock_edges_skipped"),
+    ], ids=["extra_member", "float_to_int", "int_to_float",
+            "missing_member"])
+    def test_other_result_layout_misses_and_serves_404(self, tmp_path,
+                                                       drift):
+        """An entry written for another ``RunResult`` (a field removed,
+        retyped or added since) is a miss even with a valid digest, so
+        a fetch by its old key answers 404, never a wrong-shaped
+        result."""
+        session = Session(cache="readwrite", cache_dir=str(tmp_path))
+        key = cache_key(_config())
+        session.cache.store(key, _result())
+        assert session.cache.load(key) == _result()
+        meta_path, npz_path = session.cache._paths(key)
+        sidecar = json.loads(meta_path.read_text())
+        drift(sidecar["result"])
+        sidecar["sha256"] = cache_mod._entry_digest(
+            sidecar, npz_path.read_bytes())
+        meta_path.write_text(json.dumps(sidecar))
+        assert session.cache.load(key) is None
+        with SweepServer(session=session, job_workers=1) as srv:
+            with pytest.raises(ServeError) as err:
+                ServeClient(srv.url).result(key)
+        assert err.value.code == 404
 
     @settings(max_examples=60, deadline=None)
     @given(floats=st.lists(
