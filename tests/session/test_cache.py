@@ -652,8 +652,13 @@ class TestEntryIntegrity:
         lambda numbers: numbers.update(ripple=0),
         lambda numbers: numbers.update(solver_ticks=7.0),
         lambda numbers: numbers.pop("clock_edges_skipped"),
+        lambda numbers: numbers.update(ripple_v=numbers.pop("ripple")),
+        lambda numbers: numbers.update(solver_ticks=True),
+        lambda numbers: numbers.update(ripple=None),
+        lambda numbers: numbers.update(cycles=len(numbers["cycles"])),
     ], ids=["extra_member", "float_to_int", "int_to_float",
-            "missing_member"])
+            "missing_member", "renamed_member", "int_to_bool",
+            "float_to_null", "cycles_not_a_list"])
     def test_other_result_layout_misses_and_serves_404(self, tmp_path,
                                                        drift):
         """An entry written for another ``RunResult`` (a field removed,
