@@ -21,7 +21,8 @@ step runs the script twice and requires the second pass to be hot).
 ``--progress`` streams one line per lane as it lands (the
 ``Session.sweep(on_result=...)`` hook — the same mechanism behind the
 sweep server's live SSE events): cache hits land first, fresh lanes in
-completion order when sharded.
+completion order when sharded.  The run exits non-zero unless every
+lane landed exactly once (the CI sharded smoke runs with it).
 
 Run:  python examples/sweep.py [--workers N] [--cache] [--cache-dir D]
                                [--trace] [--require-hot] [--progress]
@@ -35,19 +36,31 @@ from repro.scenarios import Sweep, log_uniform, uniform
 from repro.sim import NS, US, fmt_si
 
 
-def progress_hook(total: int):
-    """A ``Session.sweep(on_result=...)`` hook printing one line per lane
-    as it lands (completion order under ``--workers N``, spec order
-    inline); cache hits land first and are marked."""
-    landed = [0]
+def run_sweep(session: Session, sweep: Sweep, label: str, trace: bool,
+              progress: bool):
+    """Run ``sweep``.  With ``progress``, a ``Session.sweep(on_result=...)``
+    hook prints one line per lane as it lands (completion order under
+    ``--workers N``, spec order inline; cache hits land first and are
+    marked), and the script exits non-zero unless every lane landed
+    exactly once."""
+    if not progress:
+        return session.sweep(sweep, track_energy=False, trace=trace)
+    total = len(sweep)
+    print(f"{label} sweep: {total} lanes")
+    landed = []
 
     def hook(index, point):
-        landed[0] += 1
+        landed.append(index)
         source = "cache" if point.cached else "fresh"
-        print(f"  [{landed[0]:>2}/{total}] lane {index:<2} {source}  "
+        print(f"  [{len(landed):>2}/{total}] lane {index:<2} {source}  "
               f"{point.spec.name}", flush=True)
 
-    return hook
+    points = session.sweep(sweep, track_energy=False, trace=trace,
+                           on_result=hook)
+    if sorted(landed) != list(range(total)):
+        sys.exit(f"FAIL: {label} sweep landed lanes {sorted(landed)}, "
+                 f"expected each of 0..{total - 1} exactly once")
+    return points
 
 
 def grid_demo(session: Session, trace: bool, progress: bool) -> None:
@@ -58,11 +71,7 @@ def grid_demo(session: Session, trace: bool, progress: bool) -> None:
                          ("333MHz", {"controller": "sync",
                                      "fsm_frequency": 333e6})],
                    l_uh=[1.0, 4.7, 10.0]))
-    if progress:
-        print(f"grid sweep: {len(sweep)} lanes")
-    points = session.sweep(sweep, track_energy=False, trace=trace,
-                           on_result=progress_hook(len(sweep))
-                           if progress else None)
+    points = run_sweep(session, sweep, "grid", trace, progress)
 
     print("grid sweep: peak coil current (controller x inductance)")
     for point in points:
@@ -83,11 +92,7 @@ def random_demo(session: Session, trace: bool, progress: bool) -> None:
              .random(8,
                      l_uh=log_uniform(1.0, 10.0),
                      r_load=uniform(3.0, 15.0)))
-    if progress:
-        print(f"random sweep: {len(sweep)} lanes")
-    points = session.sweep(sweep, track_energy=False, trace=trace,
-                           on_result=progress_hook(len(sweep))
-                           if progress else None)
+    points = run_sweep(session, sweep, "random", trace, progress)
 
     print("random tolerance study (8 seeded draws, async controller)")
     worst = max(points, key=lambda p: p.result.peak_coil_current)
@@ -119,7 +124,8 @@ def main() -> int:
                              "(implies --cache; for the CI smoke re-run)")
     parser.add_argument("--progress", action="store_true",
                         help="print one line per lane as it lands "
-                             "(completion order with --workers N)")
+                             "(completion order with --workers N); fail "
+                             "unless every lane landed exactly once")
     args = parser.parse_args()
     use_cache = args.cache or args.require_hot
     session = Session(workers=args.workers,

@@ -75,17 +75,20 @@ _VIEW_METHODS = frozenset({"keys", "values", "items", "copy"})
 _MUTATORS = frozenset({"append", "extend", "add", "insert", "update",
                        "setdefault"})
 
+# The call-name sets below are shared with determinism.py's rules.
 _CLOCK_CALLS = frozenset({
     "time.time", "time.time_ns", "time.perf_counter",
     "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
     "time.process_time", "time.process_time_ns",
 })
+#: draws on the module-level random module
 _RANDOM_DRAWS = frozenset({
     "random", "randint", "randrange", "uniform", "gauss", "normalvariate",
     "expovariate", "choice", "choices", "shuffle", "sample", "betavariate",
     "triangular", "vonmisesvariate", "paretovariate", "lognormvariate",
     "weibullvariate", "getrandbits",
 })
+#: constructors that are fine seeded, nondeterministic bare
 _SEEDABLE_CTORS = frozenset({"Random", "default_rng", "PCG64",
                              "SeedSequence", "RandomState", "Generator"})
 

@@ -51,19 +51,15 @@ import ast
 from typing import Dict, FrozenSet, List, Optional
 
 from .config import LintConfig
-from .dataflow import (ALL_TAGS, ORDER_TAGS, TAG_LISTING, TAG_OBS, TAG_RNG,
-                       TAG_SET, TAG_TIME, FunctionFlow, dataflow_for,
-                       own_exprs)
+from .dataflow import (_CLOCK_CALLS, _LISTING_METHODS, _RANDOM_DRAWS,
+                       _SEEDABLE_CTORS, ALL_TAGS, ORDER_TAGS, TAG_LISTING,
+                       TAG_OBS, TAG_RNG, TAG_SET, TAG_TIME, FunctionFlow,
+                       dataflow_for, own_exprs)
 from .engine import ModuleIndex, ModuleInfo, dotted_name
 from .findings import Finding
 
-#: draws (and global-state mutation) on the module-level random module
-_RANDOM_DRAWS = frozenset({
-    "random", "randint", "randrange", "uniform", "gauss", "normalvariate",
-    "expovariate", "choice", "choices", "shuffle", "sample", "betavariate",
-    "triangular", "vonmisesvariate", "paretovariate", "lognormvariate",
-    "weibullvariate", "getrandbits", "seed",
-})
+#: draws on the module-level random module, plus its global-state reseed
+_GLOBAL_RANDOM_CALLS = _RANDOM_DRAWS | {"seed"}
 
 #: legacy numpy global-state RNG surface
 _NP_RANDOM_DRAWS = frozenset({
@@ -71,21 +67,6 @@ _NP_RANDOM_DRAWS = frozenset({
     "standard_normal", "normal", "uniform", "choice", "shuffle",
     "permutation", "seed",
 })
-
-#: constructors that are fine seeded, nondeterministic bare
-_SEEDABLE_CTORS = frozenset({
-    "Random", "default_rng", "PCG64", "SeedSequence", "RandomState",
-    "Generator",
-})
-
-_CLOCK_CALLS = frozenset({
-    "time.time", "time.time_ns", "time.perf_counter",
-    "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns",
-})
-
-_LISTING_METHODS = frozenset({"glob", "rglob", "iglob", "iterdir",
-                              "scandir", "listdir"})
 
 _HASH_CTORS = frozenset({"sha256", "sha1", "sha512", "md5", "blake2b",
                          "blake2s"})
@@ -131,7 +112,8 @@ class _CallSiteVisitor(ast.NodeVisitor):
         if dotted is not None:
             parts = dotted.split(".")
             if (self.has_random_import and len(parts) == 2
-                    and parts[0] == "random" and parts[1] in _RANDOM_DRAWS):
+                    and parts[0] == "random"
+                    and parts[1] in _GLOBAL_RANDOM_CALLS):
                 self._emit("D01", node,
                            f"module-level RNG call {dotted}() draws from "
                            "interpreter-global state",

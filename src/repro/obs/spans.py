@@ -8,7 +8,7 @@ call signatures — including across the session -> engine -> cache call
 stack, which never mentions tracing.
 
 Cross-process propagation is explicit, because worker processes cannot
-share contextvars: :func:`repro.scenarios.parallel._run_shard` opens a
+share contextvars: :func:`repro.scenarios.engine._run_shard` opens a
 *fresh* trace in the worker, runs the shard under it, and ships
 ``trace.export()`` (plain dicts) back with the results; the coordinator
 calls :meth:`Trace.adopt`, which re-numbers the worker's span ids into

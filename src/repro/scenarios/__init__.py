@@ -14,14 +14,15 @@ comparator crossings.
   the :class:`SweepPoint` a sweep returns;
 - :mod:`repro.scenarios.vector_stage` — the N-lane power-stage arrays;
 - :mod:`repro.scenarios.vector_solver` — lock-step solver + comparators;
-- :mod:`repro.scenarios.engine` — lane handles, batching, results;
-- :mod:`repro.scenarios.parallel` — process-pool sharding of batches
-  (``Session(workers=N)``), batch planner, picklable work units.
+- :mod:`repro.scenarios.engine` — lane handles, the batch runner, and
+  the lane stream that runs a sweep inline or sharded across a process
+  pool (``Session(workers=N)``);
+- :mod:`repro.scenarios.parallel` — batch planner, picklable work units.
 """
 
 from importlib import import_module
 
-from .parallel import BatchPlan, plan_batches, pool_map, run_sweep_parallel
+from .parallel import BatchPlan, plan_batches, pool_map
 from .spec import (
     Distribution,
     ScenarioSpec,
@@ -50,7 +51,7 @@ __all__ = [
     "ScenarioSpec", "Sweep", "Distribution", "uniform", "log_uniform",
     "choice", "lane_seed",
     "SweepPoint", "VectorBatch", "ScenarioLane",
-    "BatchPlan", "plan_batches", "pool_map", "run_sweep_parallel",
+    "BatchPlan", "plan_batches", "pool_map",
     "VectorizedPowerStage", "LaneStage", "LanePhase",
     "VectorizedSolver", "VectorComparatorBank", "LaneSensors",
 ]

@@ -23,14 +23,17 @@ Backends
     results, traces included, to be equal up to the kernel event
     counter.
 
-Either backend shards across worker processes with ``workers=N``
-(independent batches, reassembled in spec order, bit-identical to the
-inline path — see :mod:`repro.scenarios.parallel`).
+Either backend runs through one batch runner, :func:`run_batch`, inline
+or inside a worker process: :func:`stream_sweep` yields each lane as it
+lands, and with ``workers=N`` shards independent batches across a
+process pool (bit-identical to the inline path; the planner and the
+picklable work units live in :mod:`repro.scenarios.parallel`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+import math
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +45,9 @@ from ..control.params import BuckControlParams
 from ..control.sync_controller import SyncMultiphaseController
 from ..sim.core import Simulator
 from ..system import BuckSystem, RunResult, SystemConfig
-from .parallel import plan_batches, run_sweep_parallel
-from .spec import ScenarioSpec, SweepPoint
+from .parallel import (decode_config, decode_spec, encode_config, encode_spec,
+                       plan_batches)
+from .spec import ScenarioSpec
 from .vector_solver import LaneSensors, VectorComparatorBank, VectorizedSolver
 from .vector_stage import VectorizedPowerStage
 
@@ -228,110 +232,133 @@ class VectorBatch:
         return results
 
 
-def _execute_sweep(spec_list: Sequence[ScenarioSpec],
-                   configs: Sequence[SystemConfig], *,
-                   backend: str = "vector",
-                   settle: Optional[float] = None,
-                   keep: bool = False, track_energy: bool = True,
-                   workers: Optional[int] = None,
-                   max_lanes_per_shard: Optional[int] = None,
-                   on_result: Optional[Callable[[int, SweepPoint], None]]
-                   = None) -> List[SweepPoint]:
-    """Execute pre-expanded (spec, config) pairs and return one
-    :class:`SweepPoint` per spec — the engine core behind
-    :meth:`repro.session.Session.sweep`.
+def run_batch(specs: Sequence[ScenarioSpec], configs: Sequence[SystemConfig],
+              indices: Sequence[int], *, backend: str,
+              settle: Optional[float] = None, track_energy: bool = True
+              ) -> Iterator[Tuple[int, RunResult, Any]]:
+    """Run one batch and yield ``(index, result, handle)`` per lane, in
+    batch order — the one runner behind the inline path and the shard
+    worker.
 
-    Tracing is carried by each config's ``trace`` field (expanded by the
-    caller): traced runs attach their :class:`~repro.trace.TraceSet` to
-    the result on either backend, inline or sharded.
-
-    Parameters
-    ----------
-    backend:
-        ``"vector"`` (batched lock-step) or ``"scalar"`` (sequential
-        reference path).
-    settle:
-        Passed through to the run (seconds of startup transient excluded
-        from statistics); ``None`` means the 20% default.
-    keep:
-        Attach the live lane / system to each point for inspection.
-    track_energy:
-        Vector backend only: set False to skip energy/loss accumulation
-        for sweeps that don't report ``coil_loss_w`` / ``efficiency``
-        (waveforms and peaks are unaffected; those two fields read zero).
-    workers:
-        Shard independent batches across this many worker processes
-        (``None``/``0``/``1``: run inline).  Results — including the
-        :class:`~repro.trace.TraceSet` attached to traced runs, which is
-        picklable and crosses the pipe intact — are bit-identical to the
-        inline path and always returned in spec order.  Only
-        ``keep=True`` is incompatible (live lane/system handles cannot
-        cross processes).
-    max_lanes_per_shard:
-        Cap on lanes per executed batch; oversized lock-step groups are
-        split into chunks of at most this many lanes (per-lane seeding
-        keeps results identical).  Default: even split over ``workers``
-        when sharding, no splitting inline.
-    on_result:
-        Per-lane landing hook, ``on_result(index, point)`` with ``index``
-        into ``spec_list``.  Invoked on the calling thread as each lane's
-        result lands: per lane after each batch inline, per lane of each
-        *finished shard* when sharded (completion order, not spec order —
-        the sharded path switches from ``pool.map`` to ``as_completed``
-        so a slow shard never delays another shard's callbacks).  The
-        hook only observes results; the returned list is bit-identical
-        with or without it.
+    ``specs``/``configs`` are the batch's lanes and ``indices`` their
+    sweep indices.  ``backend="scalar"`` runs one
+    :class:`~repro.system.BuckSystem` per lane (the handle); otherwise
+    the lanes run as one :class:`VectorBatch` (the handle is the
+    :class:`ScenarioLane`), so they must share a
+    :func:`~repro.scenarios.parallel.lockstep_key`.  ``track_energy``
+    is the vector backend's switch for energy/loss accumulation (off:
+    ``coil_loss_w`` and ``efficiency`` read zero).
     """
-    if backend not in ("vector", "scalar"):
-        raise ValueError("backend must be 'vector' or 'scalar'")
-    if workers is not None and workers < 0:
-        raise ValueError("workers cannot be negative")
-    parallel = workers is not None and workers > 1
-    if parallel and keep:
-        raise ValueError(
-            "keep=True attaches live lane/system handles, which cannot "
-            "cross process boundaries; run with workers=1 (or workers=None) "
-            "to keep handles")
-    spec_list = list(spec_list)
-    configs = list(configs)
-    points: List[Optional[SweepPoint]] = [None] * len(spec_list)
-
-    def _land(i: int, point: SweepPoint) -> None:
-        points[i] = point
-        if on_result is not None:
-            on_result(i, point)
-
-    if parallel:
-        run_sweep_parallel(
-            spec_list, configs, backend=backend, settle=settle,
-            track_energy=track_energy, workers=workers,
-            max_lanes_per_shard=max_lanes_per_shard,
-            on_result=lambda i, result: _land(
-                i, SweepPoint(spec_list[i], configs[i], result)))
-        return points  # type: ignore[return-value]
-
     if backend == "scalar":
-        for i, (spec, cfg) in enumerate(zip(spec_list, configs)):
-            with obs.span("lane.compute", index=i, spec=spec.name,
+        for index, spec, cfg in zip(indices, specs, configs):
+            with obs.span("lane.compute", index=index, spec=spec.name,
                           backend="scalar",
                           metric="repro_lane_compute_seconds"):
                 system = BuckSystem(cfg)
                 result = system.measure(settle=settle)
-            _land(i, SweepPoint(spec, cfg, result,
-                                system if keep else None))
-        return points  # type: ignore[return-value]
+            yield index, result, system
+        return
+    with obs.span("batch.run", lanes=len(indices), backend="vector",
+                  metric="repro_lane_compute_seconds"):
+        batch = VectorBatch(specs, configs, track_energy=track_energy)
+        results = batch.run(settle=settle)
+    for index, spec, result, lane in zip(indices, specs, results,
+                                         batch.lanes):
+        with obs.span("lane.collect", index=index, spec=spec.name):
+            yield index, result, lane
 
-    for plan in plan_batches(configs, max_lanes_per_shard):
-        indices = plan.indices
-        with obs.span("batch.run", lanes=len(indices), backend="vector",
-                      metric="repro_lane_compute_seconds"):
-            batch = VectorBatch([spec_list[i] for i in indices],
-                                [configs[i] for i in indices],
-                                track_energy=track_energy)
-            results = batch.run(settle=settle)
-        for lane_no, i in enumerate(indices):
-            with obs.span("lane.collect", index=i, spec=spec_list[i].name):
-                _land(i, SweepPoint(spec_list[i], configs[i],
-                                    results[lane_no],
-                                    batch.lanes[lane_no] if keep else None))
-    return points  # type: ignore[return-value]
+
+def _run_shard(shard: int, indices: Tuple[int, ...],
+               specs: List[Dict[str, Any]], configs: List[Dict[str, Any]],
+               **options: Any) -> Tuple[List[RunResult],
+                                        List[Dict[str, Any]],
+                                        Dict[str, Any]]:
+    """Worker entry point: rebuild one batch from its encoded lanes and
+    run it to completion with :func:`run_batch` (``options`` are its
+    keywords).
+
+    Returns ``(results, spans, metrics_delta)``: the per-lane results
+    plus the worker-side observability payload — exported spans from a
+    fresh worker trace and the counter/histogram movement since the
+    shard started (forked workers inherit the parent's counts; the
+    baseline keeps the delta clean).  Both extras are empty when the
+    kill switch is off.
+    """
+    base = obs.metrics_baseline()
+    with obs.new_trace() as tr:
+        with obs.span("shard.run", shard=shard, lanes=len(indices),
+                      backend=options["backend"],
+                      metric="repro_shard_seconds"):
+            results = [result for _, result, _ in run_batch(
+                [decode_spec(s) for s in specs],
+                [decode_config(c) for c in configs], indices, **options)]
+        spans = tr.export() if tr is not None else []
+    return results, spans, obs.metrics_delta(base)
+
+
+def stream_sweep(spec_list: Sequence[ScenarioSpec],
+                 configs: Sequence[SystemConfig], *,
+                 backend: str = "vector", settle: Optional[float] = None,
+                 keep: bool = False, track_energy: bool = True,
+                 workers: Optional[int] = None,
+                 max_lanes_per_shard: Optional[int] = None
+                 ) -> Iterator[Tuple[int, RunResult, Any]]:
+    """Execute pre-expanded (spec, config) pairs, yielding ``(index,
+    result, handle)`` as each lane lands — the engine core behind
+    :meth:`repro.session.Session.sweep`, with ``index`` into
+    ``spec_list``.
+
+    Inline (``workers`` unset, 0 or 1) lanes land one by one as each
+    batch finishes: scalar lanes in spec order, vector lanes batch by
+    batch (:func:`~repro.scenarios.parallel.plan_batches`), each with its
+    live handle.  With ``workers=N`` the batches shard across a process
+    pool and lanes land per *finished shard*, in completion order, with
+    no handle — live handles cannot cross processes, so ``keep=True``
+    raises there.  Either way every result, traced ones included, is
+    bit-identical: lanes are seeded independently of batch composition
+    and a :class:`~repro.trace.TraceSet` pickles intact.
+
+    ``max_lanes_per_shard`` caps the lanes of one vector batch (per-lane
+    seeding keeps chunking exact).  Default: an even split over
+    ``workers`` when sharding, no splitting inline.
+    """
+    options = {"backend": backend, "settle": settle,
+               "track_energy": track_energy}
+    if not workers or workers < 2:
+        if backend == "scalar":
+            plans = [tuple(range(len(configs)))]
+        else:
+            plans = [plan.indices
+                     for plan in plan_batches(configs, max_lanes_per_shard)]
+        for indices in plans:
+            yield from run_batch([spec_list[i] for i in indices],
+                                 [configs[i] for i in indices], indices,
+                                 **options)
+        return
+    if keep:
+        raise ValueError(
+            "keep=True attaches live lane/system handles, which cannot "
+            "cross process boundaries; run with workers=1 (or workers=None) "
+            "to keep handles")
+    if max_lanes_per_shard is None:
+        max_lanes_per_shard = max(1, math.ceil(len(configs) / workers))
+    plans = plan_batches(configs, max_lanes_per_shard)
+    if not plans:
+        return
+    # imported here: multiprocessing is loaded only by a process that shards
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    with ProcessPoolExecutor(max_workers=min(workers, len(plans))) as pool:
+        futures = {
+            pool.submit(_run_shard, shard, plan.indices,
+                        [encode_spec(spec_list[i]) for i in plan.indices],
+                        [encode_config(configs[i]) for i in plan.indices],
+                        **options): (shard, plan.indices)
+            for shard, plan in enumerate(plans)}
+        for future in as_completed(futures):
+            shard, indices = futures[future]
+            results, spans, delta = future.result()
+            obs.adopt_spans(spans, worker=f"shard-{shard}")
+            obs.merge_metrics(delta)
+            for index, result in zip(indices, results):
+                with obs.span("lane.land", index=index, shard=shard):
+                    yield index, result, None

@@ -1,49 +1,45 @@
-"""Process-parallel sharding of :meth:`repro.session.Session.sweep`.
+"""Batch planning and picklable work units for
+:meth:`repro.session.Session.sweep`.
 
 The vectorized backend already collapses N scenarios into one array
 integration, but every lane still owns a discrete-event simulator whose
 controller work is pure Python — the serial floor (~40-60% of a vector
 batch at light load) that one process cannot reclaim.  Batches are
-mutually independent, so this module shards them across a
-:class:`~concurrent.futures.ProcessPoolExecutor`:
+mutually independent, so :func:`repro.scenarios.engine.stream_sweep`
+shards them across a :class:`~concurrent.futures.ProcessPoolExecutor`.
+This module holds the parts of that which need no NumPy (the cache and
+the session import it on the cache-hot path):
 
-1. :func:`plan_batches` — the *planner* shared with the inline engine
-   path: group specs by :func:`lockstep_key`, then slice oversized
-   groups into ``max_lanes_per_shard`` chunks.  Per-lane seeding makes every lane's trajectory independent of
-   its batch neighbours, so chunking cannot change results.
+1. :func:`plan_batches` — the *planner* shared by the inline and the
+   sharded path: group specs by :func:`lockstep_key`, then slice
+   oversized groups into ``max_lanes_per_shard`` chunks.  Per-lane
+   seeding makes every lane's trajectory independent of its batch
+   neighbours, so chunking cannot change results.
 2. :func:`encode_spec` / :func:`encode_config` — picklable work units:
    specs and expanded :class:`~repro.system.SystemConfig` fields travel
    as plain dicts of primitives; model objects (coil, load profile,
    references, controller params, async timings) are re-built in the
    child, so nothing unpicklable ever crosses the pipe.
-3. :func:`run_sweep_parallel` — executes one shard per work unit and
-   reassembles the per-lane :class:`~repro.system.RunResult` list in spec
-   order (``pool.map`` preserves submission order), bit-identical to the
-   inline ``workers=1`` path.
 
-Live handles (``keep=True`` lanes) cannot cross process boundaries; the
-engine front door raises before reaching this module.  Traced sweeps
-*do* shard: each worker attaches the lane's columnar
-:class:`~repro.trace.TraceSet` to its :class:`RunResult`, and TraceSets
-pickle bit-exactly, so ``trace=True, workers=N`` waveforms are
-identical to the inline path's.
+Traced sweeps shard too: each worker attaches the lane's columnar
+:class:`~repro.trace.TraceSet` to its result, and TraceSets pickle
+bit-exactly, so ``trace=True, workers=N`` waveforms are identical to
+the inline path's.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import asdict, dataclass
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, TypeVar)
 
-from .. import obs
 from ..analog.coil import Coil
 from ..analog.load import LoadProfile
 from ..analog.sensors import BuckReferences
 from ..control.async_controller import AsyncTimings
 from ..control.params import BuckControlParams
-from ..system import RunResult, SystemConfig
+from ..system import SystemConfig
 from .spec import ScenarioSpec
 
 T = TypeVar("T")
@@ -194,133 +190,6 @@ def encode_config(config: SystemConfig) -> Dict[str, Any]:
 
 def decode_config(payload: Mapping[str, Any]) -> SystemConfig:
     return SystemConfig(**{k: decode_value(v) for k, v in payload.items()})
-
-
-# ---------------------------------------------------------------------------
-# Shard execution
-# ---------------------------------------------------------------------------
-@dataclass
-class _ShardWork:
-    """Everything one worker needs to run one batch (plain primitives)."""
-
-    backend: str
-    settle: Optional[float]
-    track_energy: bool
-    specs: List[Dict[str, Any]]
-    configs: List[Dict[str, Any]]
-    #: shard number and original sweep indices — observability labels
-    #: only; results are placed by the coordinator's plan, never these
-    shard: int = 0
-    indices: Tuple[int, ...] = ()
-
-
-def _run_shard(work: _ShardWork) -> Tuple[List[RunResult],
-                                          List[Dict[str, Any]],
-                                          Dict[str, Any]]:
-    """Worker entry point: rebuild the batch and run it to completion.
-
-    Returns ``(results, spans, metrics_delta)``: the per-lane results
-    plus the worker-side observability payload — exported spans from a
-    fresh worker trace and the counter/histogram movement since the
-    shard started (forked workers inherit the parent's counts; the
-    baseline keeps the delta clean).  Both extras are empty when the
-    kill switch is off.
-    """
-    # Imported lazily: engine imports this module for the shared planner.
-    from .. import obs
-    from ..system import BuckSystem
-    from .engine import VectorBatch
-
-    specs = [decode_spec(s) for s in work.specs]
-    configs = [decode_config(c) for c in work.configs]
-    base = obs.metrics_baseline()
-    with obs.new_trace() as tr:
-        with obs.span("shard.run", shard=work.shard, lanes=len(specs),
-                      backend=work.backend,
-                      metric="repro_shard_seconds"):
-            if work.backend == "scalar":
-                results = []
-                for lane_no, cfg in enumerate(configs):
-                    index = (work.indices[lane_no]
-                             if lane_no < len(work.indices) else lane_no)
-                    with obs.span("lane.compute", index=index,
-                                  spec=specs[lane_no].name,
-                                  backend="scalar",
-                                  metric="repro_lane_compute_seconds"):
-                        results.append(
-                            BuckSystem(cfg).measure(settle=work.settle))
-            else:
-                with obs.span("batch.run", lanes=len(specs),
-                              backend="vector",
-                              metric="repro_lane_compute_seconds"):
-                    batch = VectorBatch(specs, configs,
-                                        track_energy=work.track_energy)
-                    results = batch.run(settle=work.settle)
-                for lane_no, spec in enumerate(specs):
-                    index = (work.indices[lane_no]
-                             if lane_no < len(work.indices) else lane_no)
-                    with obs.span("lane.collect", index=index,
-                                  spec=spec.name):
-                        pass
-        spans = tr.export() if tr is not None else []
-    return results, spans, obs.metrics_delta(base)
-
-
-def run_sweep_parallel(specs: Sequence[ScenarioSpec],
-                       configs: Sequence[SystemConfig],
-                       backend: str = "vector",
-                       settle: Optional[float] = None,
-                       track_energy: bool = True,
-                       workers: int = 2,
-                       max_lanes_per_shard: Optional[int] = None,
-                       on_result: Optional[Callable[[int, RunResult], None]]
-                       = None) -> List[RunResult]:
-    """Shard the sweep across worker processes; results in spec order.
-
-    ``max_lanes_per_shard`` defaults to an even split of the whole sweep
-    over ``workers`` (so one homogeneous batch fans out across the pool).
-    The reassembled results are bit-identical to the inline path: lanes
-    are seeded independently of batch composition and shards are indexed
-    by their plan, so completion order cannot perturb placement.
-
-    ``on_result(index, result)`` is invoked on the calling thread for
-    every lane of each shard as that shard *completes* (futures consumed
-    via ``as_completed``), so progress flows even while slower shards
-    are still running; callback order across shards is completion order,
-    never spec order.  The returned list is unaffected by the hook.
-    """
-    if workers < 2:
-        raise ValueError("run_sweep_parallel needs workers >= 2; "
-                         "use the inline engine path otherwise")
-    if len(specs) != len(configs):
-        raise ValueError("specs and configs must pair up")
-    if max_lanes_per_shard is None:
-        max_lanes_per_shard = max(1, math.ceil(len(configs) / workers))
-    plans = plan_batches(configs, max_lanes_per_shard)
-    work = [
-        _ShardWork(backend=backend, settle=settle, track_energy=track_energy,
-                   specs=[encode_spec(specs[i]) for i in plan.indices],
-                   configs=[encode_config(configs[i]) for i in plan.indices],
-                   shard=shard_no, indices=plan.indices)
-        for shard_no, plan in enumerate(plans)
-    ]
-    # imported here: multiprocessing is loaded only by a process that shards
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    results: List[Optional[RunResult]] = [None] * len(configs)
-    with ProcessPoolExecutor(max_workers=min(workers, len(plans))) as pool:
-        futures = {pool.submit(_run_shard, unit): (plan, unit.shard)
-                   for plan, unit in zip(plans, work)}
-        for future in as_completed(futures):
-            plan, shard_no = futures[future]
-            shard, spans, delta = future.result()
-            obs.adopt_spans(spans, worker=f"shard-{shard_no}")
-            obs.merge_metrics(delta)
-            for index, result in zip(plan.indices, shard):
-                with obs.span("lane.land", index=index, shard=shard_no):
-                    results[index] = result
-                    if on_result is not None:
-                        on_result(index, result)
-    return results  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -667,16 +667,14 @@ class ResultCache:
         except (OSError, ValueError):
             return 0   # unreadable entries are pass two's problem
 
-    def prune(self, max_bytes: Optional[int] = None,
-              strip_traces: bool = True) -> int:
+    def prune(self, max_bytes: Optional[int] = None) -> int:
         """Shrink the store under ``max_bytes`` (defaults to the cache's
         own cap), oldest mtime first, in two passes: first drop trace
         payloads from entries (:meth:`_strip_trace` — the scalar results
         survive), then, only if still over the cap, evict whole entries.
         Returns the number of whole entries removed (stripped entries
-        still count as present).  ``strip_traces=False`` restores the
-        historical evict-only behaviour.  A ``readonly``/``off`` cache
-        never prunes.
+        still count as present).  A ``readonly``/``off`` cache never
+        prunes.
 
         Concurrency: the whole pass runs under the single-writer
         lockfile (two pruners serialize), and every eviction re-checks
@@ -690,16 +688,15 @@ class ResultCache:
         if limit is None:
             return 0
         with self._writer_lock():
-            return self._prune_locked(limit, strip_traces)
+            return self._prune_locked(limit)
 
-    def _prune_locked(self, limit: int, strip_traces: bool) -> int:
+    def _prune_locked(self, limit: int) -> int:
         entries = sorted(self._entries())
         total = sum(size for _, _, size in entries)
-        if strip_traces:
-            for _mtime, key, _size in entries:
-                if total <= limit:
-                    break
-                total -= self._strip_trace(key)
+        for _mtime, key, _size in entries:
+            if total <= limit:
+                break
+            total -= self._strip_trace(key)
         removed = 0
         if total > limit:
             # re-scan: pass one rewrote entry files and their sizes

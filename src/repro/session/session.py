@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import closing
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, TypeVar, Union)
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, TypeVar, Union)
 
 from .. import obs
 from ..analog.stepping import GATING_MODES, STEPPING_MODES
@@ -268,52 +269,67 @@ class Session:
         ``inflight_waits`` tracking the subset that waited).  Duplicate
         keys *within* one sweep are likewise computed once.  A waiter
         whose owner failed — or whose entry is unusable (not written
-        back, or written without the waveforms this lane needs) — falls
-        back to computing the lane itself.
+        back, or written without the waveforms this lane needs) — joins
+        the next claim round, so it computes the lane itself unless
+        another sweep has claimed the key again.
         """
         spec_list = _as_specs(specs)
-        if not obs.enabled():
-            points, _, _ = self._sweep_body(
-                spec_list, settle=settle, trace=trace, keep=keep,
-                track_energy=track_energy, on_result=on_result,
-                clock=None, observe=None)
-            return points
+        cache = None if keep else self.cache
+        points: List[Optional[SweepPoint]] = [None] * len(spec_list)
+        waits = 0
+        lane_log: Dict[int, float] = {}
+        # the kill switch yields no trace: no clock reads on this path
         with obs.ensure_trace() as tr:
-            clock = obs.PhaseClock()
-            t0 = obs.now()
-            lane_log: Dict[int, float] = {}
-
-            def _observe(i: int, point: SweepPoint) -> None:
-                # per-lane landing offset from sweep start (coordinator
-                # thread; covers every lane at any worker count)
-                lane_log[i] = obs.now() - t0
-
+            clock = obs.PhaseClock() if tr is not None else None
+            t0 = obs.now() if tr is not None else 0.0
             with obs.span("session.sweep", lanes=len(spec_list),
                           backend=self.backend, workers=self.workers or 0,
                           metric="repro_sweep_seconds"):
-                points, keys, waits = self._sweep_body(
-                    spec_list, settle=settle, trace=trace, keep=keep,
-                    track_energy=track_energy, on_result=on_result,
-                    clock=clock, observe=_observe)
+                lanes = self._sweep_body(
+                    spec_list, cache, settle=settle, trace=trace, keep=keep,
+                    track_energy=track_energy, clock=clock)
+                with closing(lanes):
+                    for i, point, waited in lanes:
+                        points[i] = point
+                        waits += waited
+                        self._land_stats(point.result)
+                        obs.counter(
+                            "repro_lanes_total",
+                            source="cache" if point.cached else "computed"
+                        ).inc()
+                        if clock is not None:
+                            # landing offset from sweep start
+                            lane_log[i] = obs.now() - t0
+                        if on_result is not None:
+                            on_result(i, point)
+                if clock is None:
+                    return points  # type: ignore[return-value]
                 clock.tick("finalize")
+                keys = ([p.key for p in points] if cache is not None
+                        else None)
                 self._finish_receipt(tr, clock, spec_list, points, keys,
                                      waits, lane_log)
             with self._obs_lock:
                 self._last_spans = tr.spans()
         obs.gauge("repro_workers").set(self.workers or 0)
-        return points
+        return points  # type: ignore[return-value]
 
-    def _sweep_body(self, spec_list: List[ScenarioSpec], *,
+    def _sweep_body(self, spec_list: List[ScenarioSpec],
+                    cache: Optional[ResultCache], *,
                     settle: Optional[float], trace: bool, keep: bool,
-                    track_energy: bool,
-                    on_result: Optional[Callable[[int, SweepPoint], None]],
-                    clock: Optional[obs.PhaseClock],
-                    observe: Optional[Callable[[int, SweepPoint], None]]
-                    ) -> Tuple[List[SweepPoint], Optional[List[str]], int]:
-        """The sweep core: returns ``(points, cache keys or None,
-        in-flight wait count)`` for the observability shell.  ``clock``
-        segments the phases; both hooks are ``None`` when the kill
-        switch is off, leaving this path free of clock reads."""
+                    track_energy: bool, clock: Optional[obs.PhaseClock]
+                    ) -> Iterator[Tuple[int, SweepPoint, bool]]:
+        """The sweep core: yield ``(index, point, waited)`` as each lane
+        lands, ``waited`` marking a lane served by an in-flight wait.
+
+        Cache hits land first.  The misses then go round by round: each
+        round claims every unique key it can (duplicates follow their
+        leader; keys another sweep holds are waited on), computes its
+        leaders, and lands each one in one step — store, release the
+        claim, yield, serve its duplicates.  A waiter whose owner did not
+        publish a usable entry goes into the next round.  ``clock``
+        segments the phases; it is ``None`` when the kill switch is off.
+        """
 
         def tick(name: str) -> None:
             if clock is not None:
@@ -326,30 +342,16 @@ class Session:
         configs = [spec.to_config(trace=trace, **self.defaults)
                    for spec in spec_list]
 
-        user_cb = on_result
-
-        def landed(i: int, point: SweepPoint) -> None:
-            # every landing path funnels through here exactly once per
-            # lane: session aggregates always, obs hooks when enabled,
-            # then the caller's hook
-            self._land_stats(point.result)
-            obs.counter("repro_lanes_total",
-                        source="cache" if point.cached else "computed").inc()
-            if observe is not None:
-                observe(i, point)
-            if user_cb is not None:
-                user_cb(i, point)
-
-        on_result = landed
-
-        cache = self.cache if (self.cache is not None and not keep) else None
         if cache is None:
             tick("execute")
-            return self._execute(
-                spec_list, configs, settle=settle, keep=keep,
-                track_energy=track_energy, on_result=on_result), None, 0
+            with closing(self._simulate(spec_list, configs, settle=settle,
+                                        keep=keep,
+                                        track_energy=track_energy)) as lanes:
+                for i, result, handle in lanes:
+                    yield i, SweepPoint(spec_list[i], configs[i], result,
+                                        handle if keep else None), False
+            return
 
-        points: List[Optional[SweepPoint]] = [None] * len(spec_list)
         # the process's first keyed sweep computes the fingerprint with
         # this cache's memo; cache_key reads the value back
         code_fingerprint(cache)
@@ -357,140 +359,106 @@ class Session:
             cache_key(cfg, settle=settle, backend=self.backend,
                       track_energy=track_energy) for cfg in configs]
 
-        def _serve(i: int, result: RunResult) -> None:
-            points[i] = SweepPoint(spec_list[i], configs[i], result,
-                                   cached=True, key=keys[i])
-            if on_result is not None:
-                on_result(i, points[i])
+        def served(i: int, result: RunResult) -> SweepPoint:
+            return SweepPoint(spec_list[i], configs[i], result, cached=True,
+                              key=keys[i])
 
         tick("lookup")
-        misses: List[int] = []
+        todo: List[int] = []
         for i, cfg in enumerate(configs):
             # the per-lane *resolved* trace field governs execution
             # (a spec/config override wins over the sweep-level
             # default), so the cache lookup must follow it too
             result = cache.load(keys[i], want_trace=cfg.trace)
-            if result is not None:
+            if result is None:
+                todo.append(i)
+            else:
                 self._count(hits=1)
-                _serve(i, result)
-            else:
-                misses.append(i)
-        if not misses:
-            return points, keys, 0  # type: ignore[return-value]
+                yield i, served(i, result), False
 
-        # Partition the misses.  Dedupe identity is (key, resolved trace):
-        # trace is normalised out of the cache key, but a traced lane
-        # cannot be served by an untraced computation of the same config.
-        leaders: List[int] = []
-        followers: Dict[int, List[int]] = {}
-        waiters: List[int] = []
-        events: Dict[str, threading.Event] = {}
-        leader_of: Dict[Any, int] = {}
-        for i in misses:
-            ident = (keys[i], configs[i].trace)
-            if ident in leader_of:
-                followers.setdefault(leader_of[ident], []).append(i)
-                continue
-            if keys[i] in events:
-                waiters.append(i)
-                continue
-            event = self._inflight.claim(keys[i])
-            if event is None:
-                obs.counter("repro_inflight_claims_total").inc()
-                leader_of[ident] = i
-                leaders.append(i)
-            else:
-                events[keys[i]] = event
-                waiters.append(i)
+        while todo:
+            # Claim round.  Dedupe identity is (key, resolved trace):
+            # trace is normalised out of the cache key, but a traced lane
+            # cannot be served by an untraced computation of the config.
+            leaders: List[int] = []
+            leader_of: Dict[Tuple[str, bool], int] = {}
+            followers: Dict[int, List[int]] = {}
+            waiters: List[int] = []
+            events: Dict[str, threading.Event] = {}
+            for i in todo:
+                ident = (keys[i], configs[i].trace)
+                if ident in leader_of:
+                    followers.setdefault(leader_of[ident], []).append(i)
+                elif keys[i] in events:
+                    waiters.append(i)
+                else:
+                    event = self._inflight.claim(keys[i])
+                    if event is None:
+                        obs.counter("repro_inflight_claims_total").inc()
+                        leader_of[ident] = i
+                        leaders.append(i)
+                    else:
+                        events[keys[i]] = event
+                        waiters.append(i)
 
-        def _simulate(indices: Sequence[int], landed) -> None:
-            self._execute([spec_list[i] for i in indices],
-                          [configs[i] for i in indices], settle=settle,
-                          keep=keep, track_energy=track_energy,
-                          on_result=landed)
-
-        tick("execute")
-        try:
-            if leaders:
-                self._count(misses=len(leaders))
-
-                def _fresh(pos: int, point: SweepPoint) -> None:
-                    i = leaders[pos]
-                    point.key = keys[i]
-                    points[i] = point
-                    try:
-                        if cache.writable:
-                            cache.store(keys[i], point.result,
-                                        meta={"spec": spec_list[i].name})
-                    finally:
-                        # wake concurrent sweeps waiting on this key (the
-                        # entry — if writable — is already on disk)
-                        self._inflight.release(keys[i])
-                    if on_result is not None:
-                        on_result(i, point)
-                    for dup in followers.get(i, ()):
-                        self._count(hits=1)
-                        _serve(dup, point.result)
-
-                _simulate(leaders, _fresh)
-        finally:
-            # release claims for lanes that never landed (mid-sweep
-            # failure), so waiters in other threads fall back instead of
-            # blocking forever
-            for ident, i in leader_of.items():
-                if points[i] is None:
+            tick("execute")
+            self._count(misses=len(leaders))
+            claimed = set(leaders)
+            try:
+                lanes = self._simulate(
+                    [spec_list[i] for i in leaders],
+                    [configs[i] for i in leaders], settle=settle, keep=keep,
+                    track_energy=track_energy)
+                with closing(lanes):
+                    for pos, result, _ in lanes:
+                        i = leaders[pos]
+                        try:
+                            if cache.writable:
+                                cache.store(keys[i], result,
+                                            meta={"spec": spec_list[i].name})
+                        finally:
+                            # wake concurrent sweeps waiting on this key
+                            # (the entry, if writable, is already on disk)
+                            claimed.discard(i)
+                            self._inflight.release(keys[i])
+                        yield i, SweepPoint(spec_list[i], configs[i], result,
+                                            key=keys[i]), False
+                        for dup in followers.get(i, ()):
+                            self._count(hits=1)
+                            yield dup, served(dup, result), False
+            finally:
+                # release the claims of lanes that never landed (mid-sweep
+                # failure), so waiters in other threads do not block forever
+                for i in sorted(claimed):
                     self._inflight.release(keys[i])
 
-        waited = 0
-        recompute: List[int] = []
-        if waiters:
-            tick("wait")
-        for i in waiters:
-            with obs.span("inflight.wait", key=keys[i][:12]):
-                events[keys[i]].wait()
-            result = cache.load(keys[i], want_trace=configs[i].trace)
-            if result is not None:
-                self._count(hits=1, waits=1)
-                waited += 1
-                _serve(i, result)
-            else:
-                recompute.append(i)
+            todo = []
+            if waiters:
+                tick("wait")
+            for i in waiters:
+                with obs.span("inflight.wait", key=keys[i][:12]):
+                    events[keys[i]].wait()
+                result = cache.load(keys[i], want_trace=configs[i].trace)
+                if result is None:
+                    todo.append(i)
+                else:
+                    self._count(hits=1, waits=1)
+                    yield i, served(i, result), True
 
-        if recompute:
-            tick("execute")
-            # the in-flight owner failed or its entry is unusable for
-            # this lane: compute locally, unconditionally (no second
-            # claim round — correctness over a rare duplicate compute)
-            self._count(misses=len(recompute))
-
-            def _again(pos: int, point: SweepPoint) -> None:
-                i = recompute[pos]
-                point.key = keys[i]
-                points[i] = point
-                if cache.writable:
-                    cache.store(keys[i], point.result,
-                                meta={"spec": spec_list[i].name})
-                if on_result is not None:
-                    on_result(i, point)
-
-            _simulate(recompute, _again)
-        return points, keys, waited  # type: ignore[return-value]
-
-    def _execute(self, spec_list: List[ScenarioSpec],
-                 configs: List[SystemConfig], *, settle: Optional[float],
-                 keep: bool, track_energy: bool,
-                 on_result: Optional[Callable[[int, SweepPoint], None]]
-                 ) -> List[SweepPoint]:
-        """Simulate the lanes no cache entry served, on this session's
-        backend and workers.  The engine is imported here, so NumPy and
-        the array backend load on a process's first miss: a cache-hot
-        process never imports them."""
-        from ..scenarios.engine import _execute_sweep
-        return _execute_sweep(
+    def _simulate(self, spec_list: List[ScenarioSpec],
+                  configs: List[SystemConfig], *, settle: Optional[float],
+                  keep: bool, track_energy: bool
+                  ) -> Iterator[Tuple[int, RunResult, Any]]:
+        """Simulate lanes no cache entry served on this session's backend
+        and workers, yielding ``(position, result, handle)`` as each
+        lands.  The engine is imported here, so NumPy and the array
+        backend load on a process's first miss: a cache-hot process
+        never imports them."""
+        from ..scenarios.engine import stream_sweep
+        return stream_sweep(
             spec_list, configs, backend=self.backend, settle=settle,
             keep=keep, track_energy=track_energy, workers=self.workers,
-            max_lanes_per_shard=self.max_lanes_per_shard,
-            on_result=on_result)
+            max_lanes_per_shard=self.max_lanes_per_shard)
 
     # ------------------------------------------------------------------
     # Observability: receipts + trace export

@@ -27,15 +27,15 @@ Unlike the live recording columns it is copied from, a TraceSet is
 metrics (:mod:`repro.metrics.waveform`) and the VCD writer consume, with
 the same surface as a traced :class:`~repro.sim.signal.AnalogProbe`
 (``times`` / ``values`` / ``window`` / ``value_at``) plus ``edges`` /
-``history`` / ``value_at`` for digital channels.
+``value_at`` for digital channels.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -110,12 +110,6 @@ class ChannelView:
         return float(v0 + (v1 - v0) * (t - t0) / (t1 - t0))
 
     # -- digital-signal surface ----------------------------------------
-    @property
-    def history(self) -> List[Tuple[float, bool]]:
-        """``(time, value)`` pairs (digital channels)."""
-        return [(float(t), bool(v))
-                for t, v in zip(self.times, self.values)]
-
     def edges(self, kind: str = ANY) -> List[float]:
         """Timestamps of value changes of the requested kind."""
         if kind not in (RISE, FALL, ANY):
@@ -141,12 +135,11 @@ class TraceSet:
     """Named waveform channels over named time grids.
 
     Construction is incremental: :meth:`add_grid` registers a strictly
-    ordered time axis, :meth:`add_channel` attaches a value array to it,
-    and :meth:`add_signal` ingests a digital ``(time, value)`` history
-    on a private grid.  Arrays are held as-is (no copies), so channels
-    sharing a grid share one array object in memory and in the npz
-    serialization; callers building from live recording buffers pass
-    copies (see :mod:`repro.trace.recorder`).
+    ordered time axis and :meth:`add_channel` attaches a value array to
+    it (a digital channel is a bool array on its own grid).  Arrays are
+    held as-is (no copies), so channels sharing a grid share one array
+    object in memory and in the npz serialization; callers building from
+    live recording buffers pass copies (see :mod:`repro.trace.recorder`).
     """
 
     def __init__(self) -> None:
@@ -182,18 +175,6 @@ class TraceSet:
                 f"samples but grid {grid!r} has {len(self._grids[grid])}")
         self._channels[name] = (grid, arr)
         return self
-
-    def add_signal(self, name: str,
-                   history: Sequence[Tuple[float, bool]]) -> "TraceSet":
-        """Ingest a hand-written digital ``(time, value)`` history on a
-        private grid named after the channel (live
-        :class:`~repro.sim.signal.Signal` columns go through
-        :func:`repro.trace.add_signals`)."""
-        times = [t for t, _ in history]
-        values = [bool(v) for _, v in history]
-        self.add_grid(name, times)
-        return self.add_channel(name, np.asarray(values, dtype=bool),
-                                grid=name)
 
     # ------------------------------------------------------------------
     # Access

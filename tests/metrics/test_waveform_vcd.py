@@ -119,10 +119,10 @@ class TestTraceSetMetrics:
         from repro.trace import TraceSet
         ts = TraceSet().add_grid("t", [0.0, 1.0, 2.0, 3.0])
         ts.add_channel("v_load", [3.0, 3.4, 3.1, 3.3], grid="t")
-        ts.add_signal("hl", [(0.0, False), (0.5, True), (1.5, False),
-                             (2.5, True)])
-        ts.add_signal("gp0", [(0.0, False), (0.8, True), (1.2, False),
-                              (2.9, True)])
+        ts.add_grid("hl", [0.0, 0.5, 1.5, 2.5])
+        ts.add_channel("hl", [False, True, False, True], grid="hl")
+        ts.add_grid("gp0", [0.0, 0.8, 1.2, 2.9])
+        ts.add_channel("gp0", [False, True, False, True], grid="gp0")
         return ts
 
     def test_analog_metrics_on_views(self):

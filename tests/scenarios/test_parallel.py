@@ -176,6 +176,10 @@ class TestParallelSweep:
         assert sharded[0].result.trace == inline[0].result.trace
         assert sharded[0].result == inline[0].result
 
+    @pytest.mark.parametrize("backend", ["vector", "scalar"])
+    def test_empty_sweep_starts_no_pool(self, backend):
+        assert run_sweep([], backend=backend, workers=2) == []
+
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             run_sweep([_spec()], workers=-1)

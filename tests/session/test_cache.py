@@ -56,7 +56,8 @@ def _trace(n=16, seed=0):
     ts = TraceSet().add_grid("t", np.linspace(0.0, 1e-6, n))
     ts.add_channel("v_load", rng.standard_normal(n), grid="t")
     ts.add_channel("i_coil0", rng.standard_normal(n), grid="t")
-    ts.add_signal("hl", [(0.0, False), (3e-7, True), (5e-7, False)])
+    ts.add_grid("hl", [0.0, 3e-7, 5e-7])
+    ts.add_channel("hl", [False, True, False], grid="hl")
     return ts
 
 
@@ -510,13 +511,17 @@ class TestPruneEdgeCases:
         cache.store(key, _result(trace=_trace(n=256)))
         assert cache.load(key, want_trace=True).trace == _trace(n=256)
 
-    def test_evict_only_prune_keeps_historical_behaviour(self, tmp_path):
-        """strip_traces=False restores whole-entry-only eviction."""
+    def test_prune_evicts_an_entry_still_over_the_cap_once_stripped(
+            self, tmp_path):
+        """Pruning has no evict-only mode: a traced entry whose scalar
+        half alone overflows the cap is stripped, then evicted, in one
+        prune call."""
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result(trace=_trace(n=2048)))
-        assert cache.prune(max_bytes=1024, strip_traces=False) == 1
+        assert cache.prune(max_bytes=1) == 1
         assert len(cache) == 0
+        assert cache.size_bytes() == 0
 
     def test_entries_enumeration_is_path_sorted(self, tmp_path):
         """Regression for the repro.lint D03 finding: _entries() must

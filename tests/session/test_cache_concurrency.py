@@ -102,7 +102,7 @@ def _pruner(root: str, limit: int, errors) -> None:
     cache = ResultCache(root=root)
     for _ in range(40):
         try:
-            cache.prune(max_bytes=limit, strip_traces=True)
+            cache.prune(max_bytes=limit)
         except Exception as exc:   # noqa: BLE001 - surfaced via the queue
             errors.put(f"pruner: {exc!r}")
             return

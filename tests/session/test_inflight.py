@@ -122,6 +122,28 @@ class TestConcurrentSweeps:
         # the fallback still writes back for the next caller
         assert session.cache.load(key) is not None
 
+    def test_duplicates_compute_once_after_a_failed_owner(self, tmp_path):
+        # two specs expand to one config; another "sweep" holds the key
+        # and releases it without publishing: the two waiting lanes go
+        # into one claim round and are computed once
+        session = Session(cache="readwrite", cache_dir=str(tmp_path))
+        spec = _specs(4.7)[0]
+        twin = ScenarioSpec(name="twin", overrides=spec.overrides)
+        key = cache_key(spec.to_config(trace=False), settle=None,
+                        backend="vector", track_energy=False)
+        assert session._inflight.claim(key) is None
+        timer = threading.Timer(0.3, session._inflight.release, (key,))
+        timer.start()
+        points = session.sweep([spec, twin], track_energy=False)
+        timer.join(timeout=60)
+        assert not timer.is_alive()
+        assert [p.key for p in points] == [key, key]
+        assert [p.cached for p in points] == [False, True]
+        assert points[0].result == points[1].result
+        assert session.cache_misses == 1
+        assert session.cache_hits == 1
+        assert session.inflight_waits == 0
+
 
 class TestOnResult:
     def test_inline_hook_fires_in_spec_order(self, tmp_path):
@@ -168,9 +190,14 @@ class TestOnResult:
         def hook(i, point):
             raise RuntimeError("boom")
 
-        with pytest.raises(RuntimeError, match="boom"):
-            session.sweep(_specs(1.0), track_energy=False, on_result=hook)
-        # the lane's write-back happened before the callback, so the
-        # next sweep is served from cache
-        points = session.sweep(_specs(1.0), track_energy=False)
-        assert points[0].cached
+        with pytest.raises(RuntimeError, match="boom") as aborted:
+            session.sweep(_specs(1.0, 4.7), track_energy=False,
+                          on_result=hook)
+        # the abort released the claim of the lane that never landed,
+        # while the traceback (which holds the sweep's frames) lives on
+        assert aborted.traceback
+        assert len(session._inflight) == 0
+        # the first lane's write-back happened before the callback, so
+        # the next sweep serves it from cache
+        points = session.sweep(_specs(1.0, 4.7), track_energy=False)
+        assert [p.cached for p in points] == [True, False]

@@ -56,8 +56,8 @@ class TestTraceContent:
         ts = TraceSet().add_grid("t", times)
         ts.add_channel("v_load", [3.2] * n, grid="t")   # 0.1 V above 3.1
         ts.add_channel("i_coil0", [0.1] * n, grid="t")
-        ts.add_signal("ov", [(0.0, False)])
-        ts.add_signal("hl", [(0.0, False)])
+        for name in ("ov", "hl"):
+            ts.add_grid(name, [0.0]).add_channel(name, [False], grid=name)
         ts.meta["v_ref"] = 3.1
         run = measure_trace(ts, "x")
         assert run.startup_overshoot_v == pytest.approx(0.1)

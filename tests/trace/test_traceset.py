@@ -15,9 +15,21 @@ def _ts():
     ts.add_grid("t", [0.0, 1.0, 2.0, 3.0, 4.0])
     ts.add_channel("v", [0.0, 1.0, 2.0, 1.0, 0.5], grid="t")
     ts.add_channel("i", [0.0, 0.1, 0.2, 0.3, 0.4], grid="t")
-    ts.add_signal("gate", [(0.0, False), (1.5, True), (3.5, False)])
+    ts.add_grid("gate", [0.0, 1.5, 3.5])
+    ts.add_channel("gate", [False, True, False], grid="gate")
     ts.meta["v_ref"] = 3.0
     return ts
+
+
+def _digital(name, times, values):
+    """A TraceSet holding one digital channel on its own grid."""
+    return TraceSet().add_grid(name, times).add_channel(name, values,
+                                                        grid=name)
+
+
+def _columns(view):
+    """A digital view's change list as ``(times, values)`` lists."""
+    return list(view.times), list(view.values)
 
 
 class TestConstruction:
@@ -75,13 +87,13 @@ class TestChannelView:
         assert view.value_at(-1.0) == 0.0                 # clamped
         assert view.value_at(9.0) == 0.5
 
-    def test_digital_edges_history_value_at(self):
+    def test_digital_edges_columns_value_at(self):
         view = _ts().probe("gate")
         assert view.is_digital
         assert view.edges("rise") == [1.5]
         assert view.edges("fall") == [3.5]
         assert view.edges() == [1.5, 3.5]
-        assert view.history == [(0.0, False), (1.5, True), (3.5, False)]
+        assert _columns(view) == ([0.0, 1.5, 3.5], [False, True, False])
         assert view.value_at(2.0) is True
         assert view.value_at(0.1) is False
 
@@ -97,35 +109,32 @@ class TestTransforms:
         assert list(out.values("i")) == [0.1, 0.2, 0.3]
         # digital channel: held state enters at the boundary, then the
         # in-window change
-        assert out.probe("gate").history == [(1.0, False), (1.5, True)]
+        assert _columns(out.probe("gate")) == ([1.0, 1.5], [False, True])
 
     def test_windowed_preserves_in_window_edges_of_digital_channels(self):
         """A change inside the window must stay an *edge* (the held
         pre-window state rides in on a synthetic boundary row)."""
-        ts = TraceSet().add_signal(
-            "hl", [(0.0, False), (3.0, True), (7.0, False)])
+        ts = _digital("hl", [0.0, 3.0, 7.0], [False, True, False])
         view = ts.windowed(2.0, 6.0).probe("hl")
         assert view.edges("rise") == [3.0]
-        assert view.history == [(2.0, False), (3.0, True)]
+        assert _columns(view) == ([2.0, 3.0], [False, True])
 
     def test_windowed_keeps_digital_edge_exactly_at_t_start(self):
         """edge_count's window test is inclusive, so an edge landing on
         t_start must survive windowing."""
-        ts = TraceSet().add_signal(
-            "hl", [(0.0, False), (1.0, True), (1.5, False)])
+        ts = _digital("hl", [0.0, 1.0, 1.5], [False, True, False])
         view = ts.windowed(1.0, 2.0).probe("hl")
         assert view.edges("rise") == [1.0]
-        assert view.history == [(1.0, False), (1.0, True), (1.5, False)]
+        assert _columns(view) == ([1.0, 1.0, 1.5], [False, True, False])
 
     def test_windowed_digital_channel_with_no_in_window_changes(self):
-        ts = TraceSet().add_signal(
-            "hl", [(0.0, False), (3.0, True), (7.0, False)])
+        ts = _digital("hl", [0.0, 3.0, 7.0], [False, True, False])
         view = ts.windowed(4.0, 6.0).probe("hl")
-        assert view.history == [(4.0, True)]    # held high throughout
+        assert _columns(view) == ([4.0], [True])    # held high throughout
         assert view.edges() == []
         # a window entirely before the first record stays empty
-        early = TraceSet().add_signal("hl", [(5.0, False)])
-        assert early.windowed(0.0, 1.0).probe("hl").history == []
+        early = _digital("hl", [5.0], [False])
+        assert _columns(early.windowed(0.0, 1.0).probe("hl")) == ([], [])
 
     def test_decimated_keeps_first_and_last(self):
         out = _ts().decimated(2)
@@ -140,12 +149,12 @@ class TestTransforms:
         delete real pulses, not lower resolution."""
         ts = TraceSet().add_grid("t", [float(i) for i in range(8)])
         ts.add_channel("v", [float(i) for i in range(8)], grid="t")
-        ts.add_signal("gate", [(0.0, False), (1.0, True), (2.0, False),
-                               (3.0, True)])
+        ts.add_grid("gate", [0.0, 1.0, 2.0, 3.0])
+        ts.add_channel("gate", [False, True, False, True], grid="gate")
         out = ts.decimated(2)
         assert list(out.times("v")) == [0.0, 2.0, 4.0, 6.0, 7.0]
-        assert out.probe("gate").history == \
-            [(0.0, False), (1.0, True), (2.0, False), (3.0, True)]
+        assert _columns(out.probe("gate")) == \
+            ([0.0, 1.0, 2.0, 3.0], [False, True, False, True])
         assert out.probe("gate").edges("rise") == [1.0, 3.0]
 
     def test_compacted_drops_idle_duplicate_rows(self):
