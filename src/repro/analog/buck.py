@@ -15,6 +15,12 @@ transistors of a phase must never be ON at the same time* — by raising
 Energy bookkeeping (input energy, delivered energy, per-coil conduction
 loss) accumulates during integration so that Fig. 7c (inductor losses) and
 the efficiency claims can be evaluated without post-processing waveforms.
+
+A stage's input rail and its phases' parameters (coil, on-resistances,
+diode drop) are fixed at construction: the stage reads them once into
+per-phase constants, and the integrator works from those.  What changes
+during a run is the state — coil currents, output voltage, conduction
+states — and the load, which is read at every step.
 """
 
 from __future__ import annotations
@@ -120,6 +126,14 @@ class MultiphasePowerStage:
         self.energy_in_j = 0.0
         #: energy dissipated in the load (joule)
         self.energy_out_j = 0.0
+        # per phase, in phase order: (phase, coil, DCR, DCR + R_pmos,
+        # DCR + R_nmos, NMOS-diode drive -V_d, PMOS-diode drive V_in + V_d,
+        # nominal L, i_sat) -- each sum formed as the slope formula forms it
+        self._consts = [
+            (p, p.coil, p.coil.dcr, p.coil.dcr + p.r_pmos,
+             p.coil.dcr + p.r_nmos, -p.v_diode, v_in + p.v_diode,
+             p.coil.inductance, p.coil.i_sat)
+            for p in self.phases]
 
     @property
     def n_phases(self) -> int:
@@ -134,30 +148,33 @@ class MultiphasePowerStage:
     # ------------------------------------------------------------------
     def _derivatives(self, t: float, currents: Sequence[float],
                      v_out: float) -> Tuple[List[float], float]:
-        """Coil current slopes and dv/dt at ``(currents, v_out)``."""
+        """Coil current slopes and dv/dt at ``(currents, v_out)``.
+
+        This is the stage's slope function; :meth:`step` evaluates the
+        same expressions inline, twice per step."""
         v_in = self.v_in
         didt = []
         total = 0.0   # in order: sum() is compensated from Python 3.12
-        for p, i in zip(self.phases, currents):
+        for (p, coil, dcr, r_p, r_n, v_fw, v_rev, ind, i_sat), i in zip(
+                self._consts, currents):
             total += i
-            coil = p.coil
             if p.pmos_on:
-                v_drive = v_in - i * (coil.dcr + p.r_pmos)
+                v_drive = v_in - i * r_p
             elif p.nmos_on:
-                v_drive = -i * (coil.dcr + p.r_nmos)
+                v_drive = -i * r_n
             elif i > 0.0:
                 # freewheeling through the NMOS body diode
-                v_drive = -p.v_diode - i * coil.dcr
+                v_drive = v_fw - i * dcr
             elif i < 0.0:
                 # returning through the PMOS body diode
-                v_drive = v_in + p.v_diode - i * coil.dcr
+                v_drive = v_rev - i * dcr
             else:
                 didt.append(0.0)  # discontinuous conduction: coil is open
                 continue
             # below i_sat the derating is exactly nominal (a <= b gives
             # a / b <= 1.0); NaN takes the derating path
-            if abs(i) <= coil.i_sat:
-                didt.append((v_drive - v_out) / coil.inductance)
+            if -i_sat <= i <= i_sat:
+                didt.append((v_drive - v_out) / ind)
             else:
                 didt.append((v_drive - v_out) / coil.effective_inductance(i))
         r_load = self.load.resistance(t)
@@ -180,42 +197,93 @@ class MultiphasePowerStage:
         between the committed midpoint step and its embedded Euler step.
         The fixed-step solver ignores them; the adaptive stepper uses
         them to size the next step.
+
+        One pass per stage: the first loop takes the slopes ``k1`` of
+        :meth:`_derivatives` at ``t``; the second takes each phase's
+        midpoint slope ``k2`` at ``t + dt/2`` and commits that phase (the
+        diode clamp, its coil loss, its input energy, its error term)
+        before moving on.  Every sum runs in phase order, as in
+        :meth:`_derivatives`, so the result is the same to the bit.
         """
-        currents0 = [p.current for p in self.phases]
-        v0 = self.v_out
-
+        v_in = self.v_in
+        resistance = self.load.resistance
         half = 0.5 * dt
-        k1_i, k1_v = self._derivatives(t, currents0, v0)
-        mid_i = [i + half * d for i, d in zip(currents0, k1_i)]
-        mid_v = v0 + half * k1_v
-        k2_i, k2_v = self._derivatives(t + half, mid_i, mid_v)
+        v0 = self.v_out
+        consts = self._consts
 
-        new_v = v0 + dt * k2_v
-        e_in = 0.0   # this step's input energy, phase by phase
-        for phase, i0, d in zip(self.phases, currents0, k2_i):
-            i1 = i0 + dt * d
-            if not phase.pmos_on and not phase.nmos_on:
+        currents0 = []
+        k1_i = []
+        total = 0.0
+        for p, coil, dcr, r_p, r_n, v_fw, v_rev, ind, i_sat in consts:
+            i = p.current
+            currents0.append(i)
+            total += i
+            if p.pmos_on:
+                v_drive = v_in - i * r_p
+            elif p.nmos_on:
+                v_drive = -i * r_n
+            elif i > 0.0:
+                v_drive = v_fw - i * dcr
+            elif i < 0.0:
+                v_drive = v_rev - i * dcr
+            else:
+                k1_i.append(0.0)
+                continue
+            if -i_sat <= i <= i_sat:
+                k1_i.append((v_drive - v0) / ind)
+            else:
+                k1_i.append((v_drive - v0) / coil.effective_inductance(i))
+        r0 = resistance(t)
+        k1_v = (total - v0 / r0) / self.c_out
+
+        mid_v = v0 + half * k1_v
+        total = 0.0
+        e_in = 0.0    # this step's input energy, phase by phase
+        err_i = None  # max() of the per-phase |k2 - k1|, first max kept
+        for (p, coil, dcr, r_p, r_n, v_fw, v_rev, ind, i_sat), i0, k1 in zip(
+                consts, currents0, k1_i):
+            i = i0 + half * k1
+            total += i
+            pmos, nmos = p.pmos_on, p.nmos_on
+            if pmos:
+                v_drive = v_in - i * r_p
+            elif nmos:
+                v_drive = -i * r_n
+            elif i > 0.0:
+                v_drive = v_fw - i * dcr
+            elif i < 0.0:
+                v_drive = v_rev - i * dcr
+            else:
+                v_drive = None   # discontinuous conduction: coil is open
+            if v_drive is None:
+                k2 = 0.0
+            elif -i_sat <= i <= i_sat:
+                k2 = (v_drive - mid_v) / ind
+            else:
+                k2 = (v_drive - mid_v) / coil.effective_inductance(i)
+            i1 = i0 + dt * k2
+            if not pmos and not nmos:
                 # Body-diode conduction can only decay the current; a sign
                 # flip or magnitude growth means the diode stopped (or the
                 # RK2 midpoint straddled the zero-current discontinuity):
                 # the coil opens at exactly zero.
                 if i0 * i1 <= 0.0 or abs(i1) > abs(i0):
                     i1 = 0.0
-            phase.current = i1
+            p.current = i1
             # Trapezoidal energy bookkeeping on the accepted step.
-            i_mid_sq = 0.5 * (i0 * i0 + i1 * i1)
-            phase.coil_loss_j += i_mid_sq * phase.coil.dcr * dt
-            if phase.pmos_on:
-                e_in += self.v_in * 0.5 * (i0 + i1) * dt
-        self.energy_in_j += e_in
+            p.coil_loss_j += 0.5 * (i0 * i0 + i1 * i1) * dcr * dt
+            if pmos:
+                e_in += v_in * 0.5 * (i0 + i1) * dt
+            err = abs(k2 - k1)
+            if err_i is None or err > err_i:
+                err_i = err
+        k2_v = (total - mid_v / resistance(t + half)) / self.c_out
 
-        r_load = self.load.resistance(t)
-        v_mid_sq = 0.5 * (v0 * v0 + new_v * new_v)
-        self.energy_out_j += v_mid_sq / r_load * dt
+        new_v = v0 + dt * k2_v
+        self.energy_in_j += e_in
+        self.energy_out_j += 0.5 * (v0 * v0 + new_v * new_v) / r0 * dt
         self.v_out = new_v
-        err_i = max([abs(b - a) for a, b in zip(k1_i, k2_i)]) * dt
-        err_v = abs(k2_v - k1_v) * dt
-        return err_i, err_v
+        return err_i * dt, abs(k2_v - k1_v) * dt
 
     # ------------------------------------------------------------------
     # Reporting

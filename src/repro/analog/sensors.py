@@ -36,11 +36,12 @@ BELOW = "below"
 class Comparator:
     """Analog comparator with propagation delay and hysteresis.
 
-    The solver samples it once per integration step, through
-    :meth:`observe` from its :class:`SensorBank` (or :meth:`sample` when
-    the comparator is used on its own); the comparator linearly
-    interpolates the crossing instant inside the step and schedules the
-    output edge at ``crossing + delay``.
+    It is sampled once per integration step: inline by its
+    :class:`SensorBank`, which makes the decision :meth:`observe` makes,
+    or through :meth:`sample` / :meth:`observe` when the comparator is
+    used on its own.  On a flip the comparator linearly interpolates the
+    crossing instant inside the step and schedules the output edge at
+    ``crossing + delay``.
 
     Parameters
     ----------
@@ -115,10 +116,14 @@ class Comparator:
             new_state = x >= th - self.hysteresis if state else x > th
         else:
             new_state = x <= th + self.hysteresis if state else x < th
-        if new_state == state:
-            return
-        self._state = new_state
+        if new_state != state:
+            self._flip(new_state, t, x, prev_t, prev_x)
 
+    def _flip(self, new_state: bool, t: float, x: float,
+              prev_t: Optional[float], prev_x: Optional[float]) -> None:
+        """Take the decision ``new_state`` made on sample ``(t, x)`` and
+        schedule the output edge it drives."""
+        self._state = new_state
         fire_at = edge_time(t, x, prev_t, prev_x, self.threshold, self.delay)
         self.sim.schedule_at(fire_at, lambda v=new_state: self.output._apply(v))
 
@@ -171,6 +176,10 @@ class SensorBank:
     Per-phase OC/ZC comparators are mode-aware: :meth:`set_ov_mode` swaps
     their references the way the paper describes (OV mode: PMOS off as soon
     as current is positive, NMOS on until the negative limit).
+
+    The bank samples its comparators itself (:meth:`sample_all`) and keeps
+    their previous sample, which they all share: a comparator of a bank is
+    sampled through the bank, never through its own :meth:`Comparator.sample`.
     """
 
     def __init__(self, sim: Simulator, stage, refs: Optional[BuckReferences] = None,
@@ -201,22 +210,42 @@ class SensorBank:
             self.zc.append(Comparator(sim, f"zc{k}", current, r.i_0,
                                       BELOW, delay, r.i_hyst, noise, trace))
             self._ov_mode.append(False)
+        self._comps = self.all_comparators()
+        # the previous sample: its instant and the value of each
+        # comparator's quantity, in all_comparators() order
+        self._prev_t: Optional[float] = None
+        self._prev_xs: List[Optional[float]] = [None] * len(self._comps)
 
     def all_comparators(self) -> List[Comparator]:
         return [self.hl, self.uv, self.ov] + self.oc + self.zc
 
     def sample_all(self, t: float) -> None:
         """Sample every comparator at ``t``, in :meth:`all_comparators`
-        order, reading ``v_out`` and each phase current once."""
-        v = self.stage.v_out
-        self.hl.observe(t, v)
-        self.uv.observe(t, v)
-        self.ov.observe(t, v)
-        currents = [p.current for p in self.stage.phases]
-        for comp, i in zip(self.oc, currents):
-            comp.observe(t, i)
-        for comp, i in zip(self.zc, currents):
-            comp.observe(t, i)
+        order, reading ``v_out`` and each phase current once.
+
+        Each comparator decides exactly as :meth:`Comparator.observe`
+        would, with the same noise draw, but inline: only a comparator
+        that flips pays for an edge-time interpolation and an event."""
+        stage = self.stage
+        v = stage.v_out
+        currents = [p.current for p in stage.phases]
+        xs = [v, v, v] + currents + currents
+        prev_t = self._prev_t
+        for comp, x, prev_x in zip(self._comps, xs, self._prev_xs):
+            th = comp.threshold
+            if comp.noise:
+                th += comp.sim.rng.gauss(0.0, comp.noise)
+            if comp._state:
+                if comp._above:
+                    if x >= th - comp.hysteresis:
+                        continue
+                elif x <= th + comp.hysteresis:
+                    continue
+                comp._flip(False, t, x, prev_t, prev_x)
+            elif x > th if comp._above else x < th:
+                comp._flip(True, t, x, prev_t, prev_x)
+        self._prev_t = t
+        self._prev_xs = xs
 
     # ------------------------------------------------------------------
     def set_ov_mode(self, phase_index: int, on: bool) -> None:

@@ -12,8 +12,10 @@ Two stepping modes (see :mod:`repro.analog.stepping`):
 ``fixed``
     One step every ``dt`` (default 1 ns; the Fig. 6 waveform runs use
     0.5 ns so that the sub-nanosecond reaction-latency differences of
-    Table I resolve cleanly in the peak-current results).  Bit-for-bit
-    the historical behaviour.
+    Table I resolve cleanly in the peak-current results).  Each tick is
+    one pass: the stage's single-method RK2 step, the probes recorded
+    inline, then the sensor bank's inline comparator sweep, where only a
+    comparator that flips schedules an event.
 
 ``adaptive``
     The embedded RK2(1) error estimate sizes each step within
@@ -104,13 +106,18 @@ class AnalogSolver:
         self.sim.schedule_at(self.sim.now, self._plan, priority=1)
 
     # ------------------------------------------------------------------
-    # Fixed-step tick (the historical hot path, bit-for-bit unchanged)
+    # Fixed-step tick: step, record (as _record does), sample
     # ------------------------------------------------------------------
     def _tick(self) -> None:
         now = self.sim.now
-        self.stage.step(now - self.dt, self.dt)
+        stage = self.stage
+        stage.step(now - self.dt, self.dt)
         self.tick_count += 1
-        self._record(now)
+        if self.trace:
+            self.times.append(now)
+        self.v_probe.sample(stage.v_out)
+        for probe, phase in zip(self.i_probes, stage.phases):
+            probe.sample(phase.current)
         if self.sensors is not None:
             self.sensors.sample_all(now)
         self.sim.schedule(self.dt, self._tick)

@@ -123,8 +123,11 @@ def write_receipt(cache_root: Path, receipt: Mapping[str, Any]) -> str:
     # sweep_id) may race this write from sibling threads of one Session
     tmp = path.with_suffix(
         f".tmp.{os.getpid()}.{threading.get_ident()}")
+    # one C-encoded string, one write: json.dump with indent runs the
+    # pure-Python encoder, piece by piece
+    text = json.dumps(receipt, sort_keys=True)
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(receipt, fh, sort_keys=True, indent=1)
+        fh.write(text)
     os.replace(tmp, path)
     GLOBAL.counter("repro_receipts_written_total").inc()
     return str(path)

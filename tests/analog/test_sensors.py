@@ -236,25 +236,75 @@ class TestSensorBank:
         comps = bank.all_comparators()
         assert len(comps) == 3 + 2 * 3  # hl, uv, ov + per-phase oc, zc
 
-    def test_sample_all_matches_one_at_a_time_sampling(self, make_sim):
-        """``sample_all`` reads each quantity once and hands it to every
-        comparator; sampling the same comparators one by one through
-        ``sample()`` must give the same edges, states and noise draws.
-        The ramp crosses every threshold both ways, with noise on and
-        one phase in OV mode for half the run."""
+    @staticmethod
+    def _ramp(stage, bank, k):
+        """Triangle ramp over 400 samples that crosses every threshold
+        both ways; phase 1 runs in OV mode for the middle half."""
+        up = k % 200 / 200.0 if k < 200 else 1.0 - k % 200 / 200.0
+        stage.v_out = 2.8 + up                # 2.8 V .. 3.8 V
+        stage.phases[0].current = -0.1 + 0.5 * up
+        stage.phases[1].current = 0.4 - 0.5 * up
+        bank.set_ov_mode(1, 100 <= k < 300)
+
+    @classmethod
+    def _ramp_ov_swaps(cls, stage, bank, k):
+        """The ramp, with phase 0 also swapping references every 30
+        samples, so swaps land while its comparators are tripped."""
+        cls._ramp(stage, bank, k)
+        bank.set_ov_mode(0, k // 30 % 2 == 1)
+
+    @staticmethod
+    def _rearm(stage, bank, k):
+        """Small triangles (1.5 hysteresis bands each way) around one
+        threshold at a time: every comparator trips, holds inside its
+        band, releases and re-arms, again and again."""
+        r = bank.refs
+        tri = abs(k % 40 - 20) / 10.0 - 1.0   # -1 .. 1, period 40
+        stage.v_out = ((r.v_min, r.v_ref, r.v_max)[k // 134]
+                       + 1.5 * r.v_hyst * tri)
+        levels = (r.i_max, r.i_0)
+        stage.phases[0].current = (levels[k // 200]
+                                   + 1.5 * r.i_hyst * tri)
+        stage.phases[1].current = (levels[1 - k // 200]
+                                   + 1.5 * r.i_hyst * tri)
+
+    @staticmethod
+    def _touch(stage, bank, k):
+        """Values that land exactly on a threshold, or on the far edge
+        of a tripped comparator's hysteresis band: a tie with the
+        threshold is not a trip (``>`` / ``<``), a tie with the band edge
+        is not a release (``>=`` / ``<=``)."""
+        r = bank.refs
+        volts = (3.2, r.v_ref + r.v_hyst, 3.6, r.v_max - r.v_hyst, 3.45,
+                 r.v_max, r.v_min, r.v_ref)
+        amps = (0.35, r.i_max - r.i_hyst, 0.1, r.i_max, -0.1,
+                r.i_0 + r.i_hyst, 0.1, r.i_0)
+        stage.v_out = volts[k % 8]
+        stage.phases[0].current = amps[k % 8]
+        stage.phases[1].current = amps[(k + 4) % 8]
+        bank.set_ov_mode(1, k // 50 % 2 == 1)
+
+    @pytest.mark.parametrize("drive, noise, rises", [
+        ("_ramp_ov_swaps", 0.0, 1),
+        ("_rearm", 0.0, 3),
+        ("_touch", 0.0, 0),
+        ("_ramp", 0.003, 1),
+    ], ids=["ov_mode_swaps", "hysteresis_rearm", "threshold_ties", "noisy"])
+    def test_sample_all_matches_one_at_a_time_sampling(self, make_sim, drive,
+                                                       noise, rises):
+        """``sample_all`` decides every comparator inline and keeps the
+        previous sample on the bank; sampling the same comparators one
+        by one through ``Comparator.sample`` must give the same output
+        traces, edge times, states and noise draws."""
         runs = []
         for one_at_a_time in (False, True):
             sim = make_sim(seed=5)
             stage = make_power_stage(2, make_coil(4.7 * UH),
                                      load=LoadProfile.constant(6.0))
-            bank = SensorBank(sim, stage, delay=1 * NS, noise=0.003)
+            bank = SensorBank(sim, stage, delay=1 * NS, noise=noise)
             for k in range(400):
                 t = k * NS
-                up = k % 200 / 200.0 if k < 200 else 1.0 - k % 200 / 200.0
-                stage.v_out = 2.8 + up                # 2.8 V .. 3.8 V
-                stage.phases[0].current = -0.1 + 0.5 * up
-                stage.phases[1].current = 0.4 - 0.5 * up
-                bank.set_ov_mode(1, 100 <= k < 300)
+                getattr(self, drive)(stage, bank, k)
                 sim.run_until(t)
                 if one_at_a_time:
                     for comp in bank.all_comparators():
@@ -263,11 +313,12 @@ class TestSensorBank:
                     bank.sample_all(t)
             sim.run_until(410 * NS)
             comps = bank.all_comparators()
-            for comp in comps:
-                assert comp.output.edges("rise") and \
-                    comp.output.edges("fall"), comp.name
+            for comp in comps if rises else ():
+                assert len(comp.output.edges("rise")) >= rises, comp.name
+                assert comp.output.edges("fall"), comp.name
             runs.append(([(comp.output.times, comp.output.values)
                           for comp in comps],
+                         [comp.output.edges() for comp in comps],
                          [comp._state for comp in comps],
                          sim.rng.getstate()))
         assert runs[0] == runs[1]
