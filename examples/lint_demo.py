@@ -1,14 +1,13 @@
 #!/usr/bin/env python
-"""Demo: every repro.lint rule family firing on a miniature broken tree.
+"""Demo: every repro.lint rule firing on a miniature broken tree.
 
 Writes a tiny package into a temp directory with one of each kind of
 violation the analyzer knows about — an unseeded RNG draw, a wall-clock
 read, unordered iteration, id()-ordering, a set flowing (through
-variables) into a wire encoding, an unguarded write to a `guarded_by`
-attribute, a lock-order inversion and a blocking call under a lock —
-runs the analyzer over it, and prints the findings grouped by rule
-family.
-Exits non-zero if any family finds nothing, so a rule-catalog or
+variables) into a wire encoding, an observability value in a cache key,
+a malformed suppression and a module that does not parse — runs the
+analyzer over it, and prints the findings grouped by rule.
+Exits non-zero if any rule finds nothing, so a rule-catalog or
 LintConfig change that leaves the demo behind fails loudly (CI runs
 it).
 
@@ -24,7 +23,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.lint import FAMILIES, LintConfig, RULES, run_lint
+from repro.lint import LintConfig, RULES, run_lint
 
 #: the miniature broken tree, mirroring the real module layout
 BROKEN_TREE = {
@@ -32,6 +31,9 @@ BROKEN_TREE = {
 import json
 import random
 import time
+
+from repro import obs
+from repro.session import cache_key
 
 
 def shard(specs, pool_dir):
@@ -49,33 +51,17 @@ def manifest(specs):
     names = set(s.name for s in specs)
     payload = {"names": list(names)}    # taint survives the literal
     return json.dumps(payload)          # set order on the wire -> D05
+
+
+def key_of(cfg):
+    stamp = obs.now()
+    return cache_key(cfg, stamp)        # obs value in a key -> D06
+
+
+def legacy(specs):
+    return specs  # lint: ok(D03)   (no reason given -> X01)
 ''',
-    "session/telemetry.py": '''\
-import threading
-import time
-
-
-class Telemetry:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._cond = threading.Condition()
-        # lint: guarded_by(self._lock: bumped from worker threads)
-        self.count = 0
-
-    def bump(self):
-        self.count += 1                 # lock not held -> L01
-
-    def flush(self):
-        with self._lock:
-            time.sleep(0.1)             # blocking under a lock -> L03
-            with self._cond:
-                self._cond.notify_all()
-
-    def drain(self):
-        with self._cond:
-            with self._lock:            # reverse nesting -> L02
-                return self.count
-''',
+    "scenarios/engine.py": "def run(:\n",   # does not parse -> X00
 }
 
 
@@ -91,28 +77,24 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="lint_demo_") as tmp:
         report = run_lint(build_tree(Path(tmp)))
 
-        print("repro.lint demo — one miniature tree, every rule family")
+        print("repro.lint demo — one miniature tree, every rule")
         print(f"  modules scanned : {report.modules_scanned}")
         print(f"  findings        : {len(report.findings)}")
         print()
         silent = []
-        for family in FAMILIES:
-            members = [f for f in report.findings
-                       if RULES[f.rule].family == family]
+        for rule_id in sorted(RULES):
+            members = [f for f in report.findings if f.rule == rule_id]
             if not members:
-                silent.append(family)
+                silent.append(rule_id)
                 continue
-            print(f"--- {family} ({len(members)}) ---")
+            print(f"--- {rule_id} {RULES[rule_id].title} ---")
             for finding in members:
                 print(finding.render())
             print()
-        fired = sorted({f.rule for f in report.findings})
-        print(f"rules fired: {', '.join(fired)}")
         print("explain any of them with: "
               "python -m repro.lint --explain <RULE>")
     if silent:
-        print(f"FAIL: no finding from rule families {silent}",
-              file=sys.stderr)
+        print(f"FAIL: no finding from rules {silent}", file=sys.stderr)
         return 1
     return 0
 

@@ -30,7 +30,6 @@ _LAZY_EXPORTS = {
     "Session": ".session",
     "ResultCache": ".session",
     "default_session": ".session",
-    "set_default_session": ".session",
     "session_from_env": ".session",
     "ScenarioSpec": ".scenarios",
     "Sweep": ".scenarios",

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from .config import default_config_for
 from .engine import run_lint
-from .findings import FAMILIES, explain, rule_ids
+from .findings import explain, rule_ids
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="list every rule id with its title and exit")
-    parser.add_argument(
-        "--family", action="append", choices=FAMILIES, default=None,
-        help="run only this rule family (repeatable; default: all)")
     parser.add_argument(
         "--quiet", action="store_true",
         help="print findings only, no summary line")
@@ -89,9 +86,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    families = tuple(args.family) if args.family else FAMILIES
     t0 = time.perf_counter()
-    report = run_lint(config, families)
+    report = run_lint(config)
     wall_s = time.perf_counter() - t0
 
     if args.bench_json is not None:
@@ -102,7 +98,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "bench": "lint_self_run",
             "wall_s": round(wall_s, 4),
             "modules_scanned": report.modules_scanned,
-            "families": list(report.families),
             "findings": len(report.findings),
             "suppressed": len(report.suppressed),
             "by_rule": by_rule,
@@ -128,6 +123,5 @@ def main(argv: Optional[List[str]] = None) -> int:
         status = "clean" if report.clean else \
             f"{len(report.findings)} finding(s)"
         print(f"repro.lint: {status} — {report.modules_scanned} modules, "
-              f"families: {', '.join(report.families)}, "
               f"{len(report.suppressed)} suppressed")
     return 0 if report.clean else 1

@@ -1,20 +1,9 @@
-"""Analyzer configuration and the in-source annotation format.
+"""Analyzer configuration and the in-source suppression format.
 
-Two comment annotations are recognised, both requiring a reason so the
-exceptions stay self-documenting:
-
-``# lint: ok(RULE: reason)``
-    Placed on the exact line of a finding; suppresses that one finding.
-    Suppressions are counted and carried in the JSON report, never
-    silently dropped.
-
-``# lint: guarded_by(self._lock: reason)``
-    Placed on an attribute-initializing assignment (``self._events =
-    []`` in ``__init__``); declares that every later read/write of that
-    attribute must happen while ``with self._lock:`` is held (rule
-    L01).  The lock is named as the access expression used at the use
-    sites — ``self._lock``, ``self._cond``, or the factory form
-    ``self._writer_lock()``.
+``# lint: ok(RULE: reason)``, placed on the exact line of a finding,
+suppresses that one finding.  The reason is required, so the exceptions
+stay self-documenting; suppressions are counted and carried in the JSON
+report, never silently dropped.
 
 :class:`LintConfig` names every repo-specific anchor (the package root,
 which modules are scanned, which ones may read the wall clock) so the
@@ -35,8 +24,8 @@ class LintConfig:
 
     #: package source root (the directory containing ``system.py``)
     root: Path = Path(".")
-    #: directories/files (relative to root) scanned by the determinism
-    #: and locks families — the result-producing modules
+    #: directories/files (relative to root) scanned by the rules — the
+    #: result-producing modules
     scan_paths: Tuple[str, ...] = ("system.py", "sim", "analog", "digital",
                                    "a2a", "control", "scenarios", "session",
                                    "trace", "serve", "obs")
@@ -68,7 +57,7 @@ def default_config_for(path: Path) -> LintConfig:
 
 
 # ---------------------------------------------------------------------------
-# Annotation parsing
+# Suppression parsing
 # ---------------------------------------------------------------------------
 _OK_RE = re.compile(
     r"#\s*lint:\s*ok\(\s*([A-Za-z]\d+)\s*:\s*(.+)\)\s*$")
@@ -89,23 +78,3 @@ def has_bare_suppression(line_text: str) -> bool:
     return bool(_OK_BARE_RE.search(line_text)) \
         and parse_suppression(line_text) is None
 
-
-_GUARD_RE = re.compile(
-    r"#\s*lint:\s*guarded_by\(\s*([A-Za-z_][A-Za-z0-9_.]*(?:\(\))?)"
-    r"\s*:\s*(.+)\)\s*$")
-_GUARD_BARE_RE = re.compile(r"#\s*lint:\s*guarded_by\(")
-
-
-def parse_guarded_by(line_text: str) -> Optional[Tuple[str, str]]:
-    """``(lock_expr, reason)`` if the line carries a well-formed
-    ``# lint: guarded_by(self._lock: reason)`` marker, else ``None``."""
-    match = _GUARD_RE.search(line_text)
-    if match:
-        return match.group(1), match.group(2).strip()
-    return None
-
-
-def has_bare_guard(line_text: str) -> bool:
-    """The ``guarded_by(`` marker is present but doesn't parse."""
-    return bool(_GUARD_BARE_RE.search(line_text)) \
-        and parse_guarded_by(line_text) is None

@@ -1,4 +1,4 @@
-"""Intra-procedural dataflow core shared by the v2 rule families.
+"""Intra-procedural dataflow core of the determinism rules.
 
 One :class:`FunctionFlow` per code unit (module top level, each
 function/method) built from three classic pieces:
@@ -6,10 +6,7 @@ function/method) built from three classic pieces:
 * a statement-level **control-flow graph** — one node per simple
   statement or compound-statement header, with branch/loop/try edges
   approximated conservatively (every try-body statement may reach every
-  handler).  Each node also records the **held-lock stack** implied by
-  enclosing ``with <lock>:`` statements, which is exact for
-  ``threading`` primitives because ``with`` guarantees release on every
-  exit path;
+  handler);
 * **reaching definitions** — a forward may-analysis over the CFG
   (gen/kill worklist), exposed as def-use chains so rules can name the
   line a value was born on;
@@ -27,9 +24,9 @@ Helper-return **summaries** go one level deep: a same-module,
 module-level function whose return expressions carry tags under an
 empty environment contributes those tags at its call sites.
 
-Everything here is rule-agnostic; ``determinism``/``locks`` interpret
-the tags and held-lock stacks.  Analyses are cached per code unit on
-the :class:`~repro.lint.engine.ModuleInfo` so families share the work.
+Everything here is rule-agnostic; ``determinism`` interprets the tags.
+Analyses are cached per code unit on the
+:class:`~repro.lint.engine.ModuleInfo`.
 """
 
 from __future__ import annotations
@@ -92,30 +89,6 @@ _RANDOM_DRAWS = frozenset({
 _SEEDABLE_CTORS = frozenset({"Random", "default_rng", "PCG64",
                              "SeedSequence", "RandomState", "Generator"})
 
-#: ``with`` context expressions treated as lock acquisitions: the last
-#: dotted segment must look like a synchronization primitive.  Plain
-#: resource managers (``open``, ``tempfile``, HTTP responses) must NOT
-#: count as held locks or L03 would flag ordinary blocking I/O.
-_LOCKISH_MARKERS = ("lock", "cond", "mutex", "sem", "rlock")
-
-
-def lock_name_of(ctx: ast.expr) -> Optional[str]:
-    """Dotted name of a ``with`` context expression when it acquires a
-    lock-like primitive: ``self._lock``, ``self._cond``, or the
-    zero-argument factory form ``self._writer_lock()``."""
-    call_suffix = ""
-    if isinstance(ctx, ast.Call) and not ctx.args and not ctx.keywords:
-        ctx = ctx.func
-        call_suffix = "()"
-    dotted = dotted_name(ctx)
-    if dotted is None:
-        return None
-    last = dotted.rsplit(".", 1)[-1].lower()
-    if any(marker in last for marker in _LOCKISH_MARKERS):
-        return dotted + call_suffix
-    return None
-
-
 # ---------------------------------------------------------------------------
 # CFG
 # ---------------------------------------------------------------------------
@@ -144,9 +117,6 @@ class CFGNode:
     stmt: ast.stmt
     succs: List[int] = field(default_factory=list)
     preds: List[int] = field(default_factory=list)
-    #: lock-like ``with`` contexts held at this statement, outermost
-    #: first (syntactic dotted names; ``locks`` normalizes identities)
-    held_locks: Tuple[str, ...] = ()
     defs: List[Definition] = field(default_factory=list)
 
 
@@ -161,9 +131,8 @@ class _CFGBuilder:
         self.nodes: List[CFGNode] = []
         self.loops: List[_LoopCtx] = []
 
-    def _new(self, stmt: ast.stmt, preds: Sequence[int],
-             held: Tuple[str, ...]) -> int:
-        node = CFGNode(index=len(self.nodes), stmt=stmt, held_locks=held)
+    def _new(self, stmt: ast.stmt, preds: Sequence[int]) -> int:
+        node = CFGNode(index=len(self.nodes), stmt=stmt)
         node.defs = _defs_of(stmt, node.index)
         self.nodes.append(node)
         for pred in preds:
@@ -171,48 +140,41 @@ class _CFGBuilder:
             node.preds.append(pred)
         return node.index
 
-    def build(self, body: Sequence[ast.stmt], preds: List[int],
-              held: Tuple[str, ...]) -> List[int]:
+    def build(self, body: Sequence[ast.stmt], preds: List[int]) -> List[int]:
         """Thread ``body`` after ``preds``; returns the dangling exits."""
         for stmt in body:
-            preds = self._stmt(stmt, preds, held)
+            preds = self._stmt(stmt, preds)
         return preds
 
-    def _stmt(self, stmt: ast.stmt, preds: List[int],
-              held: Tuple[str, ...]) -> List[int]:
+    def _stmt(self, stmt: ast.stmt, preds: List[int]) -> List[int]:
         if isinstance(stmt, ast.If):
-            header = self._new(stmt, preds, held)
-            exits = self.build(stmt.body, [header], held)
+            header = self._new(stmt, preds)
+            exits = self.build(stmt.body, [header])
             if stmt.orelse:
-                exits += self.build(stmt.orelse, [header], held)
+                exits += self.build(stmt.orelse, [header])
             else:
                 exits.append(header)
             return exits
         if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            header = self._new(stmt, preds, held)
+            header = self._new(stmt, preds)
             ctx = _LoopCtx(header)
             self.loops.append(ctx)
-            back = self.build(stmt.body, [header], held)
+            back = self.build(stmt.body, [header])
             self.loops.pop()
             for node in back:
                 self.nodes[node].succs.append(header)
                 self.nodes[header].preds.append(node)
             exits = [header] + ctx.breaks
             if stmt.orelse:
-                exits = self.build(stmt.orelse, exits, held)
+                exits = self.build(stmt.orelse, exits)
             return exits
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            header = self._new(stmt, preds, held)
-            inner = held
-            for item in stmt.items:
-                name = lock_name_of(item.context_expr)
-                if name is not None:
-                    inner = inner + (name,)
-            return self.build(stmt.body, [header], inner)
+            header = self._new(stmt, preds)
+            return self.build(stmt.body, [header])
         if isinstance(stmt, ast.Try):
             entry = list(preds)
             body_start = len(self.nodes)
-            exits = self.build(stmt.body, preds, held)
+            exits = self.build(stmt.body, preds)
             # a handler can run after ANY body statement — or before the
             # first one completes, so the pre-try state reaches it too
             body_nodes = entry + list(range(body_start, len(self.nodes)))
@@ -222,20 +184,20 @@ class _CFGBuilder:
                 if handler.name:
                     # bind the exception name on the first handler node;
                     # use a synthetic pass-through on the handler itself
-                    marker = self._new(handler, h_preds, held)
+                    marker = self._new(handler, h_preds)
                     self.nodes[marker].defs.append(Definition(
                         handler.name, marker, handler.lineno, None,
                         "except"))
                     h_preds = [marker]
-                handler_exits += self.build(handler.body, h_preds, held)
+                handler_exits += self.build(handler.body, h_preds)
             if stmt.orelse:
-                exits = self.build(stmt.orelse, exits, held)
+                exits = self.build(stmt.orelse, exits)
             exits = exits + handler_exits
             if stmt.finalbody:
-                exits = self.build(stmt.finalbody, exits, held)
+                exits = self.build(stmt.finalbody, exits)
             return exits
         # ---- simple statements --------------------------------------
-        node = self._new(stmt, preds, held)
+        node = self._new(stmt, preds)
         if isinstance(stmt, (ast.Return, ast.Raise)):
             return []
         if isinstance(stmt, ast.Break):
@@ -390,7 +352,7 @@ class FunctionFlow:
         self.unit = unit
         self.summaries = summaries or {}
         builder = _CFGBuilder()
-        builder.build(list(unit.body), [], ())
+        builder.build(list(unit.body), [])
         self.nodes: List[CFGNode] = builder.nodes
         self._compute_reaching()
         self._compute_tags()

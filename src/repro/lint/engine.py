@@ -1,10 +1,10 @@
-"""The analyzer runner: one tree walk, rules as visitor plugins.
+"""The analyzer runner: one tree walk, then the rules over it.
 
 :func:`build_index` parses every configured module exactly once into a
-:class:`ModuleIndex`; each rule family consumes the shared index (no
-rule re-reads or re-parses source).  :func:`run_lint` dispatches the
-requested families, applies ``# lint: ok(RULE: reason)`` suppressions,
-and returns a :class:`LintReport` with deterministic finding order.
+:class:`ModuleIndex`; the rules consume the shared index (no rule
+re-reads or re-parses source).  :func:`run_lint` runs them, applies
+``# lint: ok(RULE: reason)`` suppressions, and returns a
+:class:`LintReport` with deterministic finding order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import LintConfig, has_bare_suppression, parse_suppression
-from .findings import FAMILIES, Finding
+from .findings import Finding
 
 
 @dataclass
@@ -117,7 +117,6 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Suppression] = field(default_factory=list)
     modules_scanned: int = 0
-    families: Tuple[str, ...] = FAMILIES
 
     @property
     def clean(self) -> bool:
@@ -127,7 +126,6 @@ class LintReport:
         return {
             "clean": self.clean,
             "modules_scanned": self.modules_scanned,
-            "families": list(self.families),
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [{**s.finding.to_dict(), "suppress_reason":
                             s.reason} for s in self.suppressed],
@@ -167,21 +165,14 @@ def _malformed_markers(index: ModuleIndex,
     return findings
 
 
-def run_lint(config: LintConfig,
-             families: Sequence[str] = FAMILIES) -> LintReport:
-    """Run the requested rule families over one shared tree walk."""
+def run_lint(config: LintConfig) -> LintReport:
+    """Run every rule over one shared tree walk."""
     index, findings = build_index(config)
-    # imported here so the rule modules can use engine helpers freely
-    from . import determinism, locks
-    runners = {
-        "determinism": determinism.check,
-        "locks": locks.check,
-    }
-    for family in families:
-        findings.extend(runners[family](config, index))
+    # imported here so the rule module can use engine helpers freely
+    from . import determinism
+    findings.extend(determinism.check(config, index))
     findings.extend(_malformed_markers(index, config.scan_paths))
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     kept, suppressed = _apply_suppressions(findings, index)
     return LintReport(findings=kept, suppressed=suppressed,
-                      modules_scanned=len(index.modules),
-                      families=tuple(families))
+                      modules_scanned=len(index.modules))

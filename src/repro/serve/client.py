@@ -163,6 +163,19 @@ def _print(obj: Any) -> None:
     sys.stdout.write("\n")
 
 
+def _print_events(client: ServeClient, job_id: str,
+                  quiet: bool = False) -> int:
+    """Follow a job, printing one JSON line per event (only the terminal
+    one when ``quiet``); exit code 1 if the job failed."""
+    failed = False
+    for event in client.follow(job_id):
+        event.pop("run", None)  # JSON output: keep the raw payload only
+        if not quiet or event.get("event") in ("done", "failed"):
+            _print(event)
+        failed = failed or event.get("event") == "failed"
+    return 1 if failed else 0
+
+
 def _cmd_submit(client: ServeClient, args) -> int:
     if args.job_json == "-":
         payload = json.load(sys.stdin)
@@ -173,22 +186,7 @@ def _cmd_submit(client: ServeClient, args) -> int:
     if not args.follow:
         _print(snapshot)
         return 0
-    failed = False
-    for event in client.follow(snapshot["id"]):
-        event.pop("run", None)  # JSON output: keep the raw payload only
-        if not args.quiet or event.get("event") in ("done", "failed"):
-            _print(event)
-        failed = failed or event.get("event") == "failed"
-    return 1 if failed else 0
-
-
-def _cmd_follow(client: ServeClient, args) -> int:
-    failed = False
-    for event in client.follow(args.id):
-        event.pop("run", None)
-        _print(event)
-        failed = failed or event.get("event") == "failed"
-    return 1 if failed else 0
+    return _print_events(client, snapshot["id"], quiet=args.quiet)
 
 
 def _cmd_result(client: ServeClient, args) -> int:
@@ -247,7 +245,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "submit":
             return _cmd_submit(client, args)
         elif args.command == "follow":
-            return _cmd_follow(client, args)
+            return _print_events(client, args.id)
         elif args.command == "result":
             return _cmd_result(client, args)
         return 0

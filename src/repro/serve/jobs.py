@@ -28,8 +28,9 @@ import secrets
 import threading
 import time
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from .. import obs
 from ..scenarios.spec import ScenarioSpec
@@ -42,6 +43,10 @@ STATES = ("queued", "running", "done", "failed")
 
 #: events that end an SSE stream (the job can produce nothing after them)
 TERMINAL_EVENTS = ("done", "failed")
+
+#: finished jobs kept for status polls and event replays; past this many
+#: the oldest finished job is forgotten and its id answers 404
+MAX_FINISHED_JOBS = 64
 
 
 class Job:
@@ -56,14 +61,10 @@ class Job:
         self.created = time.time()  # lint: ok(D02: job metadata, not results)
         self.log = EventLog(max_events=max_events)
         self._lock = threading.Lock()
-        # lint: guarded_by(self._lock: set by the worker, read by snapshots)
-        self.state = "queued"
-        # lint: guarded_by(self._lock: written with state on failure)
-        self.error: Optional[str] = None
-        # lint: guarded_by(self._lock: bumped per lane from session workers)
-        self.cached = 0
-        # lint: guarded_by(self._lock: bumped per lane from session workers)
-        self.computed = 0
+        self._state = "queued"
+        self._error: Optional[str] = None
+        self._cached = 0
+        self._computed = 0
 
     @property
     def total(self) -> int:
@@ -72,7 +73,7 @@ class Job:
     @property
     def finished(self) -> bool:
         with self._lock:
-            return self.state in TERMINAL_EVENTS
+            return self._state in TERMINAL_EVENTS
 
     # ------------------------------------------------------------------
     # Event log (bounded append; readers replay + follow via self.log)
@@ -88,9 +89,9 @@ class Job:
         the two locks are never held together."""
         with self._lock:
             if point.cached:
-                self.cached += 1
+                self._cached += 1
             else:
-                self.computed += 1
+                self._computed += 1
         self.append({
             "event": "lane",
             "index": index,
@@ -100,41 +101,63 @@ class Job:
             "result": point.result.to_dict(),
         })
 
-    def finish(self, receipt: Optional[Dict[str, Any]] = None) -> None:
-        """Terminal success: flip the state, then emit ``done`` carrying
-        the final counters (read under the lock, appended outside it)
-        and, when observability is on, the sweep's receipt."""
-        self.set_state("done")
-        with self._lock:
-            cached, computed = self.cached, self.computed
-        event = {"event": "done", "cached": cached,
-                 "computed": computed, "total": self.total}
-        if receipt is not None:
-            event["receipt"] = receipt
-        self.append(event)
-
     def set_state(self, state: str, error: Optional[str] = None) -> None:
         if state not in STATES:
             raise ValueError(f"unknown job state {state!r}")
         with self._lock:
-            self.state = state
-            self.error = error
+            self._state = state
+            self._error = error
 
     def snapshot(self) -> Dict[str, Any]:
         """The job's summary form (job listings and status polls)."""
         dropped = self.log.dropped
         with self._lock:
-            return {
-                "id": self.id,
-                "state": self.state,
-                "error": self.error,
-                "total": self.total,
-                "landed": self.cached + self.computed,
-                "cached": self.cached,
-                "computed": self.computed,
-                "created": self.created,
-                "dropped_events": dropped,
-            }
+            state, error = self._state, self._error
+            cached, computed = self._cached, self._computed
+        return {
+            "id": self.id,
+            "state": state,
+            "error": error,
+            "total": self.total,
+            "landed": cached + computed,
+            "cached": cached,
+            "computed": computed,
+            "created": self.created,
+            "dropped_events": dropped,
+        }
+
+
+class _JobRegistry:
+    """Jobs by id, behind one lock.  A finished job joins a FIFO, and
+    the oldest finished jobs past :data:`MAX_FINISHED_JOBS` are
+    forgotten; queued and running jobs are never."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._jobs: Dict[str, Job] = {}
+        self._finished: Deque[str] = deque()
+
+    def add(self, job: Job) -> None:
+        with self._lock:
+            self._jobs[job.id] = job
+
+    def get(self, job_id: str) -> Optional[Job]:
+        with self._lock:
+            return self._jobs.get(job_id)
+
+    def jobs(self) -> List[Job]:
+        with self._lock:
+            return list(self._jobs.values())
+
+    def retire(self, job_id: str) -> int:
+        """Record a finished job; returns how many jobs were evicted."""
+        with self._lock:
+            self._finished.append(job_id)
+            evicted = 0
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
+                evicted += 1
+            return evicted
 
 
 class JobManager:
@@ -147,9 +170,7 @@ class JobManager:
         self.session = session
         self.workers = workers
         self.max_events = max_events
-        self._lock = threading.Lock()
-        # lint: guarded_by(self._lock: registered/listed from any thread)
-        self._jobs: Dict[str, Job] = {}
+        self._registry = _JobRegistry()
         self._pool = ThreadPoolExecutor(max_workers=workers,
                                         thread_name_prefix="serve-job")
 
@@ -164,19 +185,16 @@ class JobManager:
                                   seed=spec.seed)
                      for spec in specs]
         job = Job(specs, options, max_events=self.max_events)
-        with self._lock:
-            self._jobs[job.id] = job
+        self._registry.add(job)
         obs.counter("repro_serve_jobs_total", state="queued").inc()
         self._pool.submit(self._run, job)
         return job
 
     def get(self, job_id: str) -> Optional[Job]:
-        with self._lock:
-            return self._jobs.get(job_id)
+        return self._registry.get(job_id)
 
     def jobs(self) -> List[Job]:
-        with self._lock:
-            return list(self._jobs.values())
+        return self._registry.jobs()
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)
@@ -198,8 +216,18 @@ class JobManager:
         except Exception:
             err = traceback.format_exc(limit=20)
             job.set_state("failed", error=err)
-            obs.counter("repro_serve_jobs_total", state="failed").inc()
-            job.append({"event": "failed", "error": err})
+            terminal = {"event": "failed", "error": err}
         else:
-            job.finish(receipt)
-            obs.counter("repro_serve_jobs_total", state="done").inc()
+            job.set_state("done")
+            snap = job.snapshot()
+            terminal = {"event": "done", "cached": snap["cached"],
+                        "computed": snap["computed"], "total": job.total}
+            if receipt is not None:
+                terminal["receipt"] = receipt
+        obs.counter("repro_serve_jobs_total", state=terminal["event"]).inc()
+        # retention is applied before the terminal event goes out, so a
+        # follower that saw it sees the registry as it now stands
+        evicted = self._registry.retire(job.id)
+        if evicted:
+            obs.counter("repro_serve_jobs_evicted_total").inc(evicted)
+        job.append(terminal)

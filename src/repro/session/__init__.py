@@ -24,12 +24,11 @@ from .session import (
     Session,
     default_session,
     session_from_env,
-    set_default_session,
 )
 
 __all__ = [
     "Session", "Scenario",
-    "default_session", "set_default_session", "session_from_env",
+    "default_session", "session_from_env",
     "ResultCache", "cache_key", "code_fingerprint", "module_fingerprint",
     "DEFAULT_CACHE_DIR", "FORMAT_VERSION", "InFlightRegistry",
 ]

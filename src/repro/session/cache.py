@@ -230,8 +230,41 @@ def module_fingerprint(source: str) -> str:
 #: hashes files instead of parsing them
 FINGERPRINT_MEMO = "fingerprint.json"
 
-_fingerprint_lock = threading.Lock()
-_fingerprint: Optional[str] = None
+
+class _Cell:
+    """One optional value behind one lock: the process's code
+    fingerprint, or a capped cache's running on-disk byte count (the
+    server's job threads share one cache; the flock in ``_writer_lock``
+    is inter-process and only covers compaction)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._value: Any = None
+
+    def get(self) -> Any:
+        with self._lock:
+            return self._value
+
+    def set(self, value: Any) -> None:
+        with self._lock:
+            self._value = value
+
+    def setdefault(self, value: Any) -> Any:
+        """Set an empty cell; the cell's value either way."""
+        with self._lock:
+            if self._value is None:
+                self._value = value
+            return self._value
+
+    def add(self, amount: int) -> Optional[int]:
+        """Advance a set count; the new count, or ``None`` if empty."""
+        with self._lock:
+            if self._value is not None:
+                self._value += amount
+            return self._value
+
+
+_FINGERPRINT = _Cell()
 
 
 def code_fingerprint(cache: Optional["ResultCache"] = None) -> str:
@@ -248,21 +281,17 @@ def code_fingerprint(cache: Optional["ResultCache"] = None) -> str:
     cache's :data:`FINGERPRINT_MEMO` supplies the digest of every module
     whose raw bytes it has seen, and a writable one is rewritten when
     the tree moved.  The memo never changes the value, only its cost.
+    Two threads that both find no value both compute it, outside any
+    lock; the tree hashes the same either way, and the first value stays.
     """
-    global _fingerprint
-    with _fingerprint_lock:
-        if _fingerprint is None:
-            _fingerprint = _compute_fingerprint(cache)
-        return _fingerprint
+    value = _FINGERPRINT.get()
+    if value is None:
+        value = _FINGERPRINT.setdefault(_compute_fingerprint(cache))
+    return value
 
 
-def _forget_fingerprint() -> None:
-    global _fingerprint
-    with _fingerprint_lock:
-        _fingerprint = None
-
-
-code_fingerprint.cache_clear = _forget_fingerprint  # type: ignore[attr-defined]
+code_fingerprint.cache_clear = (  # type: ignore[attr-defined]
+    lambda: _FINGERPRINT.set(None))
 
 
 def _compute_fingerprint(cache: Optional["ResultCache"]) -> str:
@@ -388,13 +417,8 @@ class ResultCache:
         # Running on-disk size estimate for capped caches: initialised by
         # one directory scan on the first write, then advanced per store,
         # so store() only rescans (via prune) when the cap is actually
-        # crossed instead of stat-ing every entry on every write.  The
-        # server's worker threads share one cache object, so the estimate
-        # gets its own in-process lock (the flock in _writer_lock is
-        # inter-process and only covers compaction).
-        self._approx_lock = threading.Lock()
-        # lint: guarded_by(self._approx_lock: advanced by concurrent stores)
-        self._approx_bytes: Optional[int] = None
+        # crossed instead of stat-ing every entry on every write.
+        self._size = _Cell()
 
     # ------------------------------------------------------------------
     @property
@@ -518,22 +542,17 @@ class ResultCache:
             blob = _npz_bytes(trace_arrays)
         self._write_pair(meta_path, npz_path, payload, blob)
         if self.max_bytes is not None:
-            with self._approx_lock:
-                if self._approx_bytes is None:
-                    # first capped write this process: one scan (covers
-                    # the entry just written and anything from earlier
-                    # processes)
-                    self._approx_bytes = self.size_bytes()
-                else:
-                    try:
-                        self._approx_bytes += (meta_path.stat().st_size
-                                               + npz_path.stat().st_size)
-                    except OSError:
-                        pass   # concurrently evicted; next prune rescans
-                need_prune = self._approx_bytes > self.max_bytes
-            # prune() takes the inter-process writer flock; never hold
-            # the in-process estimate lock across that wait
-            if need_prune:
+            try:
+                added = meta_path.stat().st_size + npz_path.stat().st_size
+            except OSError:
+                added = 0    # concurrently evicted; next prune rescans
+            total = self._size.add(added)
+            if total is None:
+                # first capped write this process: one scan (covers the
+                # entry just written and anything from earlier processes)
+                total = self.size_bytes()
+                self._size.set(total)
+            if total > self.max_bytes:
                 self.prune()
 
     @contextlib.contextmanager
@@ -722,8 +741,7 @@ class ResultCache:
                         pass
                 total -= size
                 removed += 1
-        with self._approx_lock:
-            self._approx_bytes = total   # the scan just measured the truth
+        self._size.set(total)   # the scan just measured the truth
         return removed
 
     def clear(self) -> int:
@@ -740,8 +758,7 @@ class ResultCache:
                     except OSError:
                         continue
                 removed += 1
-            with self._approx_lock:
-                self._approx_bytes = None
+            self._size.set(None)
         return removed
 
     def __repr__(self) -> str:

@@ -28,7 +28,6 @@ class InFlightRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # lint: guarded_by(self._lock: claimed/released from sweep threads)
         self._claims: Dict[str, threading.Event] = {}
 
     def claim(self, key: str) -> Optional[threading.Event]:
@@ -39,12 +38,10 @@ class InFlightRegistry:
         is published (or the attempt failed).  Otherwise returns the
         current owner's :class:`threading.Event` to wait on.
         """
+        event = threading.Event()
         with self._lock:
-            event = self._claims.get(key)
-            if event is None:
-                self._claims[key] = threading.Event()
-                return None
-            return event
+            owner = self._claims.setdefault(key, event)
+        return None if owner is event else owner
 
     def release(self, key: str) -> None:
         """Drop the claim on ``key`` and wake every waiter.  Idempotent:

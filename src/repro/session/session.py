@@ -13,7 +13,8 @@ One object owns the three execution policies of every simulation:
 >>> session = Session(workers=4, cache="readwrite")
 >>> points = session.sweep(sweep)          # cold: simulated, written back
 >>> points = session.sweep(sweep)          # hot: served from .repro_cache/
->>> session.cache_hits, session.cache_misses
+>>> stats = session.cache_stats()
+>>> stats["hits"], stats["misses"]
 (N, N)
 
 Experiment drivers (``run_fig6`` / ``run_fig7*`` / ``run_table1`` and the
@@ -43,6 +44,48 @@ R = TypeVar("R")
 
 #: anything Session.run/build accept as "one scenario"
 Scenario = Union[ScenarioSpec, SystemConfig, Mapping[str, Any]]
+
+
+#: the kernel/solver counters of a :class:`RunResult` that a session
+#: and a receipt sum over every landed lane
+_LANE_COUNTERS = ("solver_ticks", "events_delivered",
+                  "clock_edges_simulated", "clock_edges_skipped")
+#: the counters of :meth:`Session.cache_stats`: cache hits and misses,
+#: lanes served by waiting on a concurrent sweep's computation of the
+#: same key (a subset of the hits), sweeps, lanes and the lane totals
+_COUNTERS = ("hits", "misses", "inflight_waits", "sweeps",
+             "lanes") + _LANE_COUNTERS
+
+
+class _SessionStats:
+    """A session's cumulative counters and its most recent sweep's spans
+    and receipt, behind one lock.  Each method takes the lock, reads or
+    updates, and returns."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(_COUNTERS, 0)
+        self._spans: List[obs.Span] = []
+        self._receipt: Optional[Dict[str, Any]] = None
+
+    def add(self, **deltas: int) -> None:
+        with self._lock:
+            for name, delta in deltas.items():
+                self._counts[name] += delta
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
+
+    def publish(self, spans: List[obs.Span],
+                receipt: Optional[Dict[str, Any]]) -> None:
+        with self._lock:
+            self._spans = spans
+            self._receipt = receipt
+
+    def published(self) -> Tuple[List[obs.Span], Optional[Dict[str, Any]]]:
+        with self._lock:
+            return list(self._spans), self._receipt
 
 
 class Session:
@@ -118,44 +161,11 @@ class Session:
         self.max_lanes_per_shard = max_lanes_per_shard
         self.cache = self._resolve_cache(cache, cache_dir, cache_max_bytes)
         # Sessions are thread-shareable: the sweep server runs many jobs
-        # against one session, so counter updates take a lock and misses
-        # coordinate through the in-flight registry (each unique uncached
-        # key is computed by exactly one concurrent sweep).
-        self._counter_lock = threading.Lock()
-        #: scenarios served from / recomputed past the cache, cumulative
-        # lint: guarded_by(self._counter_lock: bumped by concurrent sweeps)
-        self.cache_hits = 0
-        # lint: guarded_by(self._counter_lock: bumped by concurrent sweeps)
-        self.cache_misses = 0
-        #: lanes served by waiting on a *concurrent* sweep's in-flight
-        #: computation of the same key (a subset of ``cache_hits``)
-        # lint: guarded_by(self._counter_lock: bumped by concurrent sweeps)
-        self.inflight_waits = 0
-        # Per-RunResult kernel/solver counters, aggregated per landed
-        # lane so stats pollers (GET /v1/stats) see sweep-wide totals
-        # without walking results.  Same lock as the cache counters:
-        # one acquisition snapshots everything consistently.
-        # lint: guarded_by(self._counter_lock: bumped per landed lane)
-        self.sweeps_total = 0
-        # lint: guarded_by(self._counter_lock: bumped per landed lane)
-        self.lanes_total = 0
-        # lint: guarded_by(self._counter_lock: bumped per landed lane)
-        self.solver_ticks_total = 0
-        # lint: guarded_by(self._counter_lock: bumped per landed lane)
-        self.events_delivered_total = 0
-        # lint: guarded_by(self._counter_lock: bumped per landed lane)
-        self.clock_edges_simulated_total = 0
-        # lint: guarded_by(self._counter_lock: bumped per landed lane)
-        self.clock_edges_skipped_total = 0
+        # against one session, so the counters live in a locked stats
+        # leaf and misses coordinate through the in-flight registry (each
+        # unique uncached key is computed by exactly one concurrent sweep).
+        self._stats = _SessionStats()
         self._inflight = InFlightRegistry()
-        # Observability artifacts of the most recent sweep (guarded by
-        # their own lock: a stats poller must never contend with the
-        # counter hot path).
-        self._obs_lock = threading.Lock()
-        # lint: guarded_by(self._obs_lock: published at sweep end)
-        self._last_spans: List[obs.Span] = []
-        # lint: guarded_by(self._obs_lock: published at sweep end)
-        self._last_receipt: Optional[Dict[str, Any]] = None
 
     @staticmethod
     def _resolve_cache(cache: Union[str, ResultCache, None],
@@ -209,26 +219,6 @@ class Session:
         [point] = self.sweep([self._as_spec(scenario)], settle=settle,
                              trace=trace)
         return point.result
-
-    def _count(self, hits: int = 0, misses: int = 0, waits: int = 0) -> None:
-        with self._counter_lock:
-            self.cache_hits += hits
-            self.cache_misses += misses
-            self.inflight_waits += waits
-        if waits:
-            obs.counter("repro_inflight_waits_total").inc(waits)
-
-    def _land_stats(self, result: RunResult) -> None:
-        """Fold one landed lane's kernel/solver counters into the
-        session aggregates (one lock acquisition; every landing path —
-        cache hit, fresh compute, in-flight wait, no-cache — funnels
-        through here exactly once per lane)."""
-        with self._counter_lock:
-            self.lanes_total += 1
-            self.solver_ticks_total += result.solver_ticks
-            self.events_delivered_total += result.events_delivered
-            self.clock_edges_simulated_total += result.clock_edges_simulated
-            self.clock_edges_skipped_total += result.clock_edges_skipped
 
     def sweep(self, specs: Specs, *, settle: Optional[float] = None,
               trace: bool = False, keep: bool = False,
@@ -292,7 +282,13 @@ class Session:
                     for i, point, waited in lanes:
                         points[i] = point
                         waits += waited
-                        self._land_stats(point.result)
+                        result = point.result
+                        self._stats.add(
+                            lanes=1, solver_ticks=result.solver_ticks,
+                            events_delivered=result.events_delivered,
+                            clock_edges_simulated=(
+                                result.clock_edges_simulated),
+                            clock_edges_skipped=result.clock_edges_skipped)
                         obs.counter(
                             "repro_lanes_total",
                             source="cache" if point.cached else "computed"
@@ -307,10 +303,9 @@ class Session:
                 clock.tick("finalize")
                 keys = ([p.key for p in points] if cache is not None
                         else None)
-                self._finish_receipt(tr, clock, spec_list, points, keys,
-                                     waits, lane_log)
-            with self._obs_lock:
-                self._last_spans = tr.spans()
+                receipt = self._finish_receipt(tr, clock, spec_list, points,
+                                               keys, waits, lane_log)
+            self._stats.publish(tr.spans(), receipt)
         obs.gauge("repro_workers").set(self.workers or 0)
         return points  # type: ignore[return-value]
 
@@ -336,8 +331,7 @@ class Session:
                 clock.tick(name)
 
         tick("plan")
-        with self._counter_lock:
-            self.sweeps_total += 1
+        self._stats.add(sweeps=1)
         obs.counter("repro_sweeps_total").inc()
         configs = [spec.to_config(trace=trace, **self.defaults)
                    for spec in spec_list]
@@ -373,7 +367,7 @@ class Session:
             if result is None:
                 todo.append(i)
             else:
-                self._count(hits=1)
+                self._stats.add(hits=1)
                 yield i, served(i, result), False
 
         while todo:
@@ -402,7 +396,7 @@ class Session:
                         waiters.append(i)
 
             tick("execute")
-            self._count(misses=len(leaders))
+            self._stats.add(misses=len(leaders))
             claimed = set(leaders)
             try:
                 lanes = self._simulate(
@@ -424,7 +418,7 @@ class Session:
                         yield i, SweepPoint(spec_list[i], configs[i], result,
                                             key=keys[i]), False
                         for dup in followers.get(i, ()):
-                            self._count(hits=1)
+                            self._stats.add(hits=1)
                             yield dup, served(dup, result), False
             finally:
                 # release the claims of lanes that never landed (mid-sweep
@@ -442,7 +436,8 @@ class Session:
                 if result is None:
                     todo.append(i)
                 else:
-                    self._count(hits=1, waits=1)
+                    self._stats.add(hits=1, inflight_waits=1)
+                    obs.counter("repro_inflight_waits_total").inc()
                     yield i, served(i, result), True
 
     def _simulate(self, spec_list: List[ScenarioSpec],
@@ -473,11 +468,8 @@ class Session:
         the sweep gets its own receipt race-free."""
         total = clock.stop()
         hits = sum(1 for p in points if p.cached)
-        counters = {"solver_ticks": 0, "events_delivered": 0,
-                    "clock_edges_simulated": 0, "clock_edges_skipped": 0}
-        for point in points:
-            for name in counters:
-                counters[name] += getattr(point.result, name)
+        counters = {name: sum(getattr(p.result, name) for p in points)
+                    for name in _LANE_COUNTERS}
         lanes = [{"index": i,
                   "spec": spec_list[i].name,
                   "key": keys[i] if keys is not None else None,
@@ -511,8 +503,6 @@ class Session:
             with obs.span("receipt.write", sweep_id=sweep_id):
                 obs.write_receipt(root, receipt)
         tr.receipt = receipt
-        with self._obs_lock:
-            self._last_receipt = receipt
         return receipt
 
     def last_receipt(self) -> Optional[Dict[str, Any]]:
@@ -520,14 +510,12 @@ class Session:
         with ``REPRO_OBS=off``): resolved-config hashes, code
         fingerprint, cache hit ratio, per-phase wall times, worker
         count, and artifact paths.  See README "Observability"."""
-        with self._obs_lock:
-            return self._last_receipt
+        return self._stats.published()[1]
 
     def last_trace_spans(self) -> List[obs.Span]:
         """The most recent sweep's spans (coordinator + adopted worker
         spans), empty with ``REPRO_OBS=off``."""
-        with self._obs_lock:
-            return list(self._last_spans)
+        return self._stats.published()[0]
 
     def last_trace_events(self) -> List[Dict[str, Any]]:
         """The most recent sweep's timeline as Chrome trace-event JSON
@@ -572,30 +560,14 @@ class Session:
         """Counters plus the cache location/mode, for logging and the
         sweep server's ``GET /v1/stats``.  *Every* counter — cache,
         in-flight, and the per-lane kernel/solver aggregates — is read
-        in one acquisition of the counter lock, so a stats poll racing a
+        in one acquisition of the stats lock, so a stats poll racing a
         sweep sees one consistent snapshot, never a hits/misses pair
         from two different moments."""
-        with self._counter_lock:
-            hits, misses = self.cache_hits, self.cache_misses
-            waits = self.inflight_waits
-            sweeps, lanes = self.sweeps_total, self.lanes_total
-            ticks = self.solver_ticks_total
-            delivered = self.events_delivered_total
-            edges_sim = self.clock_edges_simulated_total
-            edges_skip = self.clock_edges_skipped_total
-        return {
-            "hits": hits,
-            "misses": misses,
-            "inflight_waits": waits,
-            "mode": self.cache.mode if self.cache is not None else "off",
-            "root": str(self.cache.root) if self.cache is not None else None,
-            "sweeps": sweeps,
-            "lanes": lanes,
-            "solver_ticks": ticks,
-            "events_delivered": delivered,
-            "clock_edges_simulated": edges_sim,
-            "clock_edges_skipped": edges_skip,
-        }
+        stats: Dict[str, Any] = self._stats.snapshot()
+        stats["mode"] = self.cache.mode if self.cache is not None else "off"
+        stats["root"] = (str(self.cache.root) if self.cache is not None
+                         else None)
+        return stats
 
     def __repr__(self) -> str:
         cache = self.cache.mode if self.cache is not None else "off"
@@ -616,15 +588,6 @@ def default_session() -> Session:
     if _default is None:
         _default = Session()
     return _default
-
-
-def set_default_session(session: Optional[Session]) -> Optional[Session]:
-    """Replace the default session (``None`` resets to lazy re-creation);
-    returns the previous one."""
-    global _default
-    previous = _default
-    _default = session
-    return previous
 
 
 def session_from_env(backend: str = "vector") -> Session:

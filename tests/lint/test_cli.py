@@ -20,20 +20,22 @@ def test_list_rules_covers_the_whole_catalog(capsys):
 def test_retired_rules_are_not_listed(capsys):
     """The key, payload and job field sets are derived in code, and the
     cache reads an entry of another RunResult layout as a miss, so the
-    rules that policed hand-kept copies of them are gone."""
+    rules that policed hand-kept copies of them are gone; so are the
+    lock rules, now that every lock is a one-lock leaf class
+    (tests/test_lock_structure.py)."""
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("K01", "K02", "K03", "K04", "K05", "K06",
-                    "W01", "W02", "W03"):
+                    "W01", "W02", "W03", "L01", "L02", "L03"):
         assert rule_id not in out
 
 
 def test_explain_prints_the_catalog_entry(capsys):
-    assert main(["--explain", "L02"]) == 0
+    assert main(["--explain", "D05"]) == 0
     out = capsys.readouterr().out
-    assert "L02" in out
-    assert RULES["L02"].title in out
-    assert RULES["L02"].bad_example.strip().splitlines()[0] in out
+    assert "D05" in out
+    assert RULES["D05"].title in out
+    assert RULES["D05"].bad_example.strip().splitlines()[0] in out
 
 
 def test_explain_is_case_insensitive(capsys):
@@ -61,13 +63,6 @@ def test_clean_tree_exits_zero_with_summary(capsys):
 def test_quiet_suppresses_the_summary(capsys):
     assert main([SRC, "--quiet"]) == 0
     assert capsys.readouterr().out == ""
-
-
-def test_family_selection_is_honoured(capsys):
-    assert main([SRC, "--family", "determinism", "--family",
-                 "locks"]) == 0
-    out = capsys.readouterr().out
-    assert "families: determinism, locks" in out
 
 
 def test_json_report_written_to_file(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """The shared intra-procedural core: CFG shape, reaching definitions,
-held-lock stacks, and the taint lattice."""
+and the taint lattice."""
 
 import ast
 
@@ -7,8 +7,7 @@ import pytest
 
 from repro.lint.dataflow import (ALL_TAGS, ORDER_TAGS, TAG_LISTING, TAG_RNG,
                                  TAG_SET, TAG_TIME, FunctionFlow, CodeUnit,
-                                 collect_units, lock_name_of,
-                                 return_summaries)
+                                 collect_units, return_summaries)
 
 
 def _flow(src, name=None, summaries=None):
@@ -114,37 +113,6 @@ def test_with_as_binds_and_return_only_body_terminates():
         "        return guard\n")
     node = _node_at(flow, 3)
     assert [d.name for d in flow.defs_of(node.index, "guard")] == ["guard"]
-
-
-# ---------------------------------------------------------------------------
-# Held-lock stacks
-# ---------------------------------------------------------------------------
-def test_lock_names_filter_out_plain_resource_managers():
-    assert lock_name_of(ast.parse("self._lock", mode="eval").body) \
-        == "self._lock"
-    assert lock_name_of(ast.parse("self._cond", mode="eval").body) \
-        == "self._cond"
-    assert lock_name_of(
-        ast.parse("self._writer_lock()", mode="eval").body) \
-        == "self._writer_lock()"
-    assert lock_name_of(ast.parse("open(path)", mode="eval").body) is None
-    assert lock_name_of(
-        ast.parse("urllib.request.urlopen(u)", mode="eval").body) is None
-
-
-def test_held_stack_nests_and_releases():
-    flow = _flow(
-        "def f(self):\n"
-        "    a = 1\n"
-        "    with self._lock:\n"
-        "        b = 2\n"
-        "        with self._cond:\n"
-        "            c = 3\n"
-        "    d = 4\n")
-    assert _node_at(flow, 2).held_locks == ()
-    assert _node_at(flow, 4).held_locks == ("self._lock",)
-    assert _node_at(flow, 6).held_locks == ("self._lock", "self._cond")
-    assert _node_at(flow, 7).held_locks == ()
 
 
 # ---------------------------------------------------------------------------

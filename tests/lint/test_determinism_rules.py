@@ -12,7 +12,7 @@ GOOD = FIXTURES / "det" / "good.py"
 
 def _report(filename):
     config = LintConfig(root=FIXTURES / "det", scan_paths=(filename,))
-    return run_lint(config, families=("determinism",))
+    return run_lint(config)
 
 
 @pytest.fixture()
@@ -102,7 +102,7 @@ OBS_KEY = FIXTURES / "det" / "obs_key.py"
 def _obs_report(allow=False):
     config = LintConfig(root=FIXTURES / "det", scan_paths=("obs_key.py",),
                         wallclock_modules=(("obs_key.py",) if allow else ()))
-    return run_lint(config, families=("determinism",))
+    return run_lint(config)
 
 
 class TestD06AndWallclockAllowlist:
@@ -148,5 +148,5 @@ class TestD06AndWallclockAllowlist:
         root = REPO / "src" / "repro"
         config = LintConfig(root=root, scan_paths=("obs",))
         assert "obs" in LintConfig().wallclock_modules
-        report = run_lint(config, families=("determinism",))
+        report = run_lint(config)
         assert report.clean, [f.render() for f in report.findings]

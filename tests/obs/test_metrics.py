@@ -22,7 +22,7 @@ class TestInstruments:
         c = reg.counter("jobs_total", "jobs")
         c.inc()
         c.inc(2)
-        assert c.value == 3
+        assert c.snapshot() == 3
 
     def test_counter_rejects_negative(self, reg):
         with pytest.raises(ValueError):
@@ -33,15 +33,16 @@ class TestInstruments:
         g.set(4)
         g.dec()
         g.inc(2)
-        assert g.value == 5
+        assert g.snapshot() == 5
 
     def test_histogram_buckets_fixed_and_cumulative_sum(self, reg):
         h = reg.histogram("lat", buckets=(0.1, 1.0))
         for v in (0.05, 0.5, 5.0):
             h.observe(v)
-        assert h.bucket_counts == [1, 1, 1]
-        assert h.count == 3
-        assert h.total == pytest.approx(5.55)
+        snap = h.snapshot()
+        assert snap["buckets"] == [1, 1, 1]
+        assert snap["count"] == 3
+        assert snap["sum"] == pytest.approx(5.55)
 
     def test_labels_key_distinct_series(self, reg):
         reg.counter("loads", outcome="hit").inc(3)

@@ -143,7 +143,8 @@ def test_adaptive_workers_and_cache_bit_identical(tmp_path):
     hot_w2 = Session(cache="readwrite", cache_dir=str(tmp_path),
                      workers=2)
     served = hot_w2.sweep(sweep)
-    assert hot_w2.cache_hits == len(served) and hot_w2.cache_misses == 0
+    stats = hot_w2.cache_stats()
+    assert stats["hits"] == len(served) and stats["misses"] == 0
     sharded = Session(cache="off", workers=2).sweep(sweep)
     assert _results(cold) == _results(served) == _results(sharded)
 
@@ -159,7 +160,8 @@ def test_fixed_and_adaptive_never_share_a_cache_entry(tmp_path):
     adaptive = warm.run(spec)
     fixed_session = Session(cache="readwrite", cache_dir=str(tmp_path))
     fixed = fixed_session.run(spec)
-    assert fixed_session.cache_misses == 1 and fixed_session.cache_hits == 0
+    stats = fixed_session.cache_stats()
+    assert stats["misses"] == 1 and stats["hits"] == 0
     assert fixed.solver_ticks > 3 * adaptive.solver_ticks
 
 

@@ -21,7 +21,9 @@ import pytest
 from repro import obs
 from repro.scenarios import ScenarioSpec, Sweep
 from repro.serve import ApiKeyAuth, ServeClient, ServeError, SweepServer
+from repro.serve import jobs as jobs_module
 from repro.serve import server as server_module
+from repro.serve.client import main as client_main
 from repro.serve.server import MAX_BODY_BYTES
 from repro.session import Session
 from repro.sim import NS, US
@@ -74,11 +76,11 @@ class TestAcceptance:
 
         # exactly one simulation per unique config, provable by counters
         session = server.session
-        assert session.cache_misses == 7
-        assert session.cache_hits == 1
+        assert session.cache_stats()["misses"] == 7
+        assert session.cache_stats()["hits"] == 1
         # the overlap lane was either served from the finished entry or
         # waited on the other job's in-flight compute — never recomputed
-        assert session.inflight_waits <= 1
+        assert session.cache_stats()["inflight_waits"] <= 1
 
         # one SSE event per lane, every index exactly once
         for slot, sweep in enumerate(sweeps):
@@ -110,7 +112,7 @@ class TestAcceptance:
         spec = ScenarioSpec(name="dup", overrides=dict(BASE, l_uh=1.0))
         snapshot = client.submit(specs=[spec, spec], track_energy=False)
         lanes = client.wait(snapshot["id"])
-        assert server.session.cache_misses == 1
+        assert server.session.cache_stats()["misses"] == 1
         final = client.job(snapshot["id"])
         assert (final["computed"], final["cached"]) == (1, 1)
         assert lanes[0]["run"].to_dict() == lanes[1]["run"].to_dict()
@@ -122,10 +124,10 @@ class TestRoutes:
         [lane] = client.run_sweep(
             specs=[ScenarioSpec(name="one", overrides=dict(BASE))],
             track_energy=False)
-        misses_before = server.session.cache_misses
+        misses_before = server.session.cache_stats()["misses"]
         fetched = client.result(lane["key"])
         assert fetched.to_dict() == lane["run"].to_dict()
-        assert server.session.cache_misses == misses_before
+        assert server.session.cache_stats()["misses"] == misses_before
 
     def test_kept_alive_connection_does_not_stall(self, server):
         """Headers and body go out in two writes; with Nagle on, each
@@ -313,11 +315,15 @@ class TestObservability:
         assert stats_hits and stats_hits[0] >= 1
 
 
-def _rejected(server) -> dict:
-    """``repro_serve_rejected_total`` by reason, scraped from
-    ``/v1/metrics``."""
+def _metrics(server) -> dict:
+    """The server's ``/v1/metrics`` samples by series."""
     with urllib.request.urlopen(server.url + "/v1/metrics") as resp:
-        samples = obs.parse_prometheus_text(resp.read().decode("utf-8"))
+        return obs.parse_prometheus_text(resp.read().decode("utf-8"))
+
+
+def _rejected(server) -> dict:
+    """``repro_serve_rejected_total`` by reason."""
+    samples = _metrics(server)
     prefix = 'repro_serve_rejected_total{reason="'
     return {series[len(prefix):-2]: value
             for series, value in samples.items()
@@ -426,3 +432,74 @@ class TestRequestBounds:
                     client.result(bad)
                 assert err.value.code == 400, bad
             assert _rejected(srv)["bad_key"] >= 5
+
+
+class TestJobRetention:
+    def test_oldest_finished_jobs_are_evicted_past_the_bound(
+            self, server, monkeypatch):
+        """With room for two finished jobs, finishing a third forgets
+        the oldest (404 on its snapshot and its events, counted), while
+        a job still running is never evicted."""
+        # perfbench samples the server's RSS after 20 jobs
+        assert jobs_module.MAX_FINISHED_JOBS >= 20
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+        gate = threading.Event()
+        sweep = server.session.sweep
+
+        def held_sweep(specs, **kwargs):
+            if specs[0].name == "held":
+                assert gate.wait(60), "held job never released"
+            return sweep(specs, **kwargs)
+
+        monkeypatch.setattr(server.session, "sweep", held_sweep)
+        before = _metrics(server)["repro_serve_jobs_evicted_total"]
+        client = ServeClient(server.url)
+        held = client.submit(
+            specs=[ScenarioSpec(name="held", overrides=dict(BASE))],
+            track_energy=False)["id"]
+        quick = []
+        for _ in range(3):
+            job_id = client.submit(sweep=_grid("q", [1e8], [1.0]),
+                                   track_energy=False)["id"]
+            client.wait(job_id)
+            quick.append(job_id)
+        for path in (f"/v1/jobs/{quick[0]}", f"/v1/jobs/{quick[0]}/events"):
+            with pytest.raises(ServeError) as err:
+                client._json(path)
+            assert err.value.code == 404
+        assert [client.job(j)["state"] for j in quick[1:]] == ["done"] * 2
+        assert client.job(held)["state"] == "running"
+        assert _metrics(server)["repro_serve_jobs_evicted_total"] \
+            == before + 1
+        gate.set()
+        client.wait(held)
+        with pytest.raises(ServeError) as err:
+            client.job(quick[1])
+        assert err.value.code == 404
+        assert {job["id"] for job in client.jobs()} == {quick[2], held}
+        assert _metrics(server)["repro_serve_jobs_evicted_total"] \
+            == before + 2
+
+
+class TestClientCli:
+    def test_follow_prints_every_event_of_a_finished_job(self, server,
+                                                         capsys):
+        client = ServeClient(server.url)
+        job_id = client.submit(sweep=_grid("cli", [1e8], [1.0, 4.7]),
+                               track_energy=False)["id"]
+        client.wait(job_id)
+        capsys.readouterr()
+        assert client_main(["--url", server.url, "follow", job_id]) == 0
+        events = [json.loads(line)
+                  for line in capsys.readouterr().out.splitlines()]
+        assert [e["event"] for e in events] == \
+            ["start", "lane", "lane", "done"]
+        assert sorted(e["index"] for e in events[1:3]) == [0, 1]
+        # JSON lines carry the wire payload, not the decoded RunResult
+        assert all("run" not in e for e in events)
+        assert RunResult.from_dict(events[1]["result"]) == \
+            client.result(events[1]["key"])
+
+    def test_follow_of_an_unknown_job_exits_one(self, server, capsys):
+        assert client_main(["--url", server.url, "follow", "deadbeef"]) == 1
+        assert "HTTP 404" in capsys.readouterr().err

@@ -66,9 +66,9 @@ class TestConcurrentSweeps:
         # 3 unique configs -> exactly 3 simulations, however the two
         # sweeps interleaved; the other 3 lanes were hits (either plain
         # cache hits or in-flight waits, both counted as hits)
-        assert session.cache_misses == 3
-        assert session.cache_hits == 3
-        assert session.inflight_waits <= 3
+        assert session.cache_stats()["misses"] == 3
+        assert session.cache_stats()["hits"] == 3
+        assert session.cache_stats()["inflight_waits"] <= 3
         a, b = results
         assert [p.result.to_dict() for p in a] == \
             [p.result.to_dict() for p in b]
@@ -97,8 +97,8 @@ class TestConcurrentSweeps:
         assert not thread.is_alive()
         assert points[0].cached and points[0].key == key
         assert points[0].result.to_dict() == result.to_dict()
-        assert session.inflight_waits == 1
-        assert session.cache_misses == 0
+        assert session.cache_stats()["inflight_waits"] == 1
+        assert session.cache_stats()["misses"] == 0
 
     def test_waiter_recomputes_when_owner_fails(self, tmp_path):
         # the owner releases without storing (mid-sweep failure): the
@@ -118,7 +118,7 @@ class TestConcurrentSweeps:
         thread.join(timeout=300)
         assert not thread.is_alive()
         assert not points[0].cached
-        assert session.cache_misses == 1
+        assert session.cache_stats()["misses"] == 1
         # the fallback still writes back for the next caller
         assert session.cache.load(key) is not None
 
@@ -140,9 +140,9 @@ class TestConcurrentSweeps:
         assert [p.key for p in points] == [key, key]
         assert [p.cached for p in points] == [False, True]
         assert points[0].result == points[1].result
-        assert session.cache_misses == 1
-        assert session.cache_hits == 1
-        assert session.inflight_waits == 0
+        assert session.cache_stats()["misses"] == 1
+        assert session.cache_stats()["hits"] == 1
+        assert session.cache_stats()["inflight_waits"] == 0
 
 
 class TestOnResult:

@@ -16,6 +16,11 @@ from repro.sim import NS, US
 from repro.system import RunResult
 
 
+def _hits_misses(session):
+    stats = session.cache_stats()
+    return stats["hits"], stats["misses"]
+
+
 def _spec(name="s", **overrides):
     overrides.setdefault("controller", "async")
     overrides.setdefault("l_uh", 4.7)
@@ -84,9 +89,9 @@ class TestCachingSemantics:
         session = _session(tmp_path)
         specs = _grid()
         cold = session.sweep(specs)
-        assert (session.cache_hits, session.cache_misses) == (0, 4)
+        assert _hits_misses(session) == (0, 4)
         hot = session.sweep(specs)
-        assert (session.cache_hits, session.cache_misses) == (4, 4)
+        assert _hits_misses(session) == (4, 4)
         for a, b in zip(cold, hot):
             assert b.result == a.result      # dataclass eq: exact floats
             assert b.handle is None
@@ -97,8 +102,8 @@ class TestCachingSemantics:
         for workers in (1, 2):
             hot_session = _session(tmp_path, workers=workers)
             hot = hot_session.sweep(specs)
-            assert hot_session.cache_hits == len(specs)
-            assert hot_session.cache_misses == 0
+            assert hot_session.cache_stats()["hits"] == len(specs)
+            assert hot_session.cache_stats()["misses"] == 0
             assert [p.result for p in hot] == [p.result for p in cold]
 
     def test_parallel_cold_run_writes_back_per_lane(self, tmp_path):
@@ -111,7 +116,7 @@ class TestCachingSemantics:
         _session(tmp_path).sweep(specs[:2])
         session = _session(tmp_path)
         points = session.sweep(specs)
-        assert (session.cache_hits, session.cache_misses) == (2, 2)
+        assert _hits_misses(session) == (2, 2)
         assert [p.spec.name for p in points] == [s.name for s in specs]
 
     def test_hits_actually_come_from_disk(self, tmp_path):
@@ -127,18 +132,18 @@ class TestCachingSemantics:
         # cache="off" ignores the poisoned entry and recomputes
         off = Session(cache="off")
         assert off.run(spec) == genuine
-        assert (off.cache_hits, off.cache_misses) == (0, 0)
+        assert _hits_misses(off) == (0, 0)
 
     def test_readonly_serves_hits_but_never_writes(self, tmp_path):
         specs = _grid(2)
         _session(tmp_path).sweep([specs[0]])
         session = _session(tmp_path, cache="readonly")
         session.sweep(specs)
-        assert (session.cache_hits, session.cache_misses) == (1, 1)
+        assert _hits_misses(session) == (1, 1)
         assert len(session.cache) == 1      # the miss was not written back
         rerun = _session(tmp_path, cache="readonly")
         rerun.sweep(specs)
-        assert (rerun.cache_hits, rerun.cache_misses) == (1, 1)
+        assert _hits_misses(rerun) == (1, 1)
 
     def test_code_fingerprint_change_invalidates(self, tmp_path, monkeypatch):
         specs = _grid(2)
@@ -147,7 +152,7 @@ class TestCachingSemantics:
                             lambda: "f" * 16)
         session = _session(tmp_path)
         session.sweep(specs)
-        assert (session.cache_hits, session.cache_misses) == (0, 2)
+        assert _hits_misses(session) == (0, 2)
 
     def test_keep_bypasses_the_cache(self, tmp_path):
         session = _session(tmp_path)
@@ -155,7 +160,7 @@ class TestCachingSemantics:
         session.run(spec)                    # populate
         points = session.sweep([spec], trace=True, keep=True)
         assert points[0].handle is not None
-        assert session.cache_hits == 0       # keep never consulted it
+        assert session.cache_stats()["hits"] == 0   # keep never consulted it
 
     def test_settle_and_track_energy_cache_separately(self, tmp_path):
         session = _session(tmp_path)
@@ -163,8 +168,8 @@ class TestCachingSemantics:
         session.run(spec)
         session.sweep([spec], track_energy=False)
         session.sweep([spec], settle=0.0)
-        assert session.cache_misses == 3
-        assert session.cache_hits == 0
+        assert session.cache_stats()["misses"] == 3
+        assert session.cache_stats()["hits"] == 0
 
     def test_cache_stats_shape(self, tmp_path):
         session = _session(tmp_path)
@@ -196,7 +201,7 @@ class TestCachingSemantics:
         session.run(_spec())
         again = Session(cache_dir=str(root))
         again.run(_spec())
-        assert (again.cache_hits, again.cache_misses) == (1, 0)
+        assert _hits_misses(again) == (1, 0)
         monkeypatch.setenv("REPRO_CACHE", "off")
         assert Session(cache_dir=str(root)).cache is None
 
@@ -233,12 +238,12 @@ class TestTracedSweeps:
         specs = _grid()
         cold_session = _session(tmp_path)
         cold = cold_session.sweep(specs, trace=True)
-        assert cold_session.cache_misses == len(specs)
+        assert cold_session.cache_stats()["misses"] == len(specs)
         for workers in (1, 2):
             hot_session = _session(tmp_path, workers=workers)
             hot = hot_session.sweep(specs, trace=True)
-            assert hot_session.cache_hits == len(specs)
-            assert hot_session.cache_misses == 0
+            assert hot_session.cache_stats()["hits"] == len(specs)
+            assert hot_session.cache_stats()["misses"] == 0
             for a, b in zip(cold, hot):
                 assert b.result.trace == a.result.trace
                 assert b.result == a.result
@@ -249,11 +254,11 @@ class TestTracedSweeps:
         _session(tmp_path).sweep([spec])              # untraced entry
         session = _session(tmp_path)
         [point] = session.sweep([spec], trace=True)   # must re-simulate
-        assert (session.cache_hits, session.cache_misses) == (0, 1)
+        assert _hits_misses(session) == (0, 1)
         assert point.result.trace is not None
         rerun = _session(tmp_path)
         [hot] = rerun.sweep([spec], trace=True)       # upgraded entry hits
-        assert (rerun.cache_hits, rerun.cache_misses) == (1, 0)
+        assert _hits_misses(rerun) == (1, 0)
         assert hot.result.trace == point.result.trace
 
     def test_untraced_hit_on_traced_entry_strips_the_trace(self, tmp_path):
@@ -261,7 +266,7 @@ class TestTracedSweeps:
         _session(tmp_path).sweep([spec], trace=True)
         session = _session(tmp_path)
         [point] = session.sweep([spec])
-        assert session.cache_hits == 1
+        assert session.cache_stats()["hits"] == 1
         assert point.result.trace is None
         assert point.result == Session().run(spec)    # fresh untraced run
 
@@ -276,7 +281,7 @@ class TestTracedSweeps:
         assert cold.result.trace is None      # override won at execution
         hot_session = _session(tmp_path)
         [hot] = hot_session.sweep([spec], trace=True)
-        assert (hot_session.cache_hits, hot_session.cache_misses) == (1, 0)
+        assert _hits_misses(hot_session) == (1, 0)
         assert hot.result == cold.result
 
     def test_traced_config_request_is_cold_hot_symmetric(self, tmp_path):
@@ -287,7 +292,7 @@ class TestTracedSweeps:
         assert cold.trace is not None
         hot_session = _session(tmp_path)
         hot = hot_session.run(config)
-        assert hot_session.cache_hits == 1
+        assert hot_session.cache_stats()["hits"] == 1
         assert hot.trace == cold.trace
         assert hot == cold
 
@@ -309,15 +314,15 @@ class TestFig7aQuickGridAcceptance:
 
         cold_session = _session(tmp_path)
         cold = run_fig7a(quick=True, session=cold_session)
-        n_specs = cold_session.cache_misses
+        n_specs = cold_session.cache_stats()["misses"]
         assert n_specs == 20                  # 5 controllers x 4 coils
-        assert cold_session.cache_hits == 0
+        assert cold_session.cache_stats()["hits"] == 0
 
         for workers in (1, 2):
             hot_session = _session(tmp_path, workers=workers)
             hot = run_fig7a(quick=True, session=hot_session)
             # hit counter equals spec count; nothing recomputed
-            assert hot_session.cache_hits == n_specs
-            assert hot_session.cache_misses == 0
+            assert hot_session.cache_stats()["hits"] == n_specs
+            assert hot_session.cache_stats()["misses"] == 0
             # bit-identical to the cold run
             assert hot.series == cold.series

@@ -125,7 +125,7 @@ class TestTraceExport:
             [spec], trace=True)
         hot = Session(cache="readwrite", cache_dir=cache_dir)
         [point] = hot.sweep([spec], trace=True)
-        assert hot.cache_hits == 1           # served from disk
+        assert hot.cache_stats()["hits"] == 1   # served from disk
         vcd_path = tmp_path / "run.vcd"
         point.result.trace.to_vcd(str(vcd_path))
         text = vcd_path.read_text()
