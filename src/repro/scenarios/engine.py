@@ -193,17 +193,17 @@ class VectorBatch:
                 f"window")
         solver, stage = self.solver, self.stage
         t0 = solver.now
-        loss0 = stage.coil_loss_j.sum(axis=1).copy()
+        loss0 = stage.coil_losses_j()
         peak_startup = np.zeros(self.n_lanes)
         if settle > 0:
             solver.advance_to(t0 + settle)
             peak_startup = solver.peak_coil_current()
             solver.reset_measurements()
-            loss0 = stage.coil_loss_j.sum(axis=1).copy()
+            loss0 = stage.coil_losses_j()
         solver.advance_to(t0 + duration)
 
         span = duration - settle
-        loss_w = ((stage.coil_loss_j.sum(axis=1) - loss0) / span
+        loss_w = ((stage.coil_losses_j() - loss0) / span
                   if span > 0 else np.zeros(self.n_lanes))
         ripple = solver.ripple()
         peak = np.maximum(peak_startup, solver.peak_coil_current())

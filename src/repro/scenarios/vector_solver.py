@@ -3,13 +3,23 @@
 :class:`VectorizedSolver` replaces N per-lane solver tick events (the hot
 path of the scalar :class:`~repro.analog.solver.AnalogSolver`) with one
 array step per ``dt``: advance the :class:`VectorizedPowerStage`, update
-per-lane waveform statistics, and evaluate every lane's comparators as
-one array comparison.  Only actual threshold crossings fall back to
-per-lane Python work — the crossing instant is interpolated inside the
-step (exactly like the scalar :class:`~repro.analog.sensors.Comparator`)
-and the output edge is scheduled on *that lane's* discrete-event
-simulator, where the lane's controller reacts through the ordinary
-event-driven machinery.
+per-lane waveform statistics, and evaluate every lane's comparators in
+the :class:`VectorComparatorBank`.  Only actual threshold crossings fall
+back to per-lane Python work — the crossing instant is interpolated
+inside the step (exactly like the scalar
+:class:`~repro.analog.sensors.Comparator`) and the output edge is
+scheduled on *that lane's* discrete-event simulator, where the lane's
+controller reacts through the ordinary event-driven machinery.
+
+The arrays follow the stage's phase-major layout, lanes on the last
+axis: the bank keeps its comparators as ``(C, N)`` rows and compares
+them in four blocks (hl+uv, ov, oc, zc) directly against the stage's
+``(P + 1, N)`` state rows; the crossing interpolation reads the
+previous sample from the stage's swapped-out state buffer; the running
+extrema are two ``(P + 1, N)`` arrays; the adaptive planner's crossing
+scan is one ``(C + P, N)`` matrix.  Per-lane code (the clock-gating
+bound, OV-mode threshold swaps, the trace recorder) reads ``(N, C)`` /
+``(N, P)`` ``.T`` views.
 
 With adaptive stepping every lane advances on its own error-controlled
 grid.  Each iteration plans all lanes' step ends with array operations
@@ -99,18 +109,23 @@ class LaneSensors:
 
 
 class VectorComparatorBank:
-    """All comparators of all lanes as ``(N, C)`` arrays.
+    """All comparators of all lanes, stored comparator-major.
 
-    ``C = 3 + 2 * n_phases`` columns: ``hl, uv, ov, oc_0..oc_{P-1},
-    zc_0..zc_{P-1}``.  Thresholds, hysteresis, state, and previous samples
-    live in arrays; output edges are scheduled on each lane's simulator
-    with the scalar model's sub-step crossing interpolation.
+    ``C = 3 + 2 * n_phases`` comparators in column order ``hl, uv, ov,
+    oc_0..oc_{P-1}, zc_0..zc_{P-1}``.  Thresholds, hysteresis, state and
+    the active trip levels live in C-contiguous ``(C, N)`` arrays, so a
+    sample compares the stage's phase-major state rows against whole
+    comparator blocks; per-lane code reads the ``(N, C)`` ``.T`` views
+    :attr:`threshold`, :attr:`hysteresis` and :attr:`state`.  Output
+    edges are scheduled on each lane's simulator with the scalar model's
+    sub-step crossing interpolation.
     """
 
     def __init__(self, sims: Sequence[Simulator],
                  configs: Sequence[SystemConfig], n_phases: int):
         n = len(sims)
         c = V_COLS + 2 * n_phases
+        p = n_phases
         self.sims = list(sims)
         self.n_lanes = n
         self.n_phases = n_phases
@@ -118,16 +133,18 @@ class VectorComparatorBank:
         self.refs: List[BuckReferences] = [
             cfg.refs or BuckReferences() for cfg in configs]
 
-        self.threshold = np.empty((n, c))
-        self.hysteresis = np.empty((n, c))
+        self._threshold = np.empty((c, n))
+        self._hysteresis = np.empty((c, n))
+        self.threshold = self._threshold.T
+        self.hysteresis = self._hysteresis.T
         #: polarity per column: output high while quantity above threshold
         self.dir_above = np.zeros(c, dtype=bool)
         self.dir_above[2] = True                      # ov
-        self.dir_above[V_COLS:V_COLS + n_phases] = True   # oc
+        self.dir_above[V_COLS:V_COLS + p] = True      # oc
         for i, r in enumerate(self.refs):
             self.threshold[i, :V_COLS] = (r.v_min, r.v_ref, r.v_max)
-            self.threshold[i, V_COLS:V_COLS + n_phases] = r.i_max
-            self.threshold[i, V_COLS + n_phases:] = r.i_0
+            self.threshold[i, V_COLS:V_COLS + p] = r.i_max
+            self.threshold[i, V_COLS + p:] = r.i_0
             self.hysteresis[i, :V_COLS] = r.v_hyst
             self.hysteresis[i, V_COLS:] = r.i_hyst
 
@@ -136,42 +153,35 @@ class VectorComparatorBank:
         self.noise = [cfg.sensor_noise for cfg in configs]
         self._noise_lanes = [i for i, sigma in enumerate(self.noise) if sigma]
 
-        self.state = np.zeros((n, c), dtype=bool)
+        self._state = np.zeros((c, n), dtype=bool)
+        self.state = self._state.T
         self._prev_t: Optional[float] = None
-        # double-buffered sample matrices with pre-created views (column
-        # blocks for the fill and the per-polarity comparisons)
-        self._bufs = [np.empty((n, c)), np.empty((n, c))]
-        p = n_phases
-        self._buf_views = [
-            (b, b[:, :V_COLS], b[:, V_COLS:V_COLS + p], b[:, V_COLS + p:],
-             b[:, :2], b[:, 2:V_COLS + p])
-            for b in self._bufs
-        ]
-        self._cur = 0
-        self._prev_x = self._bufs[1]
+        #: the state row each column samples: v_out (row P) for hl, uv and
+        #: ov, phase k's current (row k) for oc_k and zc_k
+        self._src_row = [p] * V_COLS + list(range(p)) * 2
         # hysteresis always widens the high region: the latched trip level
         # is threshold-hyst for ABOVE comparators, threshold+hyst for BELOW
-        self._hyst_eff = np.where(self.dir_above[None, :],
-                                  -self.hysteresis, self.hysteresis)
-        self._level_on = self.threshold + self._hyst_eff
+        above = self.dir_above[:, None]
+        self._hyst_eff = np.where(above, -self._hysteresis, self._hysteresis)
+        self._level_on = self._threshold + self._hyst_eff
         # The scalar hold decision is non-strict (``x >= level`` for ABOVE,
         # ``x <= level`` for BELOW) while the trip decision is strict.  A
         # single strict comparison serves both by nudging the latched
         # level one ulp toward the held region: x >= L  <=>  x > pred(L).
-        self._adj_dir = np.where(self.dir_above[None, :], -np.inf, np.inf)
+        self._adj_dir = np.where(above, -np.inf, np.inf)
         self._adj_on = np.nextafter(self._level_on, self._adj_dir)
         self._dirty = False
         # active strict-comparison level per comparator; maintained
         # incrementally (changes only on state flips and threshold swaps)
-        self._level = self.threshold.copy()
-        self._cmp = np.empty((n, c), dtype=bool)
-        self._b2 = np.empty((n, c), dtype=bool)
-        self._lvl_low = self._level[:, :2]
-        self._lvl_abv = self._level[:, 2:V_COLS + p]
-        self._lvl_zc = self._level[:, V_COLS + p:]
-        self._cmp_low = self._cmp[:, :2]
-        self._cmp_abv = self._cmp[:, 2:V_COLS + p]
-        self._cmp_zc = self._cmp[:, V_COLS + p:]
+        self._level = self._threshold.copy()
+        self._cmp = np.empty((c, n), dtype=bool)
+        self._changed = np.empty((c, n), dtype=bool)
+        # comparison blocks: hl+uv (BELOW v_out), ov (ABOVE v_out), oc
+        # (ABOVE the currents), zc (BELOW the currents)
+        blocks = (slice(0, 2), 2, slice(V_COLS, V_COLS + p),
+                  slice(V_COLS + p, c))
+        self._lvl_blocks = tuple(self._level[b] for b in blocks)
+        self._cmp_blocks = tuple(self._cmp[b] for b in blocks)
 
         names = (["hl", "uv", "ov"]
                  + [f"oc{k}" for k in range(n_phases)]
@@ -189,31 +199,31 @@ class VectorComparatorBank:
     def refresh_levels(self) -> None:
         """Rebuild the active strict-comparison levels (noiseless path;
         noisy lanes re-derive their levels on every sample instead)."""
-        np.add(self.threshold, self._hyst_eff, out=self._level_on)
+        np.add(self._threshold, self._hyst_eff, out=self._level_on)
         np.nextafter(self._level_on, self._adj_dir, out=self._adj_on)
         level = self._level
-        np.copyto(level, self.threshold)
-        np.copyto(level, self._adj_on, where=self.state)
+        np.copyto(level, self._threshold)
+        np.copyto(level, self._adj_on, where=self._state)
         self._dirty = False
 
     # ------------------------------------------------------------------
-    def sample(self, t, v_out: np.ndarray, currents: np.ndarray,
-               active: Optional[np.ndarray] = None) -> None:
+    def sample(self, t, x: np.ndarray, prev: np.ndarray,
+               active: Optional[np.ndarray] = None,
+               _lt=np.less, _gt=np.greater, _ne=np.not_equal,
+               _and=np.logical_and, _count=np.count_nonzero) -> None:
         """Evaluate every comparator at time ``t`` (one solver step).
 
-        ``t`` is a scalar in lock-step operation or an ``(N,)`` array of
-        per-lane sample times (adaptive stepping).  ``active`` masks the
-        lanes that actually advanced this iteration: inactive lanes are
+        ``x`` is the stage's ``(P + 1, N)`` state (phase-current rows,
+        then the ``v_out`` row) and ``prev`` the state at the previous
+        sample (:attr:`VectorizedPowerStage.prev_state`), read only where
+        a comparator flipped, to interpolate its crossing.  ``t`` is a
+        scalar in lock-step operation or an ``(N,)`` array of per-lane
+        sample times (adaptive stepping).  ``active`` masks the lanes
+        that actually advanced this iteration: inactive lanes are
         excluded from noise draws and edge detection, so a lane's jitter
         stream and edge history stay pure functions of its own steps.
         """
-        cur = self._cur
-        x, xv, xoc, xzc, xlow, xabv = self._buf_views[cur]
-        xv[:] = v_out[:, None]
-        xoc[:] = currents
-        xzc[:] = currents
-
-        state = self.state
+        state = self._state
         if self._noise_lanes:
             rows = [i for i in self._noise_lanes
                     if active is None or active[i]]
@@ -222,8 +232,8 @@ class VectorComparatorBank:
             lanes = [(self.sims[i].rng.gauss, self.noise[i]) for i in rows]
             draws = [gauss(0.0, sigma) for gauss, sigma in lanes
                      for _ in range(self.n_cols)]
-            th = self.threshold.copy()
-            th[rows] += np.reshape(draws, (len(rows), self.n_cols))
+            th = self._threshold.copy()
+            th[:, rows] += np.reshape(draws, (len(rows), self.n_cols)).T
             # write through self._level so the block views stay coherent
             level = self._level
             np.copyto(level, th)
@@ -231,50 +241,51 @@ class VectorComparatorBank:
                       where=state)
         elif self._dirty:
             self.refresh_levels()
-            level = self._level
-        else:
-            level = self._level
-        # One strict comparison per polarity block decides trip AND hold
-        # (held entries compare against the ulp-nudged level; the ABOVE
-        # columns ov, oc_0..oc_{P-1} are contiguous by construction).
-        cmp_ = self._cmp
-        np.less(xlow, self._lvl_low, out=self._cmp_low)          # hl, uv
-        np.greater(xabv, self._lvl_abv, out=self._cmp_abv)       # ov, oc
-        np.less(xzc, self._lvl_zc, out=self._cmp_zc)             # zc
-        new_state = cmp_
-
-        changed = np.not_equal(new_state, state, out=self._b2)
+        # One strict comparison per block decides trip AND hold (held
+        # entries compare against the ulp-nudged level).
+        p = self.n_phases
+        v, i = x[p], x[:p]
+        lvl_low, lvl_ov, lvl_oc, lvl_zc = self._lvl_blocks
+        cmp_low, cmp_ov, cmp_oc, cmp_zc = self._cmp_blocks
+        _lt(v, lvl_low, out=cmp_low)          # hl, uv
+        _gt(v, lvl_ov, out=cmp_ov)            # ov
+        _gt(i, lvl_oc, out=cmp_oc)            # oc_k
+        _lt(i, lvl_zc, out=cmp_zc)            # zc_k
+        changed = _ne(self._cmp, state, out=self._changed)
         if active is not None:
-            np.logical_and(changed, active[:, None], out=changed)
-        if np.count_nonzero(changed):
-            self._schedule_edges(t, x, new_state, changed)
-            if not self._noise_lanes:
-                np.copyto(self._level,
-                          np.where(new_state, self._adj_on, self.threshold),
-                          where=changed)
-            np.copyto(state, new_state, where=changed)
-        self._prev_x = x
-        self._cur = 1 - cur
+            _and(changed, active, out=changed)
+        if _count(changed):
+            self._schedule_edges(t, x, prev, changed)
         self._prev_t = t.copy() if isinstance(t, np.ndarray) else t
 
-    def _schedule_edges(self, t, x: np.ndarray, new_state: np.ndarray,
+    def _schedule_edges(self, t, x: np.ndarray, prev: np.ndarray,
                         changed: np.ndarray) -> None:
+        """Flip each changed comparator (state, and its trip level on the
+        noiseless path) and schedule its output edge, in row-major
+        (lane, column) order."""
         # Python scalars throughout: list rows for the per-lane times,
         # .item() for the few changed entries
         prev_t = self._prev_t
         t_list = t.tolist() if isinstance(t, np.ndarray) else None
         prev_list = (prev_t.tolist() if isinstance(prev_t, np.ndarray)
                      else None)
-        prev_x, threshold, delay = self._prev_x, self.threshold, self.delay
-        # nonzero() walks in row-major order, like argwhere
-        rows, cols = changed.nonzero()
-        for i, c in zip(rows.tolist(), cols.tolist()):
+        threshold, delay, src = self._threshold, self.delay, self._src_row
+        state, level, adj_on = self._state, self._level, self._adj_on
+        keep_level = not self._noise_lanes
+        # nonzero() of the (N, C) view walks lane by lane, column by column
+        lanes, cols = changed.T.nonzero()
+        for i, c in zip(lanes.tolist(), cols.tolist()):
             t_i = t if t_list is None else t_list[i]
             prev_ti = prev_t if prev_list is None else prev_list[i]
-            fire_at = edge_time(t_i, x.item(i, c), prev_ti, prev_x.item(i, c),
-                                threshold.item(i, c), delay.item(i))
+            th = threshold.item(c, i)
+            value = not state.item(c, i)
+            state[c, i] = value
+            if keep_level:
+                level[c, i] = adj_on.item(c, i) if value else th
+            r = src[c]
+            fire_at = edge_time(t_i, x.item(r, i), prev_ti, prev.item(r, i),
+                                th, delay.item(i))
             out = self.outputs[i][c]
-            value = new_state.item(i, c)
             # the lane stands at the sample instant, so the edge is
             # scheduled (born) there, as on the scalar backend
             sim = self.sims[i]
@@ -325,10 +336,12 @@ class VectorizedSolver:
         self.trace = trace
         self.policy = policy if policy is not None else SteppingPolicy.fixed(dt)
         n, p = stage.n_lanes, stage.n_phases
-        self.v_max = np.full(n, -np.inf)
-        self.v_min = np.full(n, np.inf)
-        self.i_max = np.full((n, p), -np.inf)
-        self.i_min = np.full((n, p), np.inf)
+        # running extrema of the stage state, phase-major like it; the
+        # per-lane names are views
+        self._hi = np.full((p + 1, n), -np.inf)
+        self._lo = np.full((p + 1, n), np.inf)
+        self.i_max, self.v_max = self._hi[:p].T, self._hi[p]
+        self.i_min, self.v_min = self._lo[:p].T, self._lo[p]
         #: per-lane committed micro-step counts
         self.tick_counts = np.zeros(n, dtype=np.int64)
         self._buffers = (BatchTraceRecorder(
@@ -355,30 +368,31 @@ class VectorizedSolver:
             self._tgt_arr = np.empty(n)
             self._h = np.empty(n)
             self._active = np.empty(n, dtype=bool)
-            self._mag = np.empty((n, p))
+            self._mag = np.empty((p, n))
             self._en = np.empty(n)
             self._en_v = np.empty(n)
             self._scale = np.empty(n)
             self._raw = np.empty(n)
             self._pos = np.empty(n, dtype=bool)
             if bank is not None:
-                # crossing scan over C comparator columns plus P clamp
-                # columns: hl uv ov | oc_k | zc_k | clamp_k
+                # crossing scan over C comparator rows plus P clamp rows,
+                # comparator-major like the bank: hl uv ov | oc_k | zc_k
+                # | clamp_k
                 c = bank.n_cols
-                shape = (n, c + p)
-                self._lvl = np.zeros(shape)    # clamp columns stay 0.0
+                shape = (c + p, n)
+                self._lvl = np.zeros(shape)    # clamp rows stay 0.0
                 self._xq = np.empty(shape)
                 self._sq = np.empty(shape)
                 self._th = np.empty(shape)
                 self._cand = np.empty(shape)
                 self._hit = np.empty(shape, dtype=bool)
                 self._above = np.empty(shape, dtype=bool)
-                self._lvl_cmp = self._lvl[:, :c]
-                self._xq_v = self._xq[:, :V_COLS]
-                self._xq_i = self._xq[:, V_COLS:].reshape(n, 3, p)
-                self._sq_v = self._sq[:, :V_COLS]
-                self._sq_i = self._sq[:, V_COLS:].reshape(n, 3, p)
-                self._sq_clamp = self._sq[:, c:]
+                self._lvl_cmp = self._lvl[:c]
+                self._xq_v = self._xq[:V_COLS]
+                self._xq_i = self._xq[V_COLS:].reshape(3, p, n)
+                self._sq_v = self._sq[:V_COLS]
+                self._sq_i = self._sq[V_COLS:].reshape(3, p, n)
+                self._sq_clamp = self._sq[c:]
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -389,7 +403,8 @@ class VectorizedSolver:
         self._started = True
         self._record(self.now)
         if self.bank is not None:
-            self.bank.sample(self.now, self.stage.v_out, self.stage.current)
+            self.bank.sample(self.now, self.stage.state,
+                             self.stage.prev_state)
         if self.policy.adaptive:
             self._lane_t.fill(self.now)
             return
@@ -454,7 +469,7 @@ class VectorizedSolver:
         def tick(t: float, t_next: float) -> None:
             step(t, dt)
             record(t_next)
-            sample(t_next, stage.v_out, stage.current)
+            sample(t_next, stage.state, stage.prev_state)
         return tick
 
     # ------------------------------------------------------------------
@@ -526,7 +541,8 @@ class VectorizedSolver:
             self.tick_counts += active
             self._record(t_tgt)
             if bank is not None:
-                bank.sample(t_tgt, stage.v_out, stage.current, active=active)
+                bank.sample(t_tgt, stage.state, stage.prev_state,
+                            active=active)
             # ---- boundary events (flips snapped onto step ends) ----------
             for i in active.nonzero()[0].tolist():
                 queue, end = queues[i], lim[i]
@@ -538,8 +554,8 @@ class VectorizedSolver:
             # en = max(err_i / (atol_i + rtol*max|i|),
             #          err_v / (atol_v + rtol*|v|)); a zero or NaN norm
             # proposes dt_max
-            np.abs(stage.current, out=mag)
-            np.maximum.reduce(mag, axis=1, out=scale)
+            np.abs(stage.state[:-1], out=mag)
+            np.maximum.reduce(mag, axis=0, out=scale)
             np.multiply(scale, rtol, out=scale)
             np.add(scale, atol_i, out=scale)
             np.divide(err_i, scale, out=en)
@@ -583,12 +599,12 @@ class VectorizedSolver:
             return caps
         lvl_cmp, th, hit, above, cand = (self._lvl_cmp, self._th, self._hit,
                                          self._above, self._cand)
-        np.copyto(lvl_cmp, bank.threshold)
-        np.add(lvl_cmp, bank._hyst_eff, out=lvl_cmp, where=bank.state)
-        np.copyto(self._xq_v, stage.v_out[:, None])
-        np.copyto(self._xq_i, stage.current[:, None, :])
-        np.copyto(self._sq_v, dvdt[:, None])
-        np.copyto(self._sq_i, didt[:, None, :])
+        np.copyto(lvl_cmp, bank._threshold)
+        np.add(lvl_cmp, bank._hyst_eff, out=lvl_cmp, where=bank._state)
+        np.copyto(self._xq_v, stage.v_out)
+        np.copyto(self._xq_i, stage.state[:-1])
+        np.copyto(self._sq_v, dvdt)
+        np.copyto(self._sq_i, didt)
         np.copyto(self._sq_clamp, 0.0, where=stage._cond)
         sq = self._sq
         np.subtract(self._lvl, self._xq, out=th)
@@ -598,7 +614,7 @@ class VectorizedSolver:
         np.logical_and(hit, above, out=hit)
         cand.fill(np.inf)
         np.copyto(cand, th, where=hit)
-        np.minimum.reduce(cand, axis=1, out=caps)
+        np.minimum.reduce(cand, axis=0, out=caps)
         return caps
 
     def lane_crossing_bound(self, lane: int) -> float:
@@ -619,7 +635,7 @@ class VectorizedSolver:
             return math.inf
         cur, didt, v, dvdt = self.stage.lane_slopes(lane, self.sims[lane].now)
         levels = [th + h if s else th for th, h, s in zip(
-            bank.threshold[lane].tolist(), bank._hyst_eff[lane].tolist(),
+            bank.threshold[lane].tolist(), bank._hyst_eff[:, lane].tolist(),
             bank.state[lane].tolist())]
         return first_hit(levels, [v] * V_COLS + cur + cur,
                          [dvdt] * V_COLS + didt + didt)
@@ -642,14 +658,13 @@ class VectorizedSolver:
         if sim.now < target < tgt[lane]:
             tgt[lane] = target
 
-    def _record(self, t) -> None:
-        v, i = self.stage.v_out, self.stage.current
-        np.maximum(self.v_max, v, out=self.v_max)
-        np.minimum(self.v_min, v, out=self.v_min)
-        np.maximum(self.i_max, i, out=self.i_max)
-        np.minimum(self.i_min, i, out=self.i_min)
+    def _record(self, t, _max=np.maximum, _min=np.minimum) -> None:
+        stage = self.stage
+        x = stage.state
+        _max(self._hi, x, out=self._hi)
+        _min(self._lo, x, out=self._lo)
         if self._buffers is not None:
-            self._buffers.append(t, v, i)
+            self._buffers.append(t, stage.v_out, stage.current)
 
     # ------------------------------------------------------------------
     # Measurements (vector counterparts of AnalogSolver's helpers)
@@ -666,10 +681,8 @@ class VectorizedSolver:
     def reset_measurements(self) -> None:
         """Restart the running statistics (e.g. after the startup
         transient); traced waveforms are preserved."""
-        self.v_max.fill(-np.inf)
-        self.v_min.fill(np.inf)
-        self.i_max.fill(-np.inf)
-        self.i_min.fill(np.inf)
+        self._hi.fill(-np.inf)
+        self._lo.fill(np.inf)
 
     # ------------------------------------------------------------------
     # Traced waveforms

@@ -149,12 +149,18 @@ class TestLaneViews:
             lane.phases[0].set_nmos(True)
         assert stage.switch_count[0, 0] == 1
 
-    def test_lane_stage_reports(self):
-        stage = VectorizedPowerStage([_spec(v_out0=3.3).to_config()])
-        lane = stage.lanes[0]
-        assert lane.v_out == pytest.approx(3.3)
-        assert lane.total_current() == 0.0
-        assert lane.efficiency() == 0.0
+    def test_lane_views_share_the_state_rows(self):
+        stage = VectorizedPowerStage([_spec(v_out0=3.3).to_config()] * 2)
+        p = stage.n_phases
+        assert stage.state.shape == (p + 1, 2)
+        assert stage.state.flags.c_contiguous
+        assert stage.state[p].tolist() == [3.3, 3.3]
+        assert stage.current.shape == (2, p)
+        assert not stage.current.any()
+        stage.current[1, 2] = 0.25
+        stage.v_out[0] = 1.0
+        assert stage.state[2, 1] == 0.25
+        assert stage.state[p].tolist() == [1.0, 3.3]
 
     def test_load_lookup_matches_scalar_profile(self):
         from repro.analog.load import LoadProfile

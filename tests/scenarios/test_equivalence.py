@@ -122,3 +122,27 @@ def test_zero_delay_scenarios_match_scalar():
         assert s_run.result.trace.n_samples("v_load") > MIN_SAMPLES["fixed"]
         assert s_run.result.clock_edges_skipped > 0, f"{name} never gated"
         check_backends_agree(s_run, v_run)
+
+
+#: eight and twelve phases: every phase sum (dv/dt, input energy, coil
+#: losses) must add the phases in order on the vector side too, where a
+#: NumPy reduce goes pairwise from eight elements
+MANY_PHASE_SPECS = [
+    ScenarioSpec(f"xval[{p}-phase {ctrl}]", overrides={
+        "controller": ctrl, "n_phases": p, "l_uh": l_uh, "r_load": 3.0,
+        "sim_time": 2 * US, "dt": 1 * NS})
+    for p, ctrl, l_uh in ((8, "async", 3.3), (8, "sync", 3.3),
+                          (12, "sync", 1.0), (12, "sync", 3.3))]
+
+
+@pytest.mark.parametrize("lanes", [1, 2], ids=["one-lane", "two-lane"])
+def test_many_phase_scenarios_match_scalar(lanes):
+    """Coil losses, energies and traces of 8- and 12-phase runs equal
+    the scalar backend's, in one-lane batches (where an axis-0 reduce
+    over the phase rows is contiguous) and in two-lane ones."""
+    specs = MANY_PHASE_SPECS if lanes == 2 else MANY_PHASE_SPECS[::2]
+    scalar, vector = (
+        runs(Session(backend=backend, cache="off"), specs, trace=True)
+        for backend in ("scalar", "vector"))
+    for s_run, v_run in zip(scalar, vector):
+        check_backends_agree(s_run, v_run)

@@ -9,9 +9,13 @@ and per-lane adaptive ``dt`` vectors with zero-width lanes, for phase
 counts on both sides of numpy's pairwise-summation block (8).
 
 Currents, ``v_out``, ``energy_in_j``, ``energy_out_j``, ``coil_loss_j``
-and the RK2(1) error estimates must be equal, value for value.  Signed
-zeros compare equal: the vector clamp multiplies by a 0/1 mask where the
-scalar assigns ``0.0``.
+and the RK2(1) error estimates must be equal, value for value.  From
+states without a ``-0.0`` current (every state a run reaches: no step
+writes one) the currents and ``v_out`` are equal bit for bit, and no
+state row holds ``-0.0``.  A ``-0.0`` planted on a conducting phase may
+come out as ``0.0`` or stay: the vector drive ``B*i + A`` and the
+scalar ``-i*r`` differ in the sign of a zero drive, so those states
+compare by value.
 """
 
 import dataclasses
@@ -40,10 +44,11 @@ STEPS = 6            #: consecutive steps from each state
 #: from the compensated ``sum()`` of Python 3.12 and later
 UNEVEN_CURRENTS = (0.103327, 0.077386, -0.023829, -0.072325)
 
-#: signed zeros, subnormals and tiny currents around the clamp and the
-#: diode sign tests
-SPECIAL_CURRENTS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12,
-                    -1e-12)
+#: zero, subnormals and tiny currents around the clamp and the diode
+#: sign tests
+REACHABLE_CURRENTS = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12, -1e-12)
+#: ... plus a planted ``-0.0``, which no step writes
+SPECIAL_CURRENTS = REACHABLE_CURRENTS + (-0.0,)
 
 
 def _configs(rng, p):
@@ -70,18 +75,19 @@ def _twins(configs):
                              v_out0=c.v_out0) for c in configs]
 
 
-def _random_current(rng, i_sat):
+def _random_current(rng, i_sat, specials):
     r = rng.random()
     if r < 0.25:
-        return rng.choice(SPECIAL_CURRENTS)
+        return rng.choice(specials)
     if r < 0.4:
         # beyond the coil's saturation current: soft-saturation derating
         return rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 2.5) * i_sat
     return rng.uniform(-0.5, 0.5) * i_sat
 
 
-def _randomize(rng, vec, twins, rebuild):
-    """Draw a fresh state for every lane and apply it to both stages.
+def _randomize(rng, vec, twins, rebuild, specials=SPECIAL_CURRENTS):
+    """Draw a fresh state for every lane and apply it to both stages
+    (writing through the stage's ``(N, P)`` ``current`` view).
 
     Switch states go through the commutation path (``LanePhase``) or,
     when ``rebuild``, straight into the arrays followed by the full
@@ -92,7 +98,7 @@ def _randomize(rng, vec, twins, rebuild):
         vec.v_out[lane] = v
         twin.v_out = v
         for k, phase in enumerate(twin.phases):
-            i = _random_current(rng, phase.coil.i_sat)
+            i = _random_current(rng, phase.coil.i_sat, specials)
             vec.current[lane, k] = i
             phase.current = i
             sw = rng.choice("PNoo")         # open phases: body diode
@@ -111,10 +117,25 @@ def _randomize(rng, vec, twins, rebuild):
         vec._refresh_switch()
 
 
-def _assert_lane(vec, twin, lane, where, track_energy):
+def _bits(values):
+    """Bytes of float64 values: equality that tells ``-0.0`` from
+    ``0.0``."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _no_negative_zero(x):
+    return not np.any((x == 0.0) & np.signbit(x))
+
+
+def _assert_lane(vec, twin, lane, where, track_energy, bits):
     cur = [p.current for p in twin.phases]
-    assert vec.current[lane].tolist() == cur, f"{where}: currents"
-    assert vec.v_out.item(lane) == twin.v_out, f"{where}: v_out"
+    if bits:
+        assert _bits(vec.current[lane]) == _bits(cur), f"{where}: currents"
+        assert _bits(vec.v_out[lane]) == _bits(twin.v_out), \
+            f"{where}: v_out"
+    else:
+        assert vec.current[lane].tolist() == cur, f"{where}: currents"
+        assert vec.v_out.item(lane) == twin.v_out, f"{where}: v_out"
     if not track_energy:
         return
     assert vec.energy_out_j.item(lane) == twin.energy_out_j, \
@@ -125,14 +146,15 @@ def _assert_lane(vec, twin, lane, where, track_energy):
         f"{where}: energy_in_j"
 
 
-def _run(p, adaptive, track_energy, seed):
+def _run(p, adaptive, track_energy, seed, specials=SPECIAL_CURRENTS):
+    bits = specials == REACHABLE_CURRENTS
     rng = random.Random(seed)
     configs = _configs(rng, p)
     vec = VectorizedPowerStage(configs, track_energy=track_energy)
     twins = _twins(configs)
     err_i, err_v = np.empty(N_LANES), np.empty(N_LANES)
     for rnd in range(ROUNDS):
-        _randomize(rng, vec, twins, rebuild=rnd % 3 == 0)
+        _randomize(rng, vec, twins, rebuild=rnd % 3 == 0, specials=specials)
         # start times around the stepped loads' breakpoints
         if adaptive:
             t = np.array([rng.uniform(0.0, 1.2) * US for _ in range(N_LANES)])
@@ -145,7 +167,9 @@ def _run(p, adaptive, track_energy, seed):
                 h = np.array([0.0 if rng.random() < 0.2
                               else rng.uniform(0.1, 50.0) * NS
                               for _ in range(N_LANES)])
-                i_prev, v_prev = vec.current.copy(), vec.v_out.copy()
+                before = vec.state.copy()
+                energy = [getattr(vec, name).copy() for name in
+                          ("energy_in_j", "energy_out_j", "coil_loss_j")]
                 vec.step(t.copy(), h, err_i_out=err_i, err_v_out=err_v)
                 for lane, twin in enumerate(twins):
                     ei, ev = twin.step(t.item(lane), h.item(lane))
@@ -154,12 +178,20 @@ def _run(p, adaptive, track_energy, seed):
                     # a zero-width lane keeps its state, except that an
                     # open phase whose i*i underflows clamps to zero (as
                     # on its next real step)
-                    i_lane = i_prev[lane]
+                    x_lane = before[:, lane]
                     if h[lane] == 0.0 and not np.any(
-                            (i_lane != 0.0) & (np.abs(i_lane) < 1e-150)):
-                        assert vec.current[lane].tolist() == \
-                            i_lane.tolist(), f"{where}: idle lane"
-                        assert vec.v_out[lane] == v_prev[lane]
+                            (x_lane[:p] != 0.0)
+                            & (np.abs(x_lane[:p]) < 1e-150)):
+                        if bits:
+                            assert _bits(vec.state[:, lane]) == \
+                                _bits(x_lane), f"{where}: idle lane"
+                            for got, was in zip(
+                                    (vec.energy_in_j, vec.energy_out_j,
+                                     vec.coil_loss_j), energy):
+                                assert _bits(got[lane]) == _bits(was[lane])
+                        else:
+                            assert vec.state[:, lane].tolist() == \
+                                x_lane.tolist(), f"{where}: idle lane"
                 t += h
             else:
                 vec.step(t, dt)
@@ -168,14 +200,28 @@ def _run(p, adaptive, track_energy, seed):
                 t += dt
             for lane, twin in enumerate(twins):
                 _assert_lane(vec, twin, lane, f"{where} lane {lane}",
-                             track_energy)
+                             track_energy, bits)
+            if bits:
+                assert _no_negative_zero(vec.state), f"{where}: -0.0"
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8, 9])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8, 9, 12])
 @pytest.mark.parametrize("adaptive", [False, True],
                          ids=["fixed", "adaptive"])
 def test_vector_step_matches_scalar_twin(p, adaptive):
     _run(p, adaptive, track_energy=True, seed=1000 * p + adaptive)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 12])
+@pytest.mark.parametrize("adaptive", [False, True],
+                         ids=["fixed", "adaptive"])
+def test_reachable_states_step_bit_for_bit(p, adaptive):
+    """From states without ``-0.0`` the vector step writes the scalar
+    twin's bits (the clamp writes ``0.0``, never ``-0.0``), no state row
+    holds ``-0.0``, and a zero-width lane keeps its state and energies
+    byte for byte."""
+    _run(p, adaptive, track_energy=True, seed=77 + 1000 * p + adaptive,
+         specials=REACHABLE_CURRENTS)
 
 
 @pytest.mark.parametrize("p", [4, 8])
@@ -228,6 +274,74 @@ def test_lane_slopes_add_phase_currents_in_order():
     assert dvdt == ((((a + b) + c) + d) - 3.3 / 6.0) / 0.47e-6
 
 
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("adaptive", [False, True],
+                         ids=["fixed", "adaptive"])
+def test_nan_current_stays_nan_through_the_clamp(p, adaptive):
+    """A NaN current fails both clamp tests, so it stays NaN, on an open
+    phase and on a conducting one, as on the scalar twin (the clamp must
+    not write 0.0 over it)."""
+    rng = random.Random(40 + p)
+    configs = _configs(rng, p)[:3]
+    vec = VectorizedPowerStage(configs)
+    twins = _twins(configs)
+    for lane, sw in enumerate("oPN"):
+        vec.current[lane, 0] = twins[lane].phases[0].current = np.nan
+        view = vec.lanes[lane].phases[0]
+        view.set_pmos(sw == "P")
+        view.set_nmos(sw == "N")
+        twins[lane].phases[0].pmos_on = sw == "P"
+        twins[lane].phases[0].nmos_on = sw == "N"
+    t, dt = 0.2 * US, 1 * NS
+    if adaptive:
+        vec.step(np.full(3, t), np.full(3, dt), np.empty(3), np.empty(3))
+    else:
+        vec.step(t, dt)
+    for lane, twin in enumerate(twins):
+        twin.step(t, dt)
+        assert np.isnan(twin.phases[0].current)
+        assert np.isnan(vec.current[lane, 0]), f"lane {lane}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_axis0_accumulate_adds_rows_in_order(n):
+    """The stage's phase sum is the last row of an axis-0
+    ``add.accumulate``: the rows added one after another, like the
+    scalar twin's ``total += i``, for any lane count.  (An axis-0
+    ``add.reduce`` agrees only while ``n > 1``: with one lane NumPy
+    sums eight or more rows pairwise.)"""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((12, n)) * 10.0 ** rng.integers(-6, 6, (12, n))
+    ordered = x[0].copy()
+    for row in x[1:]:
+        ordered += row
+    assert np.add.accumulate(x, axis=0)[-1].tobytes() == ordered.tobytes()
+
+
+def test_single_lane_sums_twelve_phases_in_order():
+    """A one-lane stage at P=12 takes the scalar twin's in-order dv/dt
+    on currents whose pairwise sum gives another dv/dt."""
+    c_out = 0.47e-6
+    config = SystemConfig(n_phases=12, inductance=4.7 * UH, v_in=5.0,
+                          c_out=c_out, v_out0=0.0,
+                          load=LoadProfile.constant(6.0))
+    rng = random.Random(12)
+    while True:   # until the pairwise sum shows in dv/dt
+        currents = [rng.uniform(-0.3, 0.3) for _ in range(12)]
+        ordered = 0.0
+        for i in currents:
+            ordered += i
+        if ordered / c_out != np.add.reduce(np.array(currents)) / c_out:
+            break
+    vec = VectorizedPowerStage([config])
+    twin, = _twins([config])
+    vec.current[0] = currents
+    for phase, i in zip(twin.phases, currents):
+        phase.current = i
+    _, dvdt = vec.prime_k1(np.zeros(1))
+    assert dvdt.item(0) == twin._derivatives(0.0, currents, 0.0)[1]
+
+
 def _commutate(rng, stage, lane, k, how):
     """Flip one lane-phase's switch state on ``stage``: through the
     gate-driver view (``entry``) or the arrays plus the full rebuild
@@ -249,7 +363,7 @@ def _commutate(rng, stage, lane, k, how):
 
 
 @pytest.mark.parametrize("how", ["none", "entry", "refresh"])
-@pytest.mark.parametrize("p", [1, 4, 9])
+@pytest.mark.parametrize("p", [1, 4, 9, 12])
 def test_primed_k1_step_matches_fresh_stage(p, how):
     """``prime_k1`` then ``step`` from the same ``t`` equals the step of
     a stage that never primed, bit for bit — also when a commutation ran
@@ -300,7 +414,7 @@ def test_primed_k1_step_matches_fresh_stage(p, how):
 # a subnormal slope divides to an infinite crossing time (on both
 # sides), which never wins the minimum
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("p", [1, 4, 9])
+@pytest.mark.parametrize("p", [1, 4, 9, 12])
 def test_crossing_caps_match_scalar_crossing_cap(p):
     """The adaptive planner's per-lane crossing cap equals the scalar
     solver's ``_crossing_cap`` value for value: every comparator armed
@@ -353,3 +467,81 @@ def test_crossing_caps_match_scalar_crossing_cap(p):
     n_cols = 3 + 2 * p
     assert sides == {(col, above, armed) for col in range(n_cols)
                      for above in (False, True) for armed in (False, True)}
+
+
+def _bank_rig(p, seed):
+    rng = random.Random(seed)
+    configs = _configs(rng, p)
+    sims = [Simulator() for _ in configs]
+    return (VectorizedPowerStage(configs),
+            VectorComparatorBank(sims, configs, p), sims)
+
+
+def _log_edges(sims):
+    """Record each scheduled comparator edge as ``(lane, signal name,
+    value)``, in scheduling order."""
+    edges = []
+    for lane, sim in enumerate(sims):
+        def schedule_at(when, callback, lane=lane, orig=sim.schedule_at):
+            out, value = callback.__defaults__
+            edges.append((lane, out.name, value))
+            return orig(when, callback)
+        sim.schedule_at = schedule_at
+    return edges
+
+
+def test_same_tick_flips_schedule_edges_lane_by_lane():
+    """Flips on several lanes in one sample schedule their edges in
+    row-major (lane, column) order, each flip updates the comparator's
+    state and its latched trip level, and the levels equal a full
+    rebuild afterwards."""
+    p = 4
+    stage, bank, sims = _bank_rig(p, seed=5)
+    bank.sample(0.0, stage.state, stage.prev_state)
+    edges = _log_edges(sims)
+    refs = BuckReferences()
+    # every lane trips ov and oc_1 together; lanes 1 and 4 also hl
+    for lane in range(N_LANES):
+        stage.v_out[lane] = (refs.v_min - 0.5 if lane in (1, 4)
+                             else refs.v_max + 0.1)
+        stage.current[lane] = 0.0
+        stage.current[lane, 1] = refs.i_max + 0.1
+    want = stage.state.copy()
+    before = bank.state.copy()
+    bank.sample(1 * NS, stage.state, stage.prev_state)
+    names = ["hl", "uv", "ov"] + [f"oc{k}" for k in range(p)] \
+        + [f"zc{k}" for k in range(p)]
+    flipped = [(lane, names[c], not before[lane, c])
+               for lane in range(N_LANES) for c in range(len(names))
+               if bank.state[lane, c] != before[lane, c]]
+    assert edges == flipped
+    assert len({lane for lane, _, _ in edges}) == N_LANES
+    assert sorted(edges, key=lambda e: names.index(e[1])) != edges
+    assert (stage.state == want).all()
+    assert bank.state[1, 0] and bank.state[4, 0]      # hl
+    assert bank.state[:, 2].sum() == N_LANES - 2      # ov
+    assert bank.state[:, 3 + 1].all()                 # oc_1
+    level = bank._level.copy()
+    bank.refresh_levels()
+    assert bank._level.tobytes() == level.tobytes()
+
+
+def test_writes_through_lane_views_reach_the_next_sample():
+    """``bank.state[lane, c] = ...`` and ``stage.current[lane, k] = ...``
+    write the comparator-major and phase-major arrays: the next sample
+    corrects the planted state and trips on the planted current (the
+    stage side is covered by the parity runs, which plant every state
+    through ``current`` and ``v_out``)."""
+    p = 4
+    stage, bank, sims = _bank_rig(p, seed=9)
+    refs = BuckReferences()
+    stage.v_out[:] = 0.5 * (refs.v_ref + refs.v_max)
+    bank.sample(0.0, stage.state, stage.prev_state)
+    edges = _log_edges(sims)
+    hl = bool(bank.state[3, 0])
+    bank.state[3, 0] = not hl                 # planted: hl flipped
+    stage.current[2, 1] = refs.i_max + 0.1    # planted: oc_1 trips
+    bank.sample(1 * NS, stage.state, stage.prev_state)
+    assert bank.state[3, 0] == hl
+    assert bank.state[2, 3 + 1] and not bank.state[2, 3 + p + 1]
+    assert edges == [(2, "oc1", True), (2, "zc1", False), (3, "hl", hl)]
