@@ -5,9 +5,11 @@
 #
 # The server binds 0.0.0.0 inside the container — publish the port to
 # choose the outside exposure — and keeps its result cache under
-# /cache so a named volume survives image upgrades.  The volume also
-# keeps the code-fingerprint memo (/cache/fingerprint.json), so a
-# restarted container skips parsing the simulation modules.  Extra
+# /cache so a named volume survives image upgrades.  REPRO_CACHE_DIR
+# is also the default cache root, so the volume keeps the
+# code-fingerprint memo (/cache/fingerprint.json) for the server and
+# for any cache-off process run in the container alike; a restarted
+# container skips parsing the simulation modules.  Extra
 # flags (API keys, sweep workers, cache cap) go after the image name:
 #
 #   docker run --rm -p 8732:8732 repro-serve --workers 4 --api-key s3cret

@@ -43,8 +43,7 @@ class BuckPhase:
     """
 
     __slots__ = ("index", "coil", "r_pmos", "r_nmos", "v_diode",
-                 "current", "pmos_on", "nmos_on", "coil_loss_j",
-                 "switch_count")
+                 "current", "pmos_on", "nmos_on", "coil_loss_j")
 
     def __init__(self, index: int, coil: Coil, r_pmos: float = 0.05,
                  r_nmos: float = 0.04, v_diode: float = 0.7):
@@ -58,8 +57,6 @@ class BuckPhase:
         self.nmos_on = False
         #: accumulated coil conduction loss (joule)
         self.coil_loss_j = 0.0
-        #: number of transistor state changes (for switching-loss estimates)
-        self.switch_count = 0
 
     # ------------------------------------------------------------------
     # Switch control (called by the gate driver)
@@ -69,8 +66,6 @@ class BuckPhase:
             raise ShortCircuitError(
                 f"phase {self.index}: PMOS turned ON while NMOS conducts"
             )
-        if on != self.pmos_on:
-            self.switch_count += 1
         self.pmos_on = on
 
     def set_nmos(self, on: bool) -> None:
@@ -78,8 +73,6 @@ class BuckPhase:
             raise ShortCircuitError(
                 f"phase {self.index}: NMOS turned ON while PMOS conducts"
             )
-        if on != self.nmos_on:
-            self.switch_count += 1
         self.nmos_on = on
 
     def conducting(self) -> bool:

@@ -87,11 +87,5 @@ class GateDriverBank:
             self.gp.append(gp)
             self.gn.append(gn)
             self.drivers.append(GateDriver(sim, phase, gp, gn, t_gate, trace))
-
-    @property
-    def gp_ack(self) -> List[Signal]:
-        return [d.gp_ack for d in self.drivers]
-
-    @property
-    def gn_ack(self) -> List[Signal]:
-        return [d.gn_ack for d in self.drivers]
+        self.gp_ack: List[Signal] = [d.gp_ack for d in self.drivers]
+        self.gn_ack: List[Signal] = [d.gn_ack for d in self.drivers]

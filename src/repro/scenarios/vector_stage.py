@@ -79,8 +79,6 @@ class LanePhase:
         if on and st.nmos_on[i, k]:
             raise ShortCircuitError(
                 f"lane {i} phase {k}: PMOS turned ON while NMOS conducts")
-        if bool(on) != bool(st.pmos_on[i, k]):
-            st.switch_count[i, k] += 1
         st.pmos_on[i, k] = on
         st._update_switch_entry(i, k)
 
@@ -89,8 +87,6 @@ class LanePhase:
         if on and st.pmos_on[i, k]:
             raise ShortCircuitError(
                 f"lane {i} phase {k}: NMOS turned ON while PMOS conducts")
-        if bool(on) != bool(st.nmos_on[i, k]):
-            st.switch_count[i, k] += 1
         st.nmos_on[i, k] = on
         st._update_switch_entry(i, k)
 
@@ -160,7 +156,6 @@ class VectorizedPowerStage:
         self._nmos = np.zeros(shape, dtype=bool)
         self.pmos_on = self._pmos.T
         self.nmos_on = self._nmos.T
-        self.switch_count = np.zeros((n, n_phases), dtype=np.int64)
         self._coil_loss = np.zeros(shape)
         self.coil_loss_j = self._coil_loss.T
         self.energy_in_j = np.zeros(n)

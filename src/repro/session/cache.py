@@ -43,8 +43,12 @@ bit-identical to the cold run (``tests/session/test_session.py``).
 
 The root also keeps :data:`FINGERPRINT_MEMO`, each fingerprinted
 module's AST digest keyed by the hash of its raw bytes, so a fresh
-process over a warm cache computes :func:`code_fingerprint` without
-parsing the tree.
+process computes :func:`code_fingerprint` without parsing the tree.
+A call with no readable cache, such as the receipt of a cache-off
+sweep, keeps its memo under :func:`default_cache_root`; with caching
+off, a process therefore still creates ``.repro_cache/fingerprint.json``
+in its working directory (or the file under ``$REPRO_CACHE_DIR``), much
+as Python writes ``__pycache__``.
 
 Concurrency contract (the sweep server shares one cache directory
 between many worker threads and processes):
@@ -224,10 +228,16 @@ def module_fingerprint(source: str) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
+def default_cache_root() -> str:
+    """The cache root when none is named: ``$REPRO_CACHE_DIR``, else
+    :data:`DEFAULT_CACHE_DIR` in the working directory."""
+    return os.environ.get("REPRO_CACHE_DIR", "").strip() or DEFAULT_CACHE_DIR
+
+
 #: per-module digest memo under a cache root, outside the ``*/*.json``
 #: entry glob: the sha256 of each module's raw bytes -> its
-#: :func:`module_fingerprint`, so a fresh process over a warm cache
-#: hashes files instead of parsing them
+#: :func:`module_fingerprint`, so a fresh process hashes files instead
+#: of parsing them
 FINGERPRINT_MEMO = "fingerprint.json"
 
 
@@ -277,10 +287,13 @@ def code_fingerprint(cache: Optional["ResultCache"] = None) -> str:
     :func:`module_fingerprint` — the docstring-stripped AST digest — so
     comment-only and docstring-only edits do *not* invalidate the cache.
 
-    Only the call that computes the value uses ``cache``: a readable
-    cache's :data:`FINGERPRINT_MEMO` supplies the digest of every module
-    whose raw bytes it has seen, and a writable one is rewritten when
-    the tree moved.  The memo never changes the value, only its cost.
+    Only the call that computes the value reads a
+    :data:`FINGERPRINT_MEMO`, which supplies the digest of every module
+    whose raw bytes it has seen, and rewrites it when the tree moved.
+    A readable ``cache`` lends its own memo (rewritten only if the cache
+    is writable); any other call uses the memo under
+    :func:`default_cache_root`.  A damaged or unwritable memo only costs
+    the parse; no memo changes the value.
     Two threads that both find no value both compute it, outside any
     lock; the tree hashes the same either way, and the first value stays.
     """
@@ -297,16 +310,17 @@ code_fingerprint.cache_clear = (  # type: ignore[attr-defined]
 def _compute_fingerprint(cache: Optional["ResultCache"]) -> str:
     this_module = Path(__file__).resolve()
     package_root = this_module.parent.parent
-    use_memo = cache is not None and cache.readable
-    known: Dict[str, str] = {}
-    if use_memo:
-        header = {
-            # AST dumps differ across Python versions, and an edit to
-            # this module may change the stripping rules
-            "cache_tag": sys.implementation.cache_tag,
-            "rules": hashlib.sha256(this_module.read_bytes()).hexdigest(),
-        }
-        known = _read_memo(cache.root / FINGERPRINT_MEMO, header)
+    if cache is not None and cache.readable:
+        root, writable = cache.root, cache.writable
+    else:
+        root, writable = Path(default_cache_root()), True
+    header = {
+        # AST dumps differ across Python versions, and an edit to this
+        # module may change the stripping rules
+        "cache_tag": sys.implementation.cache_tag,
+        "rules": hashlib.sha256(this_module.read_bytes()).hexdigest(),
+    }
+    known = _read_memo(root / FINGERPRINT_MEMO, header)
     seen: Dict[str, str] = {}
     digest = hashlib.sha256()
     for entry in FINGERPRINT_PATHS:
@@ -323,11 +337,11 @@ def _compute_fingerprint(cache: Optional["ResultCache"]) -> str:
             digest.update(b"\0")
             digest.update(module.encode())
             digest.update(b"\0")
-    if use_memo and cache.writable and seen != known:
+    if writable and seen != known:
         memo = json.dumps(dict(header, modules=seen), sort_keys=True)
         try:
-            cache.root.mkdir(parents=True, exist_ok=True)
-            ResultCache._atomic_write(cache.root / FINGERPRINT_MEMO,
+            root.mkdir(parents=True, exist_ok=True)
+            ResultCache._atomic_write(root / FINGERPRINT_MEMO,
                                       lambda fh: fh.write(memo.encode()))
         except OSError:
             pass   # the memo only spares the next process a parse

@@ -36,7 +36,8 @@ from ..analog.stepping import GATING_MODES, STEPPING_MODES
 from ..scenarios.parallel import pool_map, workers_from_env
 from ..scenarios.spec import ScenarioSpec, Specs, SweepPoint, _as_specs
 from ..system import BuckSystem, RunResult, SystemConfig
-from .cache import DEFAULT_CACHE_DIR, ResultCache, cache_key, code_fingerprint
+from .cache import (ResultCache, cache_key, code_fingerprint,
+                    default_cache_root)
 from .inflight import InFlightRegistry
 
 T = TypeVar("T")
@@ -180,8 +181,7 @@ class Session:
                     or ("readwrite" if cache_dir else "off"))
         if mode == "off":
             return None
-        root = (cache_dir or os.environ.get("REPRO_CACHE_DIR", "").strip()
-                or DEFAULT_CACHE_DIR)
+        root = cache_dir or default_cache_root()
         max_bytes = cache_max_bytes
         if max_bytes is None:
             raw = os.environ.get("REPRO_CACHE_MAX_MB", "").strip()

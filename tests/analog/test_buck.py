@@ -39,14 +39,6 @@ class TestBuckPhaseSwitching:
         phase.set_nmos(True)
         assert phase.nmos_on
 
-    def test_switch_count(self):
-        phase = BuckPhase(0, make_coil(4.7 * UH))
-        phase.set_pmos(True)
-        phase.set_pmos(True)   # no change, no count
-        phase.set_pmos(False)
-        phase.set_nmos(True)
-        assert phase.switch_count == 3
-
 
 class TestPhaseDynamics:
     def test_pmos_on_current_slew_matches_formula(self, stage_factory, run_stage):

@@ -43,6 +43,15 @@ class TestGateDriver:
         assert rig.stage.phases[0].nmos_on
         assert rig.gates.gn_ack[0].value
 
+    def test_ack_lists_are_bound_once(self, analog_rig):
+        """The controllers index the ack lists on every commutation, so
+        the bank builds them once instead of on each read."""
+        bank = analog_rig(n=3).gates
+        assert bank.gp_ack is bank.gp_ack and bank.gn_ack is bank.gn_ack
+        for k, driver in enumerate(bank.drivers):
+            assert bank.gp_ack[k] is driver.gp_ack
+            assert bank.gn_ack[k] is driver.gn_ack
+
 
 class TestClosedLoopOpenController:
     """Drive the gates by hand and watch the analog react through sensors."""

@@ -16,6 +16,11 @@ rigs).  They live here now:
   simulator (the closed-loop-without-controller rig);
 - ``controller_rig`` — a controller over stub sensors/gates (the unit rig
   used by the reaction-latency style tests).
+
+Every test also runs with ``REPRO_CACHE_DIR`` at one temporary
+directory for the whole run: a bare ``code_fingerprint()`` keeps its
+memo under the default cache root, and the suite must leave the
+checkout clean.
 """
 
 from dataclasses import dataclass, replace
@@ -73,6 +78,16 @@ CONFIG_ALTERNATIVES = {
     "seed": 1,
     "trace": True,
 }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_default_cache_root(tmp_path_factory):
+    """Point the default cache root (and so the bare fingerprint memo)
+    away from the working directory, before any module fixture runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR",
+                     str(tmp_path_factory.mktemp("default_cache_root")))
+        yield
 
 
 @pytest.fixture

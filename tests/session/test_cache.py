@@ -3,9 +3,12 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 import zipfile
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -916,9 +919,12 @@ class TestModuleFingerprint:
         pkg.mkdir()
         mod = pkg / "solver.py"
         mod.write_text(self.BASE)
+        (tmp_path / "session").mkdir()
+        (tmp_path / "session" / "cache.py").write_text("RULES = 1\n")
         monkeypatch.setattr(cache_mod, "FINGERPRINT_PATHS", ("analog",))
         monkeypatch.setattr(cache_mod, "__file__",
                             str(tmp_path / "session" / "cache.py"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
 
         def fingerprint():
             cache_mod.code_fingerprint.cache_clear()
@@ -935,7 +941,8 @@ class TestModuleFingerprint:
 class TestFingerprintMemo:
     """``<cache root>/fingerprint.json`` maps each module's raw-bytes
     hash to its AST digest: it saves a fresh process the parse, never
-    changes the value, and is only written by ``readwrite`` caches."""
+    changes the value, and is written by ``readwrite`` caches and, for
+    a call with no readable cache, under the default cache root."""
 
     BASE = TestModuleFingerprint.BASE
 
@@ -959,6 +966,9 @@ class TestFingerprintMemo:
         self.pkg = pkg
         self.root = tmp_path / "cache"
         self.memo = self.root / cache_mod.FINGERPRINT_MEMO
+        self.default = tmp_path / "default"
+        self.default_memo = self.default / cache_mod.FINGERPRINT_MEMO
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(self.default))
         return parses
 
     def fingerprint(self, mode="readwrite"):
@@ -1022,7 +1032,7 @@ class TestFingerprintMemo:
 
     def test_readonly_reads_but_never_writes(self, tree):
         self.fingerprint("readonly")
-        assert not self.root.exists()
+        assert not self.root.exists() and not self.default.exists()
         self.fingerprint()                          # warm it
         del tree[:]
         memo = self.memo.read_text()
@@ -1031,13 +1041,50 @@ class TestFingerprintMemo:
         assert len(tree) == 1                       # solver.py from memo
         assert self.memo.read_text() == memo
 
-    def test_off_cache_never_touches_the_memo(self, tree):
-        self.fingerprint("off")
-        assert not self.root.exists()
+    def test_off_cache_never_touches_its_root(self, tree):
+        """An ``off`` cache is no cache: the memo under the default root
+        serves, and the cache's own root is neither read nor written."""
+        plain = self.fingerprint("off")
+        assert not self.root.exists() and self.default_memo.is_file()
         self.fingerprint()
+        own = json.loads(self.memo.read_text())
+        own["modules"] = dict.fromkeys(own["modules"], "0" * 16)
+        self.memo.write_text(json.dumps(own))       # would move the value
         del tree[:]
-        self.fingerprint("off")
-        assert len(tree) == 2
+        assert self.fingerprint("off") == plain and tree == []
+        assert json.loads(self.memo.read_text()) == own
+
+    def test_bare_call_memo_lives_under_the_default_root(self, tree):
+        plain = self.fingerprint(None)              # cold: parses, writes
+        assert len(tree) == 2 and self.default_memo.is_file()
+        assert not self.root.exists()
+        written = self.default_memo.stat().st_mtime_ns
+        del tree[:]
+        assert self.fingerprint(None) == plain and tree == []
+        assert self.default_memo.stat().st_mtime_ns == written
+        (self.pkg / "analog" / "other.py").write_text("def g():\n    pass\n")
+        edited = self.fingerprint(None)
+        assert edited != plain and len(tree) == 1   # only the edit
+        del tree[:]
+        assert self.fingerprint(None) == edited and tree == []
+
+    @pytest.mark.parametrize("damage", ["unwritable root", "corrupt memo"])
+    def test_bad_default_root_still_gives_the_value(self, tree, damage):
+        plain = self.fingerprint(None)
+        shutil.rmtree(self.default)
+        if damage == "unwritable root":             # a file, not a dir
+            self.default.write_text("not a directory")
+        else:
+            self.default.mkdir()
+            self.default_memo.write_text("{ not json")
+        del tree[:]
+        assert self.fingerprint(None) == plain and len(tree) == 2
+        del tree[:]
+        if damage == "unwritable root":             # every process parses
+            assert self.fingerprint(None) == plain and len(tree) == 2
+            assert self.default.read_text() == "not a directory"
+        else:                                       # the miss repaired it
+            assert self.fingerprint(None) == plain and tree == []
 
     def test_computed_once_per_process(self, tree):
         """Only the computing call consults a memo; later calls, with
@@ -1071,3 +1118,54 @@ class TestFingerprintMemoInSessions:
         Session(cache="off", cache_dir=str(tmp_path / "c")).sweep(
             [ScenarioSpec("off", overrides=_SPEC)])
         assert not (tmp_path / "c").exists()
+
+    def test_off_session_reads_the_default_root_memo(
+            self, tmp_path, monkeypatch, fresh_fingerprint):
+        """A cache-off sweep's receipt computes the fingerprint with no
+        cache; in a fresh process it hashes files instead of parsing."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        plain = code_fingerprint()
+        assert (tmp_path / "default" / cache_mod.FINGERPRINT_MEMO).is_file()
+        fresh_fingerprint()
+        parses = []
+        real = cache_mod.module_fingerprint
+        monkeypatch.setattr(cache_mod, "module_fingerprint",
+                            lambda src: parses.append(src) or real(src))
+        session = Session(cache="off", cache_dir=str(tmp_path / "c"))
+        session.sweep([ScenarioSpec("off", overrides=_SPEC)])
+        assert code_fingerprint() == plain and parses == []
+        assert not (tmp_path / "c").exists()
+
+
+#: prints the bare fingerprint of a fresh interpreter and how many
+#: modules it parsed to get it
+_FRESH_FINGERPRINT = """
+import json
+from repro.session import cache
+parses = []
+real = cache.module_fingerprint
+cache.module_fingerprint = lambda src: parses.append(src) or real(src)
+print(json.dumps([cache.code_fingerprint(), len(parses)]))
+"""
+
+
+def test_fresh_interpreters_share_the_default_root_memo(tmp_path):
+    """The second of two fresh processes on one ``REPRO_CACHE_DIR``
+    parses nothing and prints the first, memo-free, value."""
+    import repro
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "default"))
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", _FRESH_FINGERPRINT], env=env, cwd=tmp_path,
+        capture_output=True, text=True, check=True, timeout=120).stdout)
+        for _ in range(2)]
+    (cold, parsed), (warm, reparsed) = runs
+    package = Path(src) / "repro"
+    files = [f for entry in cache_mod.FINGERPRINT_PATHS
+             for f in ([package / entry] if (package / entry).is_file()
+                       else (package / entry).rglob("*.py"))]
+    assert parsed == len(files) and reparsed == 0
+    assert cold == warm == code_fingerprint()
+    assert not (tmp_path / ".repro_cache").exists()
