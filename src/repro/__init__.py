@@ -5,7 +5,7 @@ Layers (README "Layout" maps them to paths):
 
 - :mod:`repro.sim` — discrete-event kernel (signals, processes, VCD);
 - :mod:`repro.analog` — buck power stage ODE, coils, sensors, gate drivers;
-- :mod:`repro.digital` — gates, C-elements, mutex, synchronizers, clocks;
+- :mod:`repro.digital` — flip-flops, synchronizers, clocks, timers;
 - :mod:`repro.a2a` — the WAIT-family analog-to-asynchronous interfaces;
 - :mod:`repro.stg` — STGs, verification, synthesis (the A4A flow backend);
 - :mod:`repro.control` — the synchronous and asynchronous controllers;

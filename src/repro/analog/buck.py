@@ -75,10 +75,6 @@ class BuckPhase:
             )
         self.nmos_on = on
 
-    def conducting(self) -> bool:
-        """True when the coil can carry current (switch on or diode path)."""
-        return self.pmos_on or self.nmos_on or self.current != 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         sw = "P" if self.pmos_on else ("N" if self.nmos_on else "-")
         return f"BuckPhase({self.index}, i={self.current:.4f}A, sw={sw})"
@@ -131,10 +127,6 @@ class MultiphasePowerStage:
     @property
     def n_phases(self) -> int:
         return len(self.phases)
-
-    def total_current(self) -> float:
-        """Sum of all coil currents feeding the output node."""
-        return sum(p.current for p in self.phases)
 
     # ------------------------------------------------------------------
     # Integration

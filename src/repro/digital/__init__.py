@@ -1,34 +1,18 @@
-"""Digital substrate: gates, sequential elements, clocks, synchronizers.
+"""Digital substrate: flip-flops, synchronizers, clocks, timers.
 
-Behavioural stand-ins for the paper's TSMC 90 nm gate library, with
-explicit metastability models in the flip-flop and mutex.
+Behavioural stand-ins for the sequential side of the paper's TSMC 90 nm
+netlist: the synchronous controller's clocks and 2-flop synchronizers,
+and the asynchronous controller's handshake timers, with an explicit
+metastability model in the flip-flop.
 """
 
-from .celement import AsymmetricCElement, CElement
 from .clock import Clock, PhaseActivator
-from .gates import (
-    DEFAULT_GATE_DELAY,
-    Gate,
-    and_gate,
-    buf_gate,
-    nand_gate,
-    nor_gate,
-    not_gate,
-    or_gate,
-    xor_gate,
-)
-from .latches import DFlipFlop, SRLatch
-from .mutex import Mutex
+from .latches import DEFAULT_GATE_DELAY, DFlipFlop
 from .synchronizer import SynchronizerBank, TwoFlopSynchronizer
 from .timer import HandshakeTimer
 
 __all__ = [
-    "Gate", "DEFAULT_GATE_DELAY",
-    "and_gate", "or_gate", "nand_gate", "nor_gate", "not_gate", "xor_gate",
-    "buf_gate",
-    "CElement", "AsymmetricCElement",
-    "SRLatch", "DFlipFlop",
-    "Mutex",
+    "DEFAULT_GATE_DELAY", "DFlipFlop",
     "Clock", "PhaseActivator",
     "TwoFlopSynchronizer", "SynchronizerBank",
     "HandshakeTimer",

@@ -1,4 +1,4 @@
-"""Sequential primitives: SR latch and D flip-flop.
+"""The D flip-flop the 2-flop synchronizers are built from.
 
 The D flip-flop models setup-time violation explicitly: if D changed within
 the setup window before the sampling clock edge, the captured value is
@@ -14,37 +14,9 @@ from typing import Optional
 from ..sim.core import Simulator
 from ..sim.signal import RISE, Signal
 from ..sim.units import NS
-from .gates import DEFAULT_GATE_DELAY
 
-
-class SRLatch:
-    """Set/reset latch (set dominates when both asserted, configurable)."""
-
-    def __init__(self, sim: Simulator, name: str, s: Signal, r: Signal,
-                 init: bool = False, delay: float = DEFAULT_GATE_DELAY,
-                 set_dominates: bool = True, trace: bool = True):
-        self.sim = sim
-        self.name = name
-        self.s = s
-        self.r = r
-        self.delay = delay
-        self.set_dominates = set_dominates
-        self.q = Signal(sim, name, init=init, trace=trace)
-        s.subscribe(self._update)
-        r.subscribe(self._update)
-
-    def _update(self, _sig: Signal, _value: bool) -> None:
-        s, r = self.s.value, self.r.value
-        if s and r:
-            new = self.set_dominates
-        elif s:
-            new = True
-        elif r:
-            new = False
-        else:
-            return  # hold
-        if new != self.q.value:
-            self.sim.schedule(self.delay, lambda v=new: self.q._apply(v))
+#: default clock-to-Q delay of a flop (a TSMC 90 nm-ish FO4-scale figure)
+DEFAULT_GATE_DELAY = 0.1 * NS
 
 
 class DFlipFlop:

@@ -15,8 +15,7 @@ from typing import Dict, Iterable, List
 
 from ..sim.core import Simulator
 from ..sim.signal import RISE, Signal
-from .gates import DEFAULT_GATE_DELAY
-from .latches import DFlipFlop
+from .latches import DEFAULT_GATE_DELAY, DFlipFlop
 
 #: clock-to-Q delay of both flops of every synchronizer
 T_CLK_Q = DEFAULT_GATE_DELAY

@@ -3,8 +3,6 @@
 from .reaction import (
     CONDITIONS,
     ReactionMeasurement,
-    measure_all,
-    measure_reaction,
     reactions_from_trace,
     worst_reaction_from_trace,
 )
@@ -24,6 +22,6 @@ __all__ = [
     "ripple", "overshoot", "undershoot", "settling_time",
     "edge_count", "episodes", "duty_in_window",
     "sample_series", "ascii_waveform",
-    "measure_reaction", "measure_all", "ReactionMeasurement", "CONDITIONS",
+    "ReactionMeasurement", "CONDITIONS",
     "reactions_from_trace", "worst_reaction_from_trace",
 ]

@@ -6,17 +6,18 @@ UV, OV, OC, ZC) and each controller.  The analog is replaced by drivable
 stubs so the measurement isolates the *controller* path, exactly like the
 paper's PrimeTime latency extraction on the digital netlist.
 
-For the synchronous controller the stimulus is swept across the clock
-period and the worst case reported (the paper quotes the deterministic
-2.5-Tclk bound).
+:func:`measure_one` takes one sample at one stimulus offset; for the
+synchronous rows :func:`~repro.experiments.table1.run_table1` sweeps the
+offset across the clock period and reports the worst case (the paper
+quotes the deterministic 2.5-Tclk bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
-from ..control.async_controller import AsyncMultiphaseController, AsyncTimings
+from ..control.async_controller import AsyncMultiphaseController
 from ..control.params import BuckControlParams, StubGates, StubSensors
 from ..control.sync_controller import SyncMultiphaseController
 from ..sim.core import Simulator
@@ -48,8 +49,8 @@ def _mk(controller: str, frequency: Optional[float], n_phases: int,
     return sim, sensors, gates, ctrl
 
 
-def _measure_one(controller: str, frequency: Optional[float],
-                 condition: str, offset: float, seed: int = 0) -> float:
+def measure_one(controller: str, frequency: Optional[float],
+                condition: str, offset: float, seed: int = 0) -> float:
     """One latency sample; ``offset`` staggers the stimulus against the
     clock (irrelevant for async)."""
     n = 2 if condition == "HL" else 1
@@ -101,40 +102,6 @@ def _measure_one(controller: str, frequency: Optional[float],
         raise RuntimeError(
             f"{controller}/{condition}: no reaction observed")
     return edges[0] - t0
-
-
-#: public name for the single-sample measurement (used by the Table I sweep)
-measure_one = _measure_one
-
-
-def measure_reaction(controller: str, condition: str,
-                     frequency: Optional[float] = None,
-                     n_offsets: int = 8) -> ReactionMeasurement:
-    """Worst-case reaction latency for one condition.
-
-    For the synchronous controller the stimulus phase is swept over one
-    clock period (the latency depends on where the edge lands); the async
-    controller is phase-free and a single sample suffices.
-    """
-    if controller == "sync":
-        if frequency is None:
-            raise ValueError("sync measurement needs a clock frequency")
-        period = 1.0 / frequency
-        offsets = [period * i / n_offsets for i in range(n_offsets)]
-    else:
-        offsets = [0.0]
-    worst = max(_measure_one(controller, frequency, condition, off)
-                for off in offsets)
-    return ReactionMeasurement(condition, worst)
-
-
-def measure_all(controller: str, frequency: Optional[float] = None,
-                n_offsets: int = 8) -> Dict[str, float]:
-    """Worst-case latency for all five conditions; {condition: seconds}."""
-    return {
-        c: measure_reaction(controller, c, frequency, n_offsets).latency
-        for c in CONDITIONS
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -60,21 +60,25 @@ between many worker threads and processes):
   that catches an entry between its npz and json halves (they are
   replaced npz-first) sees a digest mismatch and a *miss*, never a
   wrong result.
-* **Stores never lock either.**  Two processes storing the same key
-  race benignly: last rename wins, and both wrote the same numbers.
-  A traced and an untraced store of one key can interleave so that
-  their halves end up mixed; the pair then reads as a miss, and the
-  store whose sidecar landed last reads it back and publishes again,
-  so the entry is whole once the stores return.  Only a store that
-  dies between its two renames leaves a mixed pair behind, a miss
-  until the next store of that key.
+* **Stores share a lock.**  A store publishes its pair while holding
+  the advisory lockfile ``<root>/.writer.lock`` *shared*, so stores
+  never wait for one another, only for compaction.  Two processes
+  storing the same key race benignly: last rename wins, and both wrote
+  the same numbers.  A traced and an untraced store of one key can
+  interleave so that their halves end up mixed; the pair then reads as
+  a miss, and the store whose sidecar landed last reads it back and
+  publishes again, so the entry is whole once the stores return.  Only
+  a store that dies between its two renames leaves a mixed pair behind,
+  a miss until the next store of that key.
 * **Compaction is single-writer.**  :meth:`prune` / :meth:`clear` (and
-  the trace-strip pass inside prune) serialize on an advisory lockfile
-  (``<root>/.writer.lock``) so two pruners cannot interleave their
-  scan/delete cycles, and eviction re-checks each entry's mtime right
-  before unlinking — an entry re-stored after the scan (fresh mtime) is
-  skipped, so compaction never deletes a result another worker just
-  wrote back (``tests/session/test_cache_concurrency.py``).
+  the trace-strip pass inside prune) hold the same lockfile
+  *exclusive*, so two pruners cannot interleave their scan/delete
+  cycles, and no store publishes between an eviction's two unlinks
+  (one that did could verify its pair and return before the second
+  unlink, leaving a sidecar with no npz).  Eviction also re-checks each
+  entry's mtime right before unlinking, so an entry re-stored after the
+  scan (fresh mtime) is skipped where ``fcntl`` is missing and the lock
+  is a no-op (``tests/session/test_cache_concurrency.py``).
 """
 
 from __future__ import annotations
@@ -88,7 +92,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 import threading
 import zipfile
 from dataclasses import fields
@@ -245,7 +248,7 @@ class _Cell:
     """One optional value behind one lock: the process's code
     fingerprint, or a capped cache's running on-disk byte count (the
     server's job threads share one cache; the flock in ``_writer_lock``
-    is inter-process and only covers compaction)."""
+    is inter-process and only orders stores against compaction)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -554,7 +557,8 @@ class ResultCache:
             payload["trace"], trace_arrays = result.trace.to_arrays(
                 prefix=_TRACE_PREFIX)
             blob = _npz_bytes(trace_arrays)
-        self._write_pair(meta_path, npz_path, payload, blob)
+        with self._writer_lock(shared=True):
+            self._write_pair(meta_path, npz_path, payload, blob)
         if self.max_bytes is not None:
             try:
                 added = meta_path.stat().st_size + npz_path.stat().st_size
@@ -570,21 +574,24 @@ class ResultCache:
                 self.prune()
 
     @contextlib.contextmanager
-    def _writer_lock(self):
-        """Advisory inter-process lock serializing the compaction paths
-        (``prune`` / ``clear``).  Plain stores and loads never take it —
-        they are safe under the atomic-replace protocol on their own.
+    def _writer_lock(self, shared: bool = False):
+        """Advisory inter-process lock: compaction (``prune`` /
+        ``clear``) holds it exclusive, a store holds it ``shared`` while
+        it publishes its pair.  Loads never take it — they are safe
+        under the atomic-replace protocol on their own.
         Uses ``fcntl.flock`` on a lockfile inside the cache root (held
-        for the duration of the ``with`` block, released even on error);
-        on platforms without ``fcntl`` the lock degrades to a no-op,
-        which only loses the pruner-vs-pruner serialization, not
-        correctness of any individual operation."""
+        for the duration of the ``with`` block, released even on error;
+        each call opens its own descriptor, so threads of one process
+        exclude each other too); on platforms without ``fcntl`` the lock
+        degrades to a no-op: pruners no longer serialize, and an
+        eviction racing a store of the same key can leave half an entry
+        behind, which reads as a miss."""
         self.root.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.root / ".writer.lock",
                      os.O_CREAT | os.O_RDWR, 0o644)
         try:
             if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
+                fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
             yield
         finally:
             try:
@@ -617,7 +624,20 @@ class ResultCache:
 
     @staticmethod
     def _atomic_write(path: Path, write) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        """Write through a fresh temp file beside ``path``, then replace.
+
+        The temp file is created ``0o666`` (``mkstemp`` would make it
+        ``0o600``), so the umask decides the entry's mode, as it does for
+        the cache's directories and lock file."""
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(
+            os, "O_BINARY", 0)
+        while True:
+            tmp = f"{path}.{os.urandom(6).hex()}"
+            try:
+                fd = os.open(tmp, flags, 0o666)
+                break
+            except FileExistsError:
+                continue
         try:
             with os.fdopen(fd, "wb") as fh:
                 write(fh)

@@ -119,12 +119,6 @@ class TestOutputDynamics:
         # Discharge during the heavy-load microsecond must be faster.
         assert (v_mid - v_end) > (3.3 - v_mid)
 
-    def test_total_current_sums_phases(self, stage_factory):
-        stage = stage_factory(n=4, v_out0=3.3)
-        for k, phase in enumerate(stage.phases):
-            phase.current = 0.01 * (k + 1)
-        assert stage.total_current() == pytest.approx(0.1)
-
 
 #: four phase values whose in-order float sum differs in the last bit
 #: from the compensated ``sum()`` of Python 3.12 and later

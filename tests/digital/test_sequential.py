@@ -1,47 +1,24 @@
-"""Unit tests for latches, flip-flops, mutex, synchronizers, clocks, timers."""
+"""Unit tests for flip-flops, synchronizers, clocks and timers."""
 
 import math
 
 import pytest
 
 from repro.digital import (
+    DEFAULT_GATE_DELAY,
     Clock,
     DFlipFlop,
     HandshakeTimer,
-    Mutex,
     PhaseActivator,
-    SRLatch,
     SynchronizerBank,
 )
+from repro.digital.synchronizer import T_CLK_Q
 from repro.sim import NS, US, Signal, Simulator
 
 
 @pytest.fixture
 def sim():
     return Simulator(seed=7)
-
-
-class TestSRLatch:
-    def test_set_reset(self, sim):
-        s, r = Signal(sim, "s"), Signal(sim, "r")
-        latch = SRLatch(sim, "q", s, r, delay=1 * NS)
-        s.set(True)
-        sim.run(2 * NS)
-        assert latch.q.value
-        s.set(False)
-        sim.run(2 * NS)
-        assert latch.q.value  # hold
-        r.set(True)
-        sim.run(2 * NS)
-        assert not latch.q.value
-
-    def test_set_dominates(self, sim):
-        s, r = Signal(sim, "s"), Signal(sim, "r")
-        latch = SRLatch(sim, "q", s, r, delay=1 * NS, set_dominates=True)
-        r.set(True)
-        s.set(True)
-        sim.run(2 * NS)
-        assert latch.q.value
 
 
 class TestDFlipFlop:
@@ -53,6 +30,16 @@ class TestDFlipFlop:
         sim.run(10 * NS)
         assert ff.q.value
         assert ff.metastable_events == 0
+
+    def test_default_clock_to_q_is_the_synchronizers(self, sim):
+        d, clk = Signal(sim, "d"), Signal(sim, "clk")
+        ff = DFlipFlop(sim, "q", d, clk)
+        d.set(True, 1 * NS)
+        clk.set(True, 5 * NS)
+        sim.run(10 * NS)
+        assert DEFAULT_GATE_DELAY == T_CLK_Q == pytest.approx(0.1 * NS)
+        assert ff.q.edges("rise") == pytest.approx(
+            [5 * NS + DEFAULT_GATE_DELAY], abs=1e-15)
 
     def test_no_capture_on_falling_edge(self, sim):
         d, clk = Signal(sim, "d"), Signal(sim, "clk", init=True)
@@ -125,76 +112,6 @@ class TestDFlipFlop:
             sim.run(30 * NS)
             assert ff.inflight == 0
             assert not ff.q.value
-
-
-class TestMutex:
-    def test_single_request_granted(self, sim):
-        r1, r2 = Signal(sim, "r1"), Signal(sim, "r2")
-        mtx = Mutex(sim, "mtx", r1, r2, delay=1 * NS)
-        r1.set(True)
-        sim.run(5 * NS)
-        assert mtx.g1.value
-        assert not mtx.g2.value
-
-    def test_mutual_exclusion_on_race(self, sim):
-        r1, r2 = Signal(sim, "r1"), Signal(sim, "r2")
-        mtx = Mutex(sim, "mtx", r1, r2, delay=1 * NS)
-        r1.set(True, 1 * NS)
-        r2.set(True, 1 * NS)
-        sim.run(10 * NS)
-        assert mtx.g1.value != mtx.g2.value  # exactly one grant
-
-    def test_grants_never_overlap_across_many_races(self):
-        for seed in range(20):
-            sim = Simulator(seed=seed)
-            r1, r2 = Signal(sim, "r1"), Signal(sim, "r2")
-            mtx = Mutex(sim, "mtx", r1, r2, delay=0.5 * NS)
-
-            overlap = []
-
-            def check(_s, _v):
-                if mtx.g1.value and mtx.g2.value:
-                    overlap.append(sim.now)
-
-            mtx.g1.subscribe(check)
-            mtx.g2.subscribe(check)
-            r1.set(True, 1 * NS)
-            r2.set(True, 1.01 * NS)
-            r1.set(False, 20 * NS)
-            r2.set(False, 25 * NS)
-            sim.run(100 * NS)
-            assert overlap == []
-
-    def test_release_passes_grant_to_waiter(self, sim):
-        r1, r2 = Signal(sim, "r1"), Signal(sim, "r2")
-        mtx = Mutex(sim, "mtx", r1, r2, delay=1 * NS)
-        r1.set(True, 1 * NS)
-        r2.set(True, 5 * NS)  # clearly later: waits
-        sim.run(10 * NS)
-        assert mtx.g1.value and not mtx.g2.value
-        r1.set(False)
-        sim.run(10 * NS)
-        assert not mtx.g1.value and mtx.g2.value
-
-    def test_metastability_counted_on_close_race(self):
-        counts = 0
-        for seed in range(10):
-            sim = Simulator(seed=seed)
-            r1, r2 = Signal(sim, "r1"), Signal(sim, "r2")
-            mtx = Mutex(sim, "mtx", r1, r2, window=0.1 * NS)
-            r1.set(True, 1 * NS)
-            r2.set(True, 1.00001 * NS)
-            sim.run(10 * NS)
-            counts += mtx.metastable_events
-        assert counts == 10
-
-    def test_withdrawn_request_not_granted(self, sim):
-        r1, r2 = Signal(sim, "r1"), Signal(sim, "r2")
-        mtx = Mutex(sim, "mtx", r1, r2, delay=2 * NS)
-        r1.set(True, 1 * NS)
-        r1.set(False, 1.5 * NS)  # gives up before decision commits
-        sim.run(10 * NS)
-        assert not mtx.g1.value and not mtx.g2.value
 
 
 class TestSynchronizer:

@@ -222,6 +222,33 @@ class TestResultCacheStore:
         assert len(cache) == 0
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+class TestFileModes:
+    """Entry halves and the fingerprint memo are created ``0o666`` less
+    the umask, as the cache's directories are, so a shared cache root
+    reads for every user and not only for the writer."""
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644),
+                                             (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_entry_and_memo_follow_the_umask(self, tmp_path, monkeypatch,
+                                             fresh_fingerprint, umask,
+                                             mode):
+        default = tmp_path / "default"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
+        cache = ResultCache(root=tmp_path / "cache")
+        previous = os.umask(umask)
+        try:
+            key = cache_key(_config())     # computes and memoizes
+            assert cache.store(key, _result(), meta={"spec": "k"})
+        finally:
+            os.umask(previous)
+        written = [*cache._paths(key), default / cache_mod.FINGERPRINT_MEMO]
+        assert {path.name: path.stat().st_mode & 0o777
+                for path in written} == {path.name: mode
+                                         for path in written}
+
+
 class TestTracedEntries:
     """Cache entries embed the TraceSet of traced results (FORMAT 3)."""
 

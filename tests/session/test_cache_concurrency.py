@@ -12,7 +12,10 @@ contract (see the module docstring of :mod:`repro.session.cache`):
   same key sees a miss or the exact untraced result;
 * **prune never deletes mid-store** — entries re-stored during a prune
   scan survive, and the end state contains no half-entries (json
-  without npz or vice versa).
+  without npz or vice versa);
+* **stores and compaction exclude each other** — a store publishes
+  under the lockfile held shared, a prune holds it exclusive, so no
+  store lands between an eviction's two unlinks.
 
 Results are synthetic and derived deterministically from the key index,
 so any cross-contamination between entries is detectable.
@@ -22,6 +25,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +294,65 @@ def test_store_republishes_a_pair_mixed_by_a_concurrent_store(
     assert landed
     assert cache.load(_key(0)) == _result(0, traced=False), \
         _entry_state(cache, 0)
+
+
+def _in_thread(fn, *args) -> threading.Thread:
+    thread = threading.Thread(target=fn, args=args, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_no_store_lands_between_an_evictions_two_unlinks(
+        tmp_path, monkeypatch):
+    """A store of the key being evicted waits for the prune to finish.
+    Without the lock it publishes and verifies its pair after the
+    sidecar's unlink and before the npz's, and the second unlink leaves
+    a sidecar with no npz on disk."""
+    root = str(tmp_path / "cache")
+    cache = ResultCache(root=root)
+    cache.store(_key(0), _result(0, traced=False))
+    meta_path, _ = cache._paths(_key(0))
+    unlink = Path.unlink
+    racers = []
+
+    def racing_unlink(path, *args, **kwargs):
+        unlink(path, *args, **kwargs)
+        if path == meta_path and not racers:
+            racers.append(_in_thread(ResultCache(root=root).store,
+                                     _key(0), _result(0, traced=False)))
+            racers[0].join(timeout=0.5)
+            racers.append(racers[0].is_alive())
+
+    monkeypatch.setattr(Path, "unlink", racing_unlink)
+    assert cache.prune(max_bytes=0) == 1
+    monkeypatch.setattr(Path, "unlink", unlink)
+    racer, waited = racers
+    racer.join(timeout=60)
+    assert not racer.is_alive()
+    assert waited, "the store published while an eviction was under way"
+    _assert_no_half_entries(root)
+    assert cache.load(_key(0)) == _result(0, traced=False), \
+        _entry_state(cache, 0)
+
+
+def test_a_prune_waits_for_a_store_in_progress(tmp_path):
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    cache.store(_key(0), _result(0, traced=False))
+    removed = []
+    with cache._writer_lock(shared=True):      # a store is publishing
+        pruner = _in_thread(
+            lambda: removed.append(cache.prune(max_bytes=0)))
+        pruner.join(timeout=0.3)
+        assert pruner.is_alive() and removed == []
+    pruner.join(timeout=60)
+    assert removed == [1]
+
+
+def test_stores_do_not_wait_for_one_another(tmp_path):
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    with cache._writer_lock(shared=True):      # another store publishing
+        writer = _in_thread(cache.store, _key(0),
+                            _result(0, traced=True))
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+    assert cache.load(_key(0), want_trace=True) == _result(0, traced=True)
