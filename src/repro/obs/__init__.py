@@ -14,8 +14,8 @@ One shared vocabulary for what the stack is doing and what it costs:
   Perfetto);
 - :mod:`repro.obs.receipt` — per-sweep provenance receipts (config
   hashes, code fingerprint, cache hit ratio, phase wall times, artifact
-  paths) written next to cache entries and returned in the serve job
-  ``done`` event.
+  paths), published by a writable result cache and returned in the
+  serve job ``done`` event.
 
 Observability is **provably inert**: nothing here flows into cache or
 lockstep keys (machine-checked by lint rule D06), the ``REPRO_OBS=off``
@@ -26,8 +26,8 @@ reads, and the differential tests lock results bit-identical on/off.
 from .export import chrome_trace_events, parse_prometheus_text, prometheus_text
 from .metrics import (DEFAULT_BUCKETS, GLOBAL, Counter, Gauge, Histogram,
                       MetricsRegistry, NULL_INSTRUMENT)
-from .receipt import (RECEIPT_SCHEMA, RECEIPTS_DIR, PhaseClock, build_receipt,
-                      load_receipt, receipt_path, sweep_id_for, write_receipt)
+from .receipt import (RECEIPT_SCHEMA, PhaseClock, build_receipt, load_receipt,
+                      sweep_id_for)
 from .spans import (Span, Trace, adopt_spans, current_trace, enabled,
                     ensure_trace, merge_metrics, metrics_baseline,
                     metrics_delta, new_trace, now, set_enabled, span)
@@ -40,9 +40,8 @@ __all__ = [
     "span", "Span", "Trace", "current_trace", "ensure_trace", "new_trace",
     "adopt_spans", "metrics_baseline", "metrics_delta", "merge_metrics",
     "prometheus_text", "parse_prometheus_text", "chrome_trace_events",
-    "PhaseClock", "RECEIPT_SCHEMA", "RECEIPTS_DIR", "build_receipt",
-    "write_receipt",
-    "load_receipt", "receipt_path", "sweep_id_for",
+    "PhaseClock", "RECEIPT_SCHEMA", "build_receipt", "load_receipt",
+    "sweep_id_for",
 ]
 
 

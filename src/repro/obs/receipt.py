@@ -4,10 +4,10 @@ A receipt answers "what exactly produced these numbers, and what did it
 cost?" without rerunning anything: the resolved-config content hashes
 (the same SHA-256 keys the result cache is addressed by), the code
 fingerprint, the cache hit ratio, per-phase wall times that sum to the
-sweep's total, the worker count, and artifact paths.  Receipts are
-written next to the cache entries (``<cache_root>/receipts/``, atomic
-replace) and attached to the serve job ``done`` event; the cache's
-directory scans ignore them (entries require an ``.npz`` sibling).
+sweep's total, the worker count, and artifact paths.  A writable
+result cache publishes each receipt under its root
+(:meth:`~repro.session.cache.ResultCache.write_receipt`), and the serve
+job ``done`` event carries it.
 
 :class:`PhaseClock` carves a sweep into *contiguous* named segments —
 ``tick(name)`` closes the previous segment as it opens the next, so the
@@ -20,20 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
 import time
-from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from .metrics import GLOBAL
 from .spans import now
 
 #: bump when the receipt layout changes incompatibly
 RECEIPT_SCHEMA = 1
-
-#: subdirectory of the cache root holding receipts
-RECEIPTS_DIR = "receipts"
 
 
 class PhaseClock:
@@ -79,10 +72,6 @@ def sweep_id_for(parts: Sequence[str]) -> str:
     return digest.hexdigest()[:16]
 
 
-def receipt_path(cache_root: Path, sweep_id: str) -> Path:
-    return Path(cache_root) / RECEIPTS_DIR / f"{sweep_id}.json"
-
-
 def build_receipt(*, sweep_id: str, backend: str, workers: Optional[int],
                   specs: Sequence[str], keys: Optional[Sequence[str]],
                   fingerprint: Optional[str],
@@ -112,25 +101,6 @@ def build_receipt(*, sweep_id: str, backend: str, workers: Optional[int],
         "artifacts": dict(artifacts),
         "created_unix": now(),
     }
-
-
-def write_receipt(cache_root: Path, receipt: Mapping[str, Any]) -> str:
-    """Write the receipt under ``<cache_root>/receipts/`` (atomic
-    replace, like cache entries) and return its path."""
-    path = receipt_path(cache_root, receipt["sweep_id"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # pid AND thread id: concurrent sweeps of the same specs (same
-    # sweep_id) may race this write from sibling threads of one Session
-    tmp = path.with_suffix(
-        f".tmp.{os.getpid()}.{threading.get_ident()}")
-    # one C-encoded string, one write: json.dump with indent runs the
-    # pure-Python encoder, piece by piece
-    text = json.dumps(receipt, sort_keys=True)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-    GLOBAL.counter("repro_receipts_written_total").inc()
-    return str(path)
 
 
 def load_receipt(path: str) -> Dict[str, Any]:

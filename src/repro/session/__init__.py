@@ -5,7 +5,7 @@
   experiment drivers fall back to;
 - :mod:`repro.session.cache` — :func:`cache_key` (canonical hash of the
   resolved config, measurement knobs, and code-version fingerprint) and
-  :class:`ResultCache` (npz/json store under ``.repro_cache/``).
+  :class:`ResultCache` (one file per entry under ``.repro_cache/``).
 
 See README "Session API & caching" for the migration table.
 """

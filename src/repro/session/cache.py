@@ -17,24 +17,22 @@ headline measurements are a pure function of
 
 :func:`cache_key` hashes that tuple into a stable hex digest;
 :class:`ResultCache` stores one entry per key under a cache root
-(default ``.repro_cache/``, shard ``<key[:2]>/``) as two files:
+(default ``.repro_cache/``) as one file, ``<key[:2]>/<key>.entry``:
 
-* ``<key>.json`` — the sidecar: the run's numbers under ``"result"``
-  (every numeric :class:`RunResult` field by name, plus ``cycles``;
-  JSON float text round-trips float64 exactly), the controller label,
-  spec name and code fingerprint (human-greppable provenance), the
-  trace manifest of a traced entry, and ``"sha256"`` over the whole
-  entry: the canonical JSON of the sidecar without that field, then
-  the npz bytes;
-* ``<key>.npz`` — only the embedded ``trace_*`` waveform arrays (an
-  empty archive for an untraced entry).
+1. the sha256 hex digest of every byte after this line;
+2. the header, one line of compact JSON: the run's numbers under
+   ``"result"`` (every numeric :class:`RunResult` field by name, plus
+   ``cycles``; JSON float text round-trips float64 exactly), the
+   controller label, spec name and code fingerprint (human-greppable
+   provenance), and the trace manifest of a traced entry;
+3. a traced entry's embedded ``trace_*`` waveform arrays as npz bytes;
+   an untraced entry ends after its header.
 
-An untraced hit is therefore one small JSON read plus a hash of the
-npz bytes; the zip is parsed, and NumPy imported, only for
-``want_trace=True`` or to store a traced result.  Corrupt,
-torn, or half-written entries fail the digest and read as misses,
-never as wrong results; so does an entry whose ``result`` members or
-their kinds differ from what ``RunResult`` declares now.
+An untraced hit is therefore one small file read and one hash; the zip
+is parsed, and NumPy imported, only for ``want_trace=True`` or to store
+a traced result.  Corrupt or torn entries fail the digest and read as
+misses, never as wrong results; so does an entry whose ``result``
+members or their kinds differ from what ``RunResult`` declares now.
 
 The cache is shared by value, not by process: the parallel sharder's
 per-lane results are written back individually, so a re-run of an
@@ -44,41 +42,33 @@ bit-identical to the cold run (``tests/session/test_session.py``).
 The root also keeps :data:`FINGERPRINT_MEMO`, each fingerprinted
 module's AST digest keyed by the hash of its raw bytes, so a fresh
 process computes :func:`code_fingerprint` without parsing the tree.
-A call with no readable cache, such as the receipt of a cache-off
-sweep, keeps its memo under :func:`default_cache_root`; with caching
-off, a process therefore still creates ``.repro_cache/fingerprint.json``
-in its working directory (or the file under ``$REPRO_CACHE_DIR``), much
-as Python writes ``__pycache__``.
+A call with no cache, such as the receipt of a cache-off sweep, keeps
+its memo under :func:`default_cache_root`; with caching off, a process
+therefore still creates ``.repro_cache/fingerprint.json`` in its
+working directory (or the file under ``$REPRO_CACHE_DIR``), much as
+Python writes ``__pycache__``.  A writable cache also keeps each
+sweep's receipt under ``receipts/`` (:meth:`ResultCache.write_receipt`).
 
 Concurrency contract (the sweep server shares one cache directory
 between many worker threads and processes):
 
 * **Readers are lock-free.**  :meth:`ResultCache.load` takes no lock and
-  tolerates every in-flight write: entries are published with atomic
-  ``os.replace`` renames, so a reader sees either no entry, the previous
-  whole entry, or the new whole entry — never a torn file.  A reader
-  that catches an entry between its npz and json halves (they are
-  replaced npz-first) sees a digest mismatch and a *miss*, never a
-  wrong result.
-* **Stores share a lock.**  A store publishes its pair while holding
+  tolerates every in-flight write: an entry is published by one atomic
+  ``os.replace``, so a reader sees either no entry, the previous whole
+  entry, or the new whole entry -- never a torn or mixed one.
+* **Stores share a lock.**  A store publishes its entry while holding
   the advisory lockfile ``<root>/.writer.lock`` *shared*, so stores
   never wait for one another, only for compaction.  Two processes
   storing the same key race benignly: last rename wins, and both wrote
-  the same numbers.  A traced and an untraced store of one key can
-  interleave so that their halves end up mixed; the pair then reads as
-  a miss, and the store whose sidecar landed last reads it back and
-  publishes again, so the entry is whole once the stores return.  Only
-  a store that dies between its two renames leaves a mixed pair behind,
-  a miss until the next store of that key.
+  the same numbers.
 * **Compaction is single-writer.**  :meth:`prune` / :meth:`clear` (and
   the trace-strip pass inside prune) hold the same lockfile
   *exclusive*, so two pruners cannot interleave their scan/delete
-  cycles, and no store publishes between an eviction's two unlinks
-  (one that did could verify its pair and return before the second
-  unlink, leaving a sidecar with no npz).  Eviction also re-checks each
-  entry's mtime right before unlinking, so an entry re-stored after the
-  scan (fresh mtime) is skipped where ``fcntl`` is missing and the lock
-  is a no-op (``tests/session/test_cache_concurrency.py``).
+  cycles, and no store publishes between an eviction's mtime re-check
+  and its unlink (one that did would lose the entry it just wrote).
+  The re-check itself skips an entry re-stored after the scan (fresh
+  mtime), which is all that protects stores where ``fcntl`` is missing
+  and the lock is a no-op (``tests/session/test_cache_concurrency.py``).
 """
 
 from __future__ import annotations
@@ -107,10 +97,11 @@ from .. import obs
 from ..scenarios.parallel import encode_config
 from ..system import RunResult, SystemConfig
 
-#: bump when the cache's own encoding changes: the key payload or how
-#: an entry is laid out on disk.  A change to ``RunResult`` needs no
-#: bump: ``system.py`` is fingerprinted, so it moves every key, and an
-#: entry fetched by an old key reads as a miss (:data:`_RESULT_LAYOUT`).
+#: bump when the key payload changes; a change to how an entry is laid
+#: out on disk takes a new :data:`_ENTRY_SUFFIX` instead, so no old file
+#: is ever opened.  A change to ``RunResult`` needs neither: ``system.py``
+#: is fingerprinted, so it moves every key, and an entry fetched by an
+#: old key reads as a miss (:data:`_RESULT_LAYOUT`).
 #: (2: RunResult gained solver_ticks; keys cover the stepping knobs.
 #: 3: entries may embed the traced TraceSet; fingerprint covers trace/.
 #: 4: RunResult gained the kernel counters events_delivered /
@@ -119,8 +110,16 @@ from ..system import RunResult, SystemConfig
 #: the sidecar's ``sha256`` covers the whole entry)
 FORMAT_VERSION = 5
 
-#: cache operating modes (Session's ``cache=`` argument)
-MODES = ("readwrite", "readonly", "off")
+#: the suffix of an entry file (the format-5 layout before it wrote a
+#: json and an npz file per key; those are never read)
+_ENTRY_SUFFIX = ".entry"
+
+#: subdirectory of the cache root holding sweep receipts
+RECEIPTS_DIR = "receipts"
+
+#: cache operating modes (Session's ``cache=`` argument; its ``"off"``
+#: is no cache at all)
+MODES = ("readwrite", "readonly")
 
 #: default on-disk location, relative to the working directory
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -136,7 +135,7 @@ FINGERPRINT_PATHS = ("system.py", "sim", "analog", "digital", "a2a",
 def _fields_typed(kind: type) -> Tuple[str, ...]:
     """``RunResult``'s fields annotated ``kind``, in declaration order.
 
-    They name the sidecar's ``result`` members, so every numeric field
+    They name the header's ``result`` members, so every numeric field
     is stored by construction, and they fix :data:`_RESULT_LAYOUT`, so
     an entry written for another ``RunResult`` reads as a miss."""
     return tuple(f.name for f in fields(RunResult)
@@ -146,7 +145,7 @@ def _fields_typed(kind: type) -> Tuple[str, ...]:
 _FLOAT_FIELDS = _fields_typed(float)
 _INT_FIELDS = _fields_typed(int)
 
-#: the sidecar ``result`` this ``RunResult`` implies: member name -> the
+#: the header ``result`` this ``RunResult`` implies: member name -> the
 #: type ``json.loads`` gives it (float text, int, list).  An entry with
 #: another member set or kind was written for another ``RunResult`` --
 #: a field added, removed or retyped since -- and reads as a miss.
@@ -158,14 +157,6 @@ _TRACE_PREFIX = "trace_"
 
 #: what :func:`cache_key` returns: 64 lowercase hex digits
 _KEY_RE = re.compile(r"[0-9a-f]{64}")
-
-
-def _read_or_none(path: Path) -> Optional[bytes]:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError:
-        return None
 
 
 def is_cache_key(key: str) -> bool:
@@ -181,27 +172,27 @@ def _npz_bytes(arrays: Mapping[str, Any]) -> bytes:
     return buf.getvalue()
 
 
-#: the npz half of an untraced entry: the 22-byte empty zip archive
-#: (end-of-central-directory record only), byte for byte what
-#: ``_npz_bytes({})`` writes.  A literal, so that storing or serving an
-#: untraced entry never imports NumPy.
-_EMPTY_NPZ = b"PK\x05\x06" + bytes(18)
-
-#: how often a store republishes a pair that a concurrent store of the
-#: same key mixed (see :meth:`ResultCache._write_pair`)
-_PUBLISH_ATTEMPTS = 8
+def _encode_entry(header: Mapping[str, Any], blob: bytes = b"") -> bytes:
+    """An entry file's bytes: the digest line, then the header line and
+    the npz bytes ``blob`` it covers.  ``json.dumps`` escapes every
+    control character, so the header holds no raw newline."""
+    body = json.dumps(header, sort_keys=True,
+                      separators=(",", ":")).encode() + b"\n" + blob
+    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
 
 
-def _entry_digest(sidecar: Mapping[str, Any], blob: bytes) -> str:
-    """sha256 over the canonical JSON of ``sidecar`` (without its
-    ``sha256`` member) and the npz bytes ``blob``."""
-    body = {name: value for name, value in sidecar.items()
-            if name != "sha256"}
-    digest = hashlib.sha256(json.dumps(
-        body, sort_keys=True, separators=(",", ":")).encode())
-    digest.update(b"\0")
-    digest.update(blob)
-    return digest.hexdigest()
+def _decode_entry(data: bytes) -> Optional[Tuple[Dict[str, Any], bytes]]:
+    """``(header, blob)`` of an entry file's bytes, or ``None`` unless
+    the digest holds and the header is of this :data:`FORMAT_VERSION`."""
+    digest, _, body = data.partition(b"\n")
+    if digest != hashlib.sha256(body).hexdigest().encode():
+        return None
+    text, _, blob = body.partition(b"\n")
+    header = json.loads(text)
+    if not isinstance(header, dict) \
+            or header.get("format") != FORMAT_VERSION:
+        return None
+    return header, blob
 
 
 def module_fingerprint(source: str) -> str:
@@ -237,8 +228,8 @@ def default_cache_root() -> str:
     return os.environ.get("REPRO_CACHE_DIR", "").strip() or DEFAULT_CACHE_DIR
 
 
-#: per-module digest memo under a cache root, outside the ``*/*.json``
-#: entry glob: the sha256 of each module's raw bytes -> its
+#: per-module digest memo under a cache root, outside the entry
+#: shards: the sha256 of each module's raw bytes -> its
 #: :func:`module_fingerprint`, so a fresh process hashes files instead
 #: of parsing them
 FINGERPRINT_MEMO = "fingerprint.json"
@@ -293,8 +284,8 @@ def code_fingerprint(cache: Optional["ResultCache"] = None) -> str:
     Only the call that computes the value reads a
     :data:`FINGERPRINT_MEMO`, which supplies the digest of every module
     whose raw bytes it has seen, and rewrites it when the tree moved.
-    A readable ``cache`` lends its own memo (rewritten only if the cache
-    is writable); any other call uses the memo under
+    A ``cache`` lends its own memo (rewritten only if the cache is
+    writable); any other call uses the memo under
     :func:`default_cache_root`.  A damaged or unwritable memo only costs
     the parse; no memo changes the value.
     Two threads that both find no value both compute it, outside any
@@ -313,7 +304,7 @@ code_fingerprint.cache_clear = (  # type: ignore[attr-defined]
 def _compute_fingerprint(cache: Optional["ResultCache"]) -> str:
     this_module = Path(__file__).resolve()
     package_root = this_module.parent.parent
-    if cache is not None and cache.readable:
+    if cache is not None:
         root, writable = cache.root, cache.writable
     else:
         root, writable = Path(default_cache_root()), True
@@ -345,7 +336,7 @@ def _compute_fingerprint(cache: Optional["ResultCache"]) -> str:
         try:
             root.mkdir(parents=True, exist_ok=True)
             ResultCache._atomic_write(root / FINGERPRINT_MEMO,
-                                      lambda fh: fh.write(memo.encode()))
+                                      memo.encode())
         except OSError:
             pass   # the memo only spares the next process a parse
     return digest.hexdigest()[:16]
@@ -394,7 +385,7 @@ def cache_key(config: SystemConfig, *, settle: Optional[float] = None,
 
 
 class ResultCache:
-    """Persistent npz/json store of :class:`RunResult` entries by key.
+    """Persistent one-file-per-key store of :class:`RunResult` entries.
 
     ``mode``:
 
@@ -403,9 +394,6 @@ class ResultCache:
     ``"readonly"``
         Serve hits, never touch the disk on a miss — for golden caches
         shared between CI shards or checked into artifact storage.
-    ``"off"``
-        Never read, never write (a disabled cache object; sessions
-        usually represent this state as ``cache=None`` instead).
 
     ``max_bytes`` caps the on-disk size: every write prunes the store
     back under the cap in two passes, oldest-modification-first (an LRU
@@ -439,16 +427,11 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     @property
-    def readable(self) -> bool:
-        return self.mode in ("readwrite", "readonly")
-
-    @property
     def writable(self) -> bool:
         return self.mode == "readwrite"
 
-    def _paths(self, key: str) -> tuple:
-        shard = self.root / key[:2]
-        return shard / f"{key}.json", shard / f"{key}.npz"
+    def _path(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}{_ENTRY_SUFFIX}"
 
     # ------------------------------------------------------------------
     def load(self, key: str,
@@ -467,7 +450,7 @@ class ResultCache:
         identical either way).  ``want_trace=False`` never attaches a
         stored trace, so a hit is bit-identical to a fresh untraced run.
         """
-        if not self.readable or not is_cache_key(key):
+        if not is_cache_key(key):
             return None
         with obs.span("cache.load", key=key[:12],
                       metric="repro_cache_load_seconds") as sp:
@@ -480,21 +463,16 @@ class ResultCache:
 
     def _load_entry(self, key: str,
                     want_trace: bool = False) -> Optional[RunResult]:
-        meta_path, npz_path = self._paths(key)
         try:
-            with open(meta_path, "rb") as fh:
-                meta = json.loads(fh.read())
-            if not isinstance(meta, dict) \
-                    or meta.get("format") != FORMAT_VERSION:
+            with open(self._path(key), "rb") as fh:
+                entry = _decode_entry(fh.read())
+            if entry is None:
                 return None
-            trace_manifest = meta.get("trace")
+            header, blob = entry
+            trace_manifest = header.get("trace")
             if want_trace and trace_manifest is None:
                 return None
-            with open(npz_path, "rb") as fh:
-                blob = fh.read()
-            if meta.get("sha256") != _entry_digest(meta, blob):
-                return None
-            numbers = meta["result"]
+            numbers = header["result"]
             if not isinstance(numbers, dict) or {
                     name: type(value) for name, value in numbers.items()
             } != _RESULT_LAYOUT:
@@ -508,24 +486,24 @@ class ResultCache:
                 with np.load(io.BytesIO(blob)) as data:
                     trace = TraceSet.from_arrays(trace_manifest, data,
                                                  prefix=_TRACE_PREFIX)
-            return RunResult(controller=meta["controller"], trace=trace,
+            return RunResult(controller=header["controller"], trace=trace,
                              **numbers)
         except (OSError, ValueError, KeyError, TypeError, EOFError,
                 zipfile.BadZipFile):
-            # unreadable files, or a sidecar of the wrong shape
+            # unreadable files, or a header of the wrong shape
             return None
 
     def store(self, key: str, result: RunResult,
               meta: Optional[Mapping[str, Any]] = None) -> bool:
         """Write ``result`` under ``key``; returns False in read-only
-        (or off) mode, and for a result with a NaN or infinite number —
-        a diverged run is reported to its caller but never served from
-        cache.  Writes are atomic (tmp file + ``os.replace``), so a
+        mode, and for a result with a NaN or infinite number — a
+        diverged run is reported to its caller but never served from
+        cache.  The write is atomic (tmp file + ``os.replace``), so a
         concurrent reader sees either no entry or a whole one.
-        The numbers go to the json sidecar; a traced result also embeds
-        its :class:`~repro.trace.TraceSet` arrays in the npz (manifest in
-        the sidecar), so traced sweeps can be served from cache without
-        re-simulating."""
+        The numbers go to the entry's header; a traced result also
+        embeds its :class:`~repro.trace.TraceSet` arrays after it
+        (manifest in the header), so traced sweeps can be served from
+        cache without re-simulating."""
         if not self.writable or not all(
                 math.isfinite(getattr(result, f)) for f in _FLOAT_FIELDS):
             return False
@@ -538,33 +516,30 @@ class ResultCache:
 
     def _store_entry(self, key: str, result: RunResult,
                      meta: Optional[Mapping[str, Any]]) -> None:
-        meta_path, npz_path = self._paths(key)
-        meta_path.parent.mkdir(parents=True, exist_ok=True)
+        path = self._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
         numbers: Dict[str, Any] = {
             name: float(getattr(result, name)) for name in _FLOAT_FIELDS}
         numbers.update(
             {name: int(getattr(result, name)) for name in _INT_FIELDS})
         numbers["cycles"] = [int(c) for c in result.cycles]
-        payload: Dict[str, Any] = {
+        header: Dict[str, Any] = {
             "format": FORMAT_VERSION,
             "controller": result.controller,
             "code": code_fingerprint(),
             "meta": dict(meta or {}),
             "result": numbers,
         }
-        blob = _EMPTY_NPZ
+        blob = b""
         if result.trace is not None:
-            payload["trace"], trace_arrays = result.trace.to_arrays(
+            header["trace"], trace_arrays = result.trace.to_arrays(
                 prefix=_TRACE_PREFIX)
             blob = _npz_bytes(trace_arrays)
+        data = _encode_entry(header, blob)
         with self._writer_lock(shared=True):
-            self._write_pair(meta_path, npz_path, payload, blob)
+            self._atomic_write(path, data)
         if self.max_bytes is not None:
-            try:
-                added = meta_path.stat().st_size + npz_path.stat().st_size
-            except OSError:
-                added = 0    # concurrently evicted; next prune rescans
-            total = self._size.add(added)
+            total = self._size.add(len(data))
             if total is None:
                 # first capped write this process: one scan (covers the
                 # entry just written and anything from earlier processes)
@@ -573,19 +548,34 @@ class ResultCache:
             if total > self.max_bytes:
                 self.prune()
 
+    def write_receipt(self, receipt: Mapping[str, Any]) -> str:
+        """Publish a sweep's receipt as ``receipts/<sweep_id>.json``
+        under the root (atomic replace, like an entry); returns its
+        path.  Entry scans never see it."""
+        path = self.receipt_path(receipt["sweep_id"])
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # one C-encoded string, one write: json.dump with indent runs the
+        # pure-Python encoder, piece by piece
+        self._atomic_write(path, json.dumps(receipt, sort_keys=True).encode())
+        obs.GLOBAL.counter("repro_receipts_written_total").inc()
+        return str(path)
+
+    def receipt_path(self, sweep_id: str) -> Path:
+        return self.root / RECEIPTS_DIR / f"{sweep_id}.json"
+
     @contextlib.contextmanager
     def _writer_lock(self, shared: bool = False):
         """Advisory inter-process lock: compaction (``prune`` /
         ``clear``) holds it exclusive, a store holds it ``shared`` while
-        it publishes its pair.  Loads never take it — they are safe
-        under the atomic-replace protocol on their own.
+        it publishes its entry.  Loads never take it — one atomic
+        replace per entry keeps them safe on their own.
         Uses ``fcntl.flock`` on a lockfile inside the cache root (held
         for the duration of the ``with`` block, released even on error;
         each call opens its own descriptor, so threads of one process
         exclude each other too); on platforms without ``fcntl`` the lock
         degrades to a no-op: pruners no longer serialize, and an
-        eviction racing a store of the same key can leave half an entry
-        behind, which reads as a miss."""
+        eviction racing a store of the same key can delete the entry
+        that store just wrote, which then reads as a miss."""
         self.root.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.root / ".writer.lock",
                      os.O_CREAT | os.O_RDWR, 0o644)
@@ -600,34 +590,13 @@ class ResultCache:
             finally:
                 os.close(fd)
 
-    def _write_pair(self, meta_path: Path, npz_path: Path,
-                    sidecar: Dict[str, Any], blob: bytes) -> None:
-        """Publish one entry: the npz first, then the sidecar carrying
-        the digest over both, each an atomic replace.
-
-        A concurrent store of the same key may replace the npz between
-        the two renames, leaving this sidecar over another store's npz.
-        Only the store whose sidecar landed last can see that for good,
-        so it reads the pair back and publishes again until the halves
-        match (at most :data:`_PUBLISH_ATTEMPTS` times).  A pair is left
-        mixed only while some store is between its renames, or after
-        one died there."""
-        sidecar["sha256"] = _entry_digest(sidecar, blob)
-        text = json.dumps(sidecar, sort_keys=True, indent=1).encode()
-        for _ in range(_PUBLISH_ATTEMPTS):
-            self._atomic_write(npz_path, lambda fh: fh.write(blob))
-            self._atomic_write(meta_path, lambda fh: fh.write(text))
-            if _read_or_none(meta_path) != text:
-                return   # a later sidecar landed: its store checks
-            if _read_or_none(npz_path) == blob:
-                return
-
     @staticmethod
-    def _atomic_write(path: Path, write) -> None:
-        """Write through a fresh temp file beside ``path``, then replace.
+    def _atomic_write(path: Path, data: bytes) -> None:
+        """Write ``data`` through a fresh temp file beside ``path``, then
+        replace; the temp file is removed if either step fails.
 
         The temp file is created ``0o666`` (``mkstemp`` would make it
-        ``0o600``), so the umask decides the entry's mode, as it does for
+        ``0o600``), so the umask decides the file's mode, as it does for
         the cache's directories and lock file."""
         flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(
             os, "O_BINARY", 0)
@@ -640,7 +609,7 @@ class ResultCache:
                 continue
         try:
             with os.fdopen(fd, "wb") as fh:
-                write(fh)
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -650,73 +619,64 @@ class ResultCache:
             raise
 
     # ------------------------------------------------------------------
-    def keys(self) -> Iterator[str]:
-        """Keys of every complete entry currently on disk."""
+    def _entry_paths(self) -> List[Path]:
+        """Every entry file on disk, in path order: glob order is
+        filesystem-dependent, and mtime ties between entries would
+        otherwise break in directory order."""
         if not self.root.is_dir():
-            return
-        for meta_path in sorted(self.root.glob("*/*.json")):
-            if meta_path.with_suffix(".npz").exists():
-                yield meta_path.stem
+            return []
+        return sorted(self.root.glob(f"*/*{_ENTRY_SUFFIX}"))
+
+    def keys(self) -> Iterator[str]:
+        """Keys of every entry currently on disk."""
+        for path in self._entry_paths():
+            yield path.stem
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
+        return len(self._entry_paths())
 
     def size_bytes(self) -> int:
-        """Total on-disk size of every entry file (json + npz)."""
+        """Total on-disk size of every entry file."""
         return sum(size for _, _, size in self._entries())
 
     def _entries(self) -> List[Tuple[float, str, int]]:
-        """Every complete entry as ``(mtime, key, size_bytes)``."""
+        """Every entry as ``(mtime, key, size_bytes)``."""
         entries = []
-        if not self.root.is_dir():
-            return entries
-        # sorted: glob order is filesystem-dependent, and mtime ties
-        # between entries would otherwise break in directory order
-        for meta_path in sorted(self.root.glob("*/*.json")):
-            npz_path = meta_path.with_suffix(".npz")
+        for path in self._entry_paths():
             try:
-                meta_stat = meta_path.stat()
-                npz_stat = npz_path.stat()
+                stat = path.stat()
             except OSError:
-                continue   # half-written or concurrently evicted
-            entries.append((max(meta_stat.st_mtime, npz_stat.st_mtime),
-                            meta_path.stem,
-                            meta_stat.st_size + npz_stat.st_size))
+                continue   # concurrently evicted
+            entries.append((stat.st_mtime, path.stem, stat.st_size))
         return entries
 
     def _strip_trace(self, key: str) -> int:
         """Drop the embedded trace payload from one entry, keeping the
         scalar numbers (the entry reads exactly like an untraced write:
         plain loads hit, ``want_trace=True`` loads miss, and a traced
-        re-run upgrades it again): the npz becomes an empty archive, the
-        manifest goes, and the digest is recomputed — only for an entry
-        whose digest held, so a damaged entry is never re-signed.  The
-        entry's mtime is preserved — a strip is reclamation, not a user
-        write, so it must not make the entry look recently used.
+        re-run upgrades it again): the payload and the manifest go, and
+        the entry is signed again — only one whose digest held, so a
+        damaged entry is never re-signed.  The entry's mtime is
+        preserved — a strip is reclamation, not a user write, so it must
+        not make the entry look recently used.
         Returns the bytes reclaimed (0 for untraced, missing, damaged,
         or unreadable entries).  Only called from
         :meth:`prune`, i.e. under the single-writer lockfile; the
         rewrite itself stays atomic-replace so lock-free readers are
         unaffected."""
-        meta_path, npz_path = self._paths(key)
+        path = self._path(key)
         try:
-            with open(meta_path, "rb") as fh:
-                meta = json.loads(fh.read())
-            if not isinstance(meta, dict) \
-                    or meta.get("format") != FORMAT_VERSION \
-                    or meta.get("trace") is None:
+            stat = path.stat()
+            with open(path, "rb") as fh:
+                entry = _decode_entry(fh.read())
+            if entry is None or entry[0].get("trace") is None:
                 return 0
-            meta_stat = meta_path.stat()
-            npz_stat = npz_path.stat()
-            with open(npz_path, "rb") as fh:
-                if meta.get("sha256") != _entry_digest(meta, fh.read()):
-                    return 0
-            del meta["trace"]
-            self._write_pair(meta_path, npz_path, meta, _EMPTY_NPZ)
-            os.utime(npz_path, (npz_stat.st_atime, npz_stat.st_mtime))
-            os.utime(meta_path, (meta_stat.st_atime, meta_stat.st_mtime))
-            return max(0, meta_stat.st_size + npz_stat.st_size
-                       - meta_path.stat().st_size - npz_path.stat().st_size)
+            header = entry[0]
+            del header["trace"]
+            data = _encode_entry(header)
+            self._atomic_write(path, data)
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            return max(0, stat.st_size - len(data))
         except (OSError, ValueError):
             return 0   # unreadable entries are pass two's problem
 
@@ -726,8 +686,7 @@ class ResultCache:
         payloads from entries (:meth:`_strip_trace` — the scalar results
         survive), then, only if still over the cap, evict whole entries.
         Returns the number of whole entries removed (stripped entries
-        still count as present).  A ``readonly``/``off`` cache never
-        prunes.
+        still count as present).  A ``readonly`` cache never prunes.
 
         Concurrency: the whole pass runs under the single-writer
         lockfile (two pruners serialize), and every eviction re-checks
@@ -758,21 +717,14 @@ class ResultCache:
             for mtime, key, size in entries:
                 if total <= limit:
                     break
-                meta_path, npz_path = self._paths(key)
+                path = self._path(key)
                 try:
-                    current = max(meta_path.stat().st_mtime,
-                                  npz_path.stat().st_mtime)
+                    if path.stat().st_mtime > mtime:
+                        continue   # re-stored since the scan: fresh again
+                    path.unlink()
                 except OSError:
                     total -= size    # concurrently evicted elsewhere
                     continue
-                if current > mtime:
-                    # re-stored since the scan: fresh again, not evictable
-                    continue
-                for path in (meta_path, npz_path):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
                 total -= size
                 removed += 1
         self._size.set(total)   # the scan just measured the truth
@@ -784,13 +736,11 @@ class ResultCache:
         compaction to zero)."""
         removed = 0
         with self._writer_lock():
-            for key in list(self.keys()):
-                meta_path, npz_path = self._paths(key)
-                for path in (meta_path, npz_path):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        continue
+            for path in self._entry_paths():
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
                 removed += 1
             self._size.set(None)
         return removed

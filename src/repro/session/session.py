@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import closing
-from pathlib import Path
 from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, TypeVar, Union)
 
@@ -174,7 +173,7 @@ class Session:
                        cache_max_bytes: Optional[int] = None
                        ) -> Optional[ResultCache]:
         if isinstance(cache, ResultCache):
-            return cache if cache.mode != "off" else None
+            return cache
         mode = cache
         if mode is None:
             mode = (os.environ.get("REPRO_CACHE", "").strip()
@@ -478,11 +477,10 @@ class Session:
                  for i, point in enumerate(points)]
         sweep_id = obs.sweep_id_for(
             keys if keys is not None else [s.name for s in spec_list])
-        root: Optional[Path] = None
-        path: Optional[str] = None
-        if self.cache is not None and self.cache.writable:
-            root = Path(self.cache.root)
-            path = str(obs.receipt_path(root, sweep_id))
+        writer = (self.cache if self.cache is not None
+                  and self.cache.writable else None)
+        path = (str(writer.receipt_path(sweep_id)) if writer is not None
+                else None)
         receipt = obs.build_receipt(
             sweep_id=sweep_id, backend=self.backend, workers=self.workers,
             specs=[s.name for s in spec_list], keys=keys,
@@ -496,12 +494,12 @@ class Session:
             phases=clock.phases, wall_s=total, counters=counters,
             lanes=lanes,
             artifacts={
-                "cache_root": str(root) if root is not None else None,
+                "cache_root": str(writer.root) if writer is not None else None,
                 "receipt_path": path,
             })
-        if root is not None:
+        if writer is not None:
             with obs.span("receipt.write", sweep_id=sweep_id):
-                obs.write_receipt(root, receipt)
+                writer.write_receipt(receipt)
         tr.receipt = receipt
         return receipt
 

@@ -8,6 +8,8 @@ import pytest
 
 from repro import Session, obs
 from repro.scenarios import ScenarioSpec
+from repro.session import ResultCache
+from repro.session.cache import RECEIPTS_DIR
 from repro.sim import NS, US
 
 
@@ -108,7 +110,7 @@ class TestReceiptPlacement:
         path = receipt["artifacts"]["receipt_path"]
         assert path is not None and os.path.exists(path)
         assert os.path.dirname(path) == \
-            os.path.join(str(session.cache.root), obs.RECEIPTS_DIR)
+            os.path.join(str(session.cache.root), RECEIPTS_DIR)
         loaded = obs.load_receipt(path)
         assert loaded == json.loads(json.dumps(receipt))
 
@@ -138,6 +140,7 @@ class TestReceiptPlacement:
         import threading
 
         receipt = {"sweep_id": "cafe" * 4, "payload": 1}
+        cache = ResultCache(root=tmp_path)
         errors = []
         barrier = threading.Barrier(4)
 
@@ -145,7 +148,7 @@ class TestReceiptPlacement:
             try:
                 barrier.wait()
                 for _ in range(25):
-                    obs.write_receipt(tmp_path, receipt)
+                    cache.write_receipt(receipt)
             except Exception as exc:     # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -156,7 +159,30 @@ class TestReceiptPlacement:
             t.join(timeout=60)
         assert not errors, errors
         assert obs.load_receipt(
-            str(obs.receipt_path(tmp_path, receipt["sweep_id"]))) == receipt
+            str(cache.receipt_path(receipt["sweep_id"]))) == receipt
+        assert os.listdir(tmp_path / RECEIPTS_DIR) == ["cafe" * 4 + ".json"]
+
+    def test_a_failed_write_leaves_only_finished_receipts(self, tmp_path,
+                                                          monkeypatch):
+        """A receipt whose rename fails raises out of the sweep and
+        leaves no temp file beside the receipts already written."""
+        session = _session(tmp_path)
+        session.sweep(_grid(1))
+        receipts = os.path.join(str(session.cache.root), RECEIPTS_DIR)
+        finished = os.listdir(receipts)
+        replace = os.replace
+
+        def failing_replace(src, dst, *args, **kwargs):
+            if os.path.dirname(str(dst)) == receipts:
+                raise OSError("no space left on device")
+            return replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no space"):
+            session.sweep(_grid(2))
+        monkeypatch.setattr(os, "replace", replace)
+        assert len(finished) == 1
+        assert os.listdir(receipts) == finished
 
     def test_no_receipt_when_disabled(self, tmp_path):
         obs.set_enabled(False)
@@ -166,6 +192,6 @@ class TestReceiptPlacement:
             assert session.last_receipt() is None
             assert session.last_trace_spans() == []
             assert not os.path.exists(
-                os.path.join(str(session.cache.root), obs.RECEIPTS_DIR))
+                os.path.join(str(session.cache.root), RECEIPTS_DIR))
         finally:
             obs.set_enabled(None)

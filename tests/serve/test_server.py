@@ -419,8 +419,8 @@ class TestRequestBounds:
         cache.store(key, planted_result)
         planted = tmp_path / "top"
         planted.mkdir()
-        for path in cache._paths(key):
-            shutil.copyfile(path, planted / f"planted{path.suffix}")
+        path = cache._path(key)
+        shutil.copyfile(path, planted / f"planted{path.suffix}")
         escape = "../top/planted"
         assert cache._load_entry(escape) == planted_result
         with SweepServer(session=session, job_workers=1) as srv:

@@ -1,5 +1,7 @@
 """RunResult serialization and the content-addressed ResultCache."""
 
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -82,6 +84,36 @@ def fresh_fingerprint():
     forget()
 
 
+def _sign(body):
+    """An entry file's bytes: the sha256 hex of ``body``, a newline,
+    then ``body`` (the header line and any payload after it)."""
+    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+
+
+def _read_entry(cache, key):
+    """``(digest line, header, payload)`` of ``key``'s entry file."""
+    digest, header, payload = cache._path(key).read_bytes().split(b"\n", 2)
+    return digest, json.loads(header), payload
+
+
+def _rewrite(cache, key, edit=None, payload=None, sign=True):
+    """Rewrite ``key``'s entry: ``edit(header)`` changes the header in
+    place, ``payload`` replaces the bytes after it, and the digest line
+    is computed again when ``sign``, else kept as it was."""
+    digest, header, old_payload = _read_entry(cache, key)
+    if edit is not None:
+        edit(header)
+    body = (json.dumps(header, sort_keys=True).encode() + b"\n"
+            + (old_payload if payload is None else payload))
+    cache._path(key).write_bytes(
+        _sign(body) if sign else digest + b"\n" + body)
+
+
+def _truncate(path):
+    whole = path.read_bytes()
+    path.write_bytes(whole[:len(whole) // 2])
+
+
 def _config(**overrides):
     overrides.setdefault("controller", "async")
     overrides.setdefault("l_uh", 4.7)
@@ -135,7 +167,7 @@ class TestResultCacheStore:
     def test_every_field_round_trips(self, tmp_path):
         """A result with every field away from its default, trace
         included, loads back equal: a field the entry does not carry
-        (one of a type the sidecar skips, say) fails here."""
+        (one of a type the header skips, say) fails here."""
         result = _result(trace=_trace())
         for field in fields(RunResult):
             default = field.default if field.default_factory is MISSING \
@@ -151,34 +183,28 @@ class TestResultCacheStore:
         assert cache.load("0" * 64) is None
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
+        """An unsigned payload, and a signed header that is not JSON,
+        both read as misses."""
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result())
-        meta_path, npz_path = cache._paths(key)
-        npz_path.write_bytes(b"not an npz")
+        _rewrite(cache, key, payload=b"not an npz", sign=False)
         assert cache.load(key) is None
-        meta_path.write_text("{ not json")
+        cache._path(key).write_bytes(_sign(b"{ not json\n"))
         assert cache.load(key) is None
 
-    def test_truncated_npz_reads_as_miss(self, tmp_path):
-        """A torn write keeps the zip magic but loses the tail —
-        np.load raises BadZipFile, which must read as a miss."""
+    def test_truncated_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result())
-        _, npz_path = cache._paths(key)
-        whole = npz_path.read_bytes()
-        npz_path.write_bytes(whole[:len(whole) // 2])
+        _truncate(cache._path(key))
         assert cache.load(key) is None
 
     def test_format_version_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result())
-        meta_path, _ = cache._paths(key)
-        payload = json.loads(meta_path.read_text())
-        payload["format"] = 999
-        meta_path.write_text(json.dumps(payload))
+        _rewrite(cache, key, edit=lambda header: header.update(format=999))
         assert cache.load(key) is None
 
     def test_readonly_never_writes(self, tmp_path, fresh_fingerprint):
@@ -203,15 +229,11 @@ class TestResultCacheStore:
         assert cache.load(key) is None
         assert list(tmp_path.iterdir()) == []
 
-    def test_off_never_reads(self, tmp_path):
-        rw = ResultCache(root=tmp_path)
-        key = cache_key(_config())
-        rw.store(key, _result())
-        assert ResultCache(root=tmp_path, mode="off").load(key) is None
-
     def test_invalid_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="mode"):
-            ResultCache(root=tmp_path, mode="write-only")
+        # "off" is Session's word for no cache, not a ResultCache mode
+        for mode in ("write-only", "off"):
+            with pytest.raises(ValueError, match="mode"):
+                ResultCache(root=tmp_path, mode=mode)
 
     def test_clear_removes_everything(self, tmp_path):
         cache = ResultCache(root=tmp_path)
@@ -221,10 +243,71 @@ class TestResultCacheStore:
         assert cache.clear() == 3
         assert len(cache) == 0
 
+    def test_each_entry_is_one_file(self, tmp_path):
+        """A traced and an untraced store each leave exactly one file
+        in their key's shard."""
+        cache = ResultCache(root=tmp_path)
+        keys = ["aa" * 32, "bb" * 32]
+        cache.store(keys[0], _result(trace=_trace()))
+        cache.store(keys[1], _result())
+        for key in keys:
+            assert len(list((tmp_path / key[:2]).iterdir())) == 1
+
+    def test_a_load_opens_one_file(self, tmp_path, monkeypatch):
+        """A plain and a traced load of a traced entry each open its one
+        file once, and no other."""
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        cache.store(key, _result(trace=_trace()))
+        opened = []
+        real_open = io.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
+        assert cache.load(key) == _result()
+        assert cache.load(key, want_trace=True).trace == _trace()
+        assert opened == [cache._path(key)] * 2
+
+    def test_a_pair_in_the_previous_layout_is_never_seen(self, tmp_path):
+        """A whole format-5 pair as the previous layout wrote it (a
+        ``<key>.json`` sidecar signed over an ``<key>.npz``) sits beside
+        the entry of its key: it is no hit, and no count, size, prune or
+        clear sees it or removes it."""
+        cache = ResultCache(root=tmp_path)
+        key = cache_key(_config())
+        empty_npz = b"PK\x05\x06" + bytes(18)
+        sidecar = {"format": 5, "controller": "async", "code": "0" * 16,
+                   "meta": {}, "result": _result().to_dict()}
+        del sidecar["result"]["controller"]
+        digest = hashlib.sha256(json.dumps(
+            sidecar, sort_keys=True, separators=(",", ":")).encode())
+        digest.update(b"\0" + empty_npz)
+        sidecar["sha256"] = digest.hexdigest()
+        shard = tmp_path / key[:2]
+        shard.mkdir()
+        pair = [shard / f"{key}.json", shard / f"{key}.npz"]
+        pair[0].write_text(json.dumps(sidecar, sort_keys=True, indent=1))
+        pair[1].write_bytes(empty_npz)
+        assert cache.load(key) is None
+        assert (len(cache), cache.size_bytes()) == (0, 0)
+        assert cache.prune(max_bytes=0) == 0 and cache.clear() == 0
+        cache.store(key, _result())
+        assert cache.load(key) == _result()
+        assert len(cache) == 1
+        assert cache.size_bytes() == cache._path(key).stat().st_size
+        assert cache.prune(max_bytes=0) == 1
+        cache.store(key, _result())
+        assert cache.clear() == 1
+        assert sorted(shard.iterdir()) == pair
+
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
 class TestFileModes:
-    """Entry halves and the fingerprint memo are created ``0o666`` less
+    """Entries and the fingerprint memo are created ``0o666`` less
     the umask, as the cache's directories are, so a shared cache root
     reads for every user and not only for the writer."""
 
@@ -243,7 +326,7 @@ class TestFileModes:
             assert cache.store(key, _result(), meta={"spec": "k"})
         finally:
             os.umask(previous)
-        written = [*cache._paths(key), default / cache_mod.FINGERPRINT_MEMO]
+        written = [cache._path(key), default / cache_mod.FINGERPRINT_MEMO]
         assert {path.name: path.stat().st_mode & 0o777
                 for path in written} == {path.name: mode
                                          for path in written}
@@ -287,9 +370,7 @@ class TestTracedEntries:
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result(trace=_trace()))
-        _, npz_path = cache._paths(key)
-        whole = npz_path.read_bytes()
-        npz_path.write_bytes(whole[:len(whole) // 2])
+        _truncate(cache._path(key))
         assert cache.load(key, want_trace=True) is None
         assert cache.load(key) is None
 
@@ -304,9 +385,7 @@ class TestPrune:
         for i in range(n):
             key = cache_key(_config(seed=i))
             cache.store(key, _result())
-            meta_path, npz_path = cache._paths(key)
-            for path in (meta_path, npz_path):
-                os.utime(path, (t0 + i, t0 + i))   # deterministic ages
+            os.utime(cache._path(key), (t0 + i, t0 + i))   # fixed ages
             keys.append(key)
         return keys
 
@@ -406,8 +485,7 @@ class TestPruneEdgeCases:
         for i in range(4):
             key = cache_key(_config(seed=i))
             cache.store(key, _result())
-            for path in cache._paths(key):
-                os.utime(path, (1_000_000.0, 1_000_000.0))   # all tied
+            os.utime(cache._path(key), (1_000_000.0, 1_000_000.0))   # tied
             keys.append(key)
         entry = cache.size_bytes() // 4
         assert cache.prune(max_bytes=2 * entry + entry // 2) == 2
@@ -422,14 +500,12 @@ class TestPruneEdgeCases:
         traced_key = cache_key(_config())
         cache.store(traced_key, _result(trace=_trace(n=8192)))
         traced_size = cache.size_bytes()
-        for path in cache._paths(traced_key):
-            os.utime(path, (1_000_000.0, 1_000_000.0))   # oldest
+        os.utime(cache._path(traced_key), (1_000_000.0, 1_000_000.0))
         small_keys = []
         for i in range(3):
             key = cache_key(_config(seed=i + 1))
             cache.store(key, _result())
-            for path in cache._paths(key):
-                os.utime(path, (2_000_000.0 + i, 2_000_000.0 + i))
+            os.utime(cache._path(key), (2_000_000.0 + i, 2_000_000.0 + i))
             small_keys.append(key)
         small_total = cache.size_bytes() - traced_size
         assert traced_size > small_total      # traces dominate the store
@@ -453,8 +529,7 @@ class TestPruneEdgeCases:
         for i in range(5):
             key = cache_key(_config(seed=i))
             capped.store(key, _result(trace=_trace(n=1024, seed=i)))
-            for path in capped._paths(key):
-                os.utime(path, (1_000_000.0 + i, 1_000_000.0 + i))
+            os.utime(capped._path(key), (1_000_000.0 + i, 1_000_000.0 + i))
             keys.append(key)
         # every scalar result is still served
         assert len(capped) == 5
@@ -475,14 +550,12 @@ class TestPruneEdgeCases:
         cache = ResultCache(root=tmp_path)
         traced_key = cache_key(_config())
         cache.store(traced_key, _result(trace=_trace(n=2048)))
-        for path in cache._paths(traced_key):
-            os.utime(path, (1_000_000.0, 1_000_000.0))   # oldest
+        os.utime(cache._path(traced_key), (1_000_000.0, 1_000_000.0))
         scalar_keys = []
         for i in range(3):
             key = cache_key(_config(seed=i + 1))
             cache.store(key, _result())
-            for path in cache._paths(key):
-                os.utime(path, (2_000_000.0 + i, 2_000_000.0 + i))
+            os.utime(cache._path(key), (2_000_000.0 + i, 2_000_000.0 + i))
             scalar_keys.append(key)
         # cap: all four scalar payloads fit, the waveform does not
         cap = 5 * 1024
@@ -502,14 +575,12 @@ class TestPruneEdgeCases:
         cache = ResultCache(root=tmp_path)
         old_key = cache_key(_config())
         cache.store(old_key, _result(trace=_trace(n=1024)))
-        for path in cache._paths(old_key):
-            os.utime(path, (1_000_000.0, 1_000_000.0))
+        os.utime(cache._path(old_key), (1_000_000.0, 1_000_000.0))
         new_key = cache_key(_config(seed=1))
         cache.store(new_key, _result())
-        for path in cache._paths(new_key):
-            os.utime(path, (2_000_000.0, 2_000_000.0))
+        os.utime(cache._path(new_key), (2_000_000.0, 2_000_000.0))
         assert cache._strip_trace(old_key) > 0
-        mtime = cache._paths(old_key)[0].stat().st_mtime
+        mtime = cache._path(old_key).stat().st_mtime
         assert mtime == 1_000_000.0   # age preserved through the rewrite
         # force whole-entry eviction: cap below one scalar entry x2
         entry = cache.size_bytes() // 2
@@ -569,9 +640,11 @@ class TestPruneEdgeCases:
 
 class TestPayloadLayout:
     def test_derived_members_match_the_format_5_layout(self, tmp_path):
-        """The sidecar's ``result`` members are derived from RunResult's
+        """The header's ``result`` members are derived from RunResult's
         annotations; they must equal the FORMAT_VERSION 5 layout, or old
-        entries misread.  The npz holds only the trace arrays."""
+        entries misread.  Line 1 signs the rest of the file, line 2 is
+        the header, and the payload after it holds only the trace
+        arrays, or nothing for an untraced entry."""
         assert cache_mod.FORMAT_VERSION == 5
         assert cache_mod._FLOAT_FIELDS == (
             "v_final", "peak_coil_current", "ripple", "coil_loss_w",
@@ -583,31 +656,27 @@ class TestPayloadLayout:
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result(trace=_trace()), meta={"spec": "k"})
-        meta_path, npz_path = cache._paths(key)
-        sidecar = json.loads(meta_path.read_text())
-        assert sorted(sidecar) == ["code", "controller", "format", "meta",
-                                   "result", "sha256", "trace"]
-        assert list(sidecar["result"]) == sorted(
+        path = cache._path(key)
+        assert path.name == f"{key}.entry"
+        data = path.read_bytes()
+        digest, header, payload = _read_entry(cache, key)
+        assert data == _sign(data[len(digest) + 1:])
+        assert sorted(header) == ["code", "controller", "format", "meta",
+                                  "result", "trace"]
+        assert list(header["result"]) == sorted(
             cache_mod._FLOAT_FIELDS + cache_mod._INT_FIELDS + ("cycles",))
-        with zipfile.ZipFile(npz_path) as archive:
+        with zipfile.ZipFile(io.BytesIO(payload)) as archive:
             members = archive.namelist()
         assert members and all(name.startswith("trace_")
                                for name in members)
         cache.store(key, _result())
-        with zipfile.ZipFile(npz_path) as archive:
-            assert archive.namelist() == []
-        assert "trace" not in json.loads(meta_path.read_text())
-
-
-def _flip_byte(path, offset):
-    blob = bytearray(path.read_bytes())
-    blob[offset] ^= 0x01
-    path.write_bytes(bytes(blob))
+        digest, header, payload = _read_entry(cache, key)
+        assert "trace" not in header and payload == b""
 
 
 class TestEntryIntegrity:
-    """Format 5: the numbers live in the sidecar, and its sha256 covers
-    the sidecar and the npz bytes, so every damaged half is a miss."""
+    """The digest line covers every byte after it, header and payload,
+    so every damaged entry is a miss."""
 
     def test_untraced_hit_never_parses_the_npz(self, tmp_path,
                                                monkeypatch):
@@ -630,56 +699,56 @@ class TestEntryIntegrity:
     @pytest.mark.parametrize("field,value", [("v_final", 3.3),
                                              ("ov_events", 3),
                                              ("cycles", [3, 4, 5, 7])])
-    def test_changed_sidecar_number_misses(self, tmp_path, field, value):
+    def test_changed_header_number_misses(self, tmp_path, field, value):
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result())
-        meta_path, _ = cache._paths(key)
-        sidecar = json.loads(meta_path.read_text())
-        assert sidecar["result"][field] != value
-        sidecar["result"][field] = value
-        meta_path.write_text(json.dumps(sidecar))
+        assert _read_entry(cache, key)[1]["result"][field] != value
+        _rewrite(cache, key, sign=False,
+                 edit=lambda header: header["result"].update({field: value}))
         assert cache.load(key) is None
 
     @pytest.mark.parametrize("traced", [False, True],
                              ids=["untraced", "traced"])
     @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
-    def test_npz_bit_flip_misses(self, tmp_path, traced, where):
+    def test_payload_bit_flip_misses(self, tmp_path, traced, where):
+        """One bit flipped in the signed bytes: in the payload of a
+        traced entry, in the header of an untraced one (it has no
+        payload)."""
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result(trace=_trace() if traced else None))
-        _, npz_path = cache._paths(key)
-        size = npz_path.stat().st_size
-        _flip_byte(npz_path, min(size - 1, int(size * where)))
-        assert npz_path.stat().st_size == size
+        path = cache._path(key)
+        data = bytearray(path.read_bytes())
+        digest, header, payload = _read_entry(cache, key)
+        start = len(data) - len(payload) if traced else len(digest) + 1
+        span = len(data) - start
+        data[start + min(span - 1, int(span * where))] ^= 0x01
+        path.write_bytes(bytes(data))
         assert cache.load(key) is None
         assert cache.load(key, want_trace=True) is None
 
-    def test_swapped_npz_half_misses(self, tmp_path):
+    def test_payload_spliced_from_another_entry_misses(self, tmp_path):
         """Two entries with the same numbers but different waveforms:
-        one's npz beside the other's sidecar is a miss either way."""
+        one's payload after the other's header is a miss either way."""
         cache = ResultCache(root=tmp_path)
         key_a, key_b = cache_key(_config()), cache_key(_config(seed=1))
         cache.store(key_a, _result(trace=_trace(seed=0)))
         cache.store(key_b, _result(trace=_trace(seed=1)))
-        npz_a, npz_b = cache._paths(key_a)[1], cache._paths(key_b)[1]
-        assert npz_a.stat().st_size == npz_b.stat().st_size
-        shutil.copyfile(npz_b, npz_a)
+        payload_a, payload_b = (_read_entry(cache, key)[2]
+                                for key in (key_a, key_b))
+        assert payload_a != payload_b and len(payload_a) == len(payload_b)
+        _rewrite(cache, key_a, payload=payload_b, sign=False)
         assert cache.load(key_a) is None
         assert cache.load(key_a, want_trace=True) is None
 
-    def test_format_4_sidecar_misses(self, tmp_path):
-        """A sidecar claiming the previous format is a miss even with a
+    def test_format_4_header_misses(self, tmp_path):
+        """A header claiming the previous format is a miss even with a
         valid digest: format-4 entries get no fallback reader."""
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result())
-        meta_path, npz_path = cache._paths(key)
-        sidecar = json.loads(meta_path.read_text())
-        sidecar["format"] = 4
-        sidecar["sha256"] = cache_mod._entry_digest(
-            sidecar, npz_path.read_bytes())
-        meta_path.write_text(json.dumps(sidecar))
+        _rewrite(cache, key, edit=lambda header: header.update(format=4))
         assert cache.load(key) is None
 
     @pytest.mark.parametrize("drift", [
@@ -704,12 +773,8 @@ class TestEntryIntegrity:
         key = cache_key(_config())
         session.cache.store(key, _result())
         assert session.cache.load(key) == _result()
-        meta_path, npz_path = session.cache._paths(key)
-        sidecar = json.loads(meta_path.read_text())
-        drift(sidecar["result"])
-        sidecar["sha256"] = cache_mod._entry_digest(
-            sidecar, npz_path.read_bytes())
-        meta_path.write_text(json.dumps(sidecar))
+        _rewrite(session.cache, key,
+                 edit=lambda header: drift(header["result"]))
         assert session.cache.load(key) is None
         with SweepServer(session=session, job_workers=1) as srv:
             with pytest.raises(ServeError) as err:
@@ -753,20 +818,18 @@ class TestEntryIntegrity:
         assert cache.load(key) == _result(v_final=3.25, ov_events=7,
                                           cycles=[0, 1, 2])
 
-    def test_strip_keeps_numbers_mtimes_and_a_valid_digest(self, tmp_path):
+    def test_strip_keeps_numbers_mtime_and_a_valid_digest(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result(trace=_trace(n=512)))
-        meta_path, npz_path = cache._paths(key)
-        for i, path in enumerate((meta_path, npz_path)):
-            os.utime(path, (1_000_000.0 + i, 1_000_000.0 + i))
+        path = cache._path(key)
+        os.utime(path, (1_000_000.0, 1_000_000.0))
         assert cache._strip_trace(key) > 0
-        assert meta_path.stat().st_mtime == 1_000_000.0
-        assert npz_path.stat().st_mtime == 1_000_001.0
-        sidecar = json.loads(meta_path.read_text())
-        assert "trace" not in sidecar
-        assert sidecar["sha256"] == cache_mod._entry_digest(
-            sidecar, npz_path.read_bytes())
+        assert path.stat().st_mtime == 1_000_000.0
+        digest, header, payload = _read_entry(cache, key)
+        assert "trace" not in header and payload == b""
+        data = path.read_bytes()
+        assert data == _sign(data[len(digest) + 1:])
         assert cache.load(key) == _result()
         assert cache.load(key, want_trace=True) is None
 
@@ -774,10 +837,8 @@ class TestEntryIntegrity:
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result(trace=_trace()))
-        meta_path, _ = cache._paths(key)
-        sidecar = json.loads(meta_path.read_text())
-        sidecar["result"]["v_final"] = 0.5
-        meta_path.write_text(json.dumps(sidecar))
+        _rewrite(cache, key, sign=False,
+                 edit=lambda header: header["result"].update(v_final=0.5))
         assert cache._strip_trace(key) == 0
         assert cache.load(key) is None
 
@@ -789,9 +850,7 @@ class TestEntryIntegrity:
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result(trace=_trace()))
-        _, npz_path = cache._paths(key)
-        whole = npz_path.read_bytes()
-        npz_path.write_bytes(whole[:len(whole) // 2])
+        _truncate(cache._path(key))
         for want_trace in (False, True):
             before = len(os.listdir("/proc/self/fd"))
             with warnings.catch_warnings(record=True) as caught:
@@ -814,8 +873,8 @@ class TestKeyShape:
         cache.store(key, _result())
         planted = tmp_path / "top"
         planted.mkdir()
-        for path in cache._paths(key):
-            shutil.copyfile(path, planted / f"planted{path.suffix}")
+        path = cache._path(key)
+        shutil.copyfile(path, planted / f"planted{path.suffix}")
         escape = "../top/planted"
         # the guard is what stops it: the entry itself reads fine
         assert cache._load_entry(escape) == _result()
@@ -1068,19 +1127,6 @@ class TestFingerprintMemo:
         assert len(tree) == 1                       # solver.py from memo
         assert self.memo.read_text() == memo
 
-    def test_off_cache_never_touches_its_root(self, tree):
-        """An ``off`` cache is no cache: the memo under the default root
-        serves, and the cache's own root is neither read nor written."""
-        plain = self.fingerprint("off")
-        assert not self.root.exists() and self.default_memo.is_file()
-        self.fingerprint()
-        own = json.loads(self.memo.read_text())
-        own["modules"] = dict.fromkeys(own["modules"], "0" * 16)
-        self.memo.write_text(json.dumps(own))       # would move the value
-        del tree[:]
-        assert self.fingerprint("off") == plain and tree == []
-        assert json.loads(self.memo.read_text()) == own
-
     def test_bare_call_memo_lives_under_the_default_root(self, tree):
         plain = self.fingerprint(None)              # cold: parses, writes
         assert len(tree) == 2 and self.default_memo.is_file()
@@ -1135,8 +1181,7 @@ class TestFingerprintMemoInSessions:
         assert memo.is_file()
         [key] = cache.keys()
         assert len(cache) == 1
-        assert cache.size_bytes() == sum(
-            path.stat().st_size for path in cache._paths(key))
+        assert cache.size_bytes() == cache._path(key).stat().st_size
         assert cache.prune(max_bytes=0) == 1
         assert len(cache) == 0 and cache.size_bytes() == 0
         assert memo.is_file()

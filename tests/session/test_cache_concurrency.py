@@ -11,11 +11,11 @@ contract (see the module docstring of :mod:`repro.session.cache`):
 * **upgrades never leak** — a plain read racing a traced upgrade of the
   same key sees a miss or the exact untraced result;
 * **prune never deletes mid-store** — entries re-stored during a prune
-  scan survive, and the end state contains no half-entries (json
-  without npz or vice versa);
+  scan survive, and the end state holds only whole entries: no temp
+  file, and no entry whose digest fails;
 * **stores and compaction exclude each other** — a store publishes
   under the lockfile held shared, a prune holds it exclusive, so no
-  store lands between an eviction's two unlinks.
+  store lands between an eviction's mtime re-check and its unlink.
 
 Results are synthetic and derived deterministically from the key index,
 so any cross-contamination between entries is detectable.
@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.session import ResultCache
-from repro.session.cache import _entry_digest
+from repro.session.cache import FINGERPRINT_MEMO, RECEIPTS_DIR
 from repro.system import RunResult
 from repro.trace import TraceSet
 
@@ -132,24 +132,33 @@ def _run_processes(targets) -> list:
     return out
 
 
+def _digest_holds(data: bytes) -> bool:
+    digest, _, body = data.partition(b"\n")
+    return digest == hashlib.sha256(body).hexdigest().encode()
+
+
 def _entry_state(cache: ResultCache, i: int) -> str:
     """What is on disk for key ``i``, for a failure message."""
-    meta_path, npz_path = cache._paths(_key(i))
-    if not (meta_path.exists() and npz_path.exists()):
-        return (f"json on disk: {meta_path.exists()}, "
-                f"npz on disk: {npz_path.exists()}")
-    meta = json.loads(meta_path.read_bytes())
-    shape = "traced" if "trace" in meta else "untraced"
-    held = meta.get("sha256") == _entry_digest(meta, npz_path.read_bytes())
-    return (f"{shape} sidecar over a {npz_path.stat().st_size}-byte npz, "
-            f"digest holds: {held}")
+    path = cache._path(_key(i))
+    if not path.exists():
+        return "no entry on disk"
+    data = path.read_bytes()
+    header = json.loads(data.split(b"\n", 2)[1])
+    shape = "traced" if "trace" in header else "untraced"
+    return (f"{shape} entry of {len(data)} bytes, "
+            f"digest holds: {_digest_holds(data)}")
 
 
-def _assert_no_half_entries(root: str) -> None:
-    cache = ResultCache(root=root)
-    json_stems = {p.with_suffix("") for p in cache.root.glob("*/*.json")}
-    npz_stems = {p.with_suffix("") for p in cache.root.glob("*/*.npz")}
-    assert json_stems == npz_stems, "half-written entry left on disk"
+def _assert_only_whole_entries(root: str) -> None:
+    """Every file under the root is an entry whose digest holds, the
+    fingerprint memo, the lockfile or a receipt: no temp file is left."""
+    for path in Path(root).rglob("*"):
+        name = path.relative_to(root).as_posix()
+        if path.is_dir() or name in (FINGERPRINT_MEMO, ".writer.lock") \
+                or name.startswith(f"{RECEIPTS_DIR}/"):
+            continue
+        assert path.suffix == ".entry", f"stray file {name}"
+        assert _digest_holds(path.read_bytes()), f"damaged entry {name}"
 
 
 @pytest.mark.parametrize("capped", [False, True],
@@ -172,7 +181,7 @@ def test_writers_readers_and_pruner_share_one_directory(tmp_path, capped):
     errors = _run_processes(targets)
     assert not errors, errors
 
-    _assert_no_half_entries(root)
+    _assert_only_whole_entries(root)
     cache = ResultCache(root=root)
     if not capped:
         # nothing was over the cap, so nothing may have been evicted:
@@ -197,7 +206,7 @@ def test_concurrent_pruners_serialize_on_the_writer_lock(tmp_path):
     errors = _run_processes([(_pruner, (root, 4 * 1024)),
                              (_pruner, (root, 4 * 1024))])
     assert not errors, errors
-    _assert_no_half_entries(root)
+    _assert_only_whole_entries(root)
     # whatever survived is intact
     survivor = ResultCache(root=root)
     for i in range(N_KEYS):
@@ -217,7 +226,7 @@ def test_store_during_prune_survives(tmp_path):
     targets = [(_writer, (root, 99)), (_pruner, (root, 2 * 1024))]
     errors = _run_processes(targets)
     assert not errors, errors
-    _assert_no_half_entries(root)
+    _assert_only_whole_entries(root)
     for i in range(N_KEYS):
         result = cache.load(_key(i))
         assert result is None or _matches(result, i)
@@ -255,9 +264,9 @@ def _plain_reader(root: str, i: int, started, stop, errors) -> None:
 
 
 def test_untraced_reader_racing_a_traced_upgrade(tmp_path):
-    """Between the npz and json halves of an upgrade, the entry pairs
-    one store's npz with another's sidecar; a plain load of it must be a
-    miss or the exact untraced result, never anything else."""
+    """A plain load racing stores that replace an entry traced and
+    untraced by turns is a miss or the exact untraced result, never
+    anything else."""
     root = str(tmp_path / "cache")
     ResultCache(root=root).store(_key(0), _result(0, traced=False))
     ctx = multiprocessing.get_context("spawn")
@@ -265,35 +274,9 @@ def test_untraced_reader_racing_a_traced_upgrade(tmp_path):
     errors = _run_processes([(_upgrader, (root, 0, started, stop)),
                              (_plain_reader, (root, 0, started, stop))])
     assert not errors, errors
-    _assert_no_half_entries(root)
+    _assert_only_whole_entries(root)
     final = ResultCache(root=root).load(_key(0), want_trace=True)
     assert final == _result(0, traced=True)
-
-
-def test_store_republishes_a_pair_mixed_by_a_concurrent_store(
-        tmp_path, monkeypatch):
-    """A traced store's npz landing between an untraced store's two
-    renames mixes the pair; the untraced store, whose sidecar landed
-    last, must see that and publish its pair again."""
-    cache = ResultCache(root=str(tmp_path / "cache"))
-    cache.store(_key(0), _result(0, traced=True))
-    _, npz_path = cache._paths(_key(0))
-    traced_npz = npz_path.read_bytes()
-    write = ResultCache._atomic_write
-    landed = []
-
-    def racing_write(path, fill):
-        write(path, fill)
-        if path == npz_path and not landed:
-            landed.append(path)     # the concurrent store's npz lands now
-            write(path, lambda fh: fh.write(traced_npz))
-
-    monkeypatch.setattr(ResultCache, "_atomic_write",
-                        staticmethod(racing_write))
-    assert cache.store(_key(0), _result(0, traced=False))
-    assert landed
-    assert cache.load(_key(0)) == _result(0, traced=False), \
-        _entry_state(cache, 0)
 
 
 def _in_thread(fn, *args) -> threading.Thread:
@@ -302,26 +285,26 @@ def _in_thread(fn, *args) -> threading.Thread:
     return thread
 
 
-def test_no_store_lands_between_an_evictions_two_unlinks(
+def test_a_store_racing_the_eviction_of_its_key_waits_and_survives(
         tmp_path, monkeypatch):
-    """A store of the key being evicted waits for the prune to finish.
-    Without the lock it publishes and verifies its pair after the
-    sidecar's unlink and before the npz's, and the second unlink leaves
-    a sidecar with no npz on disk."""
+    """A store of the key being evicted waits for the prune to finish,
+    and its entry survives.  Without the lock it publishes after the
+    eviction's mtime re-check and before its unlink, which then deletes
+    the entry the store just wrote."""
     root = str(tmp_path / "cache")
     cache = ResultCache(root=root)
     cache.store(_key(0), _result(0, traced=False))
-    meta_path, _ = cache._paths(_key(0))
+    path = cache._path(_key(0))
     unlink = Path.unlink
     racers = []
 
-    def racing_unlink(path, *args, **kwargs):
-        unlink(path, *args, **kwargs)
-        if path == meta_path and not racers:
+    def racing_unlink(target, *args, **kwargs):
+        if target == path and not racers:
             racers.append(_in_thread(ResultCache(root=root).store,
                                      _key(0), _result(0, traced=False)))
             racers[0].join(timeout=0.5)
             racers.append(racers[0].is_alive())
+        unlink(target, *args, **kwargs)
 
     monkeypatch.setattr(Path, "unlink", racing_unlink)
     assert cache.prune(max_bytes=0) == 1
@@ -330,7 +313,7 @@ def test_no_store_lands_between_an_evictions_two_unlinks(
     racer.join(timeout=60)
     assert not racer.is_alive()
     assert waited, "the store published while an eviction was under way"
-    _assert_no_half_entries(root)
+    _assert_only_whole_entries(root)
     assert cache.load(_key(0)) == _result(0, traced=False), \
         _entry_state(cache, 0)
 

@@ -1,26 +1,22 @@
 """The cache-hot path is NumPy-free by structure.
 
-A fresh sweep server answers a fully cached job from the json sidecars:
-nothing on that path makes an array, so nothing on it may import NumPy
-or the vector engine.  NumPy loads on a process's first miss, or on its
+A fresh sweep server answers a fully cached job from the entries'
+headers: nothing on that path makes an array, so nothing on it may
+import NumPy or the vector engine.  NumPy loads on a process's first miss, or on its
 first traced read or store.  Each check runs in a fresh interpreter,
 because this test process has long since imported both.
 """
 
-import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import repro
 from repro.scenarios import Sweep
 from repro.serve import job_request
 from repro.session import Session
-from repro.session.cache import _EMPTY_NPZ, _npz_bytes
 from repro.sim import NS, US
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -78,8 +74,3 @@ def test_import_repro_loads_no_numpy():
                     " if m in sys.modules]))")
     assert loaded == []
 
-
-def test_empty_npz_literal_is_what_numpy_writes():
-    assert _EMPTY_NPZ == _npz_bytes({})
-    with np.load(io.BytesIO(_EMPTY_NPZ)) as data:
-        assert list(data.files) == []
