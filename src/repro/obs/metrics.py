@@ -19,7 +19,8 @@ feature count:
   have run.
 
 The registry is thread-safe (one lock; instruments are touched a few
-times per sweep lane, never per solver tick).
+times per sweep lane, never per solver tick, and a repeat lookup of a
+series is one dict read under it).
 """
 
 from __future__ import annotations
@@ -167,6 +168,10 @@ class MetricsRegistry:
     def __init__(self, install_core: bool = True) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
+        #: ``(name, kind, tuple(labels.items()))`` -> the instrument the
+        #: full path made, for series whose label values are all str
+        #: (a non-str value stringifies, and ``1 == True`` would alias)
+        self._fast: Dict[Tuple[str, str, tuple], Any] = {}
         if install_core:
             self.install_core()
 
@@ -174,7 +179,18 @@ class MetricsRegistry:
     def _instrument(self, name: str, kind: str, help_text: str,
                     buckets: Tuple[float, ...], labels: Mapping[str, Any]):
         """The instrument of one labelled series, registering its family
-        and creating it on first use."""
+        and creating it on first use.
+
+        A repeat lookup is one dict read keyed by the labels in call
+        order; a miss (first use, another label order, an unhashable
+        label, a kind clash) sorts and stringifies the labels and takes
+        the full path, which still raises on the clash."""
+        fast_key = (name, kind, tuple(labels.items()))
+        with self._lock:
+            try:
+                return self._fast[fast_key]
+            except (KeyError, TypeError):
+                pass
         key = _label_key(labels)
         with self._lock:
             family = self._families.get(name)
@@ -194,6 +210,8 @@ class MetricsRegistry:
                 else:
                     inst = Histogram(family.buckets)
                 family.children[key] = inst
+            if all(type(value) is str for value in labels.values()):
+                self._fast[fast_key] = inst
             return inst
 
     def counter(self, name: str, help_text: str = "",

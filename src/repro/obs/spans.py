@@ -186,35 +186,63 @@ def current_trace() -> Optional[Trace]:
     return _TRACE.get() if enabled() else None
 
 
-@contextlib.contextmanager
-def span(name: str, metric: Optional[str] = None,
-         **attrs: Any) -> Iterator[Optional[Dict[str, Any]]]:
-    """Record a timed span under the current trace.
+class span:
+    """Record a timed span under the current trace: ``with
+    obs.span(name, metric=None, **attrs) as attrs: ...``.
 
-    Yields the span's attribute dict (mutable — set outcome fields
-    inside the block), or ``None`` when no trace is active or the kill
-    switch is off, in which case the block runs untouched with **zero**
-    clock reads.  ``metric`` names a histogram that additionally
-    observes the span's duration.
+    The block gets the span's attribute dict (mutable — set outcome
+    fields inside the block), or ``None`` when no trace is active or the
+    kill switch is off; then ``span(...)`` is one shared null object and
+    the block runs untouched with **zero** clock reads.  ``metric``
+    names a histogram that additionally observes the span's duration.
+    A span is recorded however its block exits; an exception propagates.
     """
-    tr = _TRACE.get() if enabled() else None
-    if tr is None:
-        yield None
-        return
-    span_id = tr.next_id()
-    parent_id = _SPAN.get()
-    token = _SPAN.set(span_id)
-    start = time.time()
-    try:
-        yield attrs
-    finally:
+
+    __slots__ = ("_trace", "_name", "_metric", "_attrs", "_span_id",
+                 "_parent_id", "_token", "_start")
+
+    def __new__(cls, name: str, metric: Optional[str] = None,
+                **attrs: Any) -> Any:
+        tr = _TRACE.get() if enabled() else None
+        if tr is None:
+            return _NULL_SPAN
+        self = object.__new__(cls)
+        self._trace = tr
+        self._name = name
+        self._metric = metric
+        self._attrs = attrs
+        return self
+
+    def __enter__(self) -> Dict[str, Any]:
+        self._span_id = self._trace.next_id()
+        self._parent_id = _SPAN.get()
+        self._token = _SPAN.set(self._span_id)
+        self._start = time.time()
+        return self._attrs
+
+    def __exit__(self, *exc_info: Any) -> None:
         end = time.time()
-        _SPAN.reset(token)
-        tr.add(Span(name=name, start=start, end=end, span_id=span_id,
-                    parent_id=parent_id, pid=os.getpid(),
-                    tid=threading.get_ident(), attrs=attrs))
-        if metric is not None:
-            GLOBAL.histogram(metric).observe(end - start)
+        _SPAN.reset(self._token)
+        self._trace.add(Span(self._name, self._start, end, self._span_id,
+                             self._parent_id, os.getpid(),
+                             threading.get_ident(), attrs=self._attrs))
+        if self._metric is not None:
+            GLOBAL.histogram(self._metric).observe(end - self._start)
+
+
+class _NullSpan:
+    """What :class:`span` is when nothing records: a no-op block."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
+
+_NULL_SPAN = _NullSpan()
 
 
 @contextlib.contextmanager

@@ -19,7 +19,12 @@ the session import it on the cache-hot path):
    specs and expanded :class:`~repro.system.SystemConfig` fields travel
    as plain dicts of primitives; model objects (coil, load profile,
    references, controller params, async timings) are re-built in the
-   child, so nothing unpicklable ever crosses the pipe.
+   child, so nothing unpicklable ever crosses the pipe.  The same
+   codec builds every cache key's payload, so it runs once per lane on
+   a cache-hot sweep: it dispatches on the exact type of each value
+   (primitives pass straight through, a model is flattened from its
+   declared fields) and falls back to ``isinstance`` only for
+   subclasses, which yields the bytes the ``asdict`` form always had.
 
 Traced sweeps shard too: each worker attaches the lane's columnar
 :class:`~repro.trace.TraceSet` to its result, and TraceSets pickle
@@ -140,8 +145,29 @@ _MODELS: Dict[str, type] = {
 _MODEL_TAG = "__model__"
 
 
+#: the exact model types flattened field by field, each with its tag
+#: and declared field names.  Every field of these four is a primitive,
+#: so the flat dict equals the ``dataclasses.asdict`` form, copy-free.
+_FLAT: Dict[type, Tuple[str, Tuple[str, ...]]] = {
+    cls: (tag, tuple(cls.__dataclass_fields__))
+    for tag, cls in _MODELS.items()}
+
+#: value types every codec passes through untouched
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def encode_value(value: Any) -> Any:
-    """Flatten one override/config value into pickle-safe primitives."""
+    """Flatten one override/config value into pickle-safe primitives.
+
+    The exact type picks the tag; a subclass of a model class takes the
+    ``isinstance`` chain, so it encodes as it always has."""
+    flat = _FLAT.get(type(value))
+    if flat is not None:
+        tag, names = flat
+        out = {_MODEL_TAG: tag}
+        for name in names:
+            out[name] = getattr(value, name)
+        return out
     if isinstance(value, Coil):
         return {_MODEL_TAG: "coil", **asdict(value)}
     if isinstance(value, LoadProfile):
@@ -157,13 +183,16 @@ def encode_value(value: Any) -> Any:
 
 def decode_value(value: Any) -> Any:
     """Rebuild a model object from its :func:`encode_value` form."""
-    if isinstance(value, Mapping) and _MODEL_TAG in value:
-        kind = value[_MODEL_TAG]
-        fields = {k: v for k, v in value.items() if k != _MODEL_TAG}
-        if kind == "load":
-            return LoadProfile([tuple(step) for step in fields["steps"]])
-        return _MODELS[kind](**fields)
-    return value
+    if type(value) is not dict and (type(value) in _PLAIN
+                                    or not isinstance(value, Mapping)):
+        return value
+    if _MODEL_TAG not in value:
+        return value
+    kind = value[_MODEL_TAG]
+    fields = {k: v for k, v in value.items() if k != _MODEL_TAG}
+    if kind == "load":
+        return LoadProfile([tuple(step) for step in fields["steps"]])
+    return _MODELS[kind](**fields)
 
 
 def encode_spec(spec: ScenarioSpec) -> Dict[str, Any]:
@@ -184,8 +213,11 @@ def decode_spec(payload: Mapping[str, Any]) -> ScenarioSpec:
 
 
 def encode_config(config: SystemConfig) -> Dict[str, Any]:
-    return {name: encode_value(getattr(config, name))
-            for name in SystemConfig.__dataclass_fields__}
+    out: Dict[str, Any] = {}
+    for name in SystemConfig.__dataclass_fields__:
+        value = getattr(config, name)
+        out[name] = value if type(value) in _PLAIN else encode_value(value)
+    return out
 
 
 def decode_config(payload: Mapping[str, Any]) -> SystemConfig:

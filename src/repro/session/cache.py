@@ -86,7 +86,8 @@ import threading
 import zipfile
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Tuple,
+                    Union)
 
 try:                              # pragma: no cover - platform availability
     import fcntl
@@ -417,6 +418,7 @@ class ResultCache:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes cannot be negative")
         self.root = Path(root)
+        self._root = str(self.root)
         self.mode = mode
         self.max_bytes = max_bytes
         # Running on-disk size estimate for capped caches: initialised by
@@ -430,8 +432,10 @@ class ResultCache:
     def writable(self) -> bool:
         return self.mode == "readwrite"
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}{_ENTRY_SUFFIX}"
+    def _path(self, key: str) -> str:
+        # a str, not a Path: joining through pathlib costs 20x more, and
+        # a cache-hot sweep builds one path per lane
+        return f"{self._root}{os.sep}{key[:2]}{os.sep}{key}{_ENTRY_SUFFIX}"
 
     # ------------------------------------------------------------------
     def load(self, key: str,
@@ -517,7 +521,6 @@ class ResultCache:
     def _store_entry(self, key: str, result: RunResult,
                      meta: Optional[Mapping[str, Any]]) -> None:
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         numbers: Dict[str, Any] = {
             name: float(getattr(result, name)) for name in _FLOAT_FIELDS}
         numbers.update(
@@ -537,7 +540,7 @@ class ResultCache:
             blob = _npz_bytes(trace_arrays)
         data = _encode_entry(header, blob)
         with self._writer_lock(shared=True):
-            self._atomic_write(path, data)
+            self._publish(path, data)
         if self.max_bytes is not None:
             total = self._size.add(len(data))
             if total is None:
@@ -553,10 +556,9 @@ class ResultCache:
         under the root (atomic replace, like an entry); returns its
         path.  Entry scans never see it."""
         path = self.receipt_path(receipt["sweep_id"])
-        path.parent.mkdir(parents=True, exist_ok=True)
         # one C-encoded string, one write: json.dump with indent runs the
         # pure-Python encoder, piece by piece
-        self._atomic_write(path, json.dumps(receipt, sort_keys=True).encode())
+        self._publish(path, json.dumps(receipt, sort_keys=True).encode())
         obs.GLOBAL.counter("repro_receipts_written_total").inc()
         return str(path)
 
@@ -570,15 +572,25 @@ class ResultCache:
         it publishes its entry.  Loads never take it — one atomic
         replace per entry keeps them safe on their own.
         Uses ``fcntl.flock`` on a lockfile inside the cache root (held
-        for the duration of the ``with`` block, released even on error;
-        each call opens its own descriptor, so threads of one process
-        exclude each other too); on platforms without ``fcntl`` the lock
-        degrades to a no-op: pruners no longer serialize, and an
-        eviction racing a store of the same key can delete the entry
-        that store just wrote, which then reads as a miss."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.root / ".writer.lock",
-                     os.O_CREAT | os.O_RDWR, 0o644)
+        for the duration of the ``with`` block, released even on error);
+        on platforms without ``fcntl`` the lock degrades to a no-op:
+        pruners no longer serialize, and an eviction racing a store of
+        the same key can delete the entry that store just wrote, which
+        then reads as a miss.
+
+        Each call opens its own descriptor, so threads of one process
+        exclude each other too.  A descriptor kept open and shared would
+        not: ``flock`` locks belong to the open file description, so a
+        store thread's ``LOCK_SH`` on it would convert a prune thread's
+        ``LOCK_EX`` in the same process (the sweep server's job threads)
+        instead of waiting for it.  The root is made only when the
+        lockfile's open finds it missing."""
+        lockfile = os.path.join(self._root, ".writer.lock")
+        try:
+            fd = os.open(lockfile, os.O_CREAT | os.O_RDWR, 0o644)
+        except FileNotFoundError:
+            os.makedirs(self._root, exist_ok=True)
+            fd = os.open(lockfile, os.O_CREAT | os.O_RDWR, 0o644)
         try:
             if fcntl is not None:
                 fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
@@ -590,8 +602,19 @@ class ResultCache:
             finally:
                 os.close(fd)
 
+    def _publish(self, path: Union[str, Path], data: bytes) -> None:
+        """:meth:`_atomic_write` ``data`` to ``path``, making its
+        directory when the temp file's open finds it missing: once per
+        shard and cache, or again after someone removed it, instead of a
+        ``mkdir`` per store."""
+        try:
+            self._atomic_write(path, data)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            self._atomic_write(path, data)
+
     @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
+    def _atomic_write(path: Union[str, Path], data: bytes) -> None:
         """Write ``data`` through a fresh temp file beside ``path``, then
         replace; the temp file is removed if either step fails.
 
@@ -666,7 +689,7 @@ class ResultCache:
         unaffected."""
         path = self._path(key)
         try:
-            stat = path.stat()
+            stat = os.stat(path)
             with open(path, "rb") as fh:
                 entry = _decode_entry(fh.read())
             if entry is None or entry[0].get("trace") is None:
@@ -719,9 +742,9 @@ class ResultCache:
                     break
                 path = self._path(key)
                 try:
-                    if path.stat().st_mtime > mtime:
+                    if os.stat(path).st_mtime > mtime:
                         continue   # re-stored since the scan: fresh again
-                    path.unlink()
+                    os.unlink(path)
                 except OSError:
                     total -= size    # concurrently evicted elsewhere
                     continue

@@ -73,6 +73,17 @@ class _SessionStats:
             for name, delta in deltas.items():
                 self._counts[name] += delta
 
+    def land(self, result: RunResult, cached: bool, waited: bool) -> None:
+        """Count one landed lane: a hit if it was served ``cached``, an
+        in-flight wait if it ``waited``, and its kernel counters."""
+        with self._lock:
+            counts = self._counts
+            counts["lanes"] += 1
+            counts["hits"] += cached
+            counts["inflight_waits"] += waited
+            for name in _LANE_COUNTERS:
+                counts[name] += getattr(result, name)
+
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             return dict(self._counts)
@@ -281,13 +292,7 @@ class Session:
                     for i, point, waited in lanes:
                         points[i] = point
                         waits += waited
-                        result = point.result
-                        self._stats.add(
-                            lanes=1, solver_ticks=result.solver_ticks,
-                            events_delivered=result.events_delivered,
-                            clock_edges_simulated=(
-                                result.clock_edges_simulated),
-                            clock_edges_skipped=result.clock_edges_skipped)
+                        self._stats.land(point.result, point.cached, waited)
                         obs.counter(
                             "repro_lanes_total",
                             source="cache" if point.cached else "computed"
@@ -323,6 +328,8 @@ class Session:
         claim, yield, serve its duplicates.  A waiter whose owner did not
         publish a usable entry goes into the next round.  ``clock``
         segments the phases; it is ``None`` when the kill switch is off.
+        The caller counts each landed lane; a hit is a point served
+        ``cached``, so this body counts only sweeps and misses.
         """
 
         def tick(name: str) -> None:
@@ -366,7 +373,6 @@ class Session:
             if result is None:
                 todo.append(i)
             else:
-                self._stats.add(hits=1)
                 yield i, served(i, result), False
 
         while todo:
@@ -417,7 +423,6 @@ class Session:
                         yield i, SweepPoint(spec_list[i], configs[i], result,
                                             key=keys[i]), False
                         for dup in followers.get(i, ()):
-                            self._stats.add(hits=1)
                             yield dup, served(dup, result), False
             finally:
                 # release the claims of lanes that never landed (mid-sweep
@@ -435,7 +440,6 @@ class Session:
                 if result is None:
                     todo.append(i)
                 else:
-                    self._stats.add(hits=1, inflight_waits=1)
                     obs.counter("repro_inflight_waits_total").inc()
                     yield i, served(i, result), True
 

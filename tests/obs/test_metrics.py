@@ -57,6 +57,24 @@ class TestInstruments:
         with pytest.raises(ValueError):
             reg.gauge("x")
 
+    def test_kind_collision_rejected_after_a_warm_lookup(self, reg):
+        assert reg.counter("x", a="1") is reg.counter("x", a="1")
+        assert reg.counter("x") is reg.counter("x")
+        with pytest.raises(ValueError):
+            reg.gauge("x")
+        with pytest.raises(ValueError):
+            reg.gauge("x", a="1")
+
+    def test_label_order_and_spelling_name_one_series(self, reg):
+        """Labels key a series by their sorted, stringified pairs, in
+        whatever order or type a call spells them."""
+        first = reg.counter("x", a=1, b=2)
+        assert reg.counter("x", b=2, a=1) is first
+        assert reg.counter("x", a="1", b="2") is first
+        assert reg.counter("x", b="2", a="1") is first
+        assert reg.counter("y", flag=True) is not reg.counter("y", flag=1)
+        assert reg.counter("y", flag=1) is reg.counter("y", flag="1")
+
     def test_null_instrument_swallows_everything(self):
         NULL_INSTRUMENT.inc()
         NULL_INSTRUMENT.set(3)

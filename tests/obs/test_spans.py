@@ -3,6 +3,7 @@ Chrome export, and the PhaseClock partition property."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -50,6 +51,38 @@ class TestSpans:
         with obs.new_trace() as outer:
             with obs.ensure_trace() as inner:
                 assert inner is outer
+
+    def test_exception_records_the_span_and_propagates(self, obs_on):
+        """A block that raises still records its span (attrs as set
+        inside the block), restores the parent span, and re-raises."""
+        with obs.new_trace() as tr:
+            with obs.span("outer"):
+                with pytest.raises(KeyError):
+                    with obs.span("boom", lane=1) as attrs:
+                        attrs["outcome"] = "raised"
+                        raise KeyError("lane")
+                with obs.span("after"):
+                    pass
+        spans = {s.name: s for s in tr.spans()}
+        boom = spans["boom"]
+        assert boom.attrs == {"lane": 1, "outcome": "raised"}
+        assert boom.end >= boom.start
+        assert boom.parent_id == spans["outer"].span_id
+        assert spans["after"].parent_id == spans["outer"].span_id
+
+    def test_metric_observes_once_per_span(self, obs_on):
+        hist = obs.GLOBAL.histogram("repro_cache_load_seconds")
+        before = hist.snapshot()["count"]
+        with obs.new_trace():
+            with obs.span("cache.load", metric="repro_cache_load_seconds"):
+                pass
+            with obs.span("cache.load"):
+                pass
+            with pytest.raises(RuntimeError):
+                with obs.span("cache.load",
+                              metric="repro_cache_load_seconds"):
+                    raise RuntimeError
+        assert hist.snapshot()["count"] == before + 2
 
     def test_export_round_trips_through_dicts(self, obs_on):
         with obs.new_trace() as tr:
@@ -127,6 +160,15 @@ class TestKillSwitch:
 
     def test_disabled_paths_have_zero_clock_reads(self, obs_off):
         assert obs.now() == 0.0
+
+    def test_disabled_span_reads_no_clock(self, obs_off, monkeypatch):
+        def no_clock():
+            raise AssertionError("a disabled span read the clock")
+
+        monkeypatch.setattr(time, "time", no_clock)
+        with obs.new_trace():
+            with obs.span("x", metric="repro_cache_load_seconds") as attrs:
+                assert attrs is None
 
     def test_disabled_span_and_trace_yield_none(self, obs_off):
         with obs.ensure_trace() as tr:

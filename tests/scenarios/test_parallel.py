@@ -2,11 +2,13 @@
 the validation paths added alongside it (override conflicts, settle
 bounds)."""
 
+import dataclasses
 from dataclasses import fields
+from types import MappingProxyType
 
 import pytest
 
-from repro.analog.coil import make_coil
+from repro.analog.coil import Coil, make_coil
 from repro.analog.load import LoadProfile
 from repro.analog.sensors import BuckReferences
 from repro.control.async_controller import AsyncTimings
@@ -14,8 +16,9 @@ from repro.control.params import BuckControlParams
 from repro import Session
 from repro.scenarios import ScenarioSpec, Sweep, plan_batches, uniform
 from repro.scenarios.parallel import (PER_LANE_FIELDS, decode_config,
-                                      decode_spec, encode_config,
-                                      encode_spec, lockstep_key)
+                                      decode_spec, decode_value,
+                                      encode_config, encode_spec,
+                                      encode_value, lockstep_key)
 from repro.sim import NS, UH, US
 from repro.system import SystemConfig
 
@@ -107,6 +110,38 @@ class TestSerialization:
         assert clone.seed == spec.seed
         assert clone.overrides["coil"] == spec.overrides["coil"]
         assert clone.overrides["x_tag"] == "extra"
+
+    def test_models_encode_as_their_asdict_form(self):
+        """The exact-type path flattens a model to the dict ``asdict``
+        builds, key order included; a subclass takes the ``isinstance``
+        path and encodes the same way."""
+        @dataclasses.dataclass(frozen=True)
+        class TaggedCoil(Coil):
+            note: str = "sub"
+
+        models = {"coil": make_coil(4.7 * UH),
+                  "refs": BuckReferences(v_ref=3.2),
+                  "params": BuckControlParams(pmin=5 * NS),
+                  "timings": AsyncTimings(token_hop=0.3 * NS)}
+        sub = TaggedCoil(name="L", inductance=UH, dcr=0.1)
+        for tag, model in [*models.items(), ("coil", sub)]:
+            encoded = encode_value(model)
+            want = {"__model__": tag, **dataclasses.asdict(model)}
+            assert list(encoded.items()) == list(want.items()), tag
+        load = LoadProfile([(0.0, 6.0), (1 * US, 2.0)])
+        assert encode_value(load) == {"__model__": "load",
+                                      "steps": load.steps()}
+
+    def test_any_mapping_decodes(self):
+        """A tagged mapping that is not a dict still rebuilds its model,
+        and plain values and untagged dicts pass through as they are."""
+        encoded = encode_value(make_coil(2.25 * UH))
+        assert decode_value(MappingProxyType(encoded)) == \
+            make_coil(2.25 * UH)
+        untagged = {"a": 1}
+        assert decode_value(untagged) is untagged
+        assert [decode_value(v) for v in (1.5, "x", None, [1])] == \
+            [1.5, "x", None, [1]]
 
 
 class TestParallelSweep:

@@ -15,6 +15,7 @@ import socket
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -419,7 +420,7 @@ class TestRequestBounds:
         cache.store(key, planted_result)
         planted = tmp_path / "top"
         planted.mkdir()
-        path = cache._path(key)
+        path = Path(cache._path(key))
         shutil.copyfile(path, planted / f"planted{path.suffix}")
         escape = "../top/planted"
         assert cache._load_entry(escape) == planted_result

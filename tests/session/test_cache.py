@@ -92,7 +92,8 @@ def _sign(body):
 
 def _read_entry(cache, key):
     """``(digest line, header, payload)`` of ``key``'s entry file."""
-    digest, header, payload = cache._path(key).read_bytes().split(b"\n", 2)
+    data = Path(cache._path(key)).read_bytes()
+    digest, header, payload = data.split(b"\n", 2)
     return digest, json.loads(header), payload
 
 
@@ -105,11 +106,12 @@ def _rewrite(cache, key, edit=None, payload=None, sign=True):
         edit(header)
     body = (json.dumps(header, sort_keys=True).encode() + b"\n"
             + (old_payload if payload is None else payload))
-    cache._path(key).write_bytes(
+    Path(cache._path(key)).write_bytes(
         _sign(body) if sign else digest + b"\n" + body)
 
 
 def _truncate(path):
+    path = Path(path)
     whole = path.read_bytes()
     path.write_bytes(whole[:len(whole) // 2])
 
@@ -190,7 +192,7 @@ class TestResultCacheStore:
         cache.store(key, _result())
         _rewrite(cache, key, payload=b"not an npz", sign=False)
         assert cache.load(key) is None
-        cache._path(key).write_bytes(_sign(b"{ not json\n"))
+        Path(cache._path(key)).write_bytes(_sign(b"{ not json\n"))
         assert cache.load(key) is None
 
     def test_truncated_entry_reads_as_miss(self, tmp_path):
@@ -298,7 +300,7 @@ class TestResultCacheStore:
         cache.store(key, _result())
         assert cache.load(key) == _result()
         assert len(cache) == 1
-        assert cache.size_bytes() == cache._path(key).stat().st_size
+        assert cache.size_bytes() == Path(cache._path(key)).stat().st_size
         assert cache.prune(max_bytes=0) == 1
         cache.store(key, _result())
         assert cache.clear() == 1
@@ -326,7 +328,8 @@ class TestFileModes:
             assert cache.store(key, _result(), meta={"spec": "k"})
         finally:
             os.umask(previous)
-        written = [cache._path(key), default / cache_mod.FINGERPRINT_MEMO]
+        written = [Path(cache._path(key)),
+                   default / cache_mod.FINGERPRINT_MEMO]
         assert {path.name: path.stat().st_mode & 0o777
                 for path in written} == {path.name: mode
                                          for path in written}
@@ -580,7 +583,7 @@ class TestPruneEdgeCases:
         cache.store(new_key, _result())
         os.utime(cache._path(new_key), (2_000_000.0, 2_000_000.0))
         assert cache._strip_trace(old_key) > 0
-        mtime = cache._path(old_key).stat().st_mtime
+        mtime = Path(cache._path(old_key)).stat().st_mtime
         assert mtime == 1_000_000.0   # age preserved through the rewrite
         # force whole-entry eviction: cap below one scalar entry x2
         entry = cache.size_bytes() // 2
@@ -656,7 +659,7 @@ class TestPayloadLayout:
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result(trace=_trace()), meta={"spec": "k"})
-        path = cache._path(key)
+        path = Path(cache._path(key))
         assert path.name == f"{key}.entry"
         data = path.read_bytes()
         digest, header, payload = _read_entry(cache, key)
@@ -718,7 +721,7 @@ class TestEntryIntegrity:
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result(trace=_trace() if traced else None))
-        path = cache._path(key)
+        path = Path(cache._path(key))
         data = bytearray(path.read_bytes())
         digest, header, payload = _read_entry(cache, key)
         start = len(data) - len(payload) if traced else len(digest) + 1
@@ -822,7 +825,7 @@ class TestEntryIntegrity:
         cache = ResultCache(root=tmp_path)
         key = cache_key(_config())
         cache.store(key, _result(trace=_trace(n=512)))
-        path = cache._path(key)
+        path = Path(cache._path(key))
         os.utime(path, (1_000_000.0, 1_000_000.0))
         assert cache._strip_trace(key) > 0
         assert path.stat().st_mtime == 1_000_000.0
@@ -873,7 +876,7 @@ class TestKeyShape:
         cache.store(key, _result())
         planted = tmp_path / "top"
         planted.mkdir()
-        path = cache._path(key)
+        path = Path(cache._path(key))
         shutil.copyfile(path, planted / f"planted{path.suffix}")
         escape = "../top/planted"
         # the guard is what stops it: the entry itself reads fine
@@ -946,6 +949,40 @@ class TestCacheKey:
             "controller": "async", "coil": make_coil(4.7 * UH),
             "r_load": 6.0, "sim_time": 1 * US, "dt": 1 * NS}).to_config()
         assert cache_key(via_pseudo) == cache_key(via_field)
+
+    def test_keys_at_a_fixed_fingerprint_are_pinned(self):
+        """The key bytes themselves, not two keys from the same code: a
+        codec or payload change that moves them orphans every cache
+        entry, and must come with a ``FORMAT_VERSION`` bump and a new
+        pin here."""
+        from repro.analog.coil import make_coil
+        from repro.analog.load import LoadProfile
+        from repro.analog.sensors import BuckReferences
+        from repro.control.async_controller import AsyncTimings
+        from repro.control.params import BuckControlParams
+        from repro.sim import UH
+        specs = {
+            "31a1ccc4480a24560be1cbabcabf1105"
+            "ca46e0242e1b622e1540bb73bb796a87": ScenarioSpec(
+                "a", overrides={}),
+            "474c7a45dc3934f305a98502917240cb"
+            "8e34c0a71cdf03e72fa127ec0c873499": ScenarioSpec(
+                "b", overrides={
+                    "controller": "sync", "coil": make_coil(2.25 * UH),
+                    "load": LoadProfile.fig6_scenario(),
+                    "refs": BuckReferences(v_ref=3.2),
+                    "params": BuckControlParams(pmin=3 * NS),
+                    "timings": AsyncTimings(hl_fwd=0.4 * NS),
+                    "sim_time": 2 * US}),
+            "7131956b3b5830079713e0c86e45f72a"
+            "73a9e9b5e3d390e1ae6e4c9fadee21fb": ScenarioSpec(
+                "c", overrides={"l_uh": 4.7, "stepping": "adaptive",
+                                "rtol": 1e-4}),
+        }
+        for pinned, spec in specs.items():
+            assert cache_key(spec.to_config(), fingerprint="0" * 16,
+                             backend="vector",
+                             track_energy=False) == pinned, spec.name
 
 
 class TestCodeFingerprint:
@@ -1181,7 +1218,7 @@ class TestFingerprintMemoInSessions:
         assert memo.is_file()
         [key] = cache.keys()
         assert len(cache) == 1
-        assert cache.size_bytes() == cache._path(key).stat().st_size
+        assert cache.size_bytes() == Path(cache._path(key)).stat().st_size
         assert cache.prune(max_bytes=0) == 1
         assert len(cache) == 0 and cache.size_bytes() == 0
         assert memo.is_file()

@@ -139,7 +139,7 @@ def _digest_holds(data: bytes) -> bool:
 
 def _entry_state(cache: ResultCache, i: int) -> str:
     """What is on disk for key ``i``, for a failure message."""
-    path = cache._path(_key(i))
+    path = Path(cache._path(_key(i)))
     if not path.exists():
         return "no entry on disk"
     data = path.read_bytes()
@@ -295,7 +295,7 @@ def test_a_store_racing_the_eviction_of_its_key_waits_and_survives(
     cache = ResultCache(root=root)
     cache.store(_key(0), _result(0, traced=False))
     path = cache._path(_key(0))
-    unlink = Path.unlink
+    unlink = os.unlink
     racers = []
 
     def racing_unlink(target, *args, **kwargs):
@@ -306,9 +306,9 @@ def test_a_store_racing_the_eviction_of_its_key_waits_and_survives(
             racers.append(racers[0].is_alive())
         unlink(target, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "unlink", racing_unlink)
+    monkeypatch.setattr(os, "unlink", racing_unlink)
     assert cache.prune(max_bytes=0) == 1
-    monkeypatch.setattr(Path, "unlink", unlink)
+    monkeypatch.setattr(os, "unlink", unlink)
     racer, waited = racers
     racer.join(timeout=60)
     assert not racer.is_alive()
